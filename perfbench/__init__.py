@@ -1,0 +1,5 @@
+"""Speed-normalised benchmark of the bicrit command-line front end.
+
+Run ``python3 perfbench/run.py --workload NAME --seed N --seconds S --trace 0|1``
+from the repository root; see ``perfbench/README.md``.
+"""
