@@ -11,7 +11,6 @@ from .core import (
     CostPair,
     GuaranteeCertificate,
     ParametricAdapter,
-    ParametricCurveAdapter,
     ProblemAdapter,
     Rational,
     SolutionRecord,
@@ -31,6 +30,7 @@ from .errors import (
     NoFeasibleSolution,
     NotParametricCapable,
     ParseError,
+    ProblemMismatch,
     Unreachable,
     ValidationError,
 )
@@ -56,7 +56,6 @@ from .pareto import (
     ParetoSet,
     approximate_pareto,
     boundary_solutions,
-    extended_pareto,
     filter_dominated,
     pareto_from_parametric,
     pareto_index_range,

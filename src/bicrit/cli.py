@@ -25,13 +25,15 @@ from .errors import (
     NoFeasibleSolution,
     NotParametricCapable,
     ParseError,
+    ProblemMismatch,
     ValidationError,
 )
 from .exact_search import solve_budget_binary, solve_budget_parametric
 from .marathe import example2_graph, reproduce_example1, reproduce_example2
 from .oracle import exact_opt_budget, enumerate_all, verify_budget, verify_pareto_coverage
-from .pareto import approximate_pareto, pareto_from_parametric, pareto_index_range
-from .problems import BiweightedGraph, VertexWeightedGraph, adapter_for, mst_sample_points
+from .pareto import approximate_pareto, pareto_from_parametric
+from .pareto import pareto_index_range  # noqa: F401  unused; perfbench's tracer wraps this name
+from .problems import BiweightedGraph, VertexWeightedGraph, adapter_for
 from .sweep import BudgetQuery, solve_budget_fixed, solve_budget_sweep
 
 PROBLEM_KINDS = ("mst", "path", "cut", "vc")
@@ -57,47 +59,67 @@ def ingest(path: str):
     return instance_from_dict(data)
 
 
-def _field(data, name, kind=None):
-    if name not in data:
-        raise ParseError(f"missing field {name!r}")
-    value = data[name]
-    if kind is not None and not isinstance(value, kind):
-        raise ParseError(f"field {name!r} has wrong type {type(value).__name__}")
+def _typed(value, kind, where):
+    # bool is a subclass of int, but a JSON true/false is never a count or a node.
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ParseError(f"{where}: expected {kind.__name__}, got {type(value).__name__}")
     return value
 
 
-def _parse_pair(entry, where):
+def _field(data, name, kind, where=""):
+    """``data[name]`` checked to be a ``kind``; errors name the path, as in edges[3].w1."""
+    _typed(data, dict, where or "instance")
+    path = f"{where}.{name}" if where else name
+    if name not in data:
+        raise ParseError(f"{path}: missing field")
+    return _typed(data[name], kind, path)
+
+
+def _optional_int(data, name):
+    value = data.get(name)
+    return None if value is None else _typed(value, int, name)
+
+
+def _rational_field(data, name, where):
+    text = _field(data, name, str, where)
     try:
-        return (parse_rational(_field(entry, "w1", str)), parse_rational(_field(entry, "w2", str)))
+        return parse_rational(text)
     except ParseError as exc:
-        raise ParseError(f"{where}: {exc}") from None
+        raise ParseError(f"{where}.{name}: {exc}") from None
+
+
+def _parse_pair(entry, where):
+    return (_rational_field(entry, "w1", where), _rational_field(entry, "w2", where))
 
 
 def instance_from_dict(data):
     kind = _field(data, "kind", str)
     if kind not in PROBLEM_KINDS:
         raise ParseError(f"unknown kind {kind!r}")
-    relaxed = bool(data.get("relaxed", False))
+    relaxed = _typed(data.get("relaxed", False), bool, "relaxed")
     nodes = _field(data, "nodes", int)
     edges_raw = _field(data, "edges", list)
+    ends = [
+        (_field(e, "u", int, f"edges[{i}]"), _field(e, "v", int, f"edges[{i}]"))
+        for i, e in enumerate(edges_raw)
+    ]
     try:
         if kind == "vc":
-            edges = [(_field(e, "u", int), _field(e, "v", int)) for e in edges_raw]
             weights_raw = _field(data, "vertex_weights", list)
             weights = [
                 _parse_pair(w, f"vertex_weights[{i}]") for i, w in enumerate(weights_raw)
             ]
-            return VertexWeightedGraph(nodes, tuple(edges), tuple(weights), relaxed=relaxed)
+            return VertexWeightedGraph(nodes, tuple(ends), tuple(weights), relaxed=relaxed)
         edges = [
-            (_field(e, "u", int), _field(e, "v", int), _parse_pair(e, f"edges[{i}]"))
-            for i, e in enumerate(edges_raw)
+            (u, v, _parse_pair(e, f"edges[{i}]"))
+            for i, ((u, v), e) in enumerate(zip(ends, edges_raw))
         ]
         instance = BiweightedGraph(
             nodes,
             tuple(edges),
             kind=kind,
-            source=data.get("source"),
-            sink=data.get("sink"),
+            source=_optional_int(data, "source"),
+            sink=_optional_int(data, "sink"),
             relaxed=relaxed,
         )
     except ValueError as exc:
@@ -188,6 +210,16 @@ def _budget_verification(instance, record, budget, eps, alpha, factors):
     }
 
 
+def _ingest_for(args):
+    """The ``--input`` instance, which must be of the ``--problem`` kind."""
+    instance = ingest(args.input)
+    if instance.kind != args.problem:
+        raise ProblemMismatch(
+            f"--problem {args.problem} does not match instance kind {instance.kind}"
+        )
+    return instance
+
+
 def _flag_rational(parser, name, text):
     try:
         return parse_rational(text)
@@ -200,13 +232,7 @@ def _cmd_solve_budget(args, parser) -> int:
         parser.error("--format csv is only available for the pareto command")
     budget = _flag_rational(parser, "--budget", args.budget)
     eps = _flag_rational(parser, "--epsilon", args.epsilon)
-    instance = ingest(args.input)
-    if instance.kind != args.problem:
-        print(
-            f"error: --problem {args.problem} does not match instance kind {instance.kind}",
-            file=sys.stderr,
-        )
-        return 2
+    instance = _ingest_for(args)
     if args.algorithm == "fixed" and eps != 1:
         parser.error("--algorithm fixed pins epsilon to 1")
     adapter = adapter_for(instance)
@@ -225,9 +251,9 @@ def _cmd_solve_budget(args, parser) -> int:
     }
     try:
         if args.algorithm == "sweep":
-            record, cert = solve_budget_sweep(adapter, instance, query, parallel=args.parallel)
+            record, cert = solve_budget_sweep(adapter, instance, query)
         elif args.algorithm == "fixed":
-            record, cert = solve_budget_fixed(adapter, instance, budget, parallel=args.parallel)
+            record, cert = solve_budget_fixed(adapter, instance, budget)
         elif args.algorithm == "binary":
             record, cert = solve_budget_binary(adapter, instance, query)
         else:
@@ -251,24 +277,18 @@ def _cmd_solve_budget(args, parser) -> int:
 
 
 def _cmd_pareto(args, parser) -> int:
+    if args.format == "csv" and args.verify:
+        parser.error("--verify needs --format json: the csv output has no verification")
     eps = _flag_rational(parser, "--epsilon", args.epsilon)
-    instance = ingest(args.input)
-    if instance.kind != args.problem:
-        print(
-            f"error: --problem {args.problem} does not match instance kind {instance.kind}",
-            file=sys.stderr,
-        )
-        return 2
+    instance = _ingest_for(args)
     adapter = adapter_for(instance)
     started = time.perf_counter()
     try:
         if args.parametric:
             curve = pareto_from_parametric(adapter, instance, eps)
-            calls = len(mst_sample_points(instance))
         else:
             curve = approximate_pareto(adapter, instance, eps)
-            calls = len(pareto_index_range(eps, adapter.bounds(instance)))
-    except (ValueError, NotParametricCapable) as exc:
+    except (ValueError, ExactOracleRequired) as exc:
         parser.error(str(exc))
     if args.format == "csv":
         print("f1,f2")
@@ -286,7 +306,7 @@ def _cmd_pareto(args, parser) -> int:
             "factor2": format_rational(curve.factor2),
             "records": [_record_dict(r) for r in curve.records],
         },
-        "oracle_calls": calls,
+        "oracle_calls": curve.oracle_calls,
     }
     if args.verify:
         everything = enumerate_all(instance)
@@ -356,7 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--input", required=True, help="instance JSON path")
     solve.add_argument("--verify", action="store_true", help="check against the brute-force oracle")
     solve.add_argument("--format", choices=("json", "csv"), default="json")
-    solve.add_argument("--parallel", action="store_true", help="evaluate sweep grid concurrently")
     solve.set_defaults(handler=_cmd_solve_budget)
 
     pareto = sub.add_parser("pareto", help="compute an approximate Pareto curve")
@@ -364,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     pareto.add_argument("--epsilon", default="1", help="accuracy parameter as p/q (default 1)")
     pareto.add_argument("--input", required=True, help="instance JSON path")
     pareto.add_argument(
-        "--parametric", action="store_true", help="use the all-weights parametric oracle"
+        "--parametric", action="store_true", help="all-weights search (exact oracles only)"
     )
     pareto.add_argument("--verify", action="store_true", help="check coverage by enumeration")
     pareto.add_argument("--format", choices=("json", "csv"), default="json")
@@ -386,7 +405,7 @@ def main(argv=None) -> int:
     except (ParseError, ValidationError, CapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (ExactOracleRequired, NotParametricCapable) as exc:
+    except (ExactOracleRequired, NotParametricCapable, ProblemMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NoFeasibleSolution as exc:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Optional
 
-from .errors import ParseError
+from .errors import ExactOracleRequired, ParseError
 
 Rational = Fraction
 
@@ -218,6 +218,39 @@ class ProblemAdapter(ABC):
     def bounds(self, instance) -> Bounds:
         """Valid Bounds for the instance (positive values only when relaxed)."""
 
+    def solve_all_weights(self, instance, lo, hi) -> list:
+        """Records that hold an optimal solution for every weight in [lo, hi].
+
+        Dichotomic search (Aneja and Nair, Management Science 25(1), 1979):
+        solve at ``lo`` and ``hi``, then, for each pair of neighbouring
+        records with distinct images, solve at the weight where their
+        weighted-sum lines cross.  A record strictly below that crossing
+        splits the pair in two.  Otherwise both records are optimal at the
+        crossing, and since the lower envelope of the lines is concave,
+        each stays optimal on its side of it.  Every split finds a new
+        image and every pair ends with one call, so the search makes at
+        most 2k oracle calls for the k distinct images it returns; every
+        record solved is returned, one per call.  The stopping rule needs
+        an exact oracle, so ExactOracleRequired is raised otherwise.
+        """
+        if self.alpha() != 1:
+            raise ExactOracleRequired("the all-weights search needs an exact oracle")
+        left = self.solve_weighted_sum(instance, lo)
+        right = self.solve_weighted_sum(instance, hi)
+        records = [left, right]
+        pending = [(left, right)]
+        while pending:
+            a, b = pending.pop()
+            if a.image == b.image:
+                continue
+            # Exact answers at weights lo <= hi give a.f1 < b.f1 and a.f2 > b.f2.
+            crossing = (b.image.f1 - a.image.f1) / (a.image.f2 - b.image.f2)
+            middle = self.solve_weighted_sum(instance, crossing)
+            records.append(middle)
+            if middle.image.weighted(crossing) < a.image.weighted(crossing):
+                pending += [(a, middle), (middle, b)]
+        return records
+
 
 class ParametricAdapter(ProblemAdapter):
     """Adapter whose exact oracle can run symbolically over linear weights.
@@ -231,11 +264,3 @@ class ParametricAdapter(ProblemAdapter):
     @abstractmethod
     def run_parametric(self, instance, compare):
         """Run the weighted-sum algorithm with ``compare``; return the token."""
-
-
-class ParametricCurveAdapter(ABC):
-    """Adapter that can solve the weighted-sum problem for all gamma at once."""
-
-    @abstractmethod
-    def solve_all_weights(self, instance):
-        """Intervals (lo, hi, record) covering (0, oo); None marks an open end."""

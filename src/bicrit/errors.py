@@ -31,6 +31,10 @@ class Unreachable(NoFeasibleSolution):
     """The sink is not reachable from the source."""
 
 
+class ProblemMismatch(BicritError):
+    """The problem kind named on the command line is not the instance's kind."""
+
+
 class ExactOracleRequired(BicritError):
     """The requested method is only sound for exact (alpha = 1) oracles."""
 

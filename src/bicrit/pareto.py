@@ -2,10 +2,10 @@
 
 Sweeping the weighted-sum oracle over a grid of weights spanning
 [eps*LB(1)/UB(2), eps*UB(1)/LB(2)] and keeping the nondominated records
-yields an (alpha*(1+2*eps), alpha*(1+2/eps))-approximate Pareto curve.  A
-parametric all-weights oracle tightens the factors to
-(alpha*(1+eps), alpha*(1+1/eps)).  Zero objective values are handled by
-two dedicated boundary calls at extreme weights.
+yields an (alpha*(1+2*eps), alpha*(1+2/eps))-approximate Pareto curve.  An
+exact oracle's all-weights search over that range tightens the factors to
+(1+eps, 1+1/eps).  Zero objective values are handled by two dedicated
+boundary calls at extreme weights.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from fractions import Fraction
 
 from .core import (
     Bounds,
-    ParametricCurveAdapter,
     ProblemAdapter,
     ceil_log,
     check_epsilon,
@@ -24,7 +23,6 @@ from .core import (
     pow_one_plus_eps,
     rational,
 )
-from .errors import NotParametricCapable
 from .sweep import IndexRange
 
 
@@ -34,12 +32,14 @@ class ParetoSet:
 
     Records are kept sorted by increasing f1; the guarantee means every
     feasible solution x has some record r with f1(r) <= factor1 * f1(x)
-    and f2(r) <= factor2 * f2(x).
+    and f2(r) <= factor2 * f2(x).  ``oracle_calls`` counts the
+    weighted-sum calls made to build the curve.
     """
 
     records: tuple
     factor1: Fraction
     factor2: Fraction
+    oracle_calls: int = 0
 
     def __post_init__(self):
         records = tuple(sorted(self.records, key=lambda r: (r.image.f1, r.image.f2)))
@@ -100,41 +100,45 @@ def pareto_call_bound(eps, bounds: Bounds) -> int:
 def approximate_pareto(adapter: ProblemAdapter, instance, eps) -> ParetoSet:
     """Sweep the Pareto weight grid; an (a*(1+2e), a*(1+2/e))-approximate curve.
 
-    One oracle call per grid index; the union of returned records is
-    filtered for dominance, which preserves the guarantee.
+    One oracle call per grid index; on relaxed instances the two
+    ``boundary_solutions`` calls add the zero-component points, which no
+    grid weight need reach.  The union of returned records is filtered
+    for dominance, which preserves the guarantee.
     """
     eps = check_epsilon(eps)
-    rng = pareto_index_range(eps, adapter.bounds(instance))
+    bounds = adapter.bounds(instance)
     records = [
-        adapter.solve_weighted_sum(instance, pow_one_plus_eps(eps, i)) for i in rng
+        adapter.solve_weighted_sum(instance, pow_one_plus_eps(eps, i))
+        for i in pareto_index_range(eps, bounds)
     ]
+    calls = len(records)
+    if instance.relaxed:
+        records += [r for r in boundary_solutions(adapter, instance, bounds) if r is not None]
+        calls += 2
     alpha = adapter.alpha()
     return ParetoSet(
         tuple(filter_dominated(records)),
         alpha * (1 + 2 * eps),
         alpha * (1 + Fraction(2) / eps),
+        calls,
     )
 
 
-def pareto_from_parametric(adapter, instance, eps) -> ParetoSet:
-    """Curve from an all-weights parametric oracle; tighter factors.
+def pareto_from_parametric(adapter: ProblemAdapter, instance, eps) -> ParetoSet:
+    """Curve from the exact oracle's all-weights search; tighter factors.
 
-    The parametric solution set contains an optimal record for every
-    positive weight, in particular for each solution's ideal weight, which
-    upgrades the guarantee to (alpha*(1+eps), alpha*(1+1/eps)).
+    The search runs over [eps*LB(1)/(2*UB(2)), 2*UB(1)/LB(2)], which holds
+    every solution's ideal weight eps*f1/f2 and both ``boundary_solutions``
+    weights.  Its records include an optimal one at each of those weights,
+    which upgrades the guarantee to (1+eps, 1+1/eps), zero components
+    included.  Raises ExactOracleRequired for approximate oracles.
     """
     eps = check_epsilon(eps)
-    if not isinstance(adapter, ParametricCurveAdapter):
-        raise NotParametricCapable(
-            f"{type(adapter).__name__} cannot solve all weights at once"
-        )
-    records = [record for _, _, record in adapter.solve_all_weights(instance)]
-    alpha = adapter.alpha()
-    return ParetoSet(
-        tuple(filter_dominated(records)),
-        alpha * (1 + eps),
-        alpha * (1 + 1 / eps),
+    bounds = adapter.bounds(instance)
+    records = adapter.solve_all_weights(
+        instance, eps * bounds.lb1 / (2 * bounds.ub2), 2 * bounds.ub1 / bounds.lb2
     )
+    return ParetoSet(tuple(filter_dominated(records)), 1 + eps, 1 + 1 / eps, len(records))
 
 
 def boundary_solutions(adapter: ProblemAdapter, instance, bounds: Bounds = None):
@@ -155,20 +159,4 @@ def boundary_solutions(adapter: ProblemAdapter, instance, bounds: Bounds = None)
     return (
         high if high.image.f2 == 0 else None,
         low if low.image.f1 == 0 else None,
-    )
-
-
-def extended_pareto(adapter: ProblemAdapter, instance, eps) -> ParetoSet:
-    """Approximate curve for the nonnegative-cost regime.
-
-    The two boundary records join the grid sweep's records before
-    filtering; on strictly positive instances both slots are empty and the
-    result equals ``approximate_pareto``.
-    """
-    base = approximate_pareto(adapter, instance, eps)
-    extras = [r for r in boundary_solutions(adapter, instance) if r is not None]
-    return ParetoSet(
-        tuple(filter_dominated(extras + list(base.records))),
-        base.factor1,
-        base.factor2,
     )

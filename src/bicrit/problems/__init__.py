@@ -4,18 +4,10 @@ from __future__ import annotations
 
 from .adversary import adversarial_wrap
 from .graphs import BiweightedGraph, VertexWeightedGraph
-from .min_cut import MinCutAdapter, cut_bounds, cut_oracle
-from .mst import (
-    MstAdapter,
-    mst_bounds,
-    mst_breakpoints,
-    mst_oracle,
-    mst_parametric_all,
-    mst_parametric_run,
-    mst_sample_points,
-)
-from .shortest_path import ShortestPathAdapter, sp_bounds, sp_oracle, sp_parametric_run
-from .vertex_cover import VertexCoverAdapter, vc_bounds, vc_oracle
+from .min_cut import MinCutAdapter, cut_oracle
+from .mst import MstAdapter, mst_oracle, mst_parametric_run
+from .shortest_path import ShortestPathAdapter, sp_oracle, sp_parametric_run
+from .vertex_cover import VertexCoverAdapter, vc_oracle
 
 _ADAPTERS = {
     "mst": MstAdapter(),
@@ -40,16 +32,9 @@ __all__ = [
     "adapter_for",
     "adversarial_wrap",
     "mst_oracle",
-    "mst_bounds",
-    "mst_breakpoints",
-    "mst_sample_points",
-    "mst_parametric_all",
     "mst_parametric_run",
     "sp_oracle",
-    "sp_bounds",
     "sp_parametric_run",
     "cut_oracle",
-    "cut_bounds",
     "vc_oracle",
-    "vc_bounds",
 ]

@@ -1,4 +1,4 @@
-"""Instance types for the graph problem plugins.
+"""Instance types for the graph problem plugins, and the helpers they share.
 
 Both graph kinds are immutable after construction.  Parallel edges are
 first-class (the zero-cost boundary fixtures need them); self-loops are
@@ -8,9 +8,10 @@ rejected since no plugin can use one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Optional
 
-from ..core import CostPair
+from ..core import Bounds, CostPair
 from ..errors import ValidationError
 
 GRAPH_KINDS = ("mst", "path", "cut")
@@ -133,19 +134,55 @@ class VertexWeightedGraph:
         return len(self.edges)
 
 
+def fraction_compare(a, b) -> int:
+    """Three-way comparison of concrete values, the plugins' non-symbolic comparator."""
+    if a < b:
+        return -1
+    if a > b:
+        return 1
+    return 0
+
+
+def sum_image(weights, indices) -> CostPair:
+    """Image of the solution made of the weight pairs at ``indices``."""
+    return CostPair(sum(weights[i].f1 for i in indices), sum(weights[i].f2 for i in indices))
+
+
+def cost_bounds(weights, relaxed: bool, multiplicity: int = 1) -> Bounds:
+    """Bounds for solutions that use each weight pair at most once.
+
+    The upper bound is the sum of all weights.  Strict regime: a solution
+    uses at least ``multiplicity`` pairs (n-1 edges for a spanning tree),
+    each at least the minimum weight.  Relaxed regime: only the positive
+    costs are bounded, and a solution may hold a single positive pair, so
+    the per-dimension minimum positive weight is the valid lower bound.
+    """
+    out = []
+    for get in (attrgetter("f1"), attrgetter("f2")):
+        values = [get(w) for w in weights]
+        low = min(v for v in values if v > 0) if relaxed else multiplicity * min(values)
+        out.append((low, sum(values)))
+    (lb1, ub1), (lb2, ub2) = out
+    return Bounds(lb1, ub1, lb2, ub2)
+
+
+def find_root(parent, x) -> int:
+    """Union-find root of ``x``, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def union(parent, u, v) -> bool:
+    """Merge the sets of ``u`` and ``v``; False when they were one set already."""
+    ru, rv = find_root(parent, u), find_root(parent, v)
+    if ru == rv:
+        return False
+    parent[ru] = rv
+    return True
+
+
 def connected_components(node_count: int, endpoints) -> int:
     parent = list(range(node_count))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    comps = node_count
-    for u, v in endpoints:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-            comps -= 1
-    return comps
+    return node_count - sum(union(parent, u, v) for u, v in endpoints)

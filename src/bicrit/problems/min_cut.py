@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from ..core import Bounds, CostPair, ProblemAdapter, SolutionRecord, check_weight
 from ..errors import InfeasibleToken
-from .graphs import BiweightedGraph
+from .graphs import BiweightedGraph, cost_bounds, sum_image
 
 
 def edmonds_karp_cut(node_count, endpoints, capacities, source, sink) -> frozenset:
@@ -63,11 +63,9 @@ def edmonds_karp_cut(node_count, endpoints, capacities, source, sink) -> frozens
 
 
 def cut_image(graph: BiweightedGraph, token) -> CostPair:
-    image = CostPair(0, 0)
-    for u, v, w in graph.edges:
-        if (u in token) != (v in token):
-            image = image + w
-    return image
+    """Image of the cut with source side ``token``: the edges crossing it."""
+    crossing = [i for i, (u, v, _) in enumerate(graph.edges) if (u in token) != (v in token)]
+    return sum_image(graph.weights(), crossing)
 
 
 def cut_oracle(graph: BiweightedGraph, source, sink, gamma) -> SolutionRecord:
@@ -76,18 +74,6 @@ def cut_oracle(graph: BiweightedGraph, source, sink, gamma) -> SolutionRecord:
     capacities = [w.weighted(gamma) for w in graph.weights()]
     token = edmonds_karp_cut(graph.node_count, graph.endpoints(), capacities, source, sink)
     return SolutionRecord(token=token, image=cut_image(graph, token), produced_at=gamma)
-
-
-def cut_bounds(graph: BiweightedGraph) -> Bounds:
-    """Any cut with positive cost crosses at least one positive edge."""
-    weights = graph.weights()
-    out = []
-    for get in (lambda w: w.f1, lambda w: w.f2):
-        positives = [get(w) for w in weights if get(w) > 0]
-        low = min(positives) if graph.relaxed else min(get(w) for w in weights)
-        out.append((low, sum(get(w) for w in weights)))
-    (lb1, ub1), (lb2, ub2) = out
-    return Bounds(lb1, ub1, lb2, ub2)
 
 
 class MinCutAdapter(ProblemAdapter):
@@ -108,4 +94,5 @@ class MinCutAdapter(ProblemAdapter):
         return cut_oracle(instance, instance.source, instance.sink, gamma)
 
     def bounds(self, instance) -> Bounds:
-        return cut_bounds(instance)
+        # A cut with positive cost crosses at least one positive edge.
+        return cost_bounds(instance.weights(), instance.relaxed)

@@ -1,8 +1,7 @@
 """Bicriteria minimum spanning tree plugin.
 
 Exact weighted-sum oracle (Kruskal with deterministic tie-breaking by edge
-index), parametric execution over symbolic weights, and the all-weights
-parametric solver used for the tighter Pareto construction.
+index) and parametric execution over symbolic weights.
 """
 
 from __future__ import annotations
@@ -10,25 +9,17 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cmp_to_key
 
-from ..core import (
-    Bounds,
-    CostPair,
-    ParametricAdapter,
-    ParametricCurveAdapter,
-    SolutionRecord,
-    check_weight,
-)
+from ..core import Bounds, CostPair, ParametricAdapter, SolutionRecord, check_weight
 from ..errors import DisconnectedGraph, InfeasibleToken
-from ..exact_search import LinearValue, critical_gamma
-from .graphs import BiweightedGraph, connected_components
-
-
-def _fraction_compare(a, b):
-    if a < b:
-        return -1
-    if a > b:
-        return 1
-    return 0
+from ..exact_search import LinearValue
+from .graphs import (
+    BiweightedGraph,
+    connected_components,
+    cost_bounds,
+    fraction_compare,
+    sum_image,
+    union,
+)
 
 
 def kruskal_run(node_count, endpoints, values, compare) -> frozenset:
@@ -42,19 +33,9 @@ def kruskal_run(node_count, endpoints, values, compare) -> frozenset:
         range(len(endpoints)), key=cmp_to_key(lambda a, b: compare(values[a], values[b]))
     )
     parent = list(range(node_count))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     chosen = []
     for idx in order:
-        u, v = endpoints[idx]
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
+        if union(parent, *endpoints[idx]):
             chosen.append(idx)
             if len(chosen) == node_count - 1:
                 break
@@ -63,20 +44,13 @@ def kruskal_run(node_count, endpoints, values, compare) -> frozenset:
     return frozenset(chosen)
 
 
-def tree_image(graph: BiweightedGraph, token) -> CostPair:
-    weights = graph.weights()
-    image = CostPair(0, 0)
-    for idx in token:
-        image = image + weights[idx]
-    return image
-
-
 def mst_oracle(graph: BiweightedGraph, gamma) -> SolutionRecord:
     """Exact minimum spanning tree under edge weight w1 + gamma*w2."""
     gamma = check_weight(gamma)
-    values = [w.weighted(gamma) for w in graph.weights()]
-    token = kruskal_run(graph.node_count, graph.endpoints(), values, _fraction_compare)
-    return SolutionRecord(token=token, image=tree_image(graph, token), produced_at=gamma)
+    weights = graph.weights()
+    values = [w.weighted(gamma) for w in weights]
+    token = kruskal_run(graph.node_count, graph.endpoints(), values, fraction_compare)
+    return SolutionRecord(token=token, image=sum_image(weights, token), produced_at=gamma)
 
 
 def mst_parametric_run(graph: BiweightedGraph, compare) -> frozenset:
@@ -85,72 +59,7 @@ def mst_parametric_run(graph: BiweightedGraph, compare) -> frozenset:
     return kruskal_run(graph.node_count, graph.endpoints(), values, compare)
 
 
-def mst_breakpoints(graph: BiweightedGraph) -> list:
-    """Distinct positive pairwise critical weights of the edge value lines."""
-    lines = [LinearValue(w.f1, w.f2) for w in graph.weights()]
-    crits = set()
-    for i in range(len(lines)):
-        for j in range(i + 1, len(lines)):
-            c = critical_gamma(lines[i], lines[j])
-            if c is not None and c > 0:
-                crits.add(c)
-    return sorted(crits)
-
-
-def mst_sample_points(graph: BiweightedGraph) -> list:
-    """One weight per breakpoint interval, plus one beyond each extreme."""
-    crits = mst_breakpoints(graph)
-    if not crits:
-        return [Fraction(1)]
-    points = [crits[0] / 2]
-    points.extend((a + b) / 2 for a, b in zip(crits, crits[1:]))
-    points.append(2 * crits[-1])
-    return points
-
-
-def mst_parametric_all(graph: BiweightedGraph):
-    """Optimal trees for every weight gamma > 0 simultaneously.
-
-    Kruskal's output changes only where two edge value lines cross, so
-    solving once inside each breakpoint interval covers the whole ray.
-    Consecutive intervals with identical trees are merged; interval ends
-    of None stand for 0 and infinity.
-    """
-    crits = mst_breakpoints(graph)
-    points = mst_sample_points(graph)
-    cuts = [None] + crits + [None]
-    pieces = []
-    for k, point in enumerate(points):
-        record = mst_oracle(graph, point)
-        lo, hi = cuts[k], cuts[k + 1]
-        if pieces and pieces[-1][2].token == record.token:
-            prev_lo, _, prev_rec = pieces[-1]
-            pieces[-1] = (prev_lo, hi, prev_rec)
-        else:
-            pieces.append((lo, hi, record))
-    return pieces
-
-
-def mst_bounds(graph: BiweightedGraph) -> Bounds:
-    """Bounds from edge weights.
-
-    Strict regime: a tree has exactly n-1 edges, each at least the minimum
-    edge weight.  Relaxed regime: only the positive tree costs are bounded,
-    and a tree may contain a single positive edge, so the per-dimension
-    minimum positive weight is the valid lower bound.
-    """
-    weights = graph.weights()
-    n = graph.node_count
-    out = []
-    for get in (lambda w: w.f1, lambda w: w.f2):
-        positives = [get(w) for w in weights if get(w) > 0]
-        low = min(positives) if graph.relaxed else (n - 1) * min(get(w) for w in weights)
-        out.append((low, sum(get(w) for w in weights)))
-    (lb1, ub1), (lb2, ub2) = out
-    return Bounds(lb1, ub1, lb2, ub2)
-
-
-class MstAdapter(ParametricAdapter, ParametricCurveAdapter):
+class MstAdapter(ParametricAdapter):
     """Adapter for bicriteria spanning-tree instances (exact oracle)."""
 
     def alpha(self) -> Fraction:
@@ -165,16 +74,13 @@ class MstAdapter(ParametricAdapter, ParametricCurveAdapter):
         endpoints = [instance.endpoints()[i] for i in sorted(token)]
         if connected_components(instance.node_count, endpoints) != 1:
             raise InfeasibleToken("edge set does not span the graph")
-        return tree_image(instance, token)
+        return sum_image(instance.weights(), token)
 
     def solve_weighted_sum(self, instance, gamma) -> SolutionRecord:
         return mst_oracle(instance, gamma)
 
     def bounds(self, instance) -> Bounds:
-        return mst_bounds(instance)
+        return cost_bounds(instance.weights(), instance.relaxed, instance.node_count - 1)
 
     def run_parametric(self, instance, compare):
         return mst_parametric_run(instance, compare)
-
-    def solve_all_weights(self, instance):
-        return mst_parametric_all(instance)

@@ -10,24 +10,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ..core import (
-    Bounds,
-    CostPair,
-    ParametricAdapter,
-    SolutionRecord,
-    check_weight,
-)
+from ..core import Bounds, CostPair, ParametricAdapter, SolutionRecord, check_weight
 from ..errors import InfeasibleToken, Unreachable
 from ..exact_search import LINEAR_ZERO, LinearValue
-from .graphs import BiweightedGraph
-
-
-def _fraction_compare(a, b):
-    if a < b:
-        return -1
-    if a > b:
-        return 1
-    return 0
+from .graphs import BiweightedGraph, cost_bounds, fraction_compare, sum_image
 
 
 def dijkstra_run(node_count, endpoints, source, sink, values, zero, compare):
@@ -75,22 +61,15 @@ def dijkstra_run(node_count, endpoints, source, sink, values, zero, compare):
     return tuple(reversed(path))
 
 
-def path_image(graph: BiweightedGraph, token) -> CostPair:
-    weights = graph.weights()
-    image = CostPair(0, 0)
-    for idx in token:
-        image = image + weights[idx]
-    return image
-
-
 def sp_oracle(graph: BiweightedGraph, source, sink, gamma) -> SolutionRecord:
     """Exact shortest s-t path under edge weight w1 + gamma*w2."""
     gamma = check_weight(gamma)
-    values = [w.weighted(gamma) for w in graph.weights()]
+    weights = graph.weights()
+    values = [w.weighted(gamma) for w in weights]
     token = dijkstra_run(
-        graph.node_count, graph.endpoints(), source, sink, values, Fraction(0), _fraction_compare
+        graph.node_count, graph.endpoints(), source, sink, values, Fraction(0), fraction_compare
     )
-    return SolutionRecord(token=token, image=path_image(graph, token), produced_at=gamma)
+    return SolutionRecord(token=token, image=sum_image(weights, token), produced_at=gamma)
 
 
 def sp_parametric_run(graph: BiweightedGraph, source, sink, compare):
@@ -99,18 +78,6 @@ def sp_parametric_run(graph: BiweightedGraph, source, sink, compare):
     return dijkstra_run(
         graph.node_count, graph.endpoints(), source, sink, values, LINEAR_ZERO, compare
     )
-
-
-def sp_bounds(graph: BiweightedGraph) -> Bounds:
-    """A simple path uses at least one and each edge at most once."""
-    weights = graph.weights()
-    out = []
-    for get in (lambda w: w.f1, lambda w: w.f2):
-        positives = [get(w) for w in weights if get(w) > 0]
-        low = min(positives) if graph.relaxed else min(get(w) for w in weights)
-        out.append((low, sum(get(w) for w in weights)))
-    (lb1, ub1), (lb2, ub2) = out
-    return Bounds(lb1, ub1, lb2, ub2)
 
 
 class ShortestPathAdapter(ParametricAdapter):
@@ -138,13 +105,14 @@ class ShortestPathAdapter(ParametricAdapter):
             seen.add(node)
         if node != instance.sink:
             raise InfeasibleToken("walk does not end at the sink")
-        return path_image(instance, token)
+        return sum_image(instance.weights(), token)
 
     def solve_weighted_sum(self, instance, gamma) -> SolutionRecord:
         return sp_oracle(instance, instance.source, instance.sink, gamma)
 
     def bounds(self, instance) -> Bounds:
-        return sp_bounds(instance)
+        # A simple path uses at least one edge and each edge at most once.
+        return cost_bounds(instance.weights(), instance.relaxed)
 
     def run_parametric(self, instance, compare):
         return sp_parametric_run(instance, instance.source, instance.sink, compare)

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from ..core import Bounds, CostPair, ProblemAdapter, SolutionRecord, check_weight
 from ..errors import InfeasibleToken
-from .graphs import VertexWeightedGraph
+from .graphs import VertexWeightedGraph, cost_bounds, sum_image
 
 
 def local_ratio_cover(graph: VertexWeightedGraph, gamma) -> frozenset:
@@ -24,29 +24,13 @@ def local_ratio_cover(graph: VertexWeightedGraph, gamma) -> frozenset:
     return frozenset(v for v in range(graph.node_count) if residual[v] == 0)
 
 
-def cover_image(graph: VertexWeightedGraph, token) -> CostPair:
-    image = CostPair(0, 0)
-    for v in token:
-        image = image + graph.vertex_weights[v]
-    return image
-
-
 def vc_oracle(graph: VertexWeightedGraph, gamma) -> SolutionRecord:
     """Cover whose combined weight is within factor 2 of the minimum."""
     gamma = check_weight(gamma)
     token = local_ratio_cover(graph, gamma)
-    return SolutionRecord(token=token, image=cover_image(graph, token), produced_at=gamma)
-
-
-def vc_bounds(graph: VertexWeightedGraph) -> Bounds:
-    """A cover of positive weight contains at least one positive vertex."""
-    weights = graph.vertex_weights
-    out = []
-    for get in (lambda w: w.f1, lambda w: w.f2):
-        positives = [get(w) for w in weights if get(w) > 0]
-        out.append((min(positives), sum(get(w) for w in weights)))
-    (lb1, ub1), (lb2, ub2) = out
-    return Bounds(lb1, ub1, lb2, ub2)
+    return SolutionRecord(
+        token=token, image=sum_image(graph.vertex_weights, token), produced_at=gamma
+    )
 
 
 class VertexCoverAdapter(ProblemAdapter):
@@ -62,10 +46,11 @@ class VertexCoverAdapter(ProblemAdapter):
         for u, v in instance.edges:
             if u not in token and v not in token:
                 raise InfeasibleToken(f"edge ({u},{v}) is uncovered")
-        return cover_image(instance, token)
+        return sum_image(instance.vertex_weights, token)
 
     def solve_weighted_sum(self, instance, gamma) -> SolutionRecord:
         return vc_oracle(instance, gamma)
 
     def bounds(self, instance) -> Bounds:
-        return vc_bounds(instance)
+        # A cover of positive weight contains at least one positive vertex.
+        return cost_bounds(instance.vertex_weights, instance.relaxed)

@@ -9,7 +9,6 @@ to f1 <= B.  With eps = 1 the factors specialize to (3*alpha, 3*alpha).
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -82,16 +81,8 @@ def sweep_call_bound(eps, bounds: Bounds) -> int:
     return ceil_log(1 + check_epsilon(eps), bounds.ub2 / bounds.lb2) + 2
 
 
-def _grid_records(adapter, instance, eps, rng: IndexRange, parallel: bool):
-    gammas = [pow_one_plus_eps(eps, i) for i in rng]
-    if parallel and len(gammas) > 1:
-        with ThreadPoolExecutor(max_workers=min(8, len(gammas))) as pool:
-            return list(pool.map(lambda g: adapter.solve_weighted_sum(instance, g), gammas))
-    return [adapter.solve_weighted_sum(instance, g) for g in gammas]
-
-
 def solve_budget_sweep(
-    adapter: ProblemAdapter, instance, query: BudgetQuery, *, parallel: bool = False
+    adapter: ProblemAdapter, instance, query: BudgetQuery
 ) -> tuple[SolutionRecord, GuaranteeCertificate]:
     """Sweep the whole weight grid and return the best budget-respecting record.
 
@@ -104,7 +95,7 @@ def solve_budget_sweep(
     eps, budget = query.eps, query.budget
     alpha = adapter.alpha()
     rng = index_range(eps, budget, adapter.bounds(instance))
-    records = _grid_records(adapter, instance, eps, rng, parallel)
+    records = [adapter.solve_weighted_sum(instance, pow_one_plus_eps(eps, i)) for i in rng]
     limit = alpha * (1 + 2 * eps) * budget
     qualifying = [r for r in records if r.image.f1 <= limit]
     if not qualifying:
@@ -121,8 +112,8 @@ def solve_budget_sweep(
 
 
 def solve_budget_fixed(
-    adapter: ProblemAdapter, instance, budget, *, parallel: bool = False
+    adapter: ProblemAdapter, instance, budget
 ) -> tuple[SolutionRecord, GuaranteeCertificate]:
     """The sweep with eps pinned to 1: a (3*alpha, 3*alpha)-approximation."""
     query = BudgetQuery(budget=rational(budget), eps=Fraction(1))
-    return solve_budget_sweep(adapter, instance, query, parallel=parallel)
+    return solve_budget_sweep(adapter, instance, query)

@@ -32,7 +32,6 @@ from bicrit.oracle import (
 from bicrit.pareto import (
     approximate_pareto,
     boundary_solutions,
-    extended_pareto,
     pareto_call_bound,
     pareto_from_parametric,
     pareto_index_range,
@@ -147,18 +146,23 @@ def test_c05_pareto_coverage_and_call_bound(suite):
             before = case.adapter.invocations
             curve = approximate_pareto(case.adapter, case.instance, eps)
             calls = case.adapter.invocations - before
-            assert calls == len(pareto_index_range(eps, bounds))
+            assert calls == curve.oracle_calls == len(pareto_index_range(eps, bounds))
             assert calls <= pareto_call_bound(eps, bounds)
             assert verify_pareto_coverage(
                 curve, case.records, case.alpha * (1 + 2 * eps), case.alpha * (1 + 2 / eps)
             )
             grid_runs += 1
-            if case.kind == "mst":
-                tight = pareto_from_parametric(case.raw_adapter, case.instance, eps)
+            if case.kind != "vc":
+                before = case.adapter.invocations
+                tight = pareto_from_parametric(case.adapter, case.instance, eps)
+                calls = case.adapter.invocations - before
                 assert verify_pareto_coverage(tight, case.records, 1 + eps, 1 + 1 / eps)
+                # Records optimal at positive weights are nondominated, so the
+                # curve keeps one point per distinct image the search found.
+                assert calls == tight.oracle_calls <= 2 * len(tight.records)
                 parametric_runs += 1
     _report(5, f"pareto coverage held in {grid_runs} grid runs and "
-               f"{parametric_runs} parametric runs, within the call bound")
+               f"{parametric_runs} mst/path/cut parametric runs, within the call bounds")
 
 
 def test_c06_nonmonotone_ratio_reproduction():
@@ -202,11 +206,11 @@ def test_c08_boundary_exactness():
     high, low = boundary_solutions(adapter, fixture)
     assert high.image == CostPair(1, 0) and high.image.f2 == 0
     assert low.image == CostPair(0, 1) and low.image.f1 == 0
-    curve = extended_pareto(adapter, fixture, Fraction(1))
+    curve = approximate_pareto(adapter, fixture, Fraction(1))
     records = enumerate_all(fixture)
     assert len(records) == 3
     assert verify_pareto_coverage(curve, records, 3, 3)
-    _report(8, "boundary records hit f2=0 and f1=0 exactly; extended curve covers at (3,3)")
+    _report(8, "boundary records hit f2=0 and f1=0 exactly; relaxed curve covers at (3,3)")
 
 
 def test_c09_vertex_cover_composite_factor(suite, opt_cache):

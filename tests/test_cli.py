@@ -104,10 +104,17 @@ class TestExitCodes:
                   "--budget", "3", "--epsilon", "1/2", "--input", demo("demo_mst_a.json")])
         assert excinfo.value.code == 2
         with pytest.raises(SystemExit) as excinfo:
-            main(["pareto", "--problem", "cut", "--parametric",
-                  "--input", demo("demo_cut.json")])
+            main(["pareto", "--problem", "vc", "--parametric",
+                  "--input", demo("demo_vc.json")])
         assert excinfo.value.code == 2
         capsys.readouterr()
+
+    def test_pareto_csv_refuses_verify(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["pareto", "--problem", "mst", "--input", demo("demo_mst_a.json"),
+                  "--format", "csv", "--verify"])
+        assert excinfo.value.code == 2
+        assert "--verify" in capsys.readouterr().err
 
     def test_malformed_flag_rationals_exit_two(self, capsys):
         for budget, eps in (("2.5", "1"), ("3", "abc")):
@@ -146,6 +153,20 @@ class TestExitCodes:
         capsys.readouterr()
         assert main(argv[:-1]) == 0  # fine without verification
         capsys.readouterr()
+
+    @pytest.mark.parametrize("field, value, where", [
+        ("relaxed", "false", "relaxed"),
+        ("nodes", True, "nodes"),
+        ("source", "0", "source"),
+        ("edges", [1, 2], "edges[0]"),
+    ])
+    def test_malformed_field_exits_four(self, capsys, tmp_path, field, value, where):
+        data = json.loads(Path(demo("demo_path.json")).read_text())
+        data[field] = value
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(data))
+        assert main(["pareto", "--problem", "path", "--input", str(path)]) == 4
+        assert capsys.readouterr().err.startswith(f"error: {where}: expected ")
 
     def test_parse_and_validation_exit_four(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
@@ -209,15 +230,24 @@ class TestReports:
         assert report["pareto"]["factor1"] == "2"
         assert report["verification"]["verdict"] is True
 
-    def test_parallel_sweep_matches_serial(self, capsys):
-        base = ["solve-budget", "--problem", "path", "--budget", "3",
-                "--epsilon", "1/2", "--input", demo("demo_path.json")]
-        _, serial = run_json(capsys, base)
-        _, parallel = run_json(capsys, base + ["--parallel"])
-        for report in (serial, parallel):
-            report.pop("wall_time_ms")
-            report.pop("command")
-        assert serial == parallel
+    @pytest.mark.parametrize("kind, name", [("path", "demo_path.json"), ("cut", "demo_cut.json")])
+    def test_parametric_pareto_covers_path_and_cut(self, capsys, kind, name):
+        code, report = run_json(capsys, [
+            "pareto", "--problem", kind, "--parametric", "--epsilon", "1/2",
+            "--input", demo(name), "--verify",
+        ])
+        assert code == 0
+        assert (report["pareto"]["factor1"], report["pareto"]["factor2"]) == ("3/2", "3")
+        assert report["verification"]["verdict"] is True
+        assert report["oracle_calls"] <= 2 * len(report["pareto"]["records"])
+
+    def test_relaxed_pareto_covers_zero_cost_points(self, capsys):
+        code, report = run_json(capsys, [
+            "pareto", "--problem", "mst", "--epsilon", "1/4",
+            "--input", demo("demo_relaxed_mst.json"), "--verify",
+        ])
+        assert code == 0
+        assert report["verification"]["verdict"] is True
 
 
 class TestRepro:

@@ -7,19 +7,18 @@ import pytest
 
 from _suite import CachingAdapter, random_mst_instance, random_vc_instance
 from bicrit.core import Bounds, CostPair, SolutionRecord
-from bicrit.errors import NotParametricCapable
+from bicrit.errors import ExactOracleRequired
 from bicrit.oracle import enumerate_all, verify_pareto_coverage
 from bicrit.pareto import (
     ParetoSet,
     approximate_pareto,
     boundary_solutions,
-    extended_pareto,
     filter_dominated,
     pareto_call_bound,
     pareto_from_parametric,
     pareto_index_range,
 )
-from bicrit.problems import BiweightedGraph, MstAdapter, VertexCoverAdapter
+from bicrit.problems import BiweightedGraph, MstAdapter, VertexCoverAdapter, VertexWeightedGraph
 from bicrit.sweep import IndexRange
 
 
@@ -101,10 +100,11 @@ class TestApproximatePareto:
             adapter = CachingAdapter(MstAdapter(), inst)
             for eps in (Fraction(1), Fraction(1, 2), Fraction(1, 4)):
                 adapter.invocations = 0
-                approximate_pareto(adapter, inst, eps)
+                ps = approximate_pareto(adapter, inst, eps)
                 bounds = adapter.bounds(inst)
                 grid = len(pareto_index_range(eps, bounds))
-                assert adapter.invocations == grid <= pareto_call_bound(eps, bounds)
+                assert adapter.invocations == ps.oracle_calls == grid
+                assert grid <= pareto_call_bound(eps, bounds)
 
     def test_coverage_on_random_instances(self):
         rng = random.Random(13)
@@ -145,8 +145,9 @@ class TestParametricPareto:
                 )
 
     def test_requires_curve_capability(self):
-        with pytest.raises(NotParametricCapable):
-            pareto_from_parametric(VertexCoverAdapter(), None, Fraction(1))
+        cover = VertexWeightedGraph(2, ((0, 1),), ((1, 1), (1, 1)))
+        with pytest.raises(ExactOracleRequired):
+            pareto_from_parametric(VertexCoverAdapter(), cover, Fraction(1))
 
 
 class TestBoundary:
@@ -186,14 +187,28 @@ class TestBoundary:
 
 
 class TestExtendedPareto:
+    """Curves of relaxed instances, extended by their zero-component points."""
+
     def test_fixture_coverage(self, boundary_fixture):
-        ps = extended_pareto(MstAdapter(), boundary_fixture, Fraction(1))
+        adapter = CachingAdapter(MstAdapter(), boundary_fixture)
+        ps = approximate_pareto(adapter, boundary_fixture, Fraction(1))
         images = {(r.image.f1, r.image.f2) for r in ps.records}
         assert images == {(1, 0), (0, 1)}
         assert verify_pareto_coverage(ps, enumerate_all(boundary_fixture), 3, 3)
+        grid = len(pareto_index_range(Fraction(1), adapter.bounds(boundary_fixture)))
+        assert ps.oracle_calls == adapter.invocations == grid + 2
 
     def test_strict_instance_matches_plain_pareto(self, ex1):
-        plain = approximate_pareto(MstAdapter(), ex1, Fraction(1))
-        extended = extended_pareto(MstAdapter(), ex1, Fraction(1))
-        assert extended.images == plain.images
-        assert (extended.factor1, extended.factor2) == (plain.factor1, plain.factor2)
+        adapter = CachingAdapter(MstAdapter(), ex1)
+        ps = approximate_pareto(adapter, ex1, Fraction(1))
+        grid = len(pareto_index_range(Fraction(1), adapter.bounds(ex1)))
+        assert ps.oracle_calls == adapter.invocations == grid
+        assert ps.images == (CostPair(2, 4), CostPair(4, 2))
+
+    def test_parametric_curve_keeps_zero_cost_points(self, boundary_fixture):
+        for eps in (Fraction(1), Fraction(1, 4)):
+            ps = pareto_from_parametric(MstAdapter(), boundary_fixture, eps)
+            assert ps.images == (CostPair(0, 1), CostPair(1, 0))
+            assert verify_pareto_coverage(
+                ps, enumerate_all(boundary_fixture), 1 + eps, 1 + 1 / eps
+            )

@@ -15,6 +15,7 @@ from _suite import (
 from bicrit.core import CostPair
 from bicrit.errors import (
     DisconnectedGraph,
+    ExactOracleRequired,
     InfeasibleToken,
     Unreachable,
     ValidationError,
@@ -31,7 +32,7 @@ from bicrit.problems import (
     adversarial_wrap,
     cut_oracle,
     mst_oracle,
-    mst_parametric_all,
+    mst_parametric_run,
     sp_oracle,
     vc_oracle,
 )
@@ -105,6 +106,23 @@ class TestMstOracle:
 
     def test_produced_at_recorded(self, ex1):
         assert mst_oracle(ex1, Fraction(7, 3)).produced_at == Fraction(7, 3)
+
+    def test_parametric_run_matches_concrete_oracle(self, ex1, ex2, single_edge):
+        def counting_comparator_at(gamma, counter):
+            def compare(p, q):
+                counter.append(1)
+                a, b = p.at(gamma), q.at(gamma)
+                return -1 if a < b else (1 if a > b else 0)
+
+            return compare
+
+        for graph in (ex1, ex2):
+            counter = []
+            token = mst_parametric_run(graph, counting_comparator_at(Fraction(2), counter))
+            assert token == mst_oracle(graph, Fraction(2)).token
+        counter = []
+        mst_parametric_run(single_edge, counting_comparator_at(Fraction(1), counter))
+        assert counter == []
 
 
 class TestShortestPathOracle:
@@ -266,53 +284,42 @@ class TestBounds:
 
 
 class TestParametricAll:
-    def test_example_breakpoints(self, ex1, ex2):
-        pieces1 = mst_parametric_all(ex1)
-        assert [(lo, hi) for lo, hi, _ in pieces1] == [(None, 1), (1, None)]
-        assert [r.image for _, _, r in pieces1] == [CostPair(2, 4), CostPair(4, 2)]
-        pieces2 = mst_parametric_all(ex2)
-        assert [r.image for _, _, r in pieces2] == [CostPair(3, 3), CostPair(4, 2)]
+    """``ProblemAdapter.solve_all_weights``, the dichotomic all-weights search."""
 
-    def test_uniform_weights_give_single_interval(self):
-        graph = BiweightedGraph(
+    def test_example_searches(self, ex1):
+        # The (2,4) and (4,2) trees tie at gamma=1, so that crossing ends the search.
+        records = MstAdapter().solve_all_weights(ex1, Fraction(1, 4), Fraction(4))
+        assert [r.produced_at for r in records] == [Fraction(1, 4), Fraction(4), Fraction(1)]
+        assert {r.image for r in records} >= {CostPair(2, 4), CostPair(4, 2)}
+        uniform = BiweightedGraph(
             3, [(0, 1, (2, 3)), (1, 2, (2, 3)), (0, 2, (2, 3))], kind="mst"
         )
-        pieces = mst_parametric_all(graph)
-        assert len(pieces) == 1 and pieces[0][:2] == (None, None)
-
-    def test_parametric_run_matches_concrete_oracle(self, ex1, ex2, single_edge):
-        def counting_comparator_at(gamma, counter):
-            def compare(p, q):
-                counter.append(1)
-                a, b = p.at(gamma), q.at(gamma)
-                return -1 if a < b else (1 if a > b else 0)
-
-            return compare
-
-        from bicrit.problems import mst_parametric_run
-
-        for graph in (ex1, ex2):
-            counter = []
-            token = mst_parametric_run(graph, counting_comparator_at(Fraction(2), counter))
-            assert token == mst_oracle(graph, Fraction(2)).token
-        counter = []
-        mst_parametric_run(single_edge, counting_comparator_at(Fraction(1), counter))
-        assert counter == []
+        records = MstAdapter().solve_all_weights(uniform, Fraction(1, 9), Fraction(9))
+        assert len(records) == 2 and records[0].image == records[1].image
 
     def test_completeness_at_random_weights(self):
         rng = random.Random(41)
-        for _ in range(8):
-            graph = random_mst_instance(rng, rng.randint(3, 5), extra=2)
-            pieces = mst_parametric_all(graph)
-            for _ in range(100):
-                gamma = Fraction(rng.randint(1, 60), rng.randint(1, 20))
-                stored = next(
-                    r
-                    for lo, hi, r in pieces
-                    if (lo is None or lo <= gamma) and (hi is None or gamma <= hi)
-                )
-                expected = mst_oracle(graph, gamma).image.weighted(gamma)
-                assert stored.image.weighted(gamma) == expected
+        makers = {
+            "mst": random_mst_instance,
+            "path": random_path_instance,
+            "cut": random_cut_instance,
+        }
+        lo, hi = Fraction(1, 20), Fraction(60)
+        for kind, make in makers.items():
+            for _ in range(8):
+                graph = make(rng, rng.randint(3, 5), 2)
+                everything = enumerate_all(graph)
+                records = ADAPTERS[kind].solve_all_weights(graph, lo, hi)
+                assert len(records) <= 2 * len({r.image for r in records})
+                for _ in range(100):
+                    gamma = Fraction(rng.randint(1, 60), rng.randint(1, 20))
+                    best = min(r.image.weighted(gamma) for r in records)
+                    assert best == weighted_minimum(everything, gamma)
+
+    def test_requires_exact_oracle(self):
+        cover = VertexWeightedGraph(2, ((0, 1),), ((1, 1), (1, 1)))
+        with pytest.raises(ExactOracleRequired):
+            VertexCoverAdapter().solve_all_weights(cover, Fraction(1), Fraction(2))
 
 
 class TestAdversary:

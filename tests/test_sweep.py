@@ -92,12 +92,6 @@ class TestSweep:
             solve_budget_fixed(MstAdapter(), ex1, Fraction(1, 10))
         assert len(excinfo.value.records) == 3
 
-    def test_parallel_matches_serial(self, ex2):
-        query = BudgetQuery(Fraction(3), Fraction(1, 2))
-        serial = solve_budget_sweep(MstAdapter(), ex2, query)
-        parallel = solve_budget_sweep(MstAdapter(), ex2, query, parallel=True)
-        assert serial == parallel
-
 
 class TestSweepProperties:
     def test_guarantee_soundness_and_call_count(self):
