@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 usage, 3 no certificate / no feasible solution,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import sys
@@ -195,6 +196,26 @@ def _certificate_dict(cert) -> dict:
     }
 
 
+@contextlib.contextmanager
+def _long_integers():
+    """Lift Python's int-to-str digit limit (3.11+) while a report is formatted.
+
+    Grid weights (1+eps)**i reach tens of thousands of digits at eps = 1/1000,
+    and every record prints the weight that produced it.  The limit guards
+    against slow conversions of untrusted text, so it is lifted only after
+    the instance file and the flags have been parsed, and restored after.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
 def _emit(report: dict) -> None:
     print(json.dumps(report, indent=2, sort_keys=True))
 
@@ -240,40 +261,41 @@ def _cmd_solve_budget(args, parser) -> int:
         query = BudgetQuery(budget=budget, eps=eps)
     except ValueError as exc:
         parser.error(str(exc))
-    started = time.perf_counter()
-    report = {
-        "command": args.echo,
-        "instance_digest": instance_digest(instance),
-        "problem": instance.kind,
-        "algorithm": args.algorithm,
-        "budget": format_rational(budget),
-        "epsilon": format_rational(eps),
-    }
-    try:
-        if args.algorithm == "sweep":
-            record, cert = solve_budget_sweep(adapter, instance, query)
-        elif args.algorithm == "fixed":
-            record, cert = solve_budget_fixed(adapter, instance, budget)
-        elif args.algorithm == "binary":
-            record, cert = solve_budget_binary(adapter, instance, query)
-        else:
-            record, cert = solve_budget_parametric(adapter, instance, query)
-    except NoCertificate as exc:
-        report["no_certificate"] = {"records": [_record_dict(r) for r in exc.records]}
+    with _long_integers():
+        started = time.perf_counter()
+        report = {
+            "command": args.echo,
+            "instance_digest": instance_digest(instance),
+            "problem": instance.kind,
+            "algorithm": args.algorithm,
+            "budget": format_rational(budget),
+            "epsilon": format_rational(eps),
+        }
+        try:
+            if args.algorithm == "sweep":
+                record, cert = solve_budget_sweep(adapter, instance, query)
+            elif args.algorithm == "fixed":
+                record, cert = solve_budget_fixed(adapter, instance, budget)
+            elif args.algorithm == "binary":
+                record, cert = solve_budget_binary(adapter, instance, query)
+            else:
+                record, cert = solve_budget_parametric(adapter, instance, query)
+        except NoCertificate as exc:
+            report["no_certificate"] = {"records": [_record_dict(r) for r in exc.records]}
+            report["wall_time_ms"] = (time.perf_counter() - started) * 1000
+            _emit(report)
+            return 3
+        report["record"] = _record_dict(record)
+        report["certificate"] = _certificate_dict(cert)
+        report["oracle_calls"] = cert.oracle_calls
+        if args.verify:
+            factors = (cert.budget_factor, cert.cost_factor)
+            report["verification"] = _budget_verification(
+                instance, record, budget, eps, adapter.alpha(), factors
+            )
         report["wall_time_ms"] = (time.perf_counter() - started) * 1000
         _emit(report)
-        return 3
-    report["record"] = _record_dict(record)
-    report["certificate"] = _certificate_dict(cert)
-    report["oracle_calls"] = cert.oracle_calls
-    if args.verify:
-        factors = (cert.budget_factor, cert.cost_factor)
-        report["verification"] = _budget_verification(
-            instance, record, budget, eps, adapter.alpha(), factors
-        )
-    report["wall_time_ms"] = (time.perf_counter() - started) * 1000
-    _emit(report)
-    return 0
+        return 0
 
 
 def _cmd_pareto(args, parser) -> int:
@@ -282,41 +304,42 @@ def _cmd_pareto(args, parser) -> int:
     eps = _flag_rational(parser, "--epsilon", args.epsilon)
     instance = _ingest_for(args)
     adapter = adapter_for(instance)
-    started = time.perf_counter()
-    try:
-        if args.parametric:
-            curve = pareto_from_parametric(adapter, instance, eps)
-        else:
-            curve = approximate_pareto(adapter, instance, eps)
-    except (ValueError, ExactOracleRequired) as exc:
-        parser.error(str(exc))
-    if args.format == "csv":
-        print("f1,f2")
-        for record in curve.records:
-            print(f"{format_rational(record.image.f1)},{format_rational(record.image.f2)}")
-        return 0
-    report = {
-        "command": args.echo,
-        "instance_digest": instance_digest(instance),
-        "problem": instance.kind,
-        "algorithm": "pareto-parametric" if args.parametric else "pareto",
-        "epsilon": format_rational(eps),
-        "pareto": {
-            "factor1": format_rational(curve.factor1),
-            "factor2": format_rational(curve.factor2),
-            "records": [_record_dict(r) for r in curve.records],
-        },
-        "oracle_calls": curve.oracle_calls,
-    }
-    if args.verify:
-        everything = enumerate_all(instance)
-        report["verification"] = {
-            "verdict": verify_pareto_coverage(curve, everything, curve.factor1, curve.factor2),
-            "solutions_checked": len(everything),
+    with _long_integers():
+        started = time.perf_counter()
+        try:
+            if args.parametric:
+                curve = pareto_from_parametric(adapter, instance, eps)
+            else:
+                curve = approximate_pareto(adapter, instance, eps)
+        except (ValueError, ExactOracleRequired) as exc:
+            parser.error(str(exc))
+        if args.format == "csv":
+            print("f1,f2")
+            for record in curve.records:
+                print(f"{format_rational(record.image.f1)},{format_rational(record.image.f2)}")
+            return 0
+        report = {
+            "command": args.echo,
+            "instance_digest": instance_digest(instance),
+            "problem": instance.kind,
+            "algorithm": "pareto-parametric" if args.parametric else "pareto",
+            "epsilon": format_rational(eps),
+            "pareto": {
+                "factor1": format_rational(curve.factor1),
+                "factor2": format_rational(curve.factor2),
+                "records": [_record_dict(r) for r in curve.records],
+            },
+            "oracle_calls": curve.oracle_calls,
         }
-    report["wall_time_ms"] = (time.perf_counter() - started) * 1000
-    _emit(report)
-    return 0
+        if args.verify:
+            everything = enumerate_all(instance)
+            report["verification"] = {
+                "verdict": verify_pareto_coverage(curve, everything, curve.factor1, curve.factor2),
+                "solutions_checked": len(everything),
+            }
+        report["wall_time_ms"] = (time.perf_counter() - started) * 1000
+        _emit(report)
+        return 0
 
 
 def _trace_dict(trace) -> dict:

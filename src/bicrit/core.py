@@ -84,24 +84,37 @@ def pow_one_plus_eps(eps, i: int) -> Fraction:
 def floor_log(base: Fraction, value) -> int:
     """Largest integer i with base**i <= value, by exact comparison.
 
-    Uses iterated rational multiplication instead of logarithms so the
-    floor semantics are exact.  Requires base > 1 and value > 0.
+    Galloping search with exact integer comparisons, no logarithms, so the
+    floor semantics are exact: square the base while the square stays
+    within the target, then multiply the squares back in from the largest
+    down, keeping each that stays within it.  That is O(log |i|)
+    multiplications instead of |i|.  Powers of a reduced p/q are kept as
+    integer pairs (p**n, q**n), which are reduced already, and compared by
+    cross-multiplication, so no gcd of the long powers is ever taken.
+    Requires base > 1 and value > 0.
     """
     base = rational(base)
     value = rational(value)
     if base <= 1 or value <= 0:
         raise ValueError("floor_log requires base > 1 and value > 0")
-    i = 0
-    power = Fraction(1)
-    if power <= value:
-        while power * base <= value:
-            power *= base
-            i += 1
-    else:
-        while power > value:
-            power /= base
-            i -= 1
-    return i
+    # For value < 1 find the largest j with base**j <= 1/value instead;
+    # the answer is -j when base**j hits 1/value exactly, else -(j+1).
+    target = value if value >= 1 else 1 / value
+    a, b = target.numerator, target.denominator
+    squares = []  # base**(2**k) as (num, den), each <= target
+    num, den = base.numerator, base.denominator
+    while num * b <= a * den:
+        squares.append((num, den))
+        num, den = num * num, den * den
+    i, num, den = 0, 1, 1
+    for k in reversed(range(len(squares))):
+        sq_num, sq_den = squares[k]
+        if num * sq_num * b <= a * den * sq_den:
+            num, den = num * sq_num, den * sq_den
+            i += 1 << k
+    if value >= 1:
+        return i
+    return -i if num * b == a * den else -(i + 1)
 
 
 def ceil_log(base: Fraction, value) -> int:

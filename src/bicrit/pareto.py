@@ -18,7 +18,6 @@ from .core import (
     ProblemAdapter,
     ceil_log,
     check_epsilon,
-    dominates,
     floor_log,
     pow_one_plus_eps,
     rational,
@@ -48,11 +47,11 @@ class ParetoSet:
         object.__setattr__(self, "factor2", rational(self.factor2))
         if self.factor1 < 1 or self.factor2 < 1:
             raise ValueError("guarantee factors must be >= 1")
-        images = [r.image for r in records]
-        for i, a in enumerate(images):
-            for j, b in enumerate(images):
-                if i != j and (a == b or dominates(a, b)):
-                    raise ValueError(f"records not mutually nondominated: {a} vs {b}")
+        # Sorted by (f1, f2), the records are mutually nondominated and
+        # distinct iff f1 strictly increases and f2 strictly decreases.
+        for a, b in zip(records, records[1:]):
+            if not (a.image.f1 < b.image.f1 and a.image.f2 > b.image.f2):
+                raise ValueError(f"records not mutually nondominated: {a.image} vs {b.image}")
 
     @property
     def images(self):
@@ -66,18 +65,19 @@ def filter_dominated(records) -> list:
     records with identical images the first stays.  Removing a dominated
     record never breaks coverage because the dominating record covers
     everything it did.
+
+    Maxima-of-vectors scan (Kung, Luccio and Preparata, JACM 22(4), 1975):
+    after a stable sort by (f1, f2), a record is nondominated and the
+    first of its image iff its f2 is strictly below every f2 before it.
+    O(n log n); the kept records are returned in their input order.
     """
     records = list(records)
+    order = sorted(range(len(records)), key=lambda k: (records[k].image.f1, records[k].image.f2))
     kept = []
-    seen = set()
-    for r in records:
-        if any(dominates(other.image, r.image) for other in records):
-            continue
-        if r.image in seen:
-            continue
-        seen.add(r.image)
-        kept.append(r)
-    return kept
+    for k in order:
+        if not kept or records[k].image.f2 < records[kept[-1]].image.f2:
+            kept.append(k)
+    return [records[k] for k in sorted(kept)]
 
 
 def pareto_index_range(eps, bounds: Bounds) -> IndexRange:
@@ -100,17 +100,38 @@ def pareto_call_bound(eps, bounds: Bounds) -> int:
 def approximate_pareto(adapter: ProblemAdapter, instance, eps) -> ParetoSet:
     """Sweep the Pareto weight grid; an (a*(1+2e), a*(1+2/e))-approximate curve.
 
-    One oracle call per grid index; on relaxed instances the two
-    ``boundary_solutions`` calls add the zero-component points, which no
-    grid weight need reach.  The union of returned records is filtered
-    for dominance, which preserves the guarantee.
+    The grid holds the weights (1+eps)**i for i in ``pareto_index_range``.
+    On relaxed instances the two ``boundary_solutions`` calls add the
+    zero-component points, which no grid weight need reach.  The union of
+    returned records is filtered for dominance, which preserves the
+    guarantee.
+
+    An approximate oracle (alpha != 1) is called once per grid index.  An
+    exact one is called at both ends of the grid and then by bisection:
+    an index interval whose two ends returned the same image is skipped,
+    any other is split at its midpoint until its ends are neighbours.
+    This is sound because the envelope g(gamma) = min_x f1(x) + gamma*f2(x)
+    is concave.  If one image A is optimal at weights gamma_a < gamma_b,
+    A's line meets g at both ends, and a concave g lies on or above that
+    chord between them while never exceeding A's line, so A is optimal on
+    all of [gamma_a, gamma_b].  Any other optimal image B there has a line
+    that stays >= g = A's line and touches it at an interior point, so
+    B's line is A's: an exact oracle returns image A at every skipped
+    index.  The images of the full sweep thus come in runs of neighbouring
+    indices, and bisection narrows every change of image down to two
+    neighbouring solved indices, so the lowest index of every image is
+    solved.  The filter keeps, for each nondominated image, its record at
+    that lowest index, so the curve is record for record the full sweep's
+    (token, image and ``produced_at``); ``oracle_calls`` counts the calls
+    made, at most the grid size.
     """
     eps = check_epsilon(eps)
     bounds = adapter.bounds(instance)
-    records = [
-        adapter.solve_weighted_sum(instance, pow_one_plus_eps(eps, i))
-        for i in pareto_index_range(eps, bounds)
-    ]
+    grid = pareto_index_range(eps, bounds)
+    if adapter.alpha() == 1:
+        records = _bisect_grid(adapter, instance, eps, grid)
+    else:
+        records = [adapter.solve_weighted_sum(instance, pow_one_plus_eps(eps, i)) for i in grid]
     calls = len(records)
     if instance.relaxed:
         records += [r for r in boundary_solutions(adapter, instance, bounds) if r is not None]
@@ -122,6 +143,28 @@ def approximate_pareto(adapter: ProblemAdapter, instance, eps) -> ParetoSet:
         alpha * (1 + Fraction(2) / eps),
         calls,
     )
+
+
+def _bisect_grid(adapter: ProblemAdapter, instance, eps, grid: IndexRange) -> list:
+    """The exact-oracle records bisection solves on the grid, in index order."""
+
+    def solve(i):
+        return adapter.solve_weighted_sum(instance, pow_one_plus_eps(eps, i))
+
+    def fill(i, j, last):
+        # records[-1] was solved at i and ``last`` at j > i: append the
+        # records solved inside (i, j), then ``last``.
+        if j - i > 1 and records[-1].image != last.image:
+            m = (i + j) // 2
+            fill(i, m, solve(m))
+            fill(m, j, last)
+        else:
+            records.append(last)
+
+    records = [solve(grid.i_min)]
+    if grid.i_max > grid.i_min:
+        fill(grid.i_min, grid.i_max, solve(grid.i_max))
+    return records
 
 
 def pareto_from_parametric(adapter: ProblemAdapter, instance, eps) -> ParetoSet:

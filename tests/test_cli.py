@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -248,6 +249,22 @@ class TestReports:
         ])
         assert code == 0
         assert report["verification"]["verdict"] is True
+
+    @pytest.mark.parametrize("argv", [
+        ["pareto", "--problem", "mst", "--epsilon", "1/300",
+         "--input", demo("demo_mst_a.json")],
+        ["solve-budget", "--problem", "mst", "--budget", "3", "--epsilon", "1/300",
+         "--input", demo("demo_mst_b.json")],
+    ])
+    def test_fine_epsilon_prints_long_weights(self, capsys, argv):
+        # Grid weights at eps = 1/300 pass Python's 4300-digit int-to-str limit.
+        limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+        code, report = run_json(capsys, argv)
+        assert code == 0
+        records = report["pareto"]["records"] if "pareto" in report else [report["record"]]
+        assert max(len(r["produced_at"]) for r in records) > 4300
+        if limit is not None:
+            assert sys.get_int_max_str_digits() == limit
 
 
 class TestRepro:

@@ -26,6 +26,20 @@ def rand_fraction(rng, lo=-20, hi=20):
     return Fraction(rng.randint(lo, hi), rng.randint(1, 12))
 
 
+def _linear_floor_log(base, value):
+    """Reference for floor_log: one exact multiplication per step."""
+    i, power = 0, Fraction(1)
+    if power <= value:
+        while power * base <= value:
+            power *= base
+            i += 1
+    else:
+        while power > value:
+            power /= base
+            i -= 1
+    return i
+
+
 class TestRationals:
     def test_parse_and_format_round_trip(self):
         for text in ("3", "-4", "3/5", "-7/2", "0"):
@@ -77,6 +91,23 @@ class TestLogs:
             assert base**lo <= x < base ** (lo + 1)
             hi = ceil_log(base, x)
             assert base**hi >= x > base ** (hi - 1)
+
+    def test_floor_log_matches_linear_search(self):
+        rng = random.Random(29)
+        for _ in range(200):
+            base = 1 + Fraction(1, rng.randint(1, 100))
+            k = rng.randint(-150, 150)
+            values = [
+                base**k,
+                base**k * Fraction(10**6 - 1, 10**6),
+                base**k * Fraction(10**6 + 1, 10**6),
+                Fraction(rng.randint(1, 10**4), rng.randint(1, 10**4)),
+            ]
+            for value in values:
+                assert floor_log(base, value) == _linear_floor_log(base, value)
+            assert floor_log(base, base**k) == k
+            assert ceil_log(base, base**k) == k
+        assert floor_log(Fraction(3, 2), 1) == 0
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

@@ -5,8 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from _suite import CachingAdapter, random_mst_instance, random_vc_instance
-from bicrit.core import Bounds, CostPair, SolutionRecord
+from _suite import (
+    CachingAdapter,
+    build_suite,
+    random_cut_instance,
+    random_mst_instance,
+    random_path_instance,
+    random_vc_instance,
+)
+from bicrit.core import Bounds, CostPair, SolutionRecord, dominates, pow_one_plus_eps
 from bicrit.errors import ExactOracleRequired
 from bicrit.oracle import enumerate_all, verify_pareto_coverage
 from bicrit.pareto import (
@@ -18,12 +25,42 @@ from bicrit.pareto import (
     pareto_from_parametric,
     pareto_index_range,
 )
-from bicrit.problems import BiweightedGraph, MstAdapter, VertexCoverAdapter, VertexWeightedGraph
+from bicrit.problems import (
+    BiweightedGraph,
+    MinCutAdapter,
+    MstAdapter,
+    ShortestPathAdapter,
+    VertexCoverAdapter,
+    VertexWeightedGraph,
+)
 from bicrit.sweep import IndexRange
 
 
 def _record(f1, f2):
     return SolutionRecord(token=(f1, f2), image=CostPair(f1, f2))
+
+
+def _quadratic_filter(records):
+    """Reference for filter_dominated: every record against every other."""
+    kept, seen = [], set()
+    for r in records:
+        if any(dominates(other.image, r.image) for other in records) or r.image in seen:
+            continue
+        seen.add(r.image)
+        kept.append(r)
+    return kept
+
+
+def _full_sweep_curve(adapter, instance, eps):
+    """approximate_pareto's records with one oracle call per grid index."""
+    bounds = adapter.bounds(instance)
+    records = [
+        adapter.solve_weighted_sum(instance, pow_one_plus_eps(eps, i))
+        for i in pareto_index_range(eps, bounds)
+    ]
+    if instance.relaxed:
+        records += [r for r in boundary_solutions(adapter, instance, bounds) if r is not None]
+    return ParetoSet(tuple(_quadratic_filter(records)), 1, 1).records
 
 
 class TestIndexRange:
@@ -55,6 +92,17 @@ class TestFilterDominated:
         once = filter_dominated(records)
         assert filter_dominated(once) == once
 
+    def test_matches_quadratic_definition(self):
+        rng = random.Random(7)
+        for _ in range(300):
+            # Few distinct values: many duplicate images and ties in f1 or f2.
+            top = rng.randint(1, 6)
+            records = [
+                SolutionRecord(token=k, image=CostPair(rng.randint(0, top), rng.randint(0, top)))
+                for k in range(rng.randint(0, 25))
+            ]
+            assert filter_dominated(records) == _quadratic_filter(records)
+
     def test_preserves_coverage(self):
         rng = random.Random(5)
         for _ in range(20):
@@ -74,6 +122,10 @@ class TestParetoSet:
     def test_rejects_dominated_members(self):
         with pytest.raises(ValueError):
             ParetoSet((_record(4, 2), _record(4, 4)), 1, 1)
+        with pytest.raises(ValueError):
+            ParetoSet((_record(3, 3), _record(2, 5), _record(3, 3)), 1, 1)
+        with pytest.raises(ValueError):
+            ParetoSet((_record(4, 3), _record(2, 3)), 1, 1)
         with pytest.raises(ValueError):
             ParetoSet((_record(1, 1),), Fraction(1, 2), 1)
 
@@ -103,7 +155,8 @@ class TestApproximatePareto:
                 ps = approximate_pareto(adapter, inst, eps)
                 bounds = adapter.bounds(inst)
                 grid = len(pareto_index_range(eps, bounds))
-                assert adapter.invocations == ps.oracle_calls == grid
+                # The exact oracle's grid is bisected, so at most one call per index.
+                assert adapter.invocations == ps.oracle_calls <= grid
                 assert grid <= pareto_call_bound(eps, bounds)
 
     def test_coverage_on_random_instances(self):
@@ -119,6 +172,43 @@ class TestApproximatePareto:
             inst = random_vc_instance(rng, rng.randint(3, 6))
             ps = approximate_pareto(VertexCoverAdapter(), inst, Fraction(1, 2))
             assert verify_pareto_coverage(ps, enumerate_all(inst), ps.factor1, ps.factor2)
+
+
+class TestBisectedGrid:
+    """The exact-oracle grid is bisected; the curve must equal the full sweep's."""
+
+    def test_matches_full_sweep_on_acceptance_suite(self):
+        for case in build_suite():
+            for eps in (Fraction(1), Fraction(1, 2), Fraction(1, 4)):
+                grid = len(pareto_index_range(eps, case.raw_adapter.bounds(case.instance)))
+                before = case.adapter.invocations
+                curve = approximate_pareto(case.adapter, case.instance, eps)
+                calls = case.adapter.invocations - before
+                assert curve.records == _full_sweep_curve(case.raw_adapter, case.instance, eps)
+                if case.kind == "vc":
+                    assert calls == grid
+                else:
+                    assert calls <= grid
+
+    def test_matches_full_sweep_at_fine_epsilon(self):
+        rng = random.Random(23)
+        eps = Fraction(1, 50)
+        makers = (
+            (random_mst_instance, MstAdapter()),
+            (random_path_instance, ShortestPathAdapter()),
+            (random_cut_instance, MinCutAdapter()),
+        )
+        for _ in range(4):
+            for make, adapter in makers:
+                inst = make(rng, rng.randint(4, 6))
+                curve = approximate_pareto(adapter, inst, eps)
+                assert curve.records == _full_sweep_curve(adapter, inst, eps)
+                assert curve.oracle_calls < len(pareto_index_range(eps, adapter.bounds(inst)))
+
+    def test_relaxed_instance_matches_full_sweep(self, boundary_fixture):
+        for eps in (Fraction(1), Fraction(1, 8)):
+            curve = approximate_pareto(MstAdapter(), boundary_fixture, eps)
+            assert curve.records == _full_sweep_curve(MstAdapter(), boundary_fixture, eps)
 
 
 class TestParametricPareto:
@@ -202,7 +292,7 @@ class TestExtendedPareto:
         adapter = CachingAdapter(MstAdapter(), ex1)
         ps = approximate_pareto(adapter, ex1, Fraction(1))
         grid = len(pareto_index_range(Fraction(1), adapter.bounds(ex1)))
-        assert ps.oracle_calls == adapter.invocations == grid
+        assert ps.oracle_calls == adapter.invocations <= grid
         assert ps.images == (CostPair(2, 4), CostPair(4, 2))
 
     def test_parametric_curve_keeps_zero_cost_points(self, boundary_fixture):
