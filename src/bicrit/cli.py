@@ -55,7 +55,7 @@ def ingest(path: str):
             data = json.load(handle)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON or bytes, or an int past Python's digit limit
         raise ParseError(f"{path}: malformed JSON: {exc}") from None
     return instance_from_dict(data)
 
@@ -100,6 +100,8 @@ def instance_from_dict(data):
     relaxed = _typed(data.get("relaxed", False), bool, "relaxed")
     nodes = _field(data, "nodes", int)
     edges_raw = _field(data, "edges", list)
+    if kind != "vc" and nodes > 2 * len(edges_raw) + 2:  # before any per-node allocation
+        raise ParseError(f"nodes: {nodes} is more than the edges, source and sink can name")
     ends = [
         (_field(e, "u", int, f"edges[{i}]"), _field(e, "v", int, f"edges[{i}]"))
         for i, e in enumerate(edges_raw)
@@ -281,7 +283,11 @@ def _cmd_solve_budget(args, parser) -> int:
             else:
                 record, cert = solve_budget_parametric(adapter, instance, query)
         except NoCertificate as exc:
-            report["no_certificate"] = {"records": [_record_dict(r) for r in exc.records]}
+            report["no_certificate"] = {
+                "records": [_record_dict(r) for r in exc.records],
+                "oracle_calls": len(exc.records),
+                "f1_limit": format_rational(exc.f1_limit),
+            }
             report["wall_time_ms"] = (time.perf_counter() - started) * 1000
             _emit(report)
             return 3

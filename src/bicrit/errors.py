@@ -51,10 +51,11 @@ class NoCertificate(BicritError):
     """No solve record passed the budget filter.
 
     This signals either an infeasible budget or a bounds violation; it is
-    not a proof of infeasibility.  The full transcript of records produced
-    during the run is attached for inspection.
+    not a proof of infeasibility.  It carries the records the run solved,
+    one per call in order, and ``f1_limit``, the f1 bound none of them met.
     """
 
-    def __init__(self, records, message="no record passed the budget filter"):
+    def __init__(self, records, f1_limit, message="no record passed the budget filter"):
         super().__init__(message)
         self.records = tuple(records)
+        self.f1_limit = f1_limit

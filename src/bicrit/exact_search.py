@@ -23,7 +23,7 @@ from .core import (
     rational,
 )
 from .errors import ExactOracleRequired, NoCertificate, NotParametricCapable
-from .sweep import BudgetQuery, index_range
+from .sweep import BudgetQuery, grid_factors, index_range
 
 
 @dataclass(frozen=True)
@@ -96,7 +96,8 @@ def solve_budget_binary(
         raise ExactOracleRequired("binary search needs an exact weighted-sum oracle")
     eps, budget = query.eps, query.budget
     rng = index_range(eps, budget, adapter.bounds(instance))
-    limit = (1 + 2 * eps) * budget
+    budget_factor, cost_factor = grid_factors(1, eps)
+    limit = budget_factor * budget
     lo, hi = rng.i_min, rng.i_max
     best = None
     probes = []
@@ -110,11 +111,11 @@ def solve_budget_binary(
             best = record
             lo = mid + 1
     if best is None:
-        raise NoCertificate(probes)
+        raise NoCertificate(probes, limit)
     certificate = GuaranteeCertificate(
         alpha=Fraction(1),
-        budget_factor=1 + 2 * eps,
-        cost_factor=1 + Fraction(2) / eps,
+        budget_factor=budget_factor,
+        cost_factor=cost_factor,
         budget=budget,
         oracle_calls=len(probes),
     )
@@ -214,12 +215,13 @@ def parametric_search(
     interval = state["interval"]
     midpoint_record = adapter.solve_weighted_sum(instance, interval.midpoint)
     calls = len(probes) + 1
-    if midpoint_record.image.f1 <= (1 + eps) * budget:
+    limit = (1 + eps) * budget
+    if midpoint_record.image.f1 <= limit:
         chosen = midpoint_record
     elif state["witness"] is not None:
         chosen = state["witness"]
     else:
-        raise NoCertificate([*probes, midpoint_record])
+        raise NoCertificate([*probes, midpoint_record], limit)
     certificate = GuaranteeCertificate(
         alpha=Fraction(1),
         budget_factor=1 + eps,

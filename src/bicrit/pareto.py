@@ -13,16 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import (
-    Bounds,
-    ProblemAdapter,
-    ceil_log,
-    check_epsilon,
-    floor_log,
-    pow_one_plus_eps,
-    rational,
-)
-from .sweep import IndexRange
+from .core import Bounds, ProblemAdapter, ceil_log, check_epsilon, rational
+from .core import pow_one_plus_eps  # noqa: F401  unused; perfbench's tracer wraps this name
+from .sweep import IndexRange, grid_factors, solve_grid
 
 
 @dataclass(frozen=True)
@@ -83,11 +76,7 @@ def filter_dominated(records) -> list:
 def pareto_index_range(eps, bounds: Bounds) -> IndexRange:
     """Exponent range bracketing [eps*LB(1)/UB(2), eps*UB(1)/LB(2)] exactly."""
     eps = check_epsilon(eps)
-    base = 1 + eps
-    return IndexRange(
-        floor_log(base, eps * bounds.lb1 / bounds.ub2),
-        ceil_log(base, eps * bounds.ub1 / bounds.lb2),
-    )
+    return IndexRange.covering(eps, eps * bounds.lb1 / bounds.ub2, eps * bounds.ub1 / bounds.lb2)
 
 
 def pareto_call_bound(eps, bounds: Bounds) -> int:
@@ -98,73 +87,22 @@ def pareto_call_bound(eps, bounds: Bounds) -> int:
 
 
 def approximate_pareto(adapter: ProblemAdapter, instance, eps) -> ParetoSet:
-    """Sweep the Pareto weight grid; an (a*(1+2e), a*(1+2/e))-approximate curve.
+    """Walk the Pareto weight grid; an (a*(1+2e), a*(1+2/e))-approximate curve.
 
-    The grid holds the weights (1+eps)**i for i in ``pareto_index_range``.
+    ``solve_grid`` solves the weights (1+eps)**i, i in ``pareto_index_range``.
     On relaxed instances the two ``boundary_solutions`` calls add the
     zero-component points, which no grid weight need reach.  The union of
     returned records is filtered for dominance, which preserves the
-    guarantee.
-
-    An approximate oracle (alpha != 1) is called once per grid index.  An
-    exact one is called at both ends of the grid and then by bisection:
-    an index interval whose two ends returned the same image is skipped,
-    any other is split at its midpoint until its ends are neighbours.
-    This is sound because the envelope g(gamma) = min_x f1(x) + gamma*f2(x)
-    is concave.  If one image A is optimal at weights gamma_a < gamma_b,
-    A's line meets g at both ends, and a concave g lies on or above that
-    chord between them while never exceeding A's line, so A is optimal on
-    all of [gamma_a, gamma_b].  Any other optimal image B there has a line
-    that stays >= g = A's line and touches it at an interior point, so
-    B's line is A's: an exact oracle returns image A at every skipped
-    index.  The images of the full sweep thus come in runs of neighbouring
-    indices, and bisection narrows every change of image down to two
-    neighbouring solved indices, so the lowest index of every image is
-    solved.  The filter keeps, for each nondominated image, its record at
-    that lowest index, so the curve is record for record the full sweep's
-    (token, image and ``produced_at``); ``oracle_calls`` counts the calls
-    made, at most the grid size.
+    guarantee.  ``oracle_calls`` counts the calls made.
     """
     eps = check_epsilon(eps)
     bounds = adapter.bounds(instance)
-    grid = pareto_index_range(eps, bounds)
-    if adapter.alpha() == 1:
-        records = _bisect_grid(adapter, instance, eps, grid)
-    else:
-        records = [adapter.solve_weighted_sum(instance, pow_one_plus_eps(eps, i)) for i in grid]
+    records = solve_grid(adapter, instance, eps, pareto_index_range(eps, bounds))
     calls = len(records)
     if instance.relaxed:
         records += [r for r in boundary_solutions(adapter, instance, bounds) if r is not None]
         calls += 2
-    alpha = adapter.alpha()
-    return ParetoSet(
-        tuple(filter_dominated(records)),
-        alpha * (1 + 2 * eps),
-        alpha * (1 + Fraction(2) / eps),
-        calls,
-    )
-
-
-def _bisect_grid(adapter: ProblemAdapter, instance, eps, grid: IndexRange) -> list:
-    """The exact-oracle records bisection solves on the grid, in index order."""
-
-    def solve(i):
-        return adapter.solve_weighted_sum(instance, pow_one_plus_eps(eps, i))
-
-    def fill(i, j, last):
-        # records[-1] was solved at i and ``last`` at j > i: append the
-        # records solved inside (i, j), then ``last``.
-        if j - i > 1 and records[-1].image != last.image:
-            m = (i + j) // 2
-            fill(i, m, solve(m))
-            fill(m, j, last)
-        else:
-            records.append(last)
-
-    records = [solve(grid.i_min)]
-    if grid.i_max > grid.i_min:
-        fill(grid.i_min, grid.i_max, solve(grid.i_max))
-    return records
+    return ParetoSet(tuple(filter_dominated(records)), *grid_factors(adapter.alpha(), eps), calls)
 
 
 def pareto_from_parametric(adapter: ProblemAdapter, instance, eps) -> ParetoSet:

@@ -43,6 +43,11 @@ class IndexRange:
     def __len__(self):
         return self.i_max - self.i_min + 1
 
+    @classmethod
+    def covering(cls, eps, lo, hi) -> "IndexRange":
+        """The narrowest range with (1+eps)^i_min <= lo and (1+eps)^i_max >= hi, found exactly."""
+        return cls(floor_log(1 + eps, lo), ceil_log(1 + eps, hi))
+
 
 @dataclass(frozen=True)
 class BudgetQuery:
@@ -62,18 +67,65 @@ def index_range(eps, budget, bounds: Bounds) -> IndexRange:
     """Exponent range bracketing the ideal weight eps*B/OPT(B).
 
     i_min is the largest integer with (1+eps)^i_min <= eps*B/UB(2) and
-    i_max the smallest with (1+eps)^i_max >= eps*B/LB(2), both found by
-    exact rational comparison of powers rather than logarithms.
+    i_max the smallest with (1+eps)^i_max >= eps*B/LB(2).
     """
     eps = check_epsilon(eps)
     budget = rational(budget)
     if budget <= 0:
         raise ValueError("budget must be positive")
-    base = 1 + eps
-    return IndexRange(
-        floor_log(base, eps * budget / bounds.ub2),
-        ceil_log(base, eps * budget / bounds.lb2),
-    )
+    return IndexRange.covering(eps, eps * budget / bounds.ub2, eps * budget / bounds.lb2)
+
+
+def grid_factors(alpha, eps) -> tuple[Fraction, Fraction]:
+    """The grid's guarantee (alpha*(1+2*eps), alpha*(1+2/eps)) for an alpha-approximate oracle."""
+    return alpha * (1 + 2 * eps), alpha * (1 + Fraction(2) / eps)
+
+
+def solve_grid(adapter: ProblemAdapter, instance, eps, grid: IndexRange) -> list:
+    """Oracle records on the weights (1+eps)**i, i in ``grid``: one per call, in index order.
+
+    The walk solves both ends of the grid and splits each index interval at
+    its midpoint until its ends are neighbours, but skips the inside of an
+    interval whose ends returned the same image when the oracle is exact.
+    An approximate one (alpha != 1) is called at every index.  Skipping is
+    sound because the envelope g(gamma) = min_x f1(x) + gamma*f2(x) is
+    concave.  If one image A is optimal at weights gamma_a < gamma_b, A's
+    line meets g at both ends, and a concave g lies on or above that chord
+    between them while never exceeding A's line, so A is optimal on all of
+    [gamma_a, gamma_b].  Any other optimal image B there has a line that
+    stays >= g = A's line and touches it at an interior point, so B's line
+    is A's: an exact oracle returns image A at every skipped index.  The
+    full sweep's images thus come in runs of neighbouring indices, and the
+    walk narrows every change of image down to two neighbouring solved
+    indices, so every image is solved at the lowest index of its run.
+
+    Both consumers keep only the first record of an image, so each returns
+    the full sweep's records (token, image, ``produced_at``) with fewer
+    calls: ``approximate_pareto``'s filter keeps the first record of each
+    nondominated image, and ``solve_budget_sweep`` the first of least
+    (f2, f1) within its f1 limit, which reads images only, so it raises
+    NoCertificate exactly when the full sweep does.
+    """
+    exact = adapter.alpha() == 1
+
+    def solve(i):
+        return adapter.solve_weighted_sum(instance, pow_one_plus_eps(eps, i))
+
+    # records[-1] was solved at ``left``; ``pending`` holds the solved
+    # (index, record) pairs right of it, nearest on top.  No recursive
+    # closure: its reference cycle would hold the records until a gc run.
+    left, records = grid.i_min, [solve(grid.i_min)]
+    pending = [(grid.i_max, solve(grid.i_max))] if len(grid) > 1 else []
+    while pending:
+        j, last = pending[-1]
+        if j - left > 1 and not (exact and records[-1].image == last.image):
+            m = (left + j) // 2
+            pending.append((m, solve(m)))
+        else:
+            records.append(last)
+            left = j
+            pending.pop()
+    return records
 
 
 def sweep_call_bound(eps, bounds: Bounds) -> int:
@@ -84,27 +136,27 @@ def sweep_call_bound(eps, bounds: Bounds) -> int:
 def solve_budget_sweep(
     adapter: ProblemAdapter, instance, query: BudgetQuery
 ) -> tuple[SolutionRecord, GuaranteeCertificate]:
-    """Sweep the whole weight grid and return the best budget-respecting record.
+    """Walk the whole weight grid and return the best budget-respecting record.
 
-    Every index is evaluated (no early exit: the guarantee lives at an
+    ``solve_grid`` walks it (no early exit: the guarantee lives at an
     unknown index).  Among records with f1 <= alpha*(1+2*eps)*B the one
-    with minimum f2 is returned, ties broken by minimum f1, then first
-    found.  Raises NoCertificate, carrying the full sweep transcript, when
-    no record passes the filter; that is not a proof of infeasibility.
+    with minimum f2 is returned, ties broken by minimum f1, then lowest
+    index.  Raises NoCertificate, carrying the records solved and that f1
+    limit, when no record passes; that is not a proof of infeasibility.
     """
     eps, budget = query.eps, query.budget
     alpha = adapter.alpha()
-    rng = index_range(eps, budget, adapter.bounds(instance))
-    records = [adapter.solve_weighted_sum(instance, pow_one_plus_eps(eps, i)) for i in rng]
-    limit = alpha * (1 + 2 * eps) * budget
+    records = solve_grid(adapter, instance, eps, index_range(eps, budget, adapter.bounds(instance)))
+    budget_factor, cost_factor = grid_factors(alpha, eps)
+    limit = budget_factor * budget
     qualifying = [r for r in records if r.image.f1 <= limit]
     if not qualifying:
-        raise NoCertificate(records)
+        raise NoCertificate(records, limit)
     best = min(qualifying, key=lambda r: (r.image.f2, r.image.f1))
     certificate = GuaranteeCertificate(
         alpha=alpha,
-        budget_factor=alpha * (1 + 2 * eps),
-        cost_factor=alpha * (1 + Fraction(2) / eps),
+        budget_factor=budget_factor,
+        cost_factor=cost_factor,
         budget=budget,
         oracle_calls=len(records),
     )

@@ -1,17 +1,22 @@
 from __future__ import annotations
 
 import json
+import os
+import resource
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
 from bicrit.cli import ingest, instance_digest, main, serialize_instance
+from bicrit.core import parse_rational
 from bicrit.errors import ParseError, ValidationError
 from bicrit.marathe import example1_graph
-from bicrit.problems import BiweightedGraph, VertexWeightedGraph
+from bicrit.problems import BiweightedGraph, VertexWeightedGraph, mst
 
-INSTANCE_DIR = Path(__file__).resolve().parent.parent / "instances"
+REPO = Path(__file__).resolve().parent.parent
+INSTANCE_DIR = REPO / "instances"
 DEMOS = [
     "demo_mst_a.json",
     "demo_mst_b.json",
@@ -131,13 +136,31 @@ class TestExitCodes:
         assert code == 2
         capsys.readouterr()
 
-    def test_no_certificate_exits_three_with_transcript(self, capsys):
-        code, report = run_json(capsys, [
-            "solve-budget", "--problem", "mst", "--algorithm", "fixed",
-            "--budget", "1/10", "--input", demo("demo_mst_a.json"),
-        ])
-        assert code == 3
-        assert len(report["no_certificate"]["records"]) == 3
+    def test_no_certificate_exits_three_with_transcript(self, capsys, monkeypatch):
+        calls = []
+        oracle = mst.mst_oracle
+        monkeypatch.setattr(mst, "mst_oracle", lambda *args: calls.append(1) or oracle(*args))
+        # Each search's own f1 limit at B = 1/10, eps = 1: the grid filters
+        # at (1+2*eps)*B, the parametric search at (1+eps)*B.
+        for algorithm, limit in (("fixed", "3/10"), ("binary", "3/10"), ("parametric", "1/5")):
+            calls.clear()
+            code, report = run_json(capsys, [
+                "solve-budget", "--problem", "mst", "--algorithm", algorithm,
+                "--budget", "1/10", "--input", demo("demo_mst_a.json"),
+            ])
+            assert code == 3
+            failed = report["no_certificate"]
+            assert failed["f1_limit"] == limit
+            # The records solved, one per oracle call, none within the limit.
+            assert failed["oracle_calls"] == len(failed["records"]) == len(calls) > 0
+            assert all(
+                parse_rational(r["image"]["f1"]) > parse_rational(limit)
+                for r in failed["records"]
+            )
+            if algorithm == "fixed":
+                # The grid walker lists them in index order: increasing weights.
+                weights = [parse_rational(r["produced_at"]) for r in failed["records"]]
+                assert weights == sorted(set(weights))
 
     def test_verify_refuses_instances_beyond_the_cap(self, capsys, tmp_path):
         big = BiweightedGraph(
@@ -168,6 +191,39 @@ class TestExitCodes:
         path.write_text(json.dumps(data))
         assert main(["pareto", "--problem", "path", "--input", str(path)]) == 4
         assert capsys.readouterr().err.startswith(f"error: {where}: expected ")
+
+    @pytest.mark.parametrize("name, extra", [
+        ("demo_mst_a.json", {}),
+        ("demo_path.json", {"relaxed": True}),
+    ])
+    def test_huge_node_count_exits_four(self, tmp_path, name, extra):
+        data = json.loads(Path(demo(name)).read_text())
+        data.update(extra, nodes=10**30)
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(data))
+
+        def limit_memory():
+            # Without the bound these inputs build per-node lists; cap the
+            # child so a regression fails fast instead of filling memory.
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))
+
+        done = subprocess.run(
+            [sys.executable, "-m", "bicrit.cli", "pareto", "--problem", data["kind"],
+             "--input", str(path)],
+            capture_output=True, text=True, timeout=30, preexec_fn=limit_memory,
+            env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+        )
+        assert done.returncode == 4
+        assert done.stderr.startswith("error: nodes: ")
+        assert "Traceback" not in done.stderr
+
+    def test_oversized_json_integer_exits_four(self, capsys, tmp_path):
+        # Python refuses to parse an integer of more than 4300 digits.
+        text = Path(demo("demo_mst_a.json")).read_text()
+        path = tmp_path / "digits.json"
+        path.write_text(text.replace('"nodes": 3', '"nodes": ' + "9" * 5000))
+        assert main(["pareto", "--problem", "mst", "--input", str(path)]) == 4
+        assert "malformed JSON" in capsys.readouterr().err
 
     def test_parse_and_validation_exit_four(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

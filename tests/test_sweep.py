@@ -7,7 +7,9 @@ import pytest
 
 from _suite import (
     CachingAdapter,
+    build_suite,
     make_case,
+    random_cut_instance,
     random_mst_instance,
     random_path_instance,
     random_vc_instance,
@@ -24,6 +26,24 @@ from bicrit.sweep import (
     solve_budget_sweep,
     sweep_call_bound,
 )
+
+
+def _full_sweep(adapter, instance, query):
+    """The per-index sweep the grid walker replaced: every grid index solved.
+
+    Returns the grid records, then the chosen record and its (budget, cost)
+    factors, or None when no record passes the f1 filter.
+    """
+    eps, budget = query.eps, query.budget
+    alpha = adapter.alpha()
+    rng = index_range(eps, budget, adapter.bounds(instance))
+    records = [adapter.solve_weighted_sum(instance, pow_one_plus_eps(eps, i)) for i in rng]
+    limit = alpha * (1 + 2 * eps) * budget
+    qualifying = [r for r in records if r.image.f1 <= limit]
+    if not qualifying:
+        return records, None
+    best = min(qualifying, key=lambda r: (r.image.f2, r.image.f1))
+    return records, (best, (alpha * (1 + 2 * eps), alpha * (1 + Fraction(2) / eps)))
 
 
 class TestIndexRange:
@@ -88,9 +108,18 @@ class TestSweep:
         assert (cert.budget_factor, cert.cost_factor) == (3, 3)
 
     def test_infeasible_budget_raises_with_transcript(self, ex1):
+        adapter = CachingAdapter(MstAdapter(), ex1)
         with pytest.raises(NoCertificate) as excinfo:
-            solve_budget_fixed(MstAdapter(), ex1, Fraction(1, 10))
-        assert len(excinfo.value.records) == 3
+            solve_budget_fixed(adapter, ex1, Fraction(1, 10))
+        records = excinfo.value.records
+        # The transcript holds the records solved, one per call, in index order.
+        assert len(records) == adapter.invocations
+        weights = [r.produced_at for r in records]
+        assert weights == sorted(set(weights))
+        grid = index_range(Fraction(1), Fraction(1, 10), adapter.bounds(ex1))
+        assert set(weights) <= {pow_one_plus_eps(Fraction(1), i) for i in grid}
+        assert excinfo.value.f1_limit == Fraction(3, 10)
+        assert all(r.image.f1 > excinfo.value.f1_limit for r in records)
 
 
 class TestSweepProperties:
@@ -137,4 +166,62 @@ class TestSweepProperties:
         adapter = CachingAdapter(MstAdapter(), ex2)
         _, cert = solve_budget_sweep(adapter, ex2, BudgetQuery(Fraction(3), Fraction(1)))
         rng_idx = index_range(Fraction(1), Fraction(3), adapter.bounds(ex2))
-        assert cert.oracle_calls == adapter.invocations == len(rng_idx)
+        assert cert.oracle_calls == adapter.invocations <= len(rng_idx)
+        # An approximate oracle is called at every grid index.
+        case = make_case("vc", random_vc_instance(random.Random(5), 5))
+        query = BudgetQuery(case.budgets[-1], Fraction(1, 2))
+        _, cert = solve_budget_sweep(case.adapter, case.instance, query)
+        rng_idx = index_range(query.eps, query.budget, case.raw_adapter.bounds(case.instance))
+        assert cert.oracle_calls == case.adapter.invocations == len(rng_idx)
+
+
+class TestMatchesFullSweep:
+    """The grid walker must pick the full per-index sweep's record, record for record."""
+
+    def _check(self, case, query):
+        """Compare one query with the full sweep; True when the walker skipped calls."""
+        grid = len(index_range(query.eps, query.budget, case.raw_adapter.bounds(case.instance)))
+        full_records, expected = _full_sweep(case.adapter, case.instance, query)
+        before = case.adapter.invocations
+        if expected is None:
+            with pytest.raises(NoCertificate) as excinfo:
+                solve_budget_sweep(case.adapter, case.instance, query)
+            solved = excinfo.value.records
+            calls = case.adapter.invocations - before
+            assert len(solved) == calls
+            weights = {r.produced_at for r in solved}
+            assert list(solved) == [r for r in full_records if r.produced_at in weights]
+        else:
+            record, cert = solve_budget_sweep(case.adapter, case.instance, query)
+            calls = case.adapter.invocations - before
+            assert record == expected[0]
+            assert (cert.budget_factor, cert.cost_factor) == expected[1]
+            assert cert.oracle_calls == calls
+        if case.alpha == 1:
+            assert calls <= grid
+        else:
+            assert calls == grid
+        return calls < grid
+
+    def _budgets(self, case):
+        # Every achievable budget, and one no record can meet even after
+        # the alpha*(1+2*eps) <= 3*alpha filter slack.
+        return [*case.budgets, case.budgets[0] / (4 * case.alpha)]
+
+    def test_acceptance_suite(self):
+        for case in build_suite():
+            for eps in (Fraction(1), Fraction(1, 2), Fraction(1, 4)):
+                for budget in self._budgets(case):
+                    self._check(case, BudgetQuery(budget, eps))
+
+    def test_fine_epsilon(self):
+        rng = random.Random(31)
+        makers = (random_mst_instance, random_path_instance, random_cut_instance)
+        skipped = False
+        for _ in range(4):
+            for make in makers:
+                inst = make(rng, rng.randint(4, 6))
+                case = make_case(inst.kind, inst)
+                for budget in self._budgets(case):
+                    skipped |= self._check(case, BudgetQuery(budget, Fraction(1, 50)))
+        assert skipped
