@@ -35,12 +35,10 @@ from .errors import (
     ValidationError,
 )
 from .exact_search import (
-    GammaInterval,
     LinearValue,
     ParametricOutcome,
     critical_gamma,
     parametric_search,
-    resolve_comparison,
     solve_budget_binary,
     solve_budget_parametric,
 )

@@ -251,8 +251,6 @@ def _flag_rational(parser, name, text):
 
 
 def _cmd_solve_budget(args, parser) -> int:
-    if args.format == "csv":
-        parser.error("--format csv is only available for the pareto command")
     budget = _flag_rational(parser, "--budget", args.budget)
     eps = _flag_rational(parser, "--epsilon", args.epsilon)
     instance = _ingest_for(args)
@@ -404,7 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--epsilon", default="1", help="accuracy parameter as p/q (default 1)")
     solve.add_argument("--input", required=True, help="instance JSON path")
     solve.add_argument("--verify", action="store_true", help="check against the brute-force oracle")
-    solve.add_argument("--format", choices=("json", "csv"), default="json")
     solve.set_defaults(handler=_cmd_solve_budget)
 
     pareto = sub.add_parser("pareto", help="compute an approximate Pareto curve")

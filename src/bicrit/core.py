@@ -143,9 +143,6 @@ class CostPair:
         return CostPair(self.f1 + other.f1, self.f2 + other.f2)
 
 
-ZERO_COST = CostPair(0, 0)
-
-
 def dominates(a: CostPair, b: CostPair) -> bool:
     """True iff image a dominates image b: a <= b componentwise and a != b."""
     return a.f1 <= b.f1 and a.f2 <= b.f2 and a != b

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .core import Bounds, ProblemAdapter, ceil_log, check_epsilon, rational
 from .core import pow_one_plus_eps  # noqa: F401  unused; perfbench's tracer wraps this name
-from .sweep import IndexRange, grid_factors, solve_grid
+from .sweep import IndexRange, grid_factors, solve_grid, zero_f2_weight
 
 
 @dataclass(frozen=True)
@@ -126,16 +126,16 @@ def boundary_solutions(adapter: ProblemAdapter, instance, bounds: Bounds = None)
     """Approximate the zero-component Pareto points (a, 0) and (0, b).
 
     A Pareto curve contains at most one point with f2 = 0 and one with
-    f1 = 0.  Calling the oracle at a weight above alpha*UB(1)/LB(2) forces
-    f2 = 0 exactly whenever such a point exists (the factor-2 margin keeps
-    the inequality strict); symmetrically below LB(1)/(alpha*UB(2)) for
-    f1 = 0.  A slot whose record keeps a nonzero component is reported as
-    None: no such Pareto point is claimed.
+    f1 = 0.  Calling the oracle at ``zero_f2_weight``, above
+    alpha*UB(1)/LB(2), forces f2 = 0 exactly whenever such a point exists
+    (the factor-2 margin keeps the inequality strict); symmetrically below
+    LB(1)/(alpha*UB(2)) for f1 = 0.  A slot whose record keeps a nonzero
+    component is reported as None: no such Pareto point is claimed.
     """
     if bounds is None:
         bounds = adapter.bounds(instance)
     alpha = adapter.alpha()
-    high = adapter.solve_weighted_sum(instance, 2 * alpha * bounds.ub1 / bounds.lb2)
+    high = adapter.solve_weighted_sum(instance, zero_f2_weight(alpha, bounds))
     low = adapter.solve_weighted_sum(instance, bounds.lb1 / (2 * alpha * bounds.ub2))
     return (
         high if high.image.f2 == 0 else None,

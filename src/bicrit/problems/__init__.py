@@ -5,8 +5,8 @@ from __future__ import annotations
 from .adversary import adversarial_wrap
 from .graphs import BiweightedGraph, VertexWeightedGraph
 from .min_cut import MinCutAdapter, cut_oracle
-from .mst import MstAdapter, mst_oracle, mst_parametric_run
-from .shortest_path import ShortestPathAdapter, sp_oracle, sp_parametric_run
+from .mst import MstAdapter, mst_oracle
+from .shortest_path import ShortestPathAdapter, sp_oracle
 from .vertex_cover import VertexCoverAdapter, vc_oracle
 
 _ADAPTERS = {
@@ -32,9 +32,7 @@ __all__ = [
     "adapter_for",
     "adversarial_wrap",
     "mst_oracle",
-    "mst_parametric_run",
     "sp_oracle",
-    "sp_parametric_run",
     "cut_oracle",
     "vc_oracle",
 ]

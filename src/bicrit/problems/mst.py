@@ -53,12 +53,6 @@ def mst_oracle(graph: BiweightedGraph, gamma) -> SolutionRecord:
     return SolutionRecord(token=token, image=sum_image(weights, token), produced_at=gamma)
 
 
-def mst_parametric_run(graph: BiweightedGraph, compare) -> frozenset:
-    """Kruskal with every edge-weight comparison routed through ``compare``."""
-    values = [LinearValue(w.f1, w.f2) for w in graph.weights()]
-    return kruskal_run(graph.node_count, graph.endpoints(), values, compare)
-
-
 class MstAdapter(ParametricAdapter):
     """Adapter for bicriteria spanning-tree instances (exact oracle)."""
 
@@ -83,4 +77,6 @@ class MstAdapter(ParametricAdapter):
         return cost_bounds(instance.weights(), instance.relaxed, instance.node_count - 1)
 
     def run_parametric(self, instance, compare):
-        return mst_parametric_run(instance, compare)
+        """Kruskal with every edge-weight comparison routed through ``compare``."""
+        values = [LinearValue(w.f1, w.f2) for w in instance.weights()]
+        return kruskal_run(instance.node_count, instance.endpoints(), values, compare)

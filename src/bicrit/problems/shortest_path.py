@@ -72,14 +72,6 @@ def sp_oracle(graph: BiweightedGraph, source, sink, gamma) -> SolutionRecord:
     return SolutionRecord(token=token, image=sum_image(weights, token), produced_at=gamma)
 
 
-def sp_parametric_run(graph: BiweightedGraph, source, sink, compare):
-    """Dijkstra with every label comparison routed through ``compare``."""
-    values = [LinearValue(w.f1, w.f2) for w in graph.weights()]
-    return dijkstra_run(
-        graph.node_count, graph.endpoints(), source, sink, values, LINEAR_ZERO, compare
-    )
-
-
 class ShortestPathAdapter(ParametricAdapter):
     """Adapter for bicriteria shortest-path instances (exact oracle)."""
 
@@ -115,4 +107,14 @@ class ShortestPathAdapter(ParametricAdapter):
         return cost_bounds(instance.weights(), instance.relaxed)
 
     def run_parametric(self, instance, compare):
-        return sp_parametric_run(instance, instance.source, instance.sink, compare)
+        """Dijkstra with every label comparison routed through ``compare``."""
+        values = [LinearValue(w.f1, w.f2) for w in instance.weights()]
+        return dijkstra_run(
+            instance.node_count,
+            instance.endpoints(),
+            instance.source,
+            instance.sink,
+            values,
+            LINEAR_ZERO,
+            compare,
+        )

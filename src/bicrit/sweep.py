@@ -129,8 +129,48 @@ def solve_grid(adapter: ProblemAdapter, instance, eps, grid: IndexRange) -> list
 
 
 def sweep_call_bound(eps, bounds: Bounds) -> int:
-    """Upper bound ceil(log_{1+eps}(UB(2)/LB(2))) + 2 on the sweep's call count."""
+    """Bound ceil(log_{1+eps}(UB(2)/LB(2))) + 2 on grid calls; ``certify`` may add one."""
     return ceil_log(1 + check_epsilon(eps), bounds.ub2 / bounds.lb2) + 2
+
+
+def zero_f2_weight(alpha, bounds: Bounds) -> Fraction:
+    """The weight 2*alpha*UB(1)/LB(2), where the oracle returns f2 = 0 if any solution has it.
+
+    A record with f2 > 0 has f2 >= LB(2) and so weighted value at least
+    2*alpha*UB(1) there, while a solution x with f2 = 0 has value
+    f1(x) <= UB(1); the oracle's answer is within alpha of that, so it has
+    f2 = 0 and f1 <= alpha*f1(x).
+    """
+    return 2 * alpha * bounds.ub1 / bounds.lb2
+
+
+def certify(adapter: ProblemAdapter, instance, records, picked, limit, factors, budget):
+    """``(record, GuaranteeCertificate)`` for a budget search, or NoCertificate.
+
+    ``records`` are the records the search solved, one per call, and
+    ``picked`` the one it chose within the f1 ``limit``, or None.  On a
+    relaxed instance OPT(B) may be 0, which no search weight eps*B/OPT(B)
+    reaches; so unless ``picked`` has f2 = 0, one more call is made at
+    ``zero_f2_weight``.  When OPT(B) = 0 it returns f2 = 0 and
+    f1 <= alpha*B, within every search's limit, and that record is taken.
+    ``oracle_calls`` counts the records, and NoCertificate carries them.
+    """
+    records = list(records)
+    if instance.relaxed and (picked is None or picked.image.f2 != 0):
+        gamma = zero_f2_weight(adapter.alpha(), adapter.bounds(instance))
+        records.append(adapter.solve_weighted_sum(instance, gamma))
+        if records[-1].image.f2 == 0 and records[-1].image.f1 <= limit:
+            picked = records[-1]
+    if picked is None:
+        raise NoCertificate(records, limit)
+    certificate = GuaranteeCertificate(
+        alpha=adapter.alpha(),
+        budget_factor=factors[0],
+        cost_factor=factors[1],
+        budget=budget,
+        oracle_calls=len(records),
+    )
+    return picked, certificate
 
 
 def solve_budget_sweep(
@@ -140,27 +180,18 @@ def solve_budget_sweep(
 
     ``solve_grid`` walks it (no early exit: the guarantee lives at an
     unknown index).  Among records with f1 <= alpha*(1+2*eps)*B the one
-    with minimum f2 is returned, ties broken by minimum f1, then lowest
-    index.  Raises NoCertificate, carrying the records solved and that f1
-    limit, when no record passes; that is not a proof of infeasibility.
+    with minimum f2 is picked, ties broken by minimum f1, then lowest
+    index, and ``certify`` returns it.  NoCertificate, carrying the records
+    solved and that f1 limit, is raised when no record passes; that is not
+    a proof of infeasibility.
     """
     eps, budget = query.eps, query.budget
-    alpha = adapter.alpha()
     records = solve_grid(adapter, instance, eps, index_range(eps, budget, adapter.bounds(instance)))
-    budget_factor, cost_factor = grid_factors(alpha, eps)
-    limit = budget_factor * budget
+    factors = grid_factors(adapter.alpha(), eps)
+    limit = factors[0] * budget
     qualifying = [r for r in records if r.image.f1 <= limit]
-    if not qualifying:
-        raise NoCertificate(records, limit)
-    best = min(qualifying, key=lambda r: (r.image.f2, r.image.f1))
-    certificate = GuaranteeCertificate(
-        alpha=alpha,
-        budget_factor=budget_factor,
-        cost_factor=cost_factor,
-        budget=budget,
-        oracle_calls=len(records),
-    )
-    return best, certificate
+    best = min(qualifying, key=lambda r: (r.image.f2, r.image.f1), default=None)
+    return certify(adapter, instance, records, best, limit, factors, budget)
 
 
 def solve_budget_fixed(

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from bicrit.core import CostPair, ParametricAdapter, ProblemAdapter
+from bicrit.errors import ValidationError
 from bicrit.oracle import enumerate_all
 from bicrit.problems import (
     BiweightedGraph,
@@ -50,6 +51,26 @@ def random_cut_instance(rng, n, extra=1) -> BiweightedGraph:
     return BiweightedGraph(
         n, _connected_edges(rng, n, extra), kind="cut", source=0, sink=n - 1
     )
+
+
+def random_relaxed_instance(rng, kind, n):
+    """A relaxed ``kind`` instance whose weight components are each 0 with probability 1/3."""
+
+    def pair():
+        return CostPair(*(rng.choice((0, 0, 1, 2, 3, Fraction(1, 2))) for _ in range(2)))
+
+    while True:
+        try:
+            if kind == "vc":
+                edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.45]
+                weights = tuple(pair() for _ in range(n))
+                return VertexWeightedGraph(n, tuple(edges or [(0, 1)]), weights, relaxed=True)
+            edges = [(rng.randrange(v), v, pair()) for v in range(1, n)]
+            edges += [(*rng.sample(range(n), 2), pair()) for _ in range(2)]
+            ends = {} if kind == "mst" else {"source": 0, "sink": n - 1}
+            return BiweightedGraph(n, tuple(edges), kind=kind, relaxed=True, **ends)
+        except ValidationError:  # some dimension drew no positive weight
+            continue
 
 
 def random_vc_instance(rng, n) -> VertexWeightedGraph:

@@ -306,6 +306,19 @@ class TestReports:
         assert code == 0
         assert report["verification"]["verdict"] is True
 
+    @pytest.mark.parametrize("algorithm", ["sweep", "fixed", "binary", "parametric"])
+    def test_relaxed_budget_verifies(self, capsys, algorithm):
+        # OPT(1) = 0 on this instance: only the tree (1, 0) meets the guarantee.
+        code, report = run_json(capsys, [
+            "solve-budget", "--problem", "mst", "--algorithm", algorithm, "--budget", "1",
+            "--epsilon", "1" if algorithm == "fixed" else "1/4",
+            "--input", demo("demo_relaxed_mst.json"), "--verify",
+        ])
+        assert code == 0
+        assert report["record"]["image"] == {"f1": "1", "f2": "0"}
+        assert report["verification"]["opt_budget"] == "0"
+        assert report["verification"]["verdict"] is True
+
     @pytest.mark.parametrize("argv", [
         ["pareto", "--problem", "mst", "--epsilon", "1/300",
          "--input", demo("demo_mst_a.json")],

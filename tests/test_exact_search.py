@@ -1,19 +1,25 @@
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
 
-from _suite import random_mst_instance, random_path_instance
-from bicrit.core import CostPair, pow_one_plus_eps
+from _suite import build_suite, make_case, random_mst_instance, random_path_instance
+from bicrit.core import (
+    CostPair,
+    GuaranteeCertificate,
+    ParametricAdapter,
+    pow_one_plus_eps,
+    rational,
+)
 from bicrit.errors import ExactOracleRequired, NoCertificate, NotParametricCapable
 from bicrit.exact_search import (
-    GammaInterval,
     LinearValue,
+    ParametricOutcome,
     critical_gamma,
     parametric_search,
-    resolve_comparison,
     solve_budget_binary,
     solve_budget_parametric,
 )
@@ -26,7 +32,166 @@ from bicrit.problems import (
     VertexCoverAdapter,
     adversarial_wrap,
 )
-from bicrit.sweep import BudgetQuery, index_range
+from bicrit.sweep import (
+    BudgetQuery,
+    grid_factors,
+    index_range,
+    solve_budget_sweep,
+    solve_grid,
+)
+
+
+# The search code that ``sweep.certify`` and the closure-only parametric
+# search replaced, kept as the reference for the differential tests below.
+
+
+@dataclass(frozen=True)
+class GammaInterval:
+    """A closed positive weight interval [lo, hi]."""
+
+    lo: Fraction
+    hi: Fraction
+
+    def __post_init__(self):
+        object.__setattr__(self, "lo", rational(self.lo))
+        object.__setattr__(self, "hi", rational(self.hi))
+        if not 0 < self.lo <= self.hi:
+            raise ValueError(f"interval must satisfy 0 < lo <= hi, got {self}")
+
+    @property
+    def midpoint(self) -> Fraction:
+        return (self.lo + self.hi) / 2
+
+
+def resolve_comparison(adapter, instance, interval, gamma_crit, budget, eps, probes=None):
+    if adapter.alpha() != 1:
+        raise ExactOracleRequired("parametric resolution needs an exact oracle")
+    gamma_crit = rational(gamma_crit)
+    if gamma_crit <= interval.lo:
+        return "right", interval
+    if gamma_crit >= interval.hi:
+        return "left", interval
+    record = adapter.solve_weighted_sum(instance, gamma_crit)
+    if probes is not None:
+        probes.append(record)
+    if record.image.f1 > (1 + rational(eps)) * rational(budget):
+        return "left", GammaInterval(interval.lo, gamma_crit)
+    return "right", GammaInterval(gamma_crit, interval.hi)
+
+
+def reference_parametric_search(adapter, instance, query):
+    if adapter.alpha() != 1:
+        raise ExactOracleRequired("parametric search needs an exact oracle")
+    if not isinstance(adapter, ParametricAdapter):
+        raise NotParametricCapable(f"{type(adapter).__name__} has no parametric run")
+    eps, budget = query.eps, query.budget
+    bounds = adapter.bounds(instance)
+    state = {
+        "interval": GammaInterval(eps * budget / bounds.ub2, eps * budget / bounds.lb2),
+        "witness": None,
+        "comparisons": 0,
+    }
+    probes: list = []
+
+    def compare(p, q):
+        state["comparisons"] += 1
+        crit = critical_gamma(p, q)
+        if crit is not None and state["interval"].lo < crit < state["interval"].hi:
+            before = len(probes)
+            side, state["interval"] = resolve_comparison(
+                adapter, instance, state["interval"], crit, budget, eps, probes
+            )
+            if side == "right" and len(probes) > before:
+                state["witness"] = probes[-1]
+        value = (p - q).at(state["interval"].midpoint)
+        return -1 if value < 0 else (1 if value > 0 else 0)
+
+    master_token = adapter.run_parametric(instance, compare)
+    interval = state["interval"]
+    midpoint_record = adapter.solve_weighted_sum(instance, interval.midpoint)
+    calls = len(probes) + 1
+    limit = (1 + eps) * budget
+    if midpoint_record.image.f1 <= limit:
+        chosen = midpoint_record
+    elif state["witness"] is not None:
+        chosen = state["witness"]
+    else:
+        raise NoCertificate([*probes, midpoint_record], limit)
+    certificate = GuaranteeCertificate(
+        alpha=Fraction(1),
+        budget_factor=1 + eps,
+        cost_factor=1 + 1 / eps,
+        budget=budget,
+        oracle_calls=calls,
+    )
+    return ParametricOutcome(
+        record=chosen,
+        certificate=certificate,
+        interval=interval,
+        comparisons=state["comparisons"],
+        probes=tuple(probes),
+        midpoint_record=midpoint_record,
+        master_token=master_token,
+    )
+
+
+def reference_binary(adapter, instance, query):
+    if adapter.alpha() != 1:
+        raise ExactOracleRequired("binary search needs an exact weighted-sum oracle")
+    eps, budget = query.eps, query.budget
+    rng = index_range(eps, budget, adapter.bounds(instance))
+    budget_factor, cost_factor = grid_factors(1, eps)
+    limit = budget_factor * budget
+    lo, hi = rng.i_min, rng.i_max
+    best = None
+    probes = []
+    while lo <= hi:
+        mid = (lo + hi) // 2
+        record = adapter.solve_weighted_sum(instance, pow_one_plus_eps(eps, mid))
+        probes.append(record)
+        if record.image.f1 > limit:
+            hi = mid - 1
+        else:
+            best = record
+            lo = mid + 1
+    if best is None:
+        raise NoCertificate(probes, limit)
+    certificate = GuaranteeCertificate(
+        alpha=Fraction(1),
+        budget_factor=budget_factor,
+        cost_factor=cost_factor,
+        budget=budget,
+        oracle_calls=len(probes),
+    )
+    return best, certificate
+
+
+def reference_sweep(adapter, instance, query):
+    eps, budget = query.eps, query.budget
+    alpha = adapter.alpha()
+    records = solve_grid(adapter, instance, eps, index_range(eps, budget, adapter.bounds(instance)))
+    budget_factor, cost_factor = grid_factors(alpha, eps)
+    limit = budget_factor * budget
+    qualifying = [r for r in records if r.image.f1 <= limit]
+    if not qualifying:
+        raise NoCertificate(records, limit)
+    best = min(qualifying, key=lambda r: (r.image.f2, r.image.f1))
+    certificate = GuaranteeCertificate(
+        alpha=alpha,
+        budget_factor=budget_factor,
+        cost_factor=cost_factor,
+        budget=budget,
+        oracle_calls=len(records),
+    )
+    return best, certificate
+
+
+def _outcome(search, adapter, instance, query):
+    """A search's result, or the records and f1 limit of its NoCertificate."""
+    try:
+        return search(adapter, instance, query)
+    except NoCertificate as exc:
+        return "no certificate", exc.records, exc.f1_limit
 
 
 class TestLinearValue:
@@ -40,59 +205,6 @@ class TestLinearValue:
         assert v == LinearValue(4, 6)
         assert v.at(Fraction(1, 2)) == 7
         assert (v - LinearValue(4, 5)).slope == 1
-
-    def test_interval_validation(self):
-        with pytest.raises(ValueError):
-            GammaInterval(0, 1)
-        with pytest.raises(ValueError):
-            GammaInterval(2, 1)
-        assert GammaInterval(1, 4).midpoint == Fraction(5, 2)
-
-
-class TestResolveComparison:
-    def test_in_interval_probe_right(self, ex2):
-        probes = []
-        side, interval = resolve_comparison(
-            MstAdapter(), ex2, GammaInterval(1, 4), Fraction(2), Fraction(3), Fraction(1), probes
-        )
-        assert side == "right" and interval == GammaInterval(2, 4)
-        assert len(probes) == 1
-
-    def test_in_interval_probe_left(self, ex2):
-        # budget 1: the record at gamma'=2 has f1 = 4 > (1+1)*1
-        side, interval = resolve_comparison(
-            MstAdapter(), ex2, GammaInterval(1, 4), Fraction(2), Fraction(1), Fraction(1)
-        )
-        assert side == "left" and interval == GammaInterval(1, 2)
-
-    def test_out_of_interval_no_probe(self, ex2):
-        probes = []
-        side, interval = resolve_comparison(
-            MstAdapter(), ex2, GammaInterval(1, 4), Fraction(8), Fraction(3), Fraction(1), probes
-        )
-        assert side == "left" and interval == GammaInterval(1, 4) and not probes
-        side, interval = resolve_comparison(
-            MstAdapter(), ex2, GammaInterval(1, 4), Fraction(1, 2), Fraction(3), Fraction(1), probes
-        )
-        assert side == "right" and interval == GammaInterval(1, 4) and not probes
-
-    def test_nesting(self, ex2):
-        rng = random.Random(3)
-        interval = GammaInterval(Fraction(1, 4), Fraction(8))
-        for _ in range(12):
-            crit = Fraction(rng.randint(1, 64), 8)
-            _, narrowed = resolve_comparison(
-                MstAdapter(), ex2, interval, crit, Fraction(3), Fraction(1)
-            )
-            assert interval.lo <= narrowed.lo <= narrowed.hi <= interval.hi
-            interval = narrowed
-
-    def test_requires_exact_oracle(self, ex1):
-        adversary = adversarial_wrap(MstAdapter(), Fraction(5, 4), ex1)
-        with pytest.raises(ExactOracleRequired):
-            resolve_comparison(
-                adversary, ex1, GammaInterval(1, 4), Fraction(2), Fraction(3), Fraction(1)
-            )
 
 
 class TestBinarySearch:
@@ -243,7 +355,7 @@ class TestParametric:
                 budget = budgets[len(budgets) // 2]
                 outcome = parametric_search(adapter, inst, BudgetQuery(budget, eps))
                 opt = exact_opt_budget(inst, budget)
-                lo, hi = outcome.interval.lo, outcome.interval.hi
+                lo, hi = outcome.interval
                 points = {lo, hi} | {lo + (hi - lo) * Fraction(k, 99) for k in range(100)}
                 assert any(
                     verify_budget(
@@ -280,3 +392,63 @@ class TestParametric:
                             factors=(1 + eps, 1 + 1 / eps),
                         )
                         assert outcome.master_token == outcome.midpoint_record.token
+
+
+class TestMatchesReferenceSearch:
+    """The closure-only parametric search and ``certify`` change no result on strict instances."""
+
+    EPSILONS = (Fraction(1), Fraction(1, 4), Fraction(1, 20))
+
+    def _budgets(self, case):
+        # Every achievable budget, and one below every solution's f1.
+        return [*case.budgets, case.budgets[0] / 4]
+
+    def _check_parametric(self, case, query):
+        expected = _outcome(reference_parametric_search, case.adapter, case.instance, query)
+        outcome = _outcome(parametric_search, case.adapter, case.instance, query)
+        if isinstance(expected, tuple):  # a NoCertificate's records and f1 limit
+            assert outcome == expected
+            return
+        assert outcome.record == expected.record
+        assert outcome.certificate == expected.certificate
+        assert outcome.interval == (expected.interval.lo, expected.interval.hi)
+        assert outcome.comparisons == expected.comparisons
+        assert outcome.probes == expected.probes
+        assert outcome.midpoint_record == expected.midpoint_record
+        assert outcome.master_token == expected.master_token
+        # The interval only ever narrows from [eps*B/UB(2), eps*B/LB(2)].
+        bounds = case.raw_adapter.bounds(case.instance)
+        lo, hi = outcome.interval
+        eps, budget = query.eps, query.budget
+        assert eps * budget / bounds.ub2 <= lo <= hi <= eps * budget / bounds.lb2
+
+    def test_parametric_on_acceptance_suite(self):
+        for case in build_suite():
+            if case.kind not in ("mst", "path"):
+                continue
+            for eps in self.EPSILONS:
+                for budget in self._budgets(case):
+                    self._check_parametric(case, BudgetQuery(budget, eps))
+
+    def test_parametric_on_random_instances(self):
+        rng = random.Random(67)
+        for _ in range(20):
+            for make in (random_mst_instance, random_path_instance):
+                inst = make(rng, rng.randint(4, 6))
+                case = make_case(inst.kind, inst)
+                for eps in self.EPSILONS:
+                    for budget in self._budgets(case):
+                        self._check_parametric(case, BudgetQuery(budget, eps))
+
+    def test_sweep_and_binary_on_acceptance_suite(self):
+        # eps = 1/20 is left out here: its grids make the vc sweep cost seconds.
+        for case in build_suite():
+            searches = [(reference_sweep, solve_budget_sweep)]
+            if case.alpha == 1:
+                searches.append((reference_binary, solve_budget_binary))
+            for eps in self.EPSILONS[:2]:
+                for budget in self._budgets(case):
+                    query = BudgetQuery(budget, eps)
+                    for reference, search in searches:
+                        expected = _outcome(reference, case.adapter, case.instance, query)
+                        assert _outcome(search, case.adapter, case.instance, query) == expected

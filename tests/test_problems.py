@@ -32,7 +32,6 @@ from bicrit.problems import (
     adversarial_wrap,
     cut_oracle,
     mst_oracle,
-    mst_parametric_run,
     sp_oracle,
     vc_oracle,
 )
@@ -118,10 +117,10 @@ class TestMstOracle:
 
         for graph in (ex1, ex2):
             counter = []
-            token = mst_parametric_run(graph, counting_comparator_at(Fraction(2), counter))
+            token = MstAdapter().run_parametric(graph, counting_comparator_at(Fraction(2), counter))
             assert token == mst_oracle(graph, Fraction(2)).token
         counter = []
-        mst_parametric_run(single_edge, counting_comparator_at(Fraction(1), counter))
+        MstAdapter().run_parametric(single_edge, counting_comparator_at(Fraction(1), counter))
         assert counter == []
 
 

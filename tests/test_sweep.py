@@ -12,12 +12,14 @@ from _suite import (
     random_cut_instance,
     random_mst_instance,
     random_path_instance,
+    random_relaxed_instance,
     random_vc_instance,
 )
-from bicrit.core import Bounds, CostPair, pow_one_plus_eps
+from bicrit.core import Bounds, CostPair, ParametricAdapter, pow_one_plus_eps
 from bicrit.errors import NoCertificate
+from bicrit.exact_search import solve_budget_binary, solve_budget_parametric
 from bicrit.oracle import exact_opt_budget, verify_budget
-from bicrit.problems import MstAdapter
+from bicrit.problems import BiweightedGraph, MstAdapter, mst
 from bicrit.sweep import (
     BudgetQuery,
     IndexRange,
@@ -25,6 +27,7 @@ from bicrit.sweep import (
     solve_budget_fixed,
     solve_budget_sweep,
     sweep_call_bound,
+    zero_f2_weight,
 )
 
 
@@ -225,3 +228,72 @@ class TestMatchesFullSweep:
                 for budget in self._budgets(case):
                     skipped |= self._check(case, BudgetQuery(budget, Fraction(1, 50)))
         assert skipped
+
+
+class TestRelaxedBudget:
+    """On relaxed instances OPT(B) may be 0, which no grid or interval weight reaches."""
+
+    def _searches(self, adapter, eps):
+        searches = [solve_budget_sweep]
+        if eps == 1:
+            searches.append(lambda a, inst, q: solve_budget_fixed(a, inst, q.budget))
+        if adapter.alpha() == 1:
+            searches.append(solve_budget_binary)
+            if isinstance(adapter, ParametricAdapter):
+                searches.append(solve_budget_parametric)
+        return searches
+
+    def test_random_relaxed_instances_meet_the_guarantee(self):
+        rng = random.Random(71)
+        for _ in range(8):
+            for kind in ("mst", "path", "cut", "vc"):
+                case = make_case(kind, random_relaxed_instance(rng, kind, rng.randint(2, 6)))
+                for budget in [b for b in case.budgets if b > 0]:
+                    opt = exact_opt_budget(case.instance, budget)
+                    for eps in (Fraction(1), Fraction(1, 4)):
+                        query = BudgetQuery(budget, eps)
+                        for search in self._searches(case.adapter, eps):
+                            before = case.adapter.invocations
+                            record, cert = search(case.adapter, case.instance, query)
+                            factors = (cert.budget_factor, cert.cost_factor)
+                            assert verify_budget(record, budget, eps, case.alpha, opt, factors)
+                            assert cert.oracle_calls == case.adapter.invocations - before
+
+    def test_zero_f2_record_is_taken(self, boundary_fixture):
+        # Images (1,0), (0,1), (1,1): OPT(1) = 0, and at eps = 1/4 no search
+        # weight returns (1,0); the extra call at zero_f2_weight does.
+        adapter = CachingAdapter(MstAdapter(), boundary_fixture)
+        gamma = zero_f2_weight(1, adapter.bounds(boundary_fixture))
+        query = BudgetQuery(Fraction(1), Fraction(1, 4))
+        for search in self._searches(adapter, query.eps):
+            before = adapter.invocations
+            record, cert = search(adapter, boundary_fixture, query)
+            assert record.image == CostPair(1, 0) and record.produced_at == gamma
+            assert cert.oracle_calls == adapter.invocations - before
+
+    def test_no_certificate_lists_the_extra_call(self):
+        # Trees (1,0) and (2,1) both break f1 <= 3/10, the sweep's limit at B = 1/10.
+        graph = BiweightedGraph(2, [(0, 1, (1, 0)), (0, 1, (2, 1))], kind="mst", relaxed=True)
+        adapter = CachingAdapter(MstAdapter(), graph)
+        with pytest.raises(NoCertificate) as excinfo:
+            solve_budget_sweep(adapter, graph, BudgetQuery(Fraction(1, 10), Fraction(1)))
+        records = excinfo.value.records
+        assert len(records) == adapter.invocations
+        assert records[-1].produced_at == zero_f2_weight(1, adapter.bounds(graph))
+        assert records[-1].image == CostPair(1, 0)
+        assert excinfo.value.f1_limit == Fraction(3, 10)
+
+    def test_no_extra_call_when_not_needed(self, boundary_fixture, ex2, monkeypatch):
+        weights = []
+        solve = mst.mst_oracle
+        monkeypatch.setattr(
+            mst, "mst_oracle", lambda g, gamma: weights.append(gamma) or solve(g, gamma)
+        )
+        # Strict instance: never.  Relaxed, when the picked record has f2 = 0: neither.
+        for graph, budget in ((ex2, Fraction(3)), (boundary_fixture, Fraction(2))):
+            for search in self._searches(MstAdapter(), Fraction(1)):
+                weights.clear()
+                record, cert = search(MstAdapter(), graph, BudgetQuery(budget, Fraction(1)))
+                assert cert.oracle_calls == len(weights)
+                assert zero_f2_weight(1, MstAdapter().bounds(graph)) not in weights
+                assert graph is ex2 or record.image.f2 == 0
