@@ -285,6 +285,7 @@ def _cmd_solve_budget(args, parser) -> int:
                 "records": [_record_dict(r) for r in exc.records],
                 "oracle_calls": len(exc.records),
                 "f1_limit": format_rational(exc.f1_limit),
+                "min_f1": format_rational(min(r.image.f1 for r in exc.records)),
             }
             report["wall_time_ms"] = (time.perf_counter() - started) * 1000
             _emit(report)

@@ -263,12 +263,14 @@ class ProblemAdapter(ABC):
 
 
 class ParametricAdapter(ProblemAdapter):
-    """Adapter whose exact oracle can run symbolically over linear weights.
+    """Adapter whose weighted-sum oracle can run symbolically over linear weights.
 
     The plugin re-expresses its algorithm over ``LinearValue`` quantities
     with every value comparison routed through an injected three-way
     comparator; the returned solution must depend on gamma only through
-    those comparison outcomes.
+    those comparison outcomes.  An exact oracle's run drives
+    ``parametric_search``; an approximate one's, the symbolic grid walk of
+    ``sweep.solve_grid``.
     """
 
     @abstractmethod

@@ -18,6 +18,7 @@ from .core import (
     GuaranteeCertificate,
     ParametricAdapter,
     ProblemAdapter,
+    Rational,
     SolutionRecord,
     pow_one_plus_eps,
     rational,
@@ -28,14 +29,20 @@ from .sweep import BudgetQuery, certify, grid_factors, index_range
 
 @dataclass(frozen=True)
 class LinearValue:
-    """A quantity constant + slope * gamma, linear in the symbolic weight."""
+    """A quantity constant + slope * gamma, linear in the symbolic weight.
 
-    constant: Fraction
-    slope: Fraction
+    Int fields stay ints, through ``+`` and ``-`` as well, so a plugin
+    that scales its weights to integers runs on integer arithmetic; other
+    fields are coerced by ``rational``, which refuses floats and bools.
+    """
+
+    constant: Rational
+    slope: Rational
 
     def __post_init__(self):
-        object.__setattr__(self, "constant", rational(self.constant))
-        object.__setattr__(self, "slope", rational(self.slope))
+        for name in ("constant", "slope"):
+            if type(getattr(self, name)) is not int:
+                object.__setattr__(self, name, rational(getattr(self, name)))
 
     def at(self, gamma) -> Fraction:
         return self.constant + rational(gamma) * self.slope
@@ -58,7 +65,7 @@ def critical_gamma(p: LinearValue, q: LinearValue) -> Optional[Fraction]:
     """
     if p.slope == q.slope:
         return None
-    return (q.constant - p.constant) / (p.slope - q.slope)
+    return Fraction(q.constant - p.constant) / (p.slope - q.slope)
 
 
 def solve_budget_binary(

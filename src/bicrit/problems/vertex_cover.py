@@ -4,36 +4,54 @@ The weighted-sum oracle is the local-ratio 2-approximation: walk the edges,
 subtract the smaller residual combined weight from both endpoints, and
 take every zero-residual vertex.  The cover's combined weight is at most
 twice the minimum combined weight over all covers.
+
+Local ratio is written once, over a comparator, as ``kruskal_run`` is: the
+concrete oracle runs it on the weights at one gamma, and ``run_parametric``
+on ``LinearValue`` residuals, where the cover depends on gamma only through
+the signs of linear forms.  ``sweep.solve_grid`` uses that to walk the
+weight grid symbolically: one run covers a whole range of grid indices and
+is split only where a comparison's critical weight falls inside it, so it
+makes one run per range of equal answers instead of one call per grid
+weight.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
-from ..core import Bounds, CostPair, ProblemAdapter, SolutionRecord, check_weight
+from ..core import Bounds, CostPair, ParametricAdapter, SolutionRecord, check_weight
 from ..errors import InfeasibleToken
-from .graphs import VertexWeightedGraph, cost_bounds, sum_image
+from ..exact_search import LinearValue
+from .graphs import VertexWeightedGraph, cost_bounds, fraction_compare, sum_image
 
 
-def local_ratio_cover(graph: VertexWeightedGraph, gamma) -> frozenset:
-    residual = [w.weighted(gamma) for w in graph.vertex_weights]
+def local_ratio_run(graph: VertexWeightedGraph, values, compare) -> frozenset:
+    """Local ratio over arbitrary vertex values, every comparison through ``compare``.
+
+    Ties follow Python's ``min``: the residual of ``v`` is taken only when
+    it is strictly below that of ``u``.
+    """
+    residual = list(values)
     for u, v in graph.edges:
-        delta = min(residual[u], residual[v])
+        delta = residual[v] if compare(residual[v], residual[u]) < 0 else residual[u]
         residual[u] -= delta
         residual[v] -= delta
-    return frozenset(v for v in range(graph.node_count) if residual[v] == 0)
+    zero = values[0] - values[0]  # the zero of the values' own type
+    return frozenset(v for v in range(graph.node_count) if compare(residual[v], zero) == 0)
 
 
 def vc_oracle(graph: VertexWeightedGraph, gamma) -> SolutionRecord:
     """Cover whose combined weight is within factor 2 of the minimum."""
     gamma = check_weight(gamma)
-    token = local_ratio_cover(graph, gamma)
+    values = [w.weighted(gamma) for w in graph.vertex_weights]
+    token = local_ratio_run(graph, values, fraction_compare)
     return SolutionRecord(
         token=token, image=sum_image(graph.vertex_weights, token), produced_at=gamma
     )
 
 
-class VertexCoverAdapter(ProblemAdapter):
+class VertexCoverAdapter(ParametricAdapter):
     """Adapter for vertex-cover instances (2-approximate oracle)."""
 
     def alpha(self) -> Fraction:
@@ -54,3 +72,16 @@ class VertexCoverAdapter(ProblemAdapter):
     def bounds(self, instance) -> Bounds:
         # A cover of positive weight contains at least one positive vertex.
         return cost_bounds(instance.vertex_weights, instance.relaxed)
+
+    def run_parametric(self, instance, compare):
+        """Local ratio over ``LinearValue(D*w1, D*w2)``, D the lcm of the weights' denominators.
+
+        Scaling every weight by D > 0 keeps every comparison's sign and
+        makes the residuals ints.
+        """
+        weights = [(w.f1, w.f2) for w in instance.vertex_weights]
+        scale = lcm(*(x.denominator for pair in weights for x in pair))
+        values = [
+            LinearValue(*(x.numerator * (scale // x.denominator) for x in pair)) for pair in weights
+        ]
+        return local_ratio_run(instance, values, compare)

@@ -15,6 +15,7 @@ from fractions import Fraction
 from .core import (
     Bounds,
     GuaranteeCertificate,
+    ParametricAdapter,
     ProblemAdapter,
     SolutionRecord,
     ceil_log,
@@ -99,6 +100,11 @@ def solve_grid(adapter: ProblemAdapter, instance, eps, grid: IndexRange) -> list
     walk narrows every change of image down to two neighbouring solved
     indices, so every image is solved at the lowest index of its run.
 
+    An approximate oracle that is a ``ParametricAdapter`` is walked by
+    ``solve_grid_symbolic`` instead: one run per range of grid indices on
+    which its answer cannot change, so the first index of every run of
+    equal answers is solved.
+
     Both consumers keep only the first record of an image, so each returns
     the full sweep's records (token, image, ``produced_at``) with fewer
     calls: ``approximate_pareto``'s filter keeps the first record of each
@@ -107,6 +113,8 @@ def solve_grid(adapter: ProblemAdapter, instance, eps, grid: IndexRange) -> list
     NoCertificate exactly when the full sweep does.
     """
     exact = adapter.alpha() == 1
+    if not exact and isinstance(adapter, ParametricAdapter):
+        return solve_grid_symbolic(adapter, instance, eps, grid)
 
     def solve(i):
         return adapter.solve_weighted_sum(instance, pow_one_plus_eps(eps, i))
@@ -125,6 +133,62 @@ def solve_grid(adapter: ProblemAdapter, instance, eps, grid: IndexRange) -> list
             records.append(last)
             left = j
             pending.pop()
+    return records
+
+
+def solve_grid_symbolic(adapter: ParametricAdapter, instance, eps, grid: IndexRange) -> list:
+    """One record per symbolic run over ranges of ``grid``, in index order.
+
+    Megiddo's parametric simulation (JACM 30(4), 1983), run over a finite
+    grid.  Each ``run_parametric`` call covers an index range [a, b].  A
+    comparison of linear values p, q is the sign of d = p - q = c + s*gamma
+    at every weight (1+eps)**i, i in [a, b]; it changes only at the
+    critical weight -c/s, which ``floor_log`` and ``ceil_log`` place
+    between two grid indices or on one.  When that splits [a, b], the run
+    keeps the lowest piece, pushes the rest for later runs and answers for
+    the kept piece; earlier answers still hold on it, so every run ends
+    with one token that is the oracle's answer at every index of its final
+    range.  A grid weight equal to the critical weight gets a piece of its
+    own, where the answer is 0.  The ranges partition the grid, so there
+    are never more runs than indices.  Each run's record is its token, the
+    token's image and ``produced_at`` the range's first weight: the oracle's
+    record there.  A change of answer always falls between two ranges, so
+    the first record of each run of equal answers is returned, which is
+    all that ``solve_grid``'s consumers read.  Only those weights are
+    built; a comparison reads the values' fields and a cache of the
+    critical weights' logarithms.
+    """
+    base = 1 + eps
+    brackets = {}  # critical weight -> (ceil_log, floor_log) of it
+    pending = [(grid.i_min, grid.i_max)]
+    records = []
+    while pending:
+        a, b = pending.pop()
+
+        def compare(p, q) -> int:
+            nonlocal b
+            c, s = p.constant - q.constant, p.slope - q.slope
+            if s == 0:
+                return (c > 0) - (c < 0)
+            sign = 1 if s > 0 else -1
+            if c * sign >= 0:  # no positive critical weight: d has the sign of s
+                return sign
+            crit = Fraction(-c, s)
+            if crit not in brackets:
+                brackets[crit] = (ceil_log(base, crit), floor_log(base, crit))
+            lo, hi = brackets[crit]  # weights below index lo are below crit, above hi above
+            pieces = (
+                (a, min(lo - 1, b), -sign),
+                (max(lo, a), min(hi, b), 0),
+                (max(hi + 1, a), b, sign),
+            )
+            (_, b, answer), *rest = [piece for piece in pieces if piece[0] <= piece[1]]
+            pending.extend((x, y) for x, y, _ in reversed(rest))
+            return answer
+
+        token = adapter.run_parametric(instance, compare)
+        image = adapter.evaluate(instance, token)
+        records.append(SolutionRecord(token, image, pow_one_plus_eps(eps, a)))
     return records
 
 

@@ -162,6 +162,19 @@ class TestExitCodes:
                 weights = [parse_rational(r["produced_at"]) for r in failed["records"]]
                 assert weights == sorted(set(weights))
 
+    def test_no_certificate_reports_the_least_f1_solved(self, capsys):
+        # Vertex cover's grid is run symbolically; its transcript is one record per run.
+        for algorithm in ("sweep", "fixed"):
+            code, report = run_json(capsys, [
+                "solve-budget", "--problem", "vc", "--algorithm", algorithm,
+                "--budget", "1/10", "--input", demo("demo_vc.json"),
+            ])
+            assert code == 3
+            failed = report["no_certificate"]
+            least = min(parse_rational(r["image"]["f1"]) for r in failed["records"])
+            assert parse_rational(failed["min_f1"]) == least
+            assert least > parse_rational(failed["f1_limit"])
+
     def test_verify_refuses_instances_beyond_the_cap(self, capsys, tmp_path):
         big = BiweightedGraph(
             14,

@@ -206,6 +206,24 @@ class TestLinearValue:
         assert v.at(Fraction(1, 2)) == 7
         assert (v - LinearValue(4, 5)).slope == 1
 
+    def test_int_fields_stay_ints(self):
+        v = LinearValue(1, 2) + LinearValue(3, 4) - LinearValue(5, 7)
+        assert (type(v.constant), type(v.slope)) == (int, int)
+        assert v == LinearValue(-1, -1)
+        half = LinearValue(Fraction(1, 2), "3/2")
+        assert half.constant == Fraction(1, 2) and half.slope == Fraction(3, 2)
+        assert type((half + LinearValue(1, 1)).slope) is Fraction
+
+    def test_floats_and_bools_are_refused(self):
+        for bad in ((0.5, 1), (1, 0.5), (True, 1), (1, False)):
+            with pytest.raises(TypeError):
+                LinearValue(*bad)
+
+    def test_critical_gamma_is_exact_on_int_fields(self):
+        crit = critical_gamma(LinearValue(2, 3), LinearValue(3, 1))
+        assert crit == Fraction(1, 2) and type(crit) is Fraction
+        assert critical_gamma(LinearValue(Fraction(2), 3), LinearValue(3, 1)) == Fraction(1, 2)
+
 
 class TestBinarySearch:
     def test_example_instance(self, ex2):

@@ -185,10 +185,7 @@ class TestBisectedGrid:
                 curve = approximate_pareto(case.adapter, case.instance, eps)
                 calls = case.adapter.invocations - before
                 assert curve.records == _full_sweep_curve(case.raw_adapter, case.instance, eps)
-                if case.kind == "vc":
-                    assert calls == grid
-                else:
-                    assert calls <= grid
+                assert calls == curve.oracle_calls <= grid
 
     def test_matches_full_sweep_at_fine_epsilon(self):
         rng = random.Random(23)

@@ -170,12 +170,12 @@ class TestSweepProperties:
         _, cert = solve_budget_sweep(adapter, ex2, BudgetQuery(Fraction(3), Fraction(1)))
         rng_idx = index_range(Fraction(1), Fraction(3), adapter.bounds(ex2))
         assert cert.oracle_calls == adapter.invocations <= len(rng_idx)
-        # An approximate oracle is called at every grid index.
+        # Vertex cover's grid is run symbolically, one counted run per grid range.
         case = make_case("vc", random_vc_instance(random.Random(5), 5))
         query = BudgetQuery(case.budgets[-1], Fraction(1, 2))
         _, cert = solve_budget_sweep(case.adapter, case.instance, query)
         rng_idx = index_range(query.eps, query.budget, case.raw_adapter.bounds(case.instance))
-        assert cert.oracle_calls == case.adapter.invocations == len(rng_idx)
+        assert cert.oracle_calls == case.adapter.invocations <= len(rng_idx)
 
 
 class TestMatchesFullSweep:
@@ -200,10 +200,8 @@ class TestMatchesFullSweep:
             assert record == expected[0]
             assert (cert.budget_factor, cert.cost_factor) == expected[1]
             assert cert.oracle_calls == calls
-        if case.alpha == 1:
-            assert calls <= grid
-        else:
-            assert calls == grid
+        # Bisected for an exact oracle, one counted symbolic run per range for vc.
+        assert calls <= grid
         return calls < grid
 
     def _budgets(self, case):
