@@ -50,6 +50,8 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(text)
     except ZeroDivisionError:
         raise ParseError(f"zero denominator: {text!r}") from None
+    except ValueError:  # a number past Python's int-from-str digit limit
+        raise ParseError(f"too many digits in a {len(text)}-character rational") from None
 
 
 def format_rational(value: Fraction) -> str:

@@ -54,9 +54,6 @@ class LinearValue:
         return LinearValue(self.constant - other.constant, self.slope - other.slope)
 
 
-LINEAR_ZERO = LinearValue(0, 0)
-
-
 def critical_gamma(p: LinearValue, q: LinearValue) -> Optional[Fraction]:
     """The unique weight where p and q cross, or None when slopes agree.
 
@@ -65,7 +62,17 @@ def critical_gamma(p: LinearValue, q: LinearValue) -> Optional[Fraction]:
     """
     if p.slope == q.slope:
         return None
-    return Fraction(q.constant - p.constant) / (p.slope - q.slope)
+    return Fraction(q.constant - p.constant, p.slope - q.slope)
+
+
+def _strictly_between(x: Fraction, lo: Fraction, hi: Fraction) -> bool:
+    """lo < x < hi, cross-multiplied on the ints.
+
+    ``Fraction``'s own comparison makes abstract-base-class checks on every
+    call, which cost more than the arithmetic on short weights.
+    """
+    n, d = x.numerator, x.denominator
+    return lo.numerator * d < n * lo.denominator and n * hi.denominator < hi.numerator * d
 
 
 def solve_budget_binary(
@@ -141,23 +148,26 @@ def parametric_search(
     bounds = adapter.bounds(instance)
     lo, hi = eps * budget / bounds.ub2, eps * budget / bounds.lb2
     limit = (1 + eps) * budget
+    mid = (lo + hi) / 2
     witness, comparisons, probes = None, 0, []
 
     def compare(p: LinearValue, q: LinearValue) -> int:
-        nonlocal lo, hi, witness, comparisons
+        nonlocal lo, hi, mid, witness, comparisons
         comparisons += 1
         crit = critical_gamma(p, q)
-        if crit is not None and lo < crit < hi:
+        if crit is not None and _strictly_between(crit, lo, hi):
             probes.append(adapter.solve_weighted_sum(instance, crit))
             if probes[-1].image.f1 > limit:
                 hi = crit
             else:
                 lo, witness = crit, probes[-1]
-        value = (p - q).at((lo + hi) / 2)
-        return -1 if value < 0 else (1 if value > 0 else 0)
+            mid = (lo + hi) / 2
+        # p - q at mid = n/d has the sign of (p - q) * d, with d > 0.
+        value = (p.constant - q.constant) * mid.denominator + (p.slope - q.slope) * mid.numerator
+        return (value > 0) - (value < 0)
 
     master_token = adapter.run_parametric(instance, compare)
-    midpoint_record = adapter.solve_weighted_sum(instance, (lo + hi) / 2)
+    midpoint_record = adapter.solve_weighted_sum(instance, mid)
     picked = midpoint_record if midpoint_record.image.f1 <= limit else witness
     record, certificate = certify(
         adapter, instance, [*probes, midpoint_record], picked, limit, (1 + eps, 1 + 1 / eps), budget

@@ -93,7 +93,7 @@ def _spanning_tree_tokens(graph: BiweightedGraph, counter: _CapCounter):
 
 
 def _simple_path_tokens(graph: BiweightedGraph, counter: _CapCounter):
-    adjacency = graph.adjacency()
+    adjacency = graph.adjacency
     sink = graph.sink
     out = []
     path = []

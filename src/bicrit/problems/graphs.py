@@ -2,17 +2,22 @@
 
 Both graph kinds are immutable after construction.  Parallel edges are
 first-class (the zero-cost boundary fixtures need them); self-loops are
-rejected since no plugin can use one.
+rejected since no plugin can use one.  What the oracles derive from an
+instance alone, its ``ScaledWeights`` and its adjacency, is built on first
+use and kept with the instance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import attrgetter
+from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from typing import Optional
 
 from ..core import Bounds, CostPair
 from ..errors import ValidationError
+from ..exact_search import LinearValue
 
 GRAPH_KINDS = ("mst", "path", "cut")
 
@@ -89,13 +94,24 @@ class BiweightedGraph:
     def weights(self):
         return [w for _, _, w in self.edges]
 
-    def adjacency(self):
-        """Per-node list of (edge index, other endpoint), in edge order."""
+    @cached_property
+    def adjacency(self) -> tuple:
+        """Per-node tuple of (edge index, other endpoint), in edge order."""
         adj = [[] for _ in range(self.node_count)]
         for i, (u, v, _) in enumerate(self.edges):
             adj[u].append((i, v))
             adj[v].append((i, u))
-        return adj
+        return tuple(map(tuple, adj))
+
+    @cached_property
+    def neighbours(self) -> tuple:
+        """Per-node tuple of the distinct adjacent nodes, in index order."""
+        return tuple(tuple(sorted({other for _, other in incident})) for incident in self.adjacency)
+
+    @cached_property
+    def scaled(self) -> "ScaledWeights":
+        """The edge weights as ints, for the oracles."""
+        return ScaledWeights.of(self.weights())
 
     def is_connected(self) -> bool:
         return connected_components(self.node_count, self.endpoints()) == 1
@@ -133,22 +149,77 @@ class VertexWeightedGraph:
     def edge_count(self) -> int:
         return len(self.edges)
 
+    @cached_property
+    def scaled(self) -> "ScaledWeights":
+        """The vertex weights as ints, for the oracles."""
+        return ScaledWeights.of(self.vertex_weights)
 
-def fraction_compare(a, b) -> int:
+
+@dataclass(frozen=True)
+class ScaledWeights:
+    """An instance's weight pairs as ints (D*w1, D*w2), D the lcm of their denominators.
+
+    For gamma = p/q the int ``q*W1 + p*W2`` is D*q*(w1 + gamma*w2), and
+    D*q > 0.  So the ints compare, add up and bound cuts exactly as the
+    combined rational weights do: every comparison, every sum's order and
+    every max-flow/min-cut answer stays the same, and the oracles never
+    build a ``Fraction`` until the image.
+    """
+
+    first: tuple
+    second: tuple
+    scale: int
+
+    @classmethod
+    def of(cls, pairs) -> "ScaledWeights":
+        scale = lcm(*(x.denominator for w in pairs for x in (w.f1, w.f2)))
+        return cls(
+            tuple(w.f1.numerator * (scale // w.f1.denominator) for w in pairs),
+            tuple(w.f2.numerator * (scale // w.f2.denominator) for w in pairs),
+            scale,
+        )
+
+    def combined(self, gamma: Fraction) -> list:
+        """The int ``q*W1 + p*W2`` per pair, for gamma = p/q."""
+        p, q = gamma.numerator, gamma.denominator
+        return [q * a + p * b for a, b in zip(self.first, self.second)]
+
+    def linear(self) -> list:
+        """``LinearValue(W1, W2)`` per pair: D times the combined weight, symbolic in gamma."""
+        return [LinearValue(a, b) for a, b in zip(self.first, self.second)]
+
+    def image(self, indices) -> CostPair:
+        """Exact image of the solution made of the pairs at ``indices``."""
+        return CostPair(
+            Fraction(sum(self.first[i] for i in indices), self.scale),
+            Fraction(sum(self.second[i] for i in indices), self.scale),
+        )
+
+
+def three_way(a, b) -> int:
     """Three-way comparison of concrete values, the plugins' non-symbolic comparator."""
-    if a < b:
-        return -1
-    if a > b:
-        return 1
-    return 0
+    return (a > b) - (a < b)
 
 
-def sum_image(weights, indices) -> CostPair:
-    """Image of the solution made of the weight pairs at ``indices``."""
-    return CostPair(sum(weights[i].f1 for i in indices), sum(weights[i].f2 for i in indices))
+def keyed_by(compare):
+    """Tuple type ordered by ``compare`` on its first item, then by its other items.
+
+    A symbolic run's stand-in for a plain tuple such as (distance, node).
+    It makes one ``compare`` call per comparison, where a tuple of
+    ``cmp_to_key`` objects makes two (``==``, then ``<``).
+    """
+
+    class Keyed(tuple):
+        __slots__ = ()
+
+        def __lt__(self, other):
+            order = compare(self[0], other[0])
+            return order < 0 or (order == 0 and self[1:] < other[1:])
+
+    return Keyed
 
 
-def cost_bounds(weights, relaxed: bool, multiplicity: int = 1) -> Bounds:
+def cost_bounds(scaled: ScaledWeights, relaxed: bool, multiplicity: int = 1) -> Bounds:
     """Bounds for solutions that use each weight pair at most once.
 
     The upper bound is the sum of all weights.  Strict regime: a solution
@@ -158,10 +229,9 @@ def cost_bounds(weights, relaxed: bool, multiplicity: int = 1) -> Bounds:
     the per-dimension minimum positive weight is the valid lower bound.
     """
     out = []
-    for get in (attrgetter("f1"), attrgetter("f2")):
-        values = [get(w) for w in weights]
+    for values in (scaled.first, scaled.second):
         low = min(v for v in values if v > 0) if relaxed else multiplicity * min(values)
-        out.append((low, sum(values)))
+        out.append((Fraction(low, scaled.scale), Fraction(sum(values), scaled.scale)))
     (lb1, ub1), (lb2, ub2) = out
     return Bounds(lb1, ub1, lb2, ub2)
 

@@ -1,78 +1,72 @@
 """Bicriteria minimum s-t cut plugin.
 
-Exact oracle via max-flow (Edmonds-Karp with exact rational capacities) on
-the bidirected graph; the returned token is the canonical source side, the
-set of nodes residual-reachable from the source.
+Exact oracle via max-flow: Edmonds-Karp over per-node neighbour lists,
+with int capacities, the instance's scaled weights (``ScaledWeights``)
+combined at one gamma, on the bidirected graph.  The returned token is the
+canonical source side, the set of nodes residual-reachable from the
+source.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from fractions import Fraction
 
 from ..core import Bounds, CostPair, ProblemAdapter, SolutionRecord, check_weight
 from ..errors import InfeasibleToken
-from .graphs import BiweightedGraph, cost_bounds, sum_image
+from .graphs import BiweightedGraph, cost_bounds
 
 
-def edmonds_karp_cut(node_count, endpoints, capacities, source, sink) -> frozenset:
+def edmonds_karp_cut(neighbours, endpoints, capacities, source, sink) -> frozenset:
     """Minimum-cut source side under the given arc capacities.
 
-    Parallel edges merge into one capacity per ordered node pair; BFS
-    scans nodes in index order, so the augmenting paths and the final
-    residual-reachable set are deterministic.
+    ``neighbours`` lists each node's distinct adjacent nodes in index
+    order.  Parallel edges merge into one residual capacity per ordered
+    node pair, kept in that order, so BFS scans each node's neighbours in
+    index order and the augmenting paths and the final residual-reachable
+    set are deterministic.
     """
-    cap = [[Fraction(0)] * node_count for _ in range(node_count)]
+    residual = [dict.fromkeys(adjacent, 0) for adjacent in neighbours]
     for (u, v), c in zip(endpoints, capacities):
-        cap[u][v] += c
-        cap[v][u] += c
-    flow = [[Fraction(0)] * node_count for _ in range(node_count)]
-    while True:
-        parent = [None] * node_count
-        parent[source] = source
-        queue = [source]
-        while queue and parent[sink] is None:
-            u = queue.pop(0)
-            for v in range(node_count):
-                if parent[v] is None and cap[u][v] - flow[u][v] > 0:
+        residual[u][v] += c
+        residual[v][u] += c
+
+    def reach(stop):
+        """BFS parents over positive residual arcs, until ``stop`` is reached."""
+        parent = {source: source}
+        queue = deque([source])
+        while queue and stop not in parent:
+            u = queue.popleft()
+            for v, left in residual[u].items():
+                if left > 0 and v not in parent:
                     parent[v] = u
                     queue.append(v)
-        if parent[sink] is None:
-            break
-        bottleneck = None
+        return parent
+
+    while sink in (parent := reach(sink)):
+        path = []
         v = sink
         while v != source:
-            u = parent[v]
-            residual = cap[u][v] - flow[u][v]
-            bottleneck = residual if bottleneck is None else min(bottleneck, residual)
-            v = u
-        v = sink
-        while v != source:
-            u = parent[v]
-            flow[u][v] += bottleneck
-            flow[v][u] -= bottleneck
-            v = u
-    reachable = {source}
-    queue = [source]
-    while queue:
-        u = queue.pop(0)
-        for v in range(node_count):
-            if v not in reachable and cap[u][v] - flow[u][v] > 0:
-                reachable.add(v)
-                queue.append(v)
-    return frozenset(reachable)
+            path.append((parent[v], v))
+            v = parent[v]
+        bottleneck = min(residual[u][v] for u, v in path)
+        for u, v in path:
+            residual[u][v] -= bottleneck
+            residual[v][u] += bottleneck
+    return frozenset(reach(None))
 
 
 def cut_image(graph: BiweightedGraph, token) -> CostPair:
     """Image of the cut with source side ``token``: the edges crossing it."""
     crossing = [i for i, (u, v, _) in enumerate(graph.edges) if (u in token) != (v in token)]
-    return sum_image(graph.weights(), crossing)
+    return graph.scaled.image(crossing)
 
 
 def cut_oracle(graph: BiweightedGraph, source, sink, gamma) -> SolutionRecord:
     """Exact minimum s-t cut under edge capacity w1 + gamma*w2."""
     gamma = check_weight(gamma)
-    capacities = [w.weighted(gamma) for w in graph.weights()]
-    token = edmonds_karp_cut(graph.node_count, graph.endpoints(), capacities, source, sink)
+    capacities = graph.scaled.combined(gamma)
+    token = edmonds_karp_cut(graph.neighbours, graph.endpoints(), capacities, source, sink)
     return SolutionRecord(token=token, image=cut_image(graph, token), produced_at=gamma)
 
 
@@ -95,4 +89,4 @@ class MinCutAdapter(ProblemAdapter):
 
     def bounds(self, instance) -> Bounds:
         # A cut with positive cost crosses at least one positive edge.
-        return cost_bounds(instance.weights(), instance.relaxed)
+        return cost_bounds(instance.scaled, instance.relaxed)

@@ -1,7 +1,9 @@
 """Bicriteria minimum spanning tree plugin.
 
-Exact weighted-sum oracle (Kruskal with deterministic tie-breaking by edge
-index) and parametric execution over symbolic weights.
+Exact weighted-sum oracle: Kruskal, sorting the edges stably by their
+scaled int weights (``ScaledWeights``), so equal weights keep edge index
+order.  The parametric run is the same Kruskal, sorted through the
+comparator over ``LinearValue``s built from the same ints.
 """
 
 from __future__ import annotations
@@ -11,27 +13,17 @@ from functools import cmp_to_key
 
 from ..core import Bounds, CostPair, ParametricAdapter, SolutionRecord, check_weight
 from ..errors import DisconnectedGraph, InfeasibleToken
-from ..exact_search import LinearValue
-from .graphs import (
-    BiweightedGraph,
-    connected_components,
-    cost_bounds,
-    fraction_compare,
-    sum_image,
-    union,
-)
+from .graphs import BiweightedGraph, connected_components, cost_bounds, union
 
 
-def kruskal_run(node_count, endpoints, values, compare) -> frozenset:
-    """Kruskal over arbitrary comparable edge values.
+def kruskal_run(node_count, endpoints, key) -> frozenset:
+    """Kruskal over the edges ordered by ``key``, a sort key of the edge index.
 
-    The sort is stable, so edges whose values compare equal keep index
-    order; the chosen tree therefore depends only on the comparator's
+    The sort is stable, so edges whose keys compare equal keep index
+    order; the chosen tree therefore depends only on the keys' comparison
     outcomes, which is the precondition for running it symbolically.
     """
-    order = sorted(
-        range(len(endpoints)), key=cmp_to_key(lambda a, b: compare(values[a], values[b]))
-    )
+    order = sorted(range(len(endpoints)), key=key)
     parent = list(range(node_count))
     chosen = []
     for idx in order:
@@ -47,10 +39,9 @@ def kruskal_run(node_count, endpoints, values, compare) -> frozenset:
 def mst_oracle(graph: BiweightedGraph, gamma) -> SolutionRecord:
     """Exact minimum spanning tree under edge weight w1 + gamma*w2."""
     gamma = check_weight(gamma)
-    weights = graph.weights()
-    values = [w.weighted(gamma) for w in weights]
-    token = kruskal_run(graph.node_count, graph.endpoints(), values, fraction_compare)
-    return SolutionRecord(token=token, image=sum_image(weights, token), produced_at=gamma)
+    keys = graph.scaled.combined(gamma)
+    token = kruskal_run(graph.node_count, graph.endpoints(), keys.__getitem__)
+    return SolutionRecord(token=token, image=graph.scaled.image(token), produced_at=gamma)
 
 
 class MstAdapter(ParametricAdapter):
@@ -65,18 +56,19 @@ class MstAdapter(ParametricAdapter):
             raise InfeasibleToken(f"unknown edge index in {token}")
         if len(token) != instance.node_count - 1:
             raise InfeasibleToken("wrong edge count for a spanning tree")
-        endpoints = [instance.endpoints()[i] for i in sorted(token)]
-        if connected_components(instance.node_count, endpoints) != 1:
+        endpoints = instance.endpoints()
+        if connected_components(instance.node_count, [endpoints[i] for i in token]) != 1:
             raise InfeasibleToken("edge set does not span the graph")
-        return sum_image(instance.weights(), token)
+        return instance.scaled.image(token)
 
     def solve_weighted_sum(self, instance, gamma) -> SolutionRecord:
         return mst_oracle(instance, gamma)
 
     def bounds(self, instance) -> Bounds:
-        return cost_bounds(instance.weights(), instance.relaxed, instance.node_count - 1)
+        return cost_bounds(instance.scaled, instance.relaxed, instance.node_count - 1)
 
     def run_parametric(self, instance, compare):
         """Kruskal with every edge-weight comparison routed through ``compare``."""
-        values = [LinearValue(w.f1, w.f2) for w in instance.weights()]
-        return kruskal_run(instance.node_count, instance.endpoints(), values, compare)
+        values = instance.scaled.linear()
+        key = cmp_to_key(compare)
+        return kruskal_run(instance.node_count, instance.endpoints(), lambda i: key(values[i]))

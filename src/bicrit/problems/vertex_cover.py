@@ -5,25 +5,23 @@ subtract the smaller residual combined weight from both endpoints, and
 take every zero-residual vertex.  The cover's combined weight is at most
 twice the minimum combined weight over all covers.
 
-Local ratio is written once, over a comparator, as ``kruskal_run`` is: the
-concrete oracle runs it on the weights at one gamma, and ``run_parametric``
-on ``LinearValue`` residuals, where the cover depends on gamma only through
-the signs of linear forms.  ``sweep.solve_grid`` uses that to walk the
-weight grid symbolically: one run covers a whole range of grid indices and
-is split only where a comparison's critical weight falls inside it, so it
-makes one run per range of equal answers instead of one call per grid
-weight.
+Local ratio is written once, over a comparator: the concrete oracle runs
+it on the instance's scaled int weights (``ScaledWeights``) at one gamma,
+and ``run_parametric`` on ``LinearValue`` residuals built from the same
+ints, where the cover depends on gamma only through the signs of linear
+forms.  ``sweep.solve_grid`` uses that to walk the weight grid
+symbolically: one run covers a whole range of grid indices and is split
+only where a comparison's critical weight falls inside it, so it makes one
+run per range of equal answers instead of one call per grid weight.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 from ..core import Bounds, CostPair, ParametricAdapter, SolutionRecord, check_weight
 from ..errors import InfeasibleToken
-from ..exact_search import LinearValue
-from .graphs import VertexWeightedGraph, cost_bounds, fraction_compare, sum_image
+from .graphs import VertexWeightedGraph, cost_bounds, three_way
 
 
 def local_ratio_run(graph: VertexWeightedGraph, values, compare) -> frozenset:
@@ -44,11 +42,8 @@ def local_ratio_run(graph: VertexWeightedGraph, values, compare) -> frozenset:
 def vc_oracle(graph: VertexWeightedGraph, gamma) -> SolutionRecord:
     """Cover whose combined weight is within factor 2 of the minimum."""
     gamma = check_weight(gamma)
-    values = [w.weighted(gamma) for w in graph.vertex_weights]
-    token = local_ratio_run(graph, values, fraction_compare)
-    return SolutionRecord(
-        token=token, image=sum_image(graph.vertex_weights, token), produced_at=gamma
-    )
+    token = local_ratio_run(graph, graph.scaled.combined(gamma), three_way)
+    return SolutionRecord(token=token, image=graph.scaled.image(token), produced_at=gamma)
 
 
 class VertexCoverAdapter(ParametricAdapter):
@@ -64,24 +59,15 @@ class VertexCoverAdapter(ParametricAdapter):
         for u, v in instance.edges:
             if u not in token and v not in token:
                 raise InfeasibleToken(f"edge ({u},{v}) is uncovered")
-        return sum_image(instance.vertex_weights, token)
+        return instance.scaled.image(token)
 
     def solve_weighted_sum(self, instance, gamma) -> SolutionRecord:
         return vc_oracle(instance, gamma)
 
     def bounds(self, instance) -> Bounds:
         # A cover of positive weight contains at least one positive vertex.
-        return cost_bounds(instance.vertex_weights, instance.relaxed)
+        return cost_bounds(instance.scaled, instance.relaxed)
 
     def run_parametric(self, instance, compare):
-        """Local ratio over ``LinearValue(D*w1, D*w2)``, D the lcm of the weights' denominators.
-
-        Scaling every weight by D > 0 keeps every comparison's sign and
-        makes the residuals ints.
-        """
-        weights = [(w.f1, w.f2) for w in instance.vertex_weights]
-        scale = lcm(*(x.denominator for pair in weights for x in pair))
-        values = [
-            LinearValue(*(x.numerator * (scale // x.denominator) for x in pair)) for pair in weights
-        ]
-        return local_ratio_run(instance, values, compare)
+        """Local ratio over the instance's scaled weights as ``LinearValue``s: int residuals."""
+        return local_ratio_run(instance, instance.scaled.linear(), compare)
