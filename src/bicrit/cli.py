@@ -6,13 +6,17 @@ brute-force oracle, and the counterexample reproductions.
 
 Exit codes: 0 success, 2 usage, 3 no certificate / no feasible solution,
 4 parse or validation failure.
+
+The argument parser depends on no input, so it is built on the first call
+of ``main`` and kept for the process.  Nothing else is kept between calls:
+each call reads and validates its ``--input`` file again.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import hashlib
+import functools
 import json
 import sys
 import time
@@ -37,6 +41,16 @@ from .pareto import pareto_index_range  # noqa: F401  unused; perfbench's tracer
 from .problems import BiweightedGraph, VertexWeightedGraph, adapter_for
 from .sweep import BudgetQuery, solve_budget_fixed, solve_budget_sweep
 
+# CPython's builtin sha256, as random.py takes its sha512: hashlib would load
+# OpenSSL's libcrypto, megabytes resident, to hash a few KB per report.
+try:
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython before 3.12
+    except ImportError:
+        from hashlib import sha256
+
 PROBLEM_KINDS = ("mst", "path", "cut", "vc")
 ALGORITHMS = ("sweep", "binary", "parametric", "fixed")
 
@@ -48,10 +62,12 @@ def ingest(path: str):
     relaxed (bool), nodes (int), edges (list of {"u", "v", "w1", "w2"}),
     optional source/sink for path and cut instances, and vertex_weights
     (list of {"w1", "w2"}) for vertex-cover instances.  All rationals are
-    reduced "p/q" strings; vertex-cover edges carry no weights.
+    "p/q" strings of ASCII digits; vertex-cover edges carry no weights.
+    The file is read as bytes, so ``json`` detects UTF-8, -16 or -32
+    whatever the locale.
     """
     try:
-        with open(path) as handle:
+        with open(path, "rb") as handle:
             data = json.load(handle)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
@@ -61,8 +77,9 @@ def ingest(path: str):
 
 
 def _typed(value, kind, where):
-    # bool is a subclass of int, but a JSON true/false is never a count or a node.
-    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+    # Exact types: json.load makes no subclasses, and a JSON true/false (a
+    # bool, an int subclass) is never a count or a node.
+    if type(value) is not kind:
         raise ParseError(f"{where}: expected {kind.__name__}, got {type(value).__name__}")
     return value
 
@@ -89,8 +106,41 @@ def _rational_field(data, name, where):
         raise ParseError(f"{where}.{name}: {exc}") from None
 
 
+def _checked_ends(entry, where):
+    return (_field(entry, "u", int, where), _field(entry, "v", int, where))
+
+
 def _parse_pair(entry, where):
     return (_rational_field(entry, "w1", where), _rational_field(entry, "w2", where))
+
+
+# The unchecked readers: each takes an entry known to be a dict, tests
+# every field's type once, and returns None at the first field that is
+# missing, mistyped or not p/q.  Only then are the entries read again by
+# the ``_field`` readers above, whose error names that fault.
+
+
+def _ends(entry):
+    u, v = entry.get("u"), entry.get("v")
+    return (u, v) if type(u) is int and type(v) is int else None
+
+
+def _pair(entry):
+    w1, w2 = entry.get("w1"), entry.get("w2")
+    if type(w1) is str and type(w2) is str:
+        try:
+            return parse_rational(w1), parse_rational(w2)
+        except ParseError:
+            pass
+    return None
+
+
+def _read_entries(entries, read, checked, name):
+    """``read`` of every entry; if it fails on one, ``checked`` of each, which raises."""
+    out = [read(e) if type(e) is dict else None for e in entries]
+    if None in out:
+        out = [checked(e, f"{name}[{i}]") for i, e in enumerate(entries)]
+    return out
 
 
 def instance_from_dict(data):
@@ -102,21 +152,14 @@ def instance_from_dict(data):
     edges_raw = _field(data, "edges", list)
     if kind != "vc" and nodes > 2 * len(edges_raw) + 2:  # before any per-node allocation
         raise ParseError(f"nodes: {nodes} is more than the edges, source and sink can name")
-    ends = [
-        (_field(e, "u", int, f"edges[{i}]"), _field(e, "v", int, f"edges[{i}]"))
-        for i, e in enumerate(edges_raw)
-    ]
+    ends = _read_entries(edges_raw, _ends, _checked_ends, "edges")
     try:
         if kind == "vc":
             weights_raw = _field(data, "vertex_weights", list)
-            weights = [
-                _parse_pair(w, f"vertex_weights[{i}]") for i, w in enumerate(weights_raw)
-            ]
+            weights = _read_entries(weights_raw, _pair, _parse_pair, "vertex_weights")
             return VertexWeightedGraph(nodes, tuple(ends), tuple(weights), relaxed=relaxed)
-        edges = [
-            (u, v, _parse_pair(e, f"edges[{i}]"))
-            for i, ((u, v), e) in enumerate(zip(ends, edges_raw))
-        ]
+        pairs = _read_entries(edges_raw, _pair, _parse_pair, "edges")
+        edges = [(u, v, pair) for (u, v), pair in zip(ends, pairs)]
         instance = BiweightedGraph(
             nodes,
             tuple(edges),
@@ -166,7 +209,7 @@ def serialize_instance(instance) -> dict:
 
 def instance_digest(instance) -> str:
     canonical = json.dumps(serialize_instance(instance), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    return sha256(canonical.encode()).hexdigest()
 
 
 def _token_list(token):
@@ -388,7 +431,14 @@ def _cmd_repro(args, parser) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on first use and shared for the process.
+
+    It holds no state of a call: ``parse_args`` fills a new namespace each
+    time.  Building it costs about as much as a small Pareto curve, and it
+    is not built at import, which the benchmark's set-up time includes.
+    """
     parser = argparse.ArgumentParser(
         prog="bicrit",
         description="Budget-constrained bicriteria approximation and approximate "

@@ -18,7 +18,7 @@ from .errors import ExactOracleRequired, ParseError
 
 Rational = Fraction
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+_RATIONAL_RE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 def rational(value) -> Fraction:
@@ -39,15 +39,21 @@ def rational(value) -> Fraction:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse a reduced "p/q" (or plain "p") string, strictly.
+    """Parse a "p/q" (or plain "p") string of ASCII digits, strictly.
 
     Decimal and scientific notations are rejected so that instance files
-    stay bit-exact under any JSON reader.
+    stay bit-exact under any JSON reader, and so are spaces, underscores,
+    a trailing newline and non-ASCII digits, all of which ``int`` and
+    ``Fraction`` would accept: the pattern, not ``int``, is the gate.
     """
-    if not isinstance(text, str) or not _RATIONAL_RE.match(text):
+    match = _RATIONAL_RE.fullmatch(text) if isinstance(text, str) else None
+    if match is None:
         raise ParseError(f"not a p/q rational: {text!r}")
+    numerator, denominator = match.groups()
     try:
-        return Fraction(text)
+        if denominator is None:
+            return Fraction(int(numerator))
+        return Fraction(int(numerator), int(denominator))
     except ZeroDivisionError:
         raise ParseError(f"zero denominator: {text!r}") from None
     except ValueError:  # a number past Python's int-from-str digit limit
@@ -134,7 +140,8 @@ class CostPair:
     def __post_init__(self):
         object.__setattr__(self, "f1", rational(self.f1))
         object.__setattr__(self, "f2", rational(self.f2))
-        if self.f1 < 0 or self.f2 < 0:
+        # Signs on the int numerators: a Fraction comparison pays an ABC check.
+        if self.f1.numerator < 0 or self.f2.numerator < 0:
             raise ValueError(f"cost components must be nonnegative, got {self}")
 
     def weighted(self, gamma) -> Fraction:

@@ -29,13 +29,14 @@ def _as_cost_pair(w) -> CostPair:
 
 
 def _check_positivity(pairs, relaxed: bool, what: str):
+    # Signs on the int numerators: a Fraction comparison pays an ABC check.
     for i, w in enumerate(pairs):
-        if not relaxed and (w.f1 <= 0 or w.f2 <= 0):
+        if not relaxed and (w.f1.numerator <= 0 or w.f2.numerator <= 0):
             raise ValidationError(
                 f"{what} {i} has nonpositive weight {w} but the instance is not relaxed"
             )
     for dim, get in (("1", lambda w: w.f1), ("2", lambda w: w.f2)):
-        if not any(get(w) > 0 for w in pairs):
+        if not any(get(w).numerator > 0 for w in pairs):
             raise ValidationError(f"no positive {what} weight in dimension {dim}")
 
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import importlib.util
 import json
 import os
 import resource
@@ -9,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from bicrit.cli import ingest, instance_digest, main, serialize_instance
+from bicrit.cli import build_parser, ingest, instance_digest, main, serialize_instance
 from bicrit.core import parse_rational
 from bicrit.errors import ParseError, ValidationError
 from bicrit.marathe import example1_graph
@@ -88,6 +90,26 @@ class TestIngest:
         with pytest.raises(ValidationError):
             ingest(str(path))
 
+    @pytest.mark.parametrize("encoding", ["utf-8-sig", "utf-16", "utf-32-le"])
+    def test_file_is_decoded_by_json_not_the_locale(self, tmp_path, encoding):
+        text = Path(demo("demo_path.json")).read_text(encoding="utf-8")
+        path = tmp_path / "encoded.json"
+        path.write_bytes(text.encode(encoding))
+        assert ingest(str(path)) == ingest(demo("demo_path.json"))
+
+    def test_invalid_utf8_exits_four(self, capsys, tmp_path):
+        text = Path(demo("demo_mst_a.json")).read_text(encoding="utf-8")
+        path = tmp_path / "bad_bytes.json"
+        path.write_bytes(text.replace('"mst"', '"m\xffst"').encode("latin-1"))
+        assert main(["pareto", "--problem", "mst", "--input", str(path)]) == 4
+        err = capsys.readouterr().err
+        assert "malformed JSON" in err and "Traceback" not in err
+
+
+# Strings int() and Fraction() accept but the p/q format does not:
+# non-ASCII digits, a trailing newline, digit-group underscores.
+NOT_ASCII_P_Q = ["\uff13", "\u0663", "\uff13/\uff14", "3\n", "3/1\n", "3_0"]
+
 
 class TestExitCodes:
     def test_success(self, capsys):
@@ -129,6 +151,26 @@ class TestExitCodes:
                       "--epsilon", eps, "--input", demo("demo_mst_a.json")])
             assert excinfo.value.code == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("text", NOT_ASCII_P_Q)
+    def test_non_ascii_p_q_in_a_file_exits_four(self, capsys, tmp_path, text):
+        data = json.loads(Path(demo("demo_mst_a.json")).read_text())
+        data["edges"][1]["w1"] = text
+        path = tmp_path / "digits.json"
+        path.write_text(json.dumps(data))
+        assert main(["pareto", "--problem", "mst", "--input", str(path)]) == 4
+        assert capsys.readouterr().err == f"error: edges[1].w1: not a p/q rational: {text!r}\n"
+
+    @pytest.mark.parametrize("flag", ["--budget", "--epsilon"])
+    @pytest.mark.parametrize("text", NOT_ASCII_P_Q)
+    def test_non_ascii_p_q_in_a_flag_exits_two(self, capsys, flag, text):
+        argv = ["solve-budget", "--problem", "mst", "--budget", "3", "--epsilon", "1",
+                "--input", demo("demo_mst_a.json")]
+        argv[argv.index(flag) + 1] = text
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert f"{flag}: not a p/q rational: {text!r}" in capsys.readouterr().err
 
     def test_problem_mismatch_exits_two(self, capsys):
         code = main(["solve-budget", "--problem", "path", "--budget", "3",
@@ -379,3 +421,75 @@ class TestSerialization:
         a = BiweightedGraph(2, [(0, 1, (1, 1))], kind="mst")
         b = BiweightedGraph(2, [(0, 1, (1, 2))], kind="mst")
         assert instance_digest(a) != instance_digest(b)
+
+    @pytest.mark.parametrize("name", DEMOS)
+    def test_digest_is_sha256_of_the_canonical_json(self, name):
+        instance = ingest(demo(name))
+        canonical = json.dumps(serialize_instance(instance), sort_keys=True, separators=(",", ":"))
+        assert instance_digest(instance) == hashlib.sha256(canonical.encode()).hexdigest()
+
+
+class TestOneParserPerProcess:
+    """``main`` keeps its argparse parser between calls, and nothing else."""
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_no_flag_outlives_its_call(self, capsys):
+        mst = demo("demo_mst_b.json")
+        assert main(["solve-budget", "--problem", "mst", "--algorithm", "binary",
+                     "--budget", "3", "--epsilon", "1/2", "--input", mst, "--verify"]) == 0
+        assert main(["pareto", "--problem", "mst", "--parametric", "--verify",
+                     "--epsilon", "1/2", "--input", mst]) == 0
+        assert main(["pareto", "--problem", "mst", "--format", "csv", "--input", mst]) == 0
+        with pytest.raises(SystemExit) as excinfo:
+            main(["pareto", "--problem", "mst", "--format", "xml", "--input", mst])
+        assert excinfo.value.code == 2
+        capsys.readouterr()
+
+        argv = ["solve-budget", "--problem", "mst", "--budget", "3", "--input", mst]
+        code, report = run_json(capsys, argv)
+        assert code == 0 and report["command"] == argv
+        assert (report["algorithm"], report["epsilon"]) == ("sweep", "1")
+        assert "verification" not in report
+        argv = ["pareto", "--problem", "mst", "--input", mst]
+        code, report = run_json(capsys, argv)
+        assert code == 0 and isinstance(report, dict), report  # JSON, not CSV
+        assert report["command"] == argv and report["algorithm"] == "pareto"
+        assert report["epsilon"] == "1" and "verification" not in report
+
+    def test_each_call_reads_its_input_again(self, capsys, tmp_path):
+        data = json.loads(Path(demo("demo_mst_a.json")).read_text())
+        path = tmp_path / "changing.json"
+        argv = ["pareto", "--problem", "mst", "--input", str(path)]
+        digests = []
+        for w1 in ("3", "5"):
+            data["edges"][0]["w1"] = w1
+            path.write_text(json.dumps(data))
+            code, report = run_json(capsys, argv)
+            assert code == 0
+            digests.append(report["instance_digest"])
+        assert digests[0] != digests[1]
+        data["edges"][0]["w1"] = "5.0"
+        path.write_text(json.dumps(data))
+        assert main(argv) == 4
+        assert "edges[0].w1: not a p/q rational" in capsys.readouterr().err
+
+    @pytest.mark.skipif(
+        not any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256")),
+        reason="this Python has no builtin sha256 module",
+    )
+    def test_reports_hash_without_openssl(self):
+        # hashlib would load OpenSSL's libcrypto through _hashlib.
+        script = (
+            "import contextlib, io, sys\n"
+            "from bicrit.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = main(['pareto', '--problem', 'mst', '--input', {demo('demo_mst_a.json')!r}])\n"
+            "print(code, '_hashlib' in sys.modules)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+        )
+        assert done.stdout.split() == ["0", "False"], done.stderr

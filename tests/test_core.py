@@ -49,7 +49,11 @@ class TestRationals:
         assert format_rational(Fraction(4, 8)) == "1/2"
         assert format_rational(Fraction(8, 4)) == "2"
 
-    @pytest.mark.parametrize("bad", ["1.5", "1e3", "", "3/0", "a/b", "1/2/3", " 1"])
+    @pytest.mark.parametrize("bad", [
+        "1.5", "1e3", "", "3/0", "a/b", "1/2/3", " 1",
+        # int() and Fraction() take these; the format does not
+        "\uff13/\uff14", "\u0663", "1\n", "1/2\n", "1_000", "1/1_0", "-\u0663",
+    ])
     def test_parse_rejects_inexact_forms(self, bad):
         with pytest.raises(ParseError):
             parse_rational(bad)
