@@ -7,6 +7,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -232,6 +233,37 @@ class TestExitCodes:
         capsys.readouterr()
         assert main(argv[:-1]) == 0  # fine without verification
         capsys.readouterr()
+
+    def test_verify_mst_with_1500_parallel_edges_exits_zero(self, capsys, tmp_path):
+        # The recursive tree enumeration went one level deeper per edge: RecursionError.
+        edges = tuple((0, 1, (1 + i % 5, 1 + i * 7 % 5)) for i in range(1500))
+        path = write_instance(tmp_path, BiweightedGraph(2, edges, kind="mst"))
+        code, report = run_json(
+            capsys, ["pareto", "--problem", "mst", "--epsilon", "1", "--input", path, "--verify"]
+        )
+        assert code == 0
+        assert report["verification"]["solutions_checked"] == 1500
+        assert report["verification"]["verdict"] is True
+        code, report = run_json(capsys, ["solve-budget", "--problem", "mst", "--budget", "3",
+                                         "--epsilon", "1", "--input", path, "--verify"])
+        assert code == 0
+        assert report["verification"]["verdict"] is True
+
+    def test_verify_path_with_a_dead_end_component_is_bounded(self, capsys, tmp_path):
+        # Nodes 0-9 pairwise joined twice, the sink joined to the source only: one
+        # path, but the unpruned walk covered every simple path in the dead end.
+        edges = [(u, v, (1, 2)) for u in range(10) for v in range(u + 1, 10) for _ in range(2)]
+        edges.append((0, 10, (1, 1)))
+        graph = BiweightedGraph(11, tuple(edges), kind="path", source=0, sink=10)
+        path = write_instance(tmp_path, graph)
+        started = time.perf_counter()
+        code, report = run_json(
+            capsys, ["pareto", "--problem", "path", "--epsilon", "1", "--input", path, "--verify"]
+        )
+        assert time.perf_counter() - started < 10
+        assert code == 0
+        assert report["verification"]["solutions_checked"] == 1
+        assert report["verification"]["verdict"] is True
 
     @pytest.mark.parametrize("field, value, where", [
         ("relaxed", "false", "relaxed"),
