@@ -1,8 +1,15 @@
 """Command-line front end.
 
-Instance ingestion from a bit-exact JSON format, algorithm selection,
-certificate and Pareto reporting, optional verification against the
-brute-force oracle, and the counterexample reproductions.
+Instance ingestion, algorithm selection, certificate and Pareto
+reporting, optional verification against the brute-force oracle, and the
+counterexample reproductions.  The instance format, its digest and the
+report layout live in ``formats``.
+
+``Fraction`` appears only at the edges of a call.  Ingest reads every
+"p/q" of the instance file as a reduced int pair, and the oracles work
+on ints scaled from those pairs.  Fractions are made for the flags, for
+the images, weights and factors a run produces, and for the report that
+prints them.
 
 Exit codes: 0 success, 2 usage, 3 no certificate / no feasible solution,
 4 parse or validation failure.
@@ -34,24 +41,14 @@ from .errors import (
     ValidationError,
 )
 from .exact_search import solve_budget_binary, solve_budget_parametric
+from .formats import PROBLEM_KINDS, instance_digest, instance_from_dict, report_json
 from .marathe import example2_graph, reproduce_example1, reproduce_example2
 from .oracle import exact_opt_budget, enumerate_all, verify_budget, verify_pareto_coverage
 from .pareto import approximate_pareto, pareto_from_parametric
 from .pareto import pareto_index_range  # noqa: F401  unused; perfbench's tracer wraps this name
-from .problems import BiweightedGraph, VertexWeightedGraph, adapter_for
+from .problems import adapter_for
 from .sweep import BudgetQuery, solve_budget_fixed, solve_budget_sweep
 
-# CPython's builtin sha256, as random.py takes its sha512: hashlib would load
-# OpenSSL's libcrypto, megabytes resident, to hash a few KB per report.
-try:
-    from _sha2 import sha256  # CPython 3.12+
-except ImportError:
-    try:
-        from _sha256 import sha256  # CPython before 3.12
-    except ImportError:
-        from hashlib import sha256
-
-PROBLEM_KINDS = ("mst", "path", "cut", "vc")
 ALGORITHMS = ("sweep", "binary", "parametric", "fixed")
 
 
@@ -73,143 +70,9 @@ def ingest(path: str):
         raise ParseError(f"cannot read {path}: {exc}") from None
     except ValueError as exc:  # bad JSON or bytes, or an int past Python's digit limit
         raise ParseError(f"{path}: malformed JSON: {exc}") from None
+    except RecursionError:  # arrays or objects nested past the interpreter's limit
+        raise ParseError(f"{path}: malformed JSON: nested too deeply") from None
     return instance_from_dict(data)
-
-
-def _typed(value, kind, where):
-    # Exact types: json.load makes no subclasses, and a JSON true/false (a
-    # bool, an int subclass) is never a count or a node.
-    if type(value) is not kind:
-        raise ParseError(f"{where}: expected {kind.__name__}, got {type(value).__name__}")
-    return value
-
-
-def _field(data, name, kind, where=""):
-    """``data[name]`` checked to be a ``kind``; errors name the path, as in edges[3].w1."""
-    _typed(data, dict, where or "instance")
-    path = f"{where}.{name}" if where else name
-    if name not in data:
-        raise ParseError(f"{path}: missing field")
-    return _typed(data[name], kind, path)
-
-
-def _optional_int(data, name):
-    value = data.get(name)
-    return None if value is None else _typed(value, int, name)
-
-
-def _rational_field(data, name, where):
-    text = _field(data, name, str, where)
-    try:
-        return parse_rational(text)
-    except ParseError as exc:
-        raise ParseError(f"{where}.{name}: {exc}") from None
-
-
-def _checked_ends(entry, where):
-    return (_field(entry, "u", int, where), _field(entry, "v", int, where))
-
-
-def _parse_pair(entry, where):
-    return (_rational_field(entry, "w1", where), _rational_field(entry, "w2", where))
-
-
-# The unchecked readers: each takes an entry known to be a dict, tests
-# every field's type once, and returns None at the first field that is
-# missing, mistyped or not p/q.  Only then are the entries read again by
-# the ``_field`` readers above, whose error names that fault.
-
-
-def _ends(entry):
-    u, v = entry.get("u"), entry.get("v")
-    return (u, v) if type(u) is int and type(v) is int else None
-
-
-def _pair(entry):
-    w1, w2 = entry.get("w1"), entry.get("w2")
-    if type(w1) is str and type(w2) is str:
-        try:
-            return parse_rational(w1), parse_rational(w2)
-        except ParseError:
-            pass
-    return None
-
-
-def _read_entries(entries, read, checked, name):
-    """``read`` of every entry; if it fails on one, ``checked`` of each, which raises."""
-    out = [read(e) if type(e) is dict else None for e in entries]
-    if None in out:
-        out = [checked(e, f"{name}[{i}]") for i, e in enumerate(entries)]
-    return out
-
-
-def instance_from_dict(data):
-    kind = _field(data, "kind", str)
-    if kind not in PROBLEM_KINDS:
-        raise ParseError(f"unknown kind {kind!r}")
-    relaxed = _typed(data.get("relaxed", False), bool, "relaxed")
-    nodes = _field(data, "nodes", int)
-    edges_raw = _field(data, "edges", list)
-    if kind != "vc" and nodes > 2 * len(edges_raw) + 2:  # before any per-node allocation
-        raise ParseError(f"nodes: {nodes} is more than the edges, source and sink can name")
-    ends = _read_entries(edges_raw, _ends, _checked_ends, "edges")
-    try:
-        if kind == "vc":
-            weights_raw = _field(data, "vertex_weights", list)
-            weights = _read_entries(weights_raw, _pair, _parse_pair, "vertex_weights")
-            return VertexWeightedGraph(nodes, tuple(ends), tuple(weights), relaxed=relaxed)
-        pairs = _read_entries(edges_raw, _pair, _parse_pair, "edges")
-        edges = [(u, v, pair) for (u, v), pair in zip(ends, pairs)]
-        instance = BiweightedGraph(
-            nodes,
-            tuple(edges),
-            kind=kind,
-            source=_optional_int(data, "source"),
-            sink=_optional_int(data, "sink"),
-            relaxed=relaxed,
-        )
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from None
-    if kind == "mst" and not instance.is_connected():
-        raise ValidationError("spanning-tree instance is not connected")
-    if kind == "cut" and not relaxed and not instance.is_connected():
-        raise ValidationError(
-            "strict cut instance must be connected (a zero-capacity cut needs relaxed=true)"
-        )
-    return instance
-
-
-def serialize_instance(instance) -> dict:
-    """Canonical dict form of an instance; inverse of ``instance_from_dict``."""
-    if isinstance(instance, VertexWeightedGraph):
-        return {
-            "kind": "vc",
-            "relaxed": instance.relaxed,
-            "nodes": instance.node_count,
-            "edges": [{"u": u, "v": v} for u, v in instance.edges],
-            "vertex_weights": [
-                {"w1": format_rational(w.f1), "w2": format_rational(w.f2)}
-                for w in instance.vertex_weights
-            ],
-        }
-    out = {
-        "kind": instance.kind,
-        "relaxed": instance.relaxed,
-        "nodes": instance.node_count,
-        "edges": [
-            {"u": u, "v": v, "w1": format_rational(w.f1), "w2": format_rational(w.f2)}
-            for u, v, w in instance.edges
-        ],
-    }
-    if instance.source is not None:
-        out["source"] = instance.source
-        out["sink"] = instance.sink
-    return out
-
-
-def instance_digest(instance) -> str:
-    canonical = json.dumps(serialize_instance(instance), sort_keys=True, separators=(",", ":"))
-    return sha256(canonical.encode()).hexdigest()
 
 
 def _token_list(token):
@@ -262,7 +125,7 @@ def _long_integers():
 
 
 def _emit(report: dict) -> None:
-    print(json.dumps(report, indent=2, sort_keys=True))
+    print(report_json(report))
 
 
 def _budget_verification(instance, record, budget, eps, alpha, factors):

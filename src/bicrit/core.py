@@ -1,9 +1,12 @@
 """Exact arithmetic, shared domain types, and the problem-adapter contract.
 
-All objective values, weights, and accuracy parameters are exact rationals
-(`fractions.Fraction`).  There is no floating point anywhere in the
+Every number is exact.  There is no floating point anywhere in the
 algorithmic path: guarantee factors such as (1 + 2/eps) and the
-counterexample reproductions require exact comparisons.
+counterexample reproductions require exact comparisons.  An instance
+file's weights are read as reduced int pairs (``parse_ratio``) and stay
+ints in the oracles (``problems.graphs.ScaledWeights``).  Images, weights
+gamma, bounds, factors and accuracy parameters are exact rationals
+(`fractions.Fraction`), which reports print with ``format_rational``.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ import re
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Any, Optional
 
 from .errors import ExactOracleRequired, ParseError
@@ -38,8 +42,8 @@ def rational(value) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as a rational")
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse a "p/q" (or plain "p") string of ASCII digits, strictly.
+def parse_ratio(text: str) -> tuple:
+    """Parse a "p/q" (or plain "p") string of ASCII digits into reduced ints (p, q), q > 0.
 
     Decimal and scientific notations are rejected so that instance files
     stay bit-exact under any JSON reader, and so are spaces, underscores,
@@ -51,13 +55,26 @@ def parse_rational(text: str) -> Fraction:
         raise ParseError(f"not a p/q rational: {text!r}")
     numerator, denominator = match.groups()
     try:
+        p = int(numerator)
         if denominator is None:
-            return Fraction(int(numerator))
-        return Fraction(int(numerator), int(denominator))
-    except ZeroDivisionError:
-        raise ParseError(f"zero denominator: {text!r}") from None
+            return p, 1
+        q = int(denominator)
     except ValueError:  # a number past Python's int-from-str digit limit
         raise ParseError(f"too many digits in a {len(text)}-character rational") from None
+    if q == 0:
+        raise ParseError(f"zero denominator: {text!r}")
+    g = gcd(p, q)
+    return p // g, q // g
+
+
+def parse_rational(text: str) -> Fraction:
+    """``parse_ratio`` as a Fraction, for the flags and the library."""
+    return Fraction(*parse_ratio(text))
+
+
+def ratio_text(p: int, q: int) -> str:
+    """The canonical text of the reduced ratio p/q: "p/q", or "p" when q is 1."""
+    return str(p) if q == 1 else f"{p}/{q}"
 
 
 def format_rational(value: Fraction) -> str:

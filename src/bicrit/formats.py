@@ -1,0 +1,268 @@
+"""The instance file format, its canonical form and digest, and the report layout.
+
+An instance file is a JSON object (see ``cli.ingest``); every rational in
+it is a "p/q" string.  ``instance_from_dict`` parses each distinct text
+once into a reduced int pair and hands the pairs to the graphs'
+``from_ratios``, so no ``Fraction`` or ``CostPair`` is made per weight.
+The canonical form of an instance is ``serialize_instance`` with keys
+sorted and no spaces; ``instance_digest`` hashes it, written in one join
+from the canonical texts of the weights.  ``report_json`` lays out a
+report as ``json.dumps(report, indent=2, sort_keys=True)`` does.
+"""
+
+from __future__ import annotations
+
+import itertools
+import json
+import math
+import operator
+
+from .core import parse_ratio, ratio_text
+from .errors import ParseError, ValidationError
+from .problems import BiweightedGraph, VertexWeightedGraph
+
+# CPython's builtin sha256, as random.py takes its sha512: hashlib would load
+# OpenSSL's libcrypto, megabytes resident, to hash a few KB per report.
+try:
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython before 3.12
+    except ImportError:
+        from hashlib import sha256
+
+PROBLEM_KINDS = ("mst", "path", "cut", "vc")
+
+
+def _typed(value, kind, where):
+    # Exact types: json.load makes no subclasses, and a JSON true/false (a
+    # bool, an int subclass) is never a count or a node.
+    if type(value) is not kind:
+        raise ParseError(f"{where}: expected {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
+def _field(data, name, kind, where=""):
+    """``data[name]`` checked to be a ``kind``; errors name the path, as in edges[3].w1."""
+    _typed(data, dict, where or "instance")
+    path = f"{where}.{name}" if where else name
+    if name not in data:
+        raise ParseError(f"{path}: missing field")
+    return _typed(data[name], kind, path)
+
+
+def _optional_int(data, name):
+    value = data.get(name)
+    return None if value is None else _typed(value, int, name)
+
+
+def _rational(text):
+    """((p, q), canonical text) of a p/q string; the text itself when it is canonical."""
+    p, q = parse_ratio(text)
+    canonical = ratio_text(p, q)
+    return (p, q), (text if text == canonical else canonical)
+
+
+def _rational_field(data, name, where):
+    text = _field(data, name, str, where)
+    try:
+        return _rational(text)
+    except ParseError as exc:
+        raise ParseError(f"{where}.{name}: {exc}") from None
+
+
+def _checked_ends(entry, where):
+    return (_field(entry, "u", int, where), _field(entry, "v", int, where))
+
+
+def _checked_weights(entry, where):
+    (r1, t1), (r2, t2) = (_rational_field(entry, name, where) for name in ("w1", "w2"))
+    return (r1, r2), (t1, t2)
+
+
+# The fast readers take a whole list of entries at once and return None
+# at the first entry that is not a dict, or whose field is missing,
+# mistyped or not p/q.  Only then are the entries read again, one by one,
+# by the ``_checked`` readers above, whose error names that fault.
+
+_ENDS = operator.itemgetter("u", "v")
+_WEIGHTS = operator.itemgetter("w1", "w2")
+
+
+def _read_ends(entries):
+    """Each entry's (u, v), or None."""
+    try:
+        ends = list(map(_ENDS, entries))
+    except (KeyError, TypeError):  # not a dict, or a field missing
+        return None
+    return ends if set(map(type, itertools.chain.from_iterable(ends))) <= {int} else None
+
+
+def _read_weights(entries):
+    """(ratios, texts): per entry, its w1 and w2 as (p, q) pairs and as canonical texts, or None.
+
+    A file's weights repeat, so each distinct text is parsed once.
+    """
+    seen = {}  # text -> ((p, q), canonical text)
+    ratios, texts = [], []
+    try:
+        for w1, w2 in map(_WEIGHTS, entries):
+            a = seen.get(w1)
+            if a is None:
+                if type(w1) is not str:
+                    return None
+                a = seen[w1] = _rational(w1)
+            b = seen.get(w2)
+            if b is None:
+                if type(w2) is not str:
+                    return None
+                b = seen[w2] = _rational(w2)
+            ratios.append((a[0], b[0]))
+            texts.append((a[1], b[1]))
+    except (KeyError, TypeError, ParseError):  # not a dict, a field missing, or not p/q
+        return None
+    return ratios, texts
+
+
+def _ends(entries, name):
+    ends = _read_ends(entries)
+    if ends is None:
+        ends = [_checked_ends(e, f"{name}[{i}]") for i, e in enumerate(entries)]
+    return ends
+
+
+def _weights(entries, name):
+    out = _read_weights(entries)
+    if out is None:
+        read = [_checked_weights(e, f"{name}[{i}]") for i, e in enumerate(entries)]
+        out = [ratios for ratios, _ in read], [texts for _, texts in read]
+    return out
+
+
+def instance_from_dict(data):
+    kind = _field(data, "kind", str)
+    if kind not in PROBLEM_KINDS:
+        raise ParseError(f"unknown kind {kind!r}")
+    relaxed = _typed(data.get("relaxed", False), bool, "relaxed")
+    nodes = _field(data, "nodes", int)
+    edges_raw = _field(data, "edges", list)
+    if kind != "vc" and nodes > 2 * len(edges_raw) + 2:  # before any per-node allocation
+        raise ParseError(f"nodes: {nodes} is more than the edges, source and sink can name")
+    ends = _ends(edges_raw, "edges")
+    try:
+        if kind == "vc":
+            weights_raw = _field(data, "vertex_weights", list)
+            ratios, texts = _weights(weights_raw, "vertex_weights")
+            return VertexWeightedGraph.from_ratios(
+                nodes, ends, ratios, relaxed=relaxed, texts=texts
+            )
+        ratios, texts = _weights(edges_raw, "edges")
+        instance = BiweightedGraph.from_ratios(
+            nodes,
+            ends,
+            ratios,
+            kind=kind,
+            source=_optional_int(data, "source"),
+            sink=_optional_int(data, "sink"),
+            relaxed=relaxed,
+            texts=texts,
+        )
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from None
+    if kind == "mst" and not instance.is_connected():
+        raise ValidationError("spanning-tree instance is not connected")
+    if kind == "cut" and not relaxed and not instance.is_connected():
+        raise ValidationError(
+            "strict cut instance must be connected (a zero-capacity cut needs relaxed=true)"
+        )
+    return instance
+
+
+def serialize_instance(instance) -> dict:
+    """Canonical dict form of an instance; inverse of ``instance_from_dict``."""
+    texts = instance.weight_texts
+    if instance.kind == "vc":
+        return {
+            "kind": "vc",
+            "relaxed": instance.relaxed,
+            "nodes": instance.node_count,
+            "edges": [{"u": u, "v": v} for u, v in instance.edges],
+            "vertex_weights": [{"w1": a, "w2": b} for a, b in texts],
+        }
+    out = {
+        "kind": instance.kind,
+        "relaxed": instance.relaxed,
+        "nodes": instance.node_count,
+        "edges": [
+            {"u": u, "v": v, "w1": a, "w2": b}
+            for (u, v), (a, b) in zip(instance.endpoints(), texts)
+        ],
+    }
+    if instance.source is not None:
+        out["source"] = instance.source
+        out["sink"] = instance.sink
+    return out
+
+
+def _canonical_json(instance) -> str:
+    """``serialize_instance`` as JSON with sorted keys and no spaces, written in one join."""
+    texts = instance.weight_texts
+    relaxed = "true" if instance.relaxed else "false"
+    head = f'"kind":"{instance.kind}","nodes":{instance.node_count},"relaxed":{relaxed}'
+    if instance.kind == "vc":
+        edges = ",".join([f'{{"u":{u},"v":{v}}}' for u, v in instance.edges])
+        weights = ",".join([f'{{"w1":"{a}","w2":"{b}"}}' for a, b in texts])
+        return f'{{"edges":[{edges}],{head},"vertex_weights":[{weights}]}}'
+    edges = ",".join(
+        [
+            f'{{"u":{u},"v":{v},"w1":"{a}","w2":"{b}"}}'
+            for (u, v), (a, b) in zip(instance.endpoints(), texts)
+        ]
+    )
+    if instance.source is not None:
+        head += f',"sink":{instance.sink},"source":{instance.source}'
+    return f'{{"edges":[{edges}],{head}}}'
+
+
+def instance_digest(instance) -> str:
+    """SHA-256 of the instance's canonical JSON: ``serialize_instance``, keys sorted, no spaces."""
+    return sha256(_canonical_json(instance).encode()).hexdigest()
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+_LEAF_WRITERS = {int: int.__repr__, str: _encode_str}
+
+
+def report_json(value, pad="") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, written at indent ``pad``.
+
+    For what a report holds: dicts with str keys, lists, tuples, strs,
+    ints, floats, bools and None, of exactly those types.  With an indent,
+    ``json`` takes its pure-Python encoder, which builds mutually recursive
+    closures on every call: slower, and a reference cycle per report.
+    Strings go through the C ``encode_basestring_ascii`` that
+    ``json.dumps`` uses by default.
+    """
+    kind = type(value)
+    leaf = _LEAF_WRITERS.get(kind)
+    if leaf is not None:
+        return leaf(value)
+    if kind is dict or kind is list or kind is tuple:
+        opening, closing = "{}" if kind is dict else "[]"
+        if not value:
+            return opening + closing
+        inner = pad + "  "
+        if kind is dict:
+            items = [f"{_encode_str(k)}: {report_json(value[k], inner)}" for k in sorted(value)]
+        else:
+            kinds = set(map(type, value))
+            leaf = _LEAF_WRITERS.get(kinds.pop()) if len(kinds) == 1 else None
+            items = map(leaf, value) if leaf else [report_json(v, inner) for v in value]
+        return f"{opening}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{closing}"
+    if value is None or kind is bool:
+        return "null" if value is None else "true" if value else "false"
+    if kind is float:
+        if math.isfinite(value):
+            return float.__repr__(value)
+        return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")

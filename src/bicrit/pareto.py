@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Bounds, ProblemAdapter, ceil_log, check_epsilon, rational
+from .core import Bounds, ProblemAdapter, check_epsilon, rational
 from .core import pow_one_plus_eps  # noqa: F401  unused; perfbench's tracer wraps this name
 from .sweep import IndexRange, grid_factors, solve_grid, zero_f2_weight
 
@@ -77,13 +77,6 @@ def pareto_index_range(eps, bounds: Bounds) -> IndexRange:
     """Exponent range bracketing [eps*LB(1)/UB(2), eps*UB(1)/LB(2)] exactly."""
     eps = check_epsilon(eps)
     return IndexRange.covering(eps, eps * bounds.lb1 / bounds.ub2, eps * bounds.ub1 / bounds.lb2)
-
-
-def pareto_call_bound(eps, bounds: Bounds) -> int:
-    """Grid-size bound ceil(log_{1+eps}(UB1*UB2/(LB1*LB2))) + 2."""
-    eps = check_epsilon(eps)
-    ratio = (bounds.ub1 * bounds.ub2) / (bounds.lb1 * bounds.lb2)
-    return ceil_log(1 + eps, ratio) + 2
 
 
 def approximate_pareto(adapter: ProblemAdapter, instance, eps) -> ParetoSet:

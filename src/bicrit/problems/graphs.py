@@ -2,20 +2,25 @@
 
 Both graph kinds are immutable after construction.  Parallel edges are
 first-class (the zero-cost boundary fixtures need them); self-loops are
-rejected since no plugin can use one.  What the oracles derive from an
-instance alone, its ``ScaledWeights`` and its adjacency, is built on first
-use and kept with the instance.
+rejected since no plugin can use one.  An instance keeps its weights as
+``ratios``: per weight pair, ((p1, q1), (p2, q2)) with w1 = p1/q1 and
+w2 = p2/q2 in lowest terms, q > 0.  The constructors take ``CostPair``s
+(or pairs that ``CostPair`` accepts); ``from_ratios`` takes the int pairs
+straight from a reader, and the ``CostPair``s are then built only when
+read.  What the oracles derive from an instance alone, its
+``ScaledWeights`` and its adjacency, is built on first use and kept with
+the instance.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
 from typing import Optional
 
-from ..core import Bounds, CostPair
+from ..core import Bounds, CostPair, ratio_text
 from ..errors import ValidationError
 from ..exact_search import LinearValue
 
@@ -28,20 +33,66 @@ def _as_cost_pair(w) -> CostPair:
     return CostPair(*w)
 
 
-def _check_positivity(pairs, relaxed: bool, what: str):
-    # Signs on the int numerators: a Fraction comparison pays an ABC check.
-    for i, w in enumerate(pairs):
-        if not relaxed and (w.f1.numerator <= 0 or w.f2.numerator <= 0):
+def _ratio(w: CostPair) -> tuple:
+    return (w.f1.numerator, w.f1.denominator), (w.f2.numerator, w.f2.denominator)
+
+
+def _cost_pair(ratio) -> CostPair:
+    (p1, q1), (p2, q2) = ratio
+    return CostPair(Fraction(p1, q1), Fraction(p2, q2))
+
+
+def _check_ends(node_count: int, u, v):
+    if not (0 <= u < node_count and 0 <= v < node_count):
+        raise ValidationError(f"edge ({u},{v}) references a missing node")
+    if u == v:
+        raise ValidationError(f"self-loop at node {u}")
+
+
+def _check_positivity(ratios, relaxed: bool, what: str):
+    for i, ((p1, _), (p2, _)) in enumerate(ratios):
+        if not relaxed and (p1 <= 0 or p2 <= 0):
             raise ValidationError(
-                f"{what} {i} has nonpositive weight {w} but the instance is not relaxed"
+                f"{what} {i} has nonpositive weight {_cost_pair(ratios[i])} "
+                "but the instance is not relaxed"
             )
-    for dim, get in (("1", lambda w: w.f1), ("2", lambda w: w.f2)):
-        if not any(get(w).numerator > 0 for w in pairs):
-            raise ValidationError(f"no positive {what} weight in dimension {dim}")
+    for dim in (0, 1):
+        if not any(ratio[dim][0] > 0 for ratio in ratios):
+            raise ValidationError(f"no positive {what} weight in dimension {dim + 1}")
 
 
-@dataclass(frozen=True)
-class BiweightedGraph:
+class _Graph:
+    """Immutability, equality and the weight-derived views both graph kinds share.
+
+    A subclass stores its fields in ``__dict__`` and lists them in ``_fields``.
+    """
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    @cached_property
+    def scaled(self) -> "ScaledWeights":
+        """The weights as ints, for the oracles."""
+        return ScaledWeights.of(self.ratios)
+
+    @cached_property
+    def weight_texts(self) -> tuple:
+        """Per weight pair, the canonical texts ("p/q", or "p") of w1 and w2."""
+        return tuple([(ratio_text(*a), ratio_text(*b)) for a, b in self.ratios])
+
+
+class BiweightedGraph(_Graph):
     """Undirected multigraph with a CostPair per edge.
 
     ``kind`` selects the solution space: spanning trees ("mst"),
@@ -50,47 +101,100 @@ class BiweightedGraph:
     components are permitted.
     """
 
-    node_count: int
-    edges: tuple = ()
-    kind: str = "mst"
-    source: Optional[int] = None
-    sink: Optional[int] = None
-    relaxed: bool = False
+    def __init__(
+        self,
+        node_count: int,
+        edges=(),
+        kind: str = "mst",
+        source: Optional[int] = None,
+        sink: Optional[int] = None,
+        relaxed: bool = False,
+    ):
+        self._check_header(node_count, kind)
+        ends, pairs = [], []
+        for u, v, w in edges:
+            _check_ends(node_count, u, v)
+            ends.append((u, v))
+            pairs.append(_as_cost_pair(w))
+        self._store(node_count, ends, [_ratio(w) for w in pairs], kind, source, sink, relaxed)
+        self.__dict__["edges"] = tuple([(u, v, w) for (u, v), w in zip(ends, pairs)])
 
-    def __post_init__(self):
-        if self.kind not in GRAPH_KINDS:
-            raise ValidationError(f"unknown graph kind {self.kind!r}")
-        if self.node_count < 1:
+    @classmethod
+    def from_ratios(
+        cls, node_count, ends, ratios, kind="mst", source=None, sink=None, relaxed=False, texts=None
+    ) -> "BiweightedGraph":
+        """The graph with edge ``ends[i]`` weighted by ``ratios[i]``, in lowest terms.
+
+        It checks what the constructor checks, in the same order and with
+        the same messages.  ``texts``, when given, are the ``weight_texts``.
+        """
+        cls._check_header(node_count, kind)
+        for (u, v), ratio in zip(ends, ratios, strict=True):
+            if not (0 <= u < node_count and 0 <= v < node_count and u != v):
+                _check_ends(node_count, u, v)
+            if ratio[0][0] < 0 or ratio[1][0] < 0:
+                _cost_pair(ratio)  # raises CostPair's own error
+        graph = cls.__new__(cls)
+        graph._store(node_count, ends, ratios, kind, source, sink, relaxed)
+        if texts is not None:
+            graph.__dict__["weight_texts"] = tuple(texts)
+        return graph
+
+    @staticmethod
+    def _check_header(node_count, kind):
+        if kind not in GRAPH_KINDS:
+            raise ValidationError(f"unknown graph kind {kind!r}")
+        if node_count < 1:
             raise ValidationError("graph needs at least one node")
-        edges = []
-        for u, v, w in self.edges:
-            if not (0 <= u < self.node_count and 0 <= v < self.node_count):
-                raise ValidationError(f"edge ({u},{v}) references a missing node")
-            if u == v:
-                raise ValidationError(f"self-loop at node {u}")
-            edges.append((u, v, _as_cost_pair(w)))
-        object.__setattr__(self, "edges", tuple(edges))
-        _check_positivity([w for _, _, w in self.edges], self.relaxed, "edge")
-        if self.kind == "mst":
-            if self.node_count < 2:
+
+    def _store(self, node_count, ends, ratios, kind, source, sink, relaxed):
+        _check_positivity(ratios, relaxed, "edge")
+        if kind == "mst":
+            if node_count < 2:
                 raise ValidationError("spanning-tree instance needs >= 2 nodes")
-            if self.source is not None or self.sink is not None:
+            if source is not None or sink is not None:
                 raise ValidationError("mst instances carry no source/sink")
         else:
-            if self.source is None or self.sink is None:
-                raise ValidationError(f"{self.kind} instance needs source and sink")
-            for name, node in (("source", self.source), ("sink", self.sink)):
-                if not 0 <= node < self.node_count:
+            if source is None or sink is None:
+                raise ValidationError(f"{kind} instance needs source and sink")
+            for name, node in (("source", source), ("sink", sink)):
+                if not 0 <= node < node_count:
                     raise ValidationError(f"{name} {node} is not a node")
-            if self.source == self.sink:
+            if source == sink:
                 raise ValidationError("source and sink must differ")
+        self.__dict__.update(
+            node_count=node_count,
+            kind=kind,
+            source=source,
+            sink=sink,
+            relaxed=relaxed,
+            ratios=tuple(ratios),
+            _ends=tuple(ends),
+        )
+
+    def _fields(self) -> tuple:
+        return (
+            self.node_count, self._ends, self.ratios, self.kind, self.source, self.sink, self.relaxed
+        )
+
+    def __repr__(self):
+        return (
+            f"BiweightedGraph(node_count={self.node_count!r}, edges={self.edges!r}, "
+            f"kind={self.kind!r}, source={self.source!r}, sink={self.sink!r}, "
+            f"relaxed={self.relaxed!r})"
+        )
+
+    @cached_property
+    def edges(self) -> tuple:
+        """(u, v, CostPair) per edge."""
+        return tuple([(u, v, _cost_pair(r)) for (u, v), r in zip(self._ends, self.ratios)])
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return len(self._ends)
 
-    def endpoints(self):
-        return [(u, v) for u, v, _ in self.edges]
+    def endpoints(self) -> tuple:
+        return self._ends
 
     def weights(self):
         return [w for _, _, w in self.edges]
@@ -99,61 +203,87 @@ class BiweightedGraph:
     def adjacency(self) -> tuple:
         """Per-node tuple of (edge index, other endpoint), in edge order."""
         adj = [[] for _ in range(self.node_count)]
-        for i, (u, v, _) in enumerate(self.edges):
+        for i, (u, v) in enumerate(self._ends):
             adj[u].append((i, v))
             adj[v].append((i, u))
-        return tuple(map(tuple, adj))
+        # Tuples of lists, as everywhere in this module: CPython resizes a
+        # tuple built from a generator and keeps the freed tuple in a free
+        # list that only a full collection empties, so memory would grow
+        # with every instance.
+        return tuple([tuple(incident) for incident in adj])
 
     @cached_property
     def neighbours(self) -> tuple:
         """Per-node tuple of the distinct adjacent nodes, in index order."""
-        return tuple(tuple(sorted({other for _, other in incident})) for incident in self.adjacency)
-
-    @cached_property
-    def scaled(self) -> "ScaledWeights":
-        """The edge weights as ints, for the oracles."""
-        return ScaledWeights.of(self.weights())
+        return tuple([tuple(sorted({other for _, other in adj})) for adj in self.adjacency])
 
     def is_connected(self) -> bool:
-        return connected_components(self.node_count, self.endpoints()) == 1
+        return connected_components(self.node_count, self._ends) == 1
 
 
-@dataclass(frozen=True)
-class VertexWeightedGraph:
+class VertexWeightedGraph(_Graph):
     """Undirected graph with a CostPair per vertex, for vertex-cover instances."""
 
-    node_count: int
-    edges: tuple = ()
-    vertex_weights: tuple = ()
-    relaxed: bool = False
-    kind: str = field(default="vc", init=False)
+    kind = "vc"
 
-    def __post_init__(self):
-        if self.node_count < 1:
+    def __init__(self, node_count: int, edges=(), vertex_weights=(), relaxed: bool = False):
+        edges = self._checked_edges(node_count, edges, vertex_weights)
+        pairs = tuple([_as_cost_pair(w) for w in vertex_weights])
+        self._store(node_count, edges, [_ratio(w) for w in pairs], relaxed)
+        self.__dict__["vertex_weights"] = pairs
+
+    @classmethod
+    def from_ratios(cls, node_count, edges, ratios, relaxed=False, texts=None):
+        """The graph with vertex ``i`` weighted by ``ratios[i]``, in lowest terms.
+
+        It checks what the constructor checks, in the same order and with
+        the same messages.  ``texts``, when given, are the ``weight_texts``.
+        """
+        edges = cls._checked_edges(node_count, edges, ratios)
+        for ratio in ratios:
+            if ratio[0][0] < 0 or ratio[1][0] < 0:
+                _cost_pair(ratio)  # raises CostPair's own error
+        graph = cls.__new__(cls)
+        graph._store(node_count, edges, ratios, relaxed)
+        if texts is not None:
+            graph.__dict__["weight_texts"] = tuple(texts)
+        return graph
+
+    @staticmethod
+    def _checked_edges(node_count, edges, weights) -> tuple:
+        if node_count < 1:
             raise ValidationError("graph needs at least one node")
-        edges = []
-        for u, v in self.edges:
-            if not (0 <= u < self.node_count and 0 <= v < self.node_count):
-                raise ValidationError(f"edge ({u},{v}) references a missing node")
-            if u == v:
-                raise ValidationError(f"self-loop at node {u}")
-            edges.append((u, v))
-        object.__setattr__(self, "edges", tuple(edges))
-        if len(self.vertex_weights) != self.node_count:
+        checked = []
+        for u, v in edges:
+            _check_ends(node_count, u, v)
+            checked.append((u, v))
+        if len(weights) != node_count:
             raise ValidationError("one weight pair per vertex required")
-        object.__setattr__(
-            self, "vertex_weights", tuple(_as_cost_pair(w) for w in self.vertex_weights)
+        return tuple(checked)
+
+    def _store(self, node_count, edges, ratios, relaxed):
+        _check_positivity(ratios, relaxed, "vertex")
+        self.__dict__.update(
+            node_count=node_count, edges=edges, relaxed=relaxed, ratios=tuple(ratios)
         )
-        _check_positivity(self.vertex_weights, self.relaxed, "vertex")
+
+    def _fields(self) -> tuple:
+        return (self.node_count, self.edges, self.ratios, self.relaxed)
+
+    def __repr__(self):
+        return (
+            f"VertexWeightedGraph(node_count={self.node_count!r}, edges={self.edges!r}, "
+            f"vertex_weights={self.vertex_weights!r}, relaxed={self.relaxed!r})"
+        )
+
+    @cached_property
+    def vertex_weights(self) -> tuple:
+        """The CostPair of each vertex."""
+        return tuple([_cost_pair(r) for r in self.ratios])
 
     @property
     def edge_count(self) -> int:
         return len(self.edges)
-
-    @cached_property
-    def scaled(self) -> "ScaledWeights":
-        """The vertex weights as ints, for the oracles."""
-        return ScaledWeights.of(self.vertex_weights)
 
 
 @dataclass(frozen=True)
@@ -172,11 +302,12 @@ class ScaledWeights:
     scale: int
 
     @classmethod
-    def of(cls, pairs) -> "ScaledWeights":
-        scale = lcm(*(x.denominator for w in pairs for x in (w.f1, w.f2)))
+    def of(cls, ratios) -> "ScaledWeights":
+        """From ``((p1, q1), (p2, q2))`` per pair, each q > 0."""
+        scale = lcm(*{q for pair in ratios for _, q in pair})
         return cls(
-            tuple(w.f1.numerator * (scale // w.f1.denominator) for w in pairs),
-            tuple(w.f2.numerator * (scale // w.f2.denominator) for w in pairs),
+            tuple([p * (scale // q) for (p, q), _ in ratios]),
+            tuple([p * (scale // q) for _, (p, q) in ratios]),
             scale,
         )
 
@@ -202,22 +333,26 @@ def three_way(a, b) -> int:
     return (a > b) - (a < b)
 
 
-def keyed_by(compare):
-    """Tuple type ordered by ``compare`` on its first item, then by its other items.
+class Keyed(tuple):
+    """Tuple ordered by a comparator on its first item, then by the items after it.
 
     A symbolic run's stand-in for a plain tuple such as (distance, node).
-    It makes one ``compare`` call per comparison, where a tuple of
-    ``cmp_to_key`` objects makes two (``==``, then ``<``).
+    The comparator rides along as the last item, so one type serves every
+    run and no class is built per run.  It makes one comparator call per
+    comparison, where a tuple of ``cmp_to_key`` objects makes two (``==``,
+    then ``<``).
     """
 
-    class Keyed(tuple):
-        __slots__ = ()
+    __slots__ = ()
 
-        def __lt__(self, other):
-            order = compare(self[0], other[0])
-            return order < 0 or (order == 0 and self[1:] < other[1:])
+    def __lt__(self, other):
+        order = self[-1](self[0], other[0])
+        return order < 0 or (order == 0 and self[1:-1] < other[1:-1])
 
-    return Keyed
+
+def keyed_by(compare):
+    """A symbolic run's label maker: ``item`` becomes ``Keyed(item + (compare,))``."""
+    return lambda item: Keyed(item + (compare,))
 
 
 def cost_bounds(scaled: ScaledWeights, relaxed: bool, multiplicity: int = 1) -> Bounds:

@@ -58,7 +58,7 @@ def edmonds_karp_cut(neighbours, endpoints, capacities, source, sink) -> frozens
 
 def cut_image(graph: BiweightedGraph, token) -> CostPair:
     """Image of the cut with source side ``token``: the edges crossing it."""
-    crossing = [i for i, (u, v, _) in enumerate(graph.edges) if (u in token) != (v in token)]
+    crossing = [i for i, (u, v) in enumerate(graph.endpoints()) if (u in token) != (v in token)]
     return graph.scaled.image(crossing)
 
 

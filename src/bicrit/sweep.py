@@ -192,11 +192,6 @@ def solve_grid_symbolic(adapter: ParametricAdapter, instance, eps, grid: IndexRa
     return records
 
 
-def sweep_call_bound(eps, bounds: Bounds) -> int:
-    """Bound ceil(log_{1+eps}(UB(2)/LB(2))) + 2 on grid calls; ``certify`` may add one."""
-    return ceil_log(1 + check_epsilon(eps), bounds.ub2 / bounds.lb2) + 2
-
-
 def zero_f2_weight(alpha, bounds: Bounds) -> Fraction:
     """The weight 2*alpha*UB(1)/LB(2), where the oracle returns f2 = 0 if any solution has it.
 

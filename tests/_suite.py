@@ -6,7 +6,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from bicrit.core import CostPair, ParametricAdapter, ProblemAdapter
+from bicrit.core import Bounds, CostPair, ParametricAdapter, ProblemAdapter, ceil_log, check_epsilon
 from bicrit.errors import ValidationError
 from bicrit.oracle import enumerate_all
 from bicrit.problems import (
@@ -17,6 +17,17 @@ from bicrit.problems import (
     VertexCoverAdapter,
     VertexWeightedGraph,
 )
+
+
+def sweep_call_bound(eps, bounds: Bounds) -> int:
+    """Bound ceil(log_{1+eps}(UB(2)/LB(2))) + 2 on grid calls; ``certify`` may add one."""
+    return ceil_log(1 + check_epsilon(eps), bounds.ub2 / bounds.lb2) + 2
+
+
+def pareto_call_bound(eps, bounds: Bounds) -> int:
+    """Grid-size bound ceil(log_{1+eps}(UB1*UB2/(LB1*LB2))) + 2."""
+    ratio = (bounds.ub1 * bounds.ub2) / (bounds.lb1 * bounds.lb2)
+    return ceil_log(1 + check_epsilon(eps), ratio) + 2
 
 
 def rand_weight(rng: random.Random) -> Fraction:

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from _suite import build_suite, weighted_minimum
+from _suite import build_suite, pareto_call_bound, weighted_minimum
 from bicrit.core import CostPair, pow_one_plus_eps
 from bicrit.exact_search import parametric_search, solve_budget_binary
 from bicrit.marathe import (
@@ -32,7 +32,6 @@ from bicrit.oracle import (
 from bicrit.pareto import (
     approximate_pareto,
     boundary_solutions,
-    pareto_call_bound,
     pareto_from_parametric,
     pareto_index_range,
 )

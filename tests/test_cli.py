@@ -12,9 +12,10 @@ from pathlib import Path
 
 import pytest
 
-from bicrit.cli import build_parser, ingest, instance_digest, main, serialize_instance
+from bicrit.cli import build_parser, ingest, main
 from bicrit.core import parse_rational
 from bicrit.errors import ParseError, ValidationError
+from bicrit.formats import instance_digest, report_json, serialize_instance
 from bicrit.marathe import example1_graph
 from bicrit.problems import BiweightedGraph, VertexWeightedGraph, mst
 
@@ -312,6 +313,14 @@ class TestExitCodes:
         assert main(["pareto", "--problem", "mst", "--input", str(path)]) == 4
         assert "malformed JSON" in capsys.readouterr().err
 
+    def test_deeply_nested_json_exits_four(self, capsys, tmp_path):
+        # json.load raises RecursionError, not ValueError, past the interpreter's limit.
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000)
+        assert main(["pareto", "--problem", "mst", "--input", str(path)]) == 4
+        err = capsys.readouterr().err
+        assert "malformed JSON" in err and "Traceback" not in err
+
     def test_parse_and_validation_exit_four(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("[1, 2")
@@ -459,6 +468,28 @@ class TestSerialization:
         instance = ingest(demo(name))
         canonical = json.dumps(serialize_instance(instance), sort_keys=True, separators=(",", ":"))
         assert instance_digest(instance) == hashlib.sha256(canonical.encode()).hexdigest()
+
+
+class TestReportWriter:
+    """``report_json`` writes exactly what ``json.dumps(indent=2, sort_keys=True)`` would."""
+
+    def test_report_values(self):
+        value = {
+            "b": [1, -2, 10**40, True, False, None, 1.5, 0.1, -0.0, 1e300, 12.0],
+            "a": {"z": [], "y": {}, "x": [[], [{}], {"k": [1]}], "w": (3, "t")},
+            "s": ["", "p/q", 'quote " and \\', "tab\t new\nline", "caf\u00e9 \U0001f600", "\x00"],
+            "": "empty key",
+            "nan": [float("nan"), float("inf"), float("-inf")],
+        }
+        assert report_json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("value", [[], {}, "x", 0, None, True, [[[]]], {"a": {"b": {}}}])
+    def test_small_values(self, value):
+        assert report_json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    def test_refuses_what_json_refuses(self):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            report_json({"a": {1, 2}})
 
 
 class TestOneParserPerProcess:

@@ -21,8 +21,9 @@ from pathlib import Path
 
 import pytest
 
-from bicrit.cli import instance_from_dict, main, serialize_instance
+from bicrit.cli import main
 from bicrit.errors import ParseError, ValidationError
+from bicrit.formats import instance_from_dict, serialize_instance
 
 INSTANCE_DIR = Path(__file__).resolve().parent.parent / "instances"
 SEED = 20261018

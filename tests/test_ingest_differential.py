@@ -2,17 +2,25 @@
 
 ``reference_instance_from_dict`` below is the earlier reader: one
 ``_field`` call, with its dict and type checks, per field of every entry,
-and ``Fraction(text)`` per rational.  The one-pass reader in ``bicrit.cli``
-must give the same instance, or raise the same exception type with the
-same message, on every input: the fuzzer's mutations of ``instances/``,
-random instances, and ASCII ``p/q`` strings.  Stdlib ``random`` only.
+and ``Fraction(text)`` per rational, handed to the graphs' constructors.
+The reader in ``bicrit.cli``, which parses each p/q into a reduced int
+pair and builds the graph with ``from_ratios``, must give the same
+instance, or raise the same exception type with the same message, on
+every input: the fuzzer's mutations of ``instances/``, random instances,
+and ASCII ``p/q`` strings.  An instance it reads must also show the same
+``CostPair`` weights, scaled ints and bounds, and its digest must be the
+sha256 of the canonical JSON that ``json.dumps`` writes from those
+weights.  Stdlib ``random`` only.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 import re
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from _suite import (
@@ -24,10 +32,16 @@ from _suite import (
 )
 from test_cli_fuzz import RATIONALS, _demos, mutate
 
-from bicrit.cli import PROBLEM_KINDS, instance_from_dict, serialize_instance
-from bicrit.core import CostPair, parse_rational
+from bicrit.core import CostPair, parse_ratio, parse_rational
 from bicrit.errors import ParseError, ValidationError
-from bicrit.problems import BiweightedGraph, VertexWeightedGraph
+from bicrit.formats import (
+    PROBLEM_KINDS,
+    instance_digest,
+    instance_from_dict,
+    serialize_instance,
+)
+from bicrit.problems import BiweightedGraph, VertexWeightedGraph, adapter_for
+from bicrit.problems.graphs import ScaledWeights
 
 SEED = 20261019
 
@@ -121,6 +135,40 @@ def reference_instance_from_dict(data):
     return instance
 
 
+def _reference_weights(instance):
+    return instance.vertex_weights if instance.kind == "vc" else instance.weights()
+
+
+def reference_scaled(instance):
+    """The weights times the lcm of their denominators, from the ``CostPair``s."""
+    values = [x for w in _reference_weights(instance) for x in (w.f1, w.f2)]
+    scale = lcm(*(x.denominator for x in values))
+    ints = [x.numerator * (scale // x.denominator) for x in values]
+    return ScaledWeights(tuple(ints[0::2]), tuple(ints[1::2]), scale)
+
+
+def reference_digest(instance):
+    """sha256 of the canonical JSON, built from the ``CostPair``s and dumped by ``json``."""
+
+    def text(x):
+        return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+
+    data = {"kind": instance.kind, "relaxed": instance.relaxed, "nodes": instance.node_count}
+    if instance.kind == "vc":
+        data["edges"] = [{"u": u, "v": v} for u, v in instance.edges]
+        data["vertex_weights"] = [
+            {"w1": text(w.f1), "w2": text(w.f2)} for w in instance.vertex_weights
+        ]
+    else:
+        data["edges"] = [
+            {"u": u, "v": v, "w1": text(w.f1), "w2": text(w.f2)} for u, v, w in instance.edges
+        ]
+        if instance.source is not None:
+            data["source"], data["sink"] = instance.source, instance.sink
+    canonical = json.dumps(data, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()
+
+
 # The comparison.
 
 
@@ -132,9 +180,21 @@ def outcome(reader, data):
         return type(exc), str(exc)
 
 
+def assert_same_views(got, expected):
+    """What the oracles, the brute-force oracle and the report read of an instance."""
+    # The digest first, while ``got`` has built no CostPair.
+    assert instance_digest(got) == reference_digest(expected)
+    assert got.scaled == reference_scaled(expected)
+    assert _reference_weights(got) == _reference_weights(expected)
+    assert adapter_for(got).bounds(got) == adapter_for(expected).bounds(expected)
+
+
 def assert_same(data):
     expected = outcome(reference_instance_from_dict, data)
-    assert outcome(instance_from_dict, data) == expected, data
+    got = outcome(instance_from_dict, data)
+    assert got == expected, data
+    if not isinstance(expected, tuple):
+        assert_same_views(got, expected)
     return expected
 
 
@@ -210,11 +270,29 @@ def test_ascii_p_q_matches_fraction():
         value = parse_rational(text)
         assert type(value) is Fraction and value == expected, text
         assert (value.numerator, value.denominator) == (expected.numerator, expected.denominator)
+        assert parse_ratio(text) == (expected.numerator, expected.denominator), text
 
 
 @pytest.mark.parametrize("text", RATIONALS + ["+0", "-0/7", "007/010", "1/" + "7" * 4400])
 def test_listed_rationals_parse_as_before(text):
     assert outcome(parse_rational, text) == outcome(reference_parse_rational, text)
+
+
+@pytest.mark.parametrize(
+    "texts",
+    [("2/4", "+3"), ("007", "6/3"), ("-0", "1"), ("0/5", "+0/9"), ("3/1", "14/21"), ("1", "1/1")],
+)
+def test_non_canonical_texts_read_and_digest_as_canonical(texts):
+    data = serialize_instance(random_relaxed_instance(random.Random(SEED + 6), "mst", 5))
+    canonical = json.loads(json.dumps(data))
+    for i, text in enumerate(texts):
+        data["edges"][i]["w2"] = text
+        canonical["edges"][i]["w2"] = str(Fraction(text))
+    instance = assert_same(data)
+    assert isinstance(instance, BiweightedGraph)
+    assert instance == instance_from_dict(canonical)
+    assert instance_digest(instance) == instance_digest(instance_from_dict(canonical))
+    assert serialize_instance(instance) == canonical
 
 
 def test_short_ascii_strings_parse_as_before_except_a_final_newline():

@@ -10,8 +10,10 @@ tokens (of the same type) and equal images.
 from __future__ import annotations
 
 import gc
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +25,7 @@ from _suite import (
     random_relaxed_instance,
     random_vc_instance,
 )
+from bicrit.cli import ALGORITHMS, main
 from bicrit.core import CostPair, SolutionRecord
 from bicrit.errors import CapExceeded
 from bicrit.oracle import (
@@ -367,6 +370,34 @@ def test_enumeration_leaves_no_cyclic_garbage():
     assert _cyclic_garbage_of(enumerate_all, instances) == 0
     # The recursive reference leaves a cycle per call, so the measurement can see one.
     assert _cyclic_garbage_of(reference_enumerate_all, instances) > 0
+
+
+def _cli_runs():
+    """(argv, exit code) for every command kind the CLI reports on."""
+    demos = Path(__file__).resolve().parent.parent / "instances"
+    runs = []
+    for problem, name in (("path", "demo_path"), ("mst", "demo_mst_b")):
+        source = ["--problem", problem, "--input", str(demos / f"{name}.json")]
+        for algorithm in ALGORITHMS:
+            eps = "1" if algorithm == "fixed" else "1/2"
+            argv = ["solve-budget", *source, "--algorithm", algorithm, "--budget", "3"]
+            runs.append(([*argv, "--epsilon", eps], 0))
+        runs.append((["pareto", *source, "--epsilon", "1/2"], 0))
+        runs.append((["pareto", *source, "--epsilon", "1/2", "--parametric"], 0))
+    no_certificate = ["--problem", "mst", "--input", str(demos / "demo_mst_a.json")]
+    runs.append((["solve-budget", *no_certificate, "--budget", "1/10"], 3))
+    return runs
+
+
+def test_cli_reports_leave_no_cyclic_garbage(capsys):
+    main(["repro", "--case", "marathe-ex1"])  # builds the parser, which is kept for the process
+    for argv, code in _cli_runs():
+        codes = []
+        assert _cyclic_garbage_of(lambda a: codes.append(main(a)), [argv]) == 0, argv
+        assert codes == [code], argv
+    capsys.readouterr()
+    # json's indenting encoder leaves a cycle per call, so the measurement can see one.
+    assert _cyclic_garbage_of(lambda v: json.dumps(v, indent=2), [{"a": [1]}]) > 0
 
 
 def test_spanning_trees_past_the_recursion_limit():

@@ -8,6 +8,7 @@ import pytest
 from _suite import (
     CachingAdapter,
     build_suite,
+    pareto_call_bound,
     random_cut_instance,
     random_mst_instance,
     random_path_instance,
@@ -21,7 +22,6 @@ from bicrit.pareto import (
     approximate_pareto,
     boundary_solutions,
     filter_dominated,
-    pareto_call_bound,
     pareto_from_parametric,
     pareto_index_range,
 )

@@ -14,6 +14,7 @@ from _suite import (
     random_path_instance,
     random_relaxed_instance,
     random_vc_instance,
+    sweep_call_bound,
 )
 from bicrit.core import Bounds, CostPair, ParametricAdapter, pow_one_plus_eps
 from bicrit.errors import NoCertificate
@@ -26,7 +27,6 @@ from bicrit.sweep import (
     index_range,
     solve_budget_fixed,
     solve_budget_sweep,
-    sweep_call_bound,
     zero_f2_weight,
 )
 
