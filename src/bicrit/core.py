@@ -26,7 +26,7 @@ _RATIONAL_RE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 def rational(value) -> Fraction:
-    """Coerce an int, string, or Fraction to an exact Fraction.
+    """Coerce an int, a "p/q" string (``parse_rational``), or a Fraction to an exact Fraction.
 
     Floats are rejected: silently converting one would smuggle binary
     rounding into the exact pipeline.
@@ -38,7 +38,7 @@ def rational(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        return parse_rational(value)
     raise TypeError(f"cannot interpret {value!r} as a rational")
 
 
@@ -80,9 +80,7 @@ def ratio_text(p: int, q: int) -> str:
 def format_rational(value: Fraction) -> str:
     """Serialize a rational as reduced "p/q", or "p" when the denominator is 1."""
     value = rational(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    return ratio_text(value.numerator, value.denominator)
 
 
 def check_epsilon(eps) -> Fraction:

@@ -65,16 +65,6 @@ def critical_gamma(p: LinearValue, q: LinearValue) -> Optional[Fraction]:
     return Fraction(q.constant - p.constant, p.slope - q.slope)
 
 
-def _strictly_between(x: Fraction, lo: Fraction, hi: Fraction) -> bool:
-    """lo < x < hi, cross-multiplied on the ints.
-
-    ``Fraction``'s own comparison makes abstract-base-class checks on every
-    call, which cost more than the arithmetic on short weights.
-    """
-    n, d = x.numerator, x.denominator
-    return lo.numerator * d < n * lo.denominator and n * hi.denominator < hi.numerator * d
-
-
 def solve_budget_binary(
     adapter: ProblemAdapter, instance, query: BudgetQuery
 ) -> tuple[SolutionRecord, GuaranteeCertificate]:
@@ -154,16 +144,21 @@ def parametric_search(
     def compare(p: LinearValue, q: LinearValue) -> int:
         nonlocal lo, hi, mid, witness, comparisons
         comparisons += 1
-        crit = critical_gamma(p, q)
-        if crit is not None and _strictly_between(crit, lo, hi):
+        # p - q = c + s*gamma at gamma = n/d has the sign of c*d + s*n, with
+        # d > 0: ints, with no Fraction built.  The line crosses zero strictly
+        # inside (lo, hi) exactly when its signs at lo and at hi are opposite.
+        c, s = p.constant - q.constant, p.slope - q.slope
+        at_lo = c * lo.denominator + s * lo.numerator
+        at_hi = c * hi.denominator + s * hi.numerator
+        if (at_lo < 0 < at_hi) or (at_hi < 0 < at_lo):
+            crit = critical_gamma(p, q)
             probes.append(adapter.solve_weighted_sum(instance, crit))
             if probes[-1].image.f1 > limit:
                 hi = crit
             else:
                 lo, witness = crit, probes[-1]
             mid = (lo + hi) / 2
-        # p - q at mid = n/d has the sign of (p - q) * d, with d > 0.
-        value = (p.constant - q.constant) * mid.denominator + (p.slope - q.slope) * mid.numerator
+        value = c * mid.denominator + s * mid.numerator
         return (value > 0) - (value < 0)
 
     master_token = adapter.run_parametric(instance, compare)

@@ -4,10 +4,11 @@ An instance file is a JSON object (see ``cli.ingest``); every rational in
 it is a "p/q" string.  ``instance_from_dict`` parses each distinct text
 once into a reduced int pair and hands the pairs to the graphs'
 ``from_ratios``, so no ``Fraction`` or ``CostPair`` is made per weight.
-The canonical form of an instance is ``serialize_instance`` with keys
-sorted and no spaces; ``instance_digest`` hashes it, written in one join
-from the canonical texts of the weights.  ``report_json`` lays out a
-report as ``json.dumps(report, indent=2, sort_keys=True)`` does.
+The canonical form of an instance is JSON with keys sorted and no
+spaces, written in one join from the canonical texts of the weights by
+``_canonical_json``, its only writer: ``instance_digest`` hashes it and
+``serialize_instance`` reads it back as a dict.  ``report_json`` lays
+out a report as ``json.dumps(report, indent=2, sort_keys=True)`` does.
 """
 
 from __future__ import annotations
@@ -178,34 +179,8 @@ def instance_from_dict(data):
     return instance
 
 
-def serialize_instance(instance) -> dict:
-    """Canonical dict form of an instance; inverse of ``instance_from_dict``."""
-    texts = instance.weight_texts
-    if instance.kind == "vc":
-        return {
-            "kind": "vc",
-            "relaxed": instance.relaxed,
-            "nodes": instance.node_count,
-            "edges": [{"u": u, "v": v} for u, v in instance.edges],
-            "vertex_weights": [{"w1": a, "w2": b} for a, b in texts],
-        }
-    out = {
-        "kind": instance.kind,
-        "relaxed": instance.relaxed,
-        "nodes": instance.node_count,
-        "edges": [
-            {"u": u, "v": v, "w1": a, "w2": b}
-            for (u, v), (a, b) in zip(instance.endpoints(), texts)
-        ],
-    }
-    if instance.source is not None:
-        out["source"] = instance.source
-        out["sink"] = instance.sink
-    return out
-
-
 def _canonical_json(instance) -> str:
-    """``serialize_instance`` as JSON with sorted keys and no spaces, written in one join."""
+    """The canonical form of an instance: JSON with sorted keys and no spaces, in one join."""
     texts = instance.weight_texts
     relaxed = "true" if instance.relaxed else "false"
     head = f'"kind":"{instance.kind}","nodes":{instance.node_count},"relaxed":{relaxed}'
@@ -224,8 +199,13 @@ def _canonical_json(instance) -> str:
     return f'{{"edges":[{edges}],{head}}}'
 
 
+def serialize_instance(instance) -> dict:
+    """The canonical form as a dict; inverse of ``instance_from_dict``."""
+    return json.loads(_canonical_json(instance))
+
+
 def instance_digest(instance) -> str:
-    """SHA-256 of the instance's canonical JSON: ``serialize_instance``, keys sorted, no spaces."""
+    """SHA-256 of the instance's canonical JSON."""
     return sha256(_canonical_json(instance).encode()).hexdigest()
 
 

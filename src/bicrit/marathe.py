@@ -21,6 +21,7 @@ from .core import ProblemAdapter, SolutionRecord, rational
 from .errors import BicritError
 from .oracle import exact_opt_budget
 from .problems import BiweightedGraph, MstAdapter, adversarial_wrap
+from .sweep import zero_f2_weight
 
 
 @dataclass(frozen=True)
@@ -44,18 +45,16 @@ def h_value(adapter: ProblemAdapter, instance, big_d, budget) -> tuple[Fraction,
     For D > 0 the objective is a positive multiple of f1 + (B/D)*f2, so
     one standard weighted-sum call answers it and the value is rescaled
     exactly.  For D = 0 the objective degenerates to f2 alone, realized by
-    a call at the large weight 2*alpha*UB(1)/LB(2); the weighted-sum
-    contract does not promise exact f2-minimality there, but the search
-    never evaluates h(0) (see ``marathe_search``).
+    a call at ``sweep.zero_f2_weight``; the weighted-sum contract does not
+    promise exact f2-minimality there, but the search never evaluates h(0)
+    (see ``marathe_search``).
     """
     big_d, budget = rational(big_d), rational(budget)
     if big_d < 0 or budget <= 0:
         raise ValueError("h(D) needs D >= 0 and B > 0")
     if big_d == 0:
-        bounds = adapter.bounds(instance)
-        record = adapter.solve_weighted_sum(
-            instance, 2 * adapter.alpha() * bounds.ub1 / bounds.lb2
-        )
+        gamma = zero_f2_weight(adapter.alpha(), adapter.bounds(instance))
+        record = adapter.solve_weighted_sum(instance, gamma)
         return record.image.f2, record
     record = adapter.solve_weighted_sum(instance, budget / big_d)
     return (big_d / budget) * record.image.f1 + record.image.f2, record

@@ -1,40 +1,37 @@
 """Instance types for the graph problem plugins, and the helpers they share.
 
-Both graph kinds are immutable after construction.  Parallel edges are
-first-class (the zero-cost boundary fixtures need them); self-loops are
-rejected since no plugin can use one.  An instance keeps its weights as
+Both graph kinds are frozen dataclasses.  Parallel edges are first-class
+(the zero-cost boundary fixtures need them); self-loops are rejected
+since no plugin can use one.  An instance keeps its weights as
 ``ratios``: per weight pair, ((p1, q1), (p2, q2)) with w1 = p1/q1 and
-w2 = p2/q2 in lowest terms, q > 0.  The constructors take ``CostPair``s
-(or pairs that ``CostPair`` accepts); ``from_ratios`` takes the int pairs
-straight from a reader, and the ``CostPair``s are then built only when
-read.  What the oracles derive from an instance alone, its
-``ScaledWeights`` and its adjacency, is built on first use and kept with
-the instance.
+w2 = p2/q2 in lowest terms, q > 0.  The constructors take ``CostPair``s,
+or pairs that ``CostPair`` accepts, and turn each into its int pairs;
+``from_ratios`` takes the int pairs straight from a reader.  Both go
+through one ``_build`` per kind, which runs every check.  The
+``CostPair``s of ``edges``, ``weights()`` and ``vertex_weights``, the
+``ScaledWeights`` the oracles use and the adjacency are built from
+``ratios`` on first read and kept with the instance.
 """
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
 from typing import Optional
 
-from ..core import Bounds, CostPair, ratio_text
+from ..core import Bounds, CostPair, ratio_text, rational
 from ..errors import ValidationError
 from ..exact_search import LinearValue
 
 GRAPH_KINDS = ("mst", "path", "cut")
 
 
-def _as_cost_pair(w) -> CostPair:
-    if isinstance(w, CostPair):
-        return w
-    return CostPair(*w)
-
-
-def _ratio(w: CostPair) -> tuple:
-    return (w.f1.numerator, w.f1.denominator), (w.f2.numerator, w.f2.denominator)
+def _ratio(w) -> tuple:
+    """The reduced int pairs ((p1, q1), (p2, q2)) of a CostPair, or of a pair of rationals."""
+    a, b = (w.f1, w.f2) if isinstance(w, CostPair) else map(rational, w)
+    return (a.numerator, a.denominator), (b.numerator, b.denominator)
 
 
 def _cost_pair(ratio) -> CostPair:
@@ -62,24 +59,20 @@ def _check_positivity(ratios, relaxed: bool, what: str):
 
 
 class _Graph:
-    """Immutability, equality and the weight-derived views both graph kinds share.
+    """The reader's entry and the weight-derived views both graph kinds share."""
 
-    A subclass stores its fields in ``__dict__`` and lists them in ``_fields``.
-    """
+    @classmethod
+    def from_ratios(cls, *args, texts=None, **kwargs):
+        """The graph that ``_build`` makes of the reduced int pairs ``ratios``.
 
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
+        It takes ``_build``'s arguments; ``texts``, when given, are the
+        ``weight_texts``.
+        """
+        graph = cls.__new__(cls)
+        graph._build(*args, **kwargs)
+        if texts is not None:
+            graph.__dict__["weight_texts"] = tuple(texts)
+        return graph
 
     @cached_property
     def scaled(self) -> "ScaledWeights":
@@ -92,6 +85,7 @@ class _Graph:
         return tuple([(ratio_text(*a), ratio_text(*b)) for a, b in self.ratios])
 
 
+@dataclass(frozen=True, init=False)
 class BiweightedGraph(_Graph):
     """Undirected multigraph with a CostPair per edge.
 
@@ -100,6 +94,14 @@ class BiweightedGraph(_Graph):
     ``relaxed`` enables the nonnegative-cost regime in which zero weight
     components are permitted.
     """
+
+    node_count: int
+    _ends: tuple
+    ratios: tuple
+    kind: str
+    source: Optional[int]
+    sink: Optional[int]
+    relaxed: bool
 
     def __init__(
         self,
@@ -110,44 +112,23 @@ class BiweightedGraph(_Graph):
         sink: Optional[int] = None,
         relaxed: bool = False,
     ):
-        self._check_header(node_count, kind)
-        ends, pairs = [], []
+        ends, ratios = [], []
         for u, v, w in edges:
-            _check_ends(node_count, u, v)
             ends.append((u, v))
-            pairs.append(_as_cost_pair(w))
-        self._store(node_count, ends, [_ratio(w) for w in pairs], kind, source, sink, relaxed)
-        self.__dict__["edges"] = tuple([(u, v, w) for (u, v), w in zip(ends, pairs)])
+            ratios.append(_ratio(w))
+        self._build(node_count, ends, ratios, kind, source, sink, relaxed)
 
-    @classmethod
-    def from_ratios(
-        cls, node_count, ends, ratios, kind="mst", source=None, sink=None, relaxed=False, texts=None
-    ) -> "BiweightedGraph":
-        """The graph with edge ``ends[i]`` weighted by ``ratios[i]``, in lowest terms.
-
-        It checks what the constructor checks, in the same order and with
-        the same messages.  ``texts``, when given, are the ``weight_texts``.
-        """
-        cls._check_header(node_count, kind)
+    def _build(self, node_count, ends, ratios, kind="mst", source=None, sink=None, relaxed=False):
+        """Check and store the graph with edge ``ends[i]`` weighted by ``ratios[i]``."""
+        if kind not in GRAPH_KINDS:
+            raise ValidationError(f"unknown graph kind {kind!r}")
+        if node_count < 1:
+            raise ValidationError("graph needs at least one node")
         for (u, v), ratio in zip(ends, ratios, strict=True):
             if not (0 <= u < node_count and 0 <= v < node_count and u != v):
                 _check_ends(node_count, u, v)
             if ratio[0][0] < 0 or ratio[1][0] < 0:
                 _cost_pair(ratio)  # raises CostPair's own error
-        graph = cls.__new__(cls)
-        graph._store(node_count, ends, ratios, kind, source, sink, relaxed)
-        if texts is not None:
-            graph.__dict__["weight_texts"] = tuple(texts)
-        return graph
-
-    @staticmethod
-    def _check_header(node_count, kind):
-        if kind not in GRAPH_KINDS:
-            raise ValidationError(f"unknown graph kind {kind!r}")
-        if node_count < 1:
-            raise ValidationError("graph needs at least one node")
-
-    def _store(self, node_count, ends, ratios, kind, source, sink, relaxed):
         _check_positivity(ratios, relaxed, "edge")
         if kind == "mst":
             if node_count < 2:
@@ -164,24 +145,12 @@ class BiweightedGraph(_Graph):
                 raise ValidationError("source and sink must differ")
         self.__dict__.update(
             node_count=node_count,
+            _ends=tuple(ends),
+            ratios=tuple(ratios),
             kind=kind,
             source=source,
             sink=sink,
             relaxed=relaxed,
-            ratios=tuple(ratios),
-            _ends=tuple(ends),
-        )
-
-    def _fields(self) -> tuple:
-        return (
-            self.node_count, self._ends, self.ratios, self.kind, self.source, self.sink, self.relaxed
-        )
-
-    def __repr__(self):
-        return (
-            f"BiweightedGraph(node_count={self.node_count!r}, edges={self.edges!r}, "
-            f"kind={self.kind!r}, source={self.source!r}, sink={self.sink!r}, "
-            f"relaxed={self.relaxed!r})"
         )
 
     @cached_property
@@ -221,59 +190,35 @@ class BiweightedGraph(_Graph):
         return connected_components(self.node_count, self._ends) == 1
 
 
+@dataclass(frozen=True, init=False)
 class VertexWeightedGraph(_Graph):
     """Undirected graph with a CostPair per vertex, for vertex-cover instances."""
 
+    node_count: int
+    edges: tuple
+    ratios: tuple
+    relaxed: bool
     kind = "vc"
 
     def __init__(self, node_count: int, edges=(), vertex_weights=(), relaxed: bool = False):
-        edges = self._checked_edges(node_count, edges, vertex_weights)
-        pairs = tuple([_as_cost_pair(w) for w in vertex_weights])
-        self._store(node_count, edges, [_ratio(w) for w in pairs], relaxed)
-        self.__dict__["vertex_weights"] = pairs
+        self._build(node_count, edges, [_ratio(w) for w in vertex_weights], relaxed)
 
-    @classmethod
-    def from_ratios(cls, node_count, edges, ratios, relaxed=False, texts=None):
-        """The graph with vertex ``i`` weighted by ``ratios[i]``, in lowest terms.
-
-        It checks what the constructor checks, in the same order and with
-        the same messages.  ``texts``, when given, are the ``weight_texts``.
-        """
-        edges = cls._checked_edges(node_count, edges, ratios)
-        for ratio in ratios:
-            if ratio[0][0] < 0 or ratio[1][0] < 0:
-                _cost_pair(ratio)  # raises CostPair's own error
-        graph = cls.__new__(cls)
-        graph._store(node_count, edges, ratios, relaxed)
-        if texts is not None:
-            graph.__dict__["weight_texts"] = tuple(texts)
-        return graph
-
-    @staticmethod
-    def _checked_edges(node_count, edges, weights) -> tuple:
+    def _build(self, node_count, edges, ratios, relaxed=False):
+        """Check and store the graph with vertex ``i`` weighted by ``ratios[i]``."""
         if node_count < 1:
             raise ValidationError("graph needs at least one node")
         checked = []
         for u, v in edges:
             _check_ends(node_count, u, v)
             checked.append((u, v))
-        if len(weights) != node_count:
+        if len(ratios) != node_count:
             raise ValidationError("one weight pair per vertex required")
-        return tuple(checked)
-
-    def _store(self, node_count, edges, ratios, relaxed):
+        for ratio in ratios:
+            if ratio[0][0] < 0 or ratio[1][0] < 0:
+                _cost_pair(ratio)  # raises CostPair's own error
         _check_positivity(ratios, relaxed, "vertex")
         self.__dict__.update(
-            node_count=node_count, edges=edges, relaxed=relaxed, ratios=tuple(ratios)
-        )
-
-    def _fields(self) -> tuple:
-        return (self.node_count, self.edges, self.ratios, self.relaxed)
-
-    def __repr__(self):
-        return (
-            f"VertexWeightedGraph(node_count={self.node_count!r}, edges={self.edges!r}, "
-            f"vertex_weights={self.vertex_weights!r}, relaxed={self.relaxed!r})"
+            node_count=node_count, edges=tuple(checked), ratios=tuple(ratios), relaxed=relaxed
         )
 
     @cached_property

@@ -466,6 +466,7 @@ class TestSerialization:
     @pytest.mark.parametrize("name", DEMOS)
     def test_digest_is_sha256_of_the_canonical_json(self, name):
         instance = ingest(demo(name))
+        assert serialize_instance(instance) == json.loads(Path(demo(name)).read_text())
         canonical = json.dumps(serialize_instance(instance), sort_keys=True, separators=(",", ":"))
         assert instance_digest(instance) == hashlib.sha256(canonical.encode()).hexdigest()
 

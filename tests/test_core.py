@@ -20,6 +20,7 @@ from bicrit.core import (
     rational,
 )
 from bicrit.errors import ParseError
+from bicrit.sweep import BudgetQuery
 
 
 def rand_fraction(rng, lo=-20, hi=20):
@@ -57,6 +58,21 @@ class TestRationals:
     def test_parse_rejects_inexact_forms(self, bad):
         with pytest.raises(ParseError):
             parse_rational(bad)
+
+    @pytest.mark.parametrize("text", ["1.5", "1e3", " 3 ", "1_000", "\u0663"])
+    def test_library_refuses_what_the_instance_file_refuses(self, text):
+        # Fraction(text) takes each of these; the file format and the flags do not.
+        with pytest.raises(ParseError):
+            parse_rational(text)
+        for make in (
+            rational,
+            lambda t: CostPair(t, 1),
+            lambda t: CostPair(1, t),
+            lambda t: BudgetQuery(budget=t, eps=1),
+            lambda t: BudgetQuery(budget=1, eps=t),
+        ):
+            with pytest.raises(ParseError):
+                make(text)
 
     def test_rational_rejects_floats(self):
         with pytest.raises(TypeError):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from _suite import (
     random_cut_instance,
     random_mst_instance,
     random_path_instance,
+    random_relaxed_instance,
     random_vc_instance,
     weighted_minimum,
 )
@@ -20,6 +22,7 @@ from bicrit.errors import (
     Unreachable,
     ValidationError,
 )
+from bicrit.formats import instance_from_dict, serialize_instance
 from bicrit.oracle import enumerate_all
 from bicrit.problems import (
     BiweightedGraph,
@@ -73,6 +76,30 @@ class TestGraphValidation:
     def test_vertex_weights_must_match_node_count(self):
         with pytest.raises(ValidationError):
             VertexWeightedGraph(2, ((0, 1),), ((1, 1),))
+
+    @pytest.mark.parametrize("name", ["node_count", "ratios", "relaxed", "scaled", "other"])
+    def test_graphs_are_frozen(self, name):
+        rng = random.Random(11)
+        for graph in (random_path_instance(rng, 4), random_vc_instance(rng, 4)):
+            with pytest.raises(FrozenInstanceError):
+                setattr(graph, name, None)
+            with pytest.raises(FrozenInstanceError):
+                delattr(graph, name)
+
+    @pytest.mark.parametrize("kind", ["mst", "path", "cut", "vc"])
+    def test_constructed_graph_equals_and_hashes_as_its_read_back_form(self, kind):
+        rng = random.Random(12)
+        strict = {
+            "mst": random_mst_instance,
+            "path": random_path_instance,
+            "cut": random_cut_instance,
+            "vc": random_vc_instance,
+        }[kind]
+        for _ in range(10):
+            for graph in (strict(rng, rng.randint(2, 6)), random_relaxed_instance(rng, kind, 5)):
+                read = instance_from_dict(serialize_instance(graph))
+                assert read == graph and hash(read) == hash(graph)
+                assert type(read) is type(graph)
 
 
 class TestMstOracle:
