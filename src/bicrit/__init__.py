@@ -44,10 +44,12 @@ from .exact_search import (
 )
 from .oracle import (
     EnumerationCap,
+    check_node_cap,
     enumerate_all,
     exact_opt_budget,
     exact_pareto,
     verify_budget,
+    verify_pareto_by_enumeration,
     verify_pareto_coverage,
 )
 from .pareto import (

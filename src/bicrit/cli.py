@@ -43,7 +43,11 @@ from .errors import (
 from .exact_search import solve_budget_binary, solve_budget_parametric
 from .formats import PROBLEM_KINDS, instance_digest, instance_from_dict, report_json
 from .marathe import example2_graph, reproduce_example1, reproduce_example2
-from .oracle import exact_opt_budget, enumerate_all, verify_budget, verify_pareto_coverage
+from .oracle import check_node_cap, exact_opt_budget, verify_budget, verify_pareto_by_enumeration
+from .oracle import (  # unused here; perfbench's tracer wraps these names
+    enumerate_all,  # noqa: F401
+    verify_pareto_coverage,  # noqa: F401
+)
 from .pareto import approximate_pareto, pareto_from_parametric
 from .pareto import pareto_index_range  # noqa: F401  unused; perfbench's tracer wraps this name
 from .problems import adapter_for
@@ -140,12 +144,18 @@ def _budget_verification(instance, record, budget, eps, alpha, factors):
 
 
 def _ingest_for(args):
-    """The ``--input`` instance, which must be of the ``--problem`` kind."""
+    """The ``--input`` instance, which must be of the ``--problem`` kind.
+
+    With ``--verify`` the instance must also be within the enumeration's
+    node cap, checked here so that an over-cap run stops before it solves.
+    """
     instance = ingest(args.input)
     if instance.kind != args.problem:
         raise ProblemMismatch(
             f"--problem {args.problem} does not match instance kind {instance.kind}"
         )
+    if args.verify:
+        check_node_cap(instance)
     return instance
 
 
@@ -243,11 +253,10 @@ def _cmd_pareto(args, parser) -> int:
             "oracle_calls": curve.oracle_calls,
         }
         if args.verify:
-            everything = enumerate_all(instance)
-            report["verification"] = {
-                "verdict": verify_pareto_coverage(curve, everything, curve.factor1, curve.factor2),
-                "solutions_checked": len(everything),
-            }
+            verdict, checked = verify_pareto_by_enumeration(
+                instance, curve, curve.factor1, curve.factor2
+            )
+            report["verification"] = {"verdict": verdict, "solutions_checked": checked}
         report["wall_time_ms"] = (time.perf_counter() - started) * 1000
         _emit(report)
         return 0

@@ -3,28 +3,36 @@
 Full solution enumeration, exact Pareto curves, exact budget optima, and
 guarantee verification.  Images are computed here by direct weight
 summation, independent of the solver plugins, so this module can serve as
-the oracle that checks them: each call scales the weights to ints over the
-lcm of their denominators with its own code, never the plugins'
-``ScaledWeights``, sums every solution's members as ints and builds one
-``Fraction`` pair per distinct image.
+the oracle that checks them: each call scales the instance's weight
+ratios to ints over D, the lcm of their denominators, with its own code,
+never the plugins' ``ScaledWeights``, and sums every solution's members
+as ints.  One private core yields those int sums.  ``enumerate_all``
+builds a record from each, with one ``Fraction`` pair per distinct image.
+The verification paths build no records: ``exact_opt_budget`` folds the
+sums into the least f2 within the budget, and
+``verify_pareto_by_enumeration`` looks each solution up in one sorted
+front of the curve, scaled to the same ints.  The ``solutions_checked``
+of a ``--verify`` report counts the solutions enumerated.
 
 Everything is capped: a truncated oracle is worse than none, so exceeding
 a cap raises instead of truncating.  The node cap is checked before any
-work starts.  ``max_solutions`` bounds the work for every kind, because
-the enumerators extend only partial solutions that lead to a solution:
-spanning trees and simple paths are found by backtracking that prunes
-dead branches before it enters them, and every side of a cut is a
-solution.  Covers are a scan of the at most 2**12 node subsets that the
-node cap allows.  The enumerators keep explicit stacks rather than
-recursing, so no edge count reaches the recursion limit and no call
-leaves a reference cycle behind.
+work starts, by ``check_node_cap``, which the CLI also calls right after
+ingest, before any oracle call.  ``max_solutions`` bounds the work for
+every kind, because the enumerators extend only partial solutions that
+lead to a solution: spanning trees and simple paths are found by
+backtracking that prunes dead branches before it enters them, and every
+side of a cut is a solution.  Covers are a scan of the at most 2**12 node
+subsets that the node cap allows.  The enumerators keep explicit stacks
+rather than recursing, so no edge count reaches the recursion limit and
+no call leaves a reference cycle behind.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import ceil, lcm
 from typing import Optional
 
 from .core import CostPair, SolutionRecord, rational
@@ -178,42 +186,72 @@ def _covers(graph: VertexWeightedGraph):
 _ENUMERATORS = {"mst": _spanning_trees, "path": _simple_paths, "cut": _cuts}
 
 
-def enumerate_all(instance, cap: EnumerationCap = DEFAULT_CAP):
-    """Every feasible solution of the instance, exactly once, with its image."""
+def check_node_cap(instance, cap: EnumerationCap = DEFAULT_CAP) -> None:
+    """Raise ``CapExceeded`` if the instance has more nodes than enumeration allows."""
     if instance.node_count > cap.max_nodes:
         raise CapExceeded(
             f"{instance.node_count} nodes exceeds the enumeration cap {cap.max_nodes}"
         )
+
+
+def _scaled_images(instance, cap: EnumerationCap):
+    """(D, solutions): D the lcm of every weight denominator, solutions an iterator.
+
+    The iterator yields (token, D*f1, D*f2) per feasible solution, as ints,
+    in enumeration order.  The node cap is checked before anything is
+    enumerated; ``max_solutions`` is checked as the solutions come.
+    """
+    check_node_cap(instance, cap)
     if isinstance(instance, VertexWeightedGraph):
-        weights = instance.vertex_weights
         solutions = _covers(instance)
     elif isinstance(instance, BiweightedGraph):
-        weights = instance.weights()
         solutions = _ENUMERATORS[instance.kind](instance)
     else:
         raise TypeError(f"cannot enumerate {type(instance).__name__}")
-    # D*w1 and D*w2 per weight, D the lcm of every denominator.
-    scale = lcm(*(x.denominator for w in weights for x in (w.f1, w.f2)))
-    first = [w.f1.numerator * (scale // w.f1.denominator) for w in weights]
-    second = [w.f2.numerator * (scale // w.f2.denominator) for w in weights]
+    ratios = instance.ratios  # ((p1, q1), (p2, q2)) per edge or vertex weight
+    # A list, not a generator: a tuple built from a generator grows by resizing, and
+    # the freed tuples of each size wait in CPython's free lists for a full collection.
+    scale = lcm(*[q for pair in ratios for _, q in pair])
+    first = [p * (scale // q) for (p, q), _ in ratios]
+    second = [p * (scale // q) for _, (p, q) in ratios]
+    return scale, _summed(solutions, first, second, cap.max_solutions)
+
+
+def _summed(solutions, first, second, limit):
+    count = 0
+    for token, members in solutions:
+        if count == limit:
+            raise CapExceeded("enumeration exceeded max_solutions")
+        count += 1
+        yield token, sum(map(first.__getitem__, members)), sum(map(second.__getitem__, members))
+
+
+def enumerate_all(instance, cap: EnumerationCap = DEFAULT_CAP):
+    """Every feasible solution of the instance, exactly once, with its image."""
+    scale, solutions = _scaled_images(instance, cap)
     records = []
     images = {}  # (D*f1, D*f2) -> CostPair: records with one image share one object
-    for token, members in solutions:
-        if len(records) == cap.max_solutions:
-            raise CapExceeded("enumeration exceeded max_solutions")
-        sums = (sum(map(first.__getitem__, members)), sum(map(second.__getitem__, members)))
-        image = images.get(sums)
+    for token, s1, s2 in solutions:
+        image = images.get((s1, s2))
         if image is None:
-            image = images[sums] = CostPair(Fraction(sums[0], scale), Fraction(sums[1], scale))
+            image = images[s1, s2] = CostPair(Fraction(s1, scale), Fraction(s2, scale))
         records.append(SolutionRecord(token=token, image=image))
     return records
 
 
 def exact_opt_budget(instance, budget, cap: EnumerationCap = DEFAULT_CAP) -> Optional[Fraction]:
-    """Minimum f2 over solutions with f1 <= budget; None when none qualifies."""
+    """Minimum f2 over solutions with f1 <= budget; None when none qualifies.
+
+    D*f1 is an int, so f1 <= budget exactly when D*f1 <= floor(D*budget).
+    """
     budget = rational(budget)
-    values = [r.image.f2 for r in enumerate_all(instance, cap) if r.image.f1 <= budget]
-    return min(values) if values else None
+    scale, solutions = _scaled_images(instance, cap)
+    limit = budget.numerator * scale // budget.denominator
+    best = None
+    for _, s1, s2 in solutions:
+        if s1 <= limit and (best is None or s2 < best):
+            best = s2
+    return None if best is None else Fraction(best, scale)
 
 
 def exact_pareto(instance, cap: EnumerationCap = DEFAULT_CAP) -> ParetoSet:
@@ -235,12 +273,66 @@ def verify_budget(record: SolutionRecord, budget, eps, alpha, opt, factors=None)
     return record.image.f1 <= budget_factor * budget and record.image.f2 <= cost_factor * opt
 
 
-def verify_pareto_coverage(approx, all_records, a, b) -> bool:
-    """True iff every record in ``all_records`` is (a, b)-covered by ``approx``."""
+def _positive(a, b):
     a, b = rational(a), rational(b)
-    cover = approx.records if isinstance(approx, ParetoSet) else tuple(approx)
-    for x in all_records:
-        bound1, bound2 = a * x.image.f1, b * x.image.f2
-        if not any(r.image.f1 <= bound1 and r.image.f2 <= bound2 for r in cover):
-            return False
-    return True
+    if a <= 0 or b <= 0:
+        raise ValueError(f"coverage factors must be positive, got {a} and {b}")
+    return a, b
+
+
+def _front(pairs):
+    """The staircase of ``pairs``: (firsts, seconds), firsts rising and seconds strictly falling.
+
+    After sorting, a pair is kept iff its second is below every earlier
+    one (Kung, Luccio and Preparata, JACM 22(4), 1975).  So the last step
+    with first <= x1 holds the least second among all pairs with first <= x1.
+    """
+    firsts, seconds = [], []
+    for first, second in sorted(pairs):
+        if not seconds or second < seconds[-1]:
+            firsts.append(first)
+            seconds.append(second)
+    return firsts, seconds
+
+
+def _reaches(front, x1, x2) -> bool:
+    """True iff some pair of the front has first <= x1 and second <= x2."""
+    firsts, seconds = front
+    i = bisect_right(firsts, x1)
+    return i > 0 and seconds[i - 1] <= x2
+
+
+def _records(approx):
+    return approx.records if isinstance(approx, ParetoSet) else approx
+
+
+def verify_pareto_coverage(approx, all_records, a, b) -> bool:
+    """True iff every record in ``all_records`` is (a, b)-covered by ``approx``.
+
+    Record r covers x iff r.f1 <= a*x.f1 and r.f2 <= b*x.f2, that is iff
+    (r.f1/a, r.f2/b) <= (x.f1, x.f2); the factors must be positive.
+    """
+    a, b = _positive(a, b)
+    front = _front((r.image.f1 / a, r.image.f2 / b) for r in _records(approx))
+    return all(_reaches(front, x.image.f1, x.image.f2) for x in all_records)
+
+
+def verify_pareto_by_enumeration(instance, approx, a, b, cap: EnumerationCap = DEFAULT_CAP):
+    """(verdict, solutions checked): ``verify_pareto_coverage`` against every solution.
+
+    The same check on ints, with no record built: with s1 = D*f1 and
+    s2 = D*f2 a solution's int sums, r covers it iff ceil(D*r.f1/a) <= s1
+    and ceil(D*r.f2/b) <= s2.  Every solution is enumerated and counted,
+    also after the first uncovered one, so the caps apply as in
+    ``enumerate_all``.
+    """
+    a, b = _positive(a, b)
+    scale, solutions = _scaled_images(instance, cap)
+    front = _front(
+        (ceil(r.image.f1 * scale / a), ceil(r.image.f2 * scale / b)) for r in _records(approx)
+    )
+    verdict, checked = True, 0
+    for _, s1, s2 in solutions:
+        checked += 1
+        verdict = verdict and _reaches(front, s1, s2)
+    return verdict, checked

@@ -17,7 +17,7 @@ from bicrit.core import parse_rational
 from bicrit.errors import ParseError, ValidationError
 from bicrit.formats import instance_digest, report_json, serialize_instance
 from bicrit.marathe import example1_graph
-from bicrit.problems import BiweightedGraph, VertexWeightedGraph, mst
+from bicrit.problems import BiweightedGraph, ShortestPathAdapter, VertexWeightedGraph, mst
 
 REPO = Path(__file__).resolve().parent.parent
 INSTANCE_DIR = REPO / "instances"
@@ -219,7 +219,7 @@ class TestExitCodes:
             assert parse_rational(failed["min_f1"]) == least
             assert least > parse_rational(failed["f1_limit"])
 
-    def test_verify_refuses_instances_beyond_the_cap(self, capsys, tmp_path):
+    def test_verify_refuses_instances_beyond_the_cap(self, capsys, tmp_path, monkeypatch):
         big = BiweightedGraph(
             14,
             tuple((v - 1, v, (1, 1)) for v in range(1, 14)),
@@ -230,8 +230,19 @@ class TestExitCodes:
         path = write_instance(tmp_path, big)
         argv = ["solve-budget", "--problem", "path", "--budget", "13",
                 "--input", path, "--verify"]
-        assert main(argv) == 4
-        capsys.readouterr()
+
+        def refuse(*_):
+            raise AssertionError("an oracle ran before the enumeration cap was checked")
+
+        # The cap is checked right after ingest, so no algorithm gets to run.
+        for method in ("bounds", "solve_weighted_sum", "solve_all_weights", "run_parametric"):
+            monkeypatch.setattr(ShortestPathAdapter, method, refuse)
+        for run in (argv, ["pareto", "--problem", "path", "--input", path, "--verify"]):
+            assert main(run) == 4
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == "error: 14 nodes exceeds the enumeration cap 12\n"
+        monkeypatch.undo()
         assert main(argv[:-1]) == 0  # fine without verification
         capsys.readouterr()
 

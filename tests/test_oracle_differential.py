@@ -4,7 +4,8 @@ The reference below is the earlier ``oracle`` enumeration, kept verbatim in
 behaviour: recursive backtracking for spanning trees and simple paths, set
 membership for cut sides and covers, one ``Fraction`` addition per member.
 ``enumerate_all`` must return the same records in the same order, with equal
-tokens (of the same type) and equal images.
+tokens (of the same type) and equal images.  The verification folds, which
+build no records, must agree with the record-based checks and keep the caps.
 """
 
 from __future__ import annotations
@@ -32,10 +33,12 @@ from bicrit.oracle import (
     EnumerationCap,
     enumerate_all,
     exact_opt_budget,
+    exact_pareto,
+    verify_pareto_by_enumeration,
     verify_pareto_coverage,
 )
-from bicrit.pareto import ParetoSet, filter_dominated
-from bicrit.problems import BiweightedGraph, VertexWeightedGraph
+from bicrit.pareto import ParetoSet, approximate_pareto, filter_dominated
+from bicrit.problems import BiweightedGraph, VertexWeightedGraph, adapter_for
 from bicrit.problems.graphs import ScaledWeights
 
 # -- the reference ------------------------------------------------------
@@ -332,6 +335,70 @@ def test_coverage_matches_at_random_factors(suite):
             as_set = ParetoSet(front, Fraction(1), Fraction(1))
             expected = reference_coverage(front, records, a, b)
             assert verify_pareto_coverage(as_set, records, a, b) is expected
+
+
+# -- the int folds against the records they replace -----------------------
+
+
+def _fold_instances(suite):
+    """Suite instances of all four kinds, and relaxed ones with zero images."""
+    rng = random.Random(4106)
+    relaxed = [random_relaxed_instance(rng, KINDS[i % 4], rng.randint(3, 7)) for i in range(40)]
+    return [case.instance for case in suite[::4]] + relaxed
+
+
+def test_folds_raise_at_the_caps():
+    rng = random.Random(4107)
+    for i in range(40):
+        instance = _random_instance(rng, KINDS[i % 4])
+        total = len(reference_enumerate_all(instance))
+        curve = exact_pareto(instance)
+        for cap in (
+            EnumerationCap(max_solutions=total - 1),
+            EnumerationCap(max_nodes=instance.node_count - 1),
+        ):
+            with pytest.raises(CapExceeded):
+                exact_opt_budget(instance, 10**6, cap)
+            with pytest.raises(CapExceeded):
+                verify_pareto_by_enumeration(instance, curve, 1, 1, cap)
+        cap = EnumerationCap(max_solutions=total, max_nodes=instance.node_count)
+        assert exact_opt_budget(instance, 10**6, cap) == min(r.image.f2 for r in curve.records)
+        assert verify_pareto_by_enumeration(instance, curve, 1, 1, cap) == (True, total)
+
+
+def test_opt_budget_fold_matches_on_relaxed_instances(suite):
+    for instance in _fold_instances(suite):
+        records = reference_enumerate_all(instance)
+        budgets = sorted({r.image.f1 for r in records})
+        for budget in [Fraction(-1), Fraction(0), *budgets, budgets[0] - Fraction(1, 7)]:
+            expected = reference_opt_budget(records, budget)
+            assert exact_opt_budget(instance, budget) == expected
+
+
+def test_enumerated_coverage_matches_the_record_check(suite):
+    rng = random.Random(4108)
+    for instance in _fold_instances(suite):
+        records = enumerate_all(instance)
+        adapter = adapter_for(instance)
+        curves = [exact_pareto(instance)]
+        curves += [approximate_pareto(adapter, instance, Fraction(1, k)) for k in (1, 4)]
+        for curve in curves:
+            expected = verify_pareto_coverage(curve, records, curve.factor1, curve.factor2)
+            assert expected is True
+            got = verify_pareto_by_enumeration(instance, curve, curve.factor1, curve.factor2)
+            assert got == (expected, len(records))
+        # A point less on the exact curve leaves that point's solutions uncovered.
+        exact = curves[0].records
+        for i in range(len(exact)):
+            short = exact[:i] + exact[i + 1 :]
+            assert verify_pareto_coverage(short, records, 1, 1) is False
+            assert verify_pareto_by_enumeration(instance, short, 1, 1) == (False, len(records))
+        for _ in range(4):
+            cover = rng.sample(records, rng.randint(1, len(records)))
+            a = Fraction(rng.randint(1, 12), rng.randint(1, 6))
+            b = Fraction(rng.randint(1, 12), rng.randint(1, 6))
+            expected = reference_coverage(cover, records, a, b)
+            assert verify_pareto_by_enumeration(instance, cover, a, b) == (expected, len(records))
 
 
 def test_oracle_never_reads_the_plugins_scaling(monkeypatch):
