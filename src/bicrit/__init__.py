@@ -10,9 +10,9 @@ from .core import (
     Bounds,
     CostPair,
     GuaranteeCertificate,
+    LinearValue,
     ParametricAdapter,
     ProblemAdapter,
-    Rational,
     SolutionRecord,
     dominates,
     format_rational,
@@ -35,7 +35,6 @@ from .errors import (
     ValidationError,
 )
 from .exact_search import (
-    LinearValue,
     ParametricOutcome,
     critical_gamma,
     parametric_search,
@@ -43,7 +42,6 @@ from .exact_search import (
     solve_budget_parametric,
 )
 from .oracle import (
-    EnumerationCap,
     check_node_cap,
     enumerate_all,
     exact_opt_budget,
@@ -70,6 +68,6 @@ from .problems import (
     adapter_for,
     adversarial_wrap,
 )
-from .sweep import BudgetQuery, IndexRange, index_range, solve_budget_fixed, solve_budget_sweep
+from .sweep import BudgetQuery, index_range, solve_budget_fixed, solve_budget_sweep
 
 __version__ = "0.1.0"

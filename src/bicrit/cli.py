@@ -128,10 +128,6 @@ def _long_integers():
         sys.set_int_max_str_digits(saved)
 
 
-def _emit(report: dict) -> None:
-    print(report_json(report))
-
-
 def _budget_verification(instance, record, budget, eps, alpha, factors):
     opt = exact_opt_budget(instance, budget)
     verdict = True if opt is None else verify_budget(record, budget, eps, alpha, opt, factors)
@@ -204,7 +200,7 @@ def _cmd_solve_budget(args, parser) -> int:
                 "min_f1": format_rational(min(r.image.f1 for r in exc.records)),
             }
             report["wall_time_ms"] = (time.perf_counter() - started) * 1000
-            _emit(report)
+            print(report_json(report))
             return 3
         report["record"] = _record_dict(record)
         report["certificate"] = _certificate_dict(cert)
@@ -215,7 +211,7 @@ def _cmd_solve_budget(args, parser) -> int:
                 instance, record, budget, eps, adapter.alpha(), factors
             )
         report["wall_time_ms"] = (time.perf_counter() - started) * 1000
-        _emit(report)
+        print(report_json(report))
         return 0
 
 
@@ -258,7 +254,7 @@ def _cmd_pareto(args, parser) -> int:
             )
             report["verification"] = {"verdict": verdict, "solutions_checked": checked}
         report["wall_time_ms"] = (time.perf_counter() - started) * 1000
-        _emit(report)
+        print(report_json(report))
         return 0
 
 
@@ -299,7 +295,7 @@ def _cmd_repro(args, parser) -> int:
         **extra,
     }
     report["wall_time_ms"] = (time.perf_counter() - started) * 1000
-    _emit(report)
+    print(report_json(report))
     return 0
 
 

@@ -20,8 +20,6 @@ from typing import Any, Optional
 
 from .errors import ExactOracleRequired, ParseError
 
-Rational = Fraction
-
 _RATIONAL_RE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
@@ -227,6 +225,32 @@ class GuaranteeCertificate:
             raise ValueError("certificate factors must be >= 1")
         if self.oracle_calls < 1:
             raise ValueError("a successful run makes at least one oracle call")
+
+
+@dataclass(frozen=True)
+class LinearValue:
+    """A quantity constant + slope * gamma, linear in the symbolic weight.
+
+    Both fields are ints, and ``+`` and ``-`` keep them ints: a plugin
+    scales its weights to integers and runs on integer arithmetic.  Any
+    other type, a bool or a Fraction included, raises TypeError.
+    """
+
+    constant: int
+    slope: int
+
+    def __post_init__(self):
+        if type(self.constant) is not int or type(self.slope) is not int:
+            raise TypeError(f"LinearValue needs int fields, got {self}")
+
+    def at(self, gamma) -> Fraction:
+        return self.constant + rational(gamma) * self.slope
+
+    def __add__(self, other: "LinearValue") -> "LinearValue":
+        return LinearValue(self.constant + other.constant, self.slope + other.slope)
+
+    def __sub__(self, other: "LinearValue") -> "LinearValue":
+        return LinearValue(self.constant - other.constant, self.slope - other.slope)
 
 
 class ProblemAdapter(ABC):

@@ -16,42 +16,14 @@ from typing import Optional
 
 from .core import (
     GuaranteeCertificate,
+    LinearValue,
     ParametricAdapter,
     ProblemAdapter,
-    Rational,
     SolutionRecord,
     pow_one_plus_eps,
-    rational,
 )
 from .errors import ExactOracleRequired, NotParametricCapable
-from .sweep import BudgetQuery, certify, grid_factors, index_range
-
-
-@dataclass(frozen=True)
-class LinearValue:
-    """A quantity constant + slope * gamma, linear in the symbolic weight.
-
-    Int fields stay ints, through ``+`` and ``-`` as well, so a plugin
-    that scales its weights to integers runs on integer arithmetic; other
-    fields are coerced by ``rational``, which refuses floats and bools.
-    """
-
-    constant: Rational
-    slope: Rational
-
-    def __post_init__(self):
-        for name in ("constant", "slope"):
-            if type(getattr(self, name)) is not int:
-                object.__setattr__(self, name, rational(getattr(self, name)))
-
-    def at(self, gamma) -> Fraction:
-        return self.constant + rational(gamma) * self.slope
-
-    def __add__(self, other: "LinearValue") -> "LinearValue":
-        return LinearValue(self.constant + other.constant, self.slope + other.slope)
-
-    def __sub__(self, other: "LinearValue") -> "LinearValue":
-        return LinearValue(self.constant - other.constant, self.slope - other.slope)
+from .sweep import BudgetQuery, certify, grid_factors, index_range, parametric_factors
 
 
 def critical_gamma(p: LinearValue, q: LinearValue) -> Optional[Fraction]:
@@ -79,10 +51,10 @@ def solve_budget_binary(
     if adapter.alpha() != 1:
         raise ExactOracleRequired("binary search needs an exact weighted-sum oracle")
     eps, budget = query.eps, query.budget
-    rng = index_range(eps, budget, adapter.bounds(instance))
+    grid = index_range(eps, budget, adapter.bounds(instance))
     factors = grid_factors(1, eps)
     limit = factors[0] * budget
-    lo, hi = rng.i_min, rng.i_max
+    lo, hi = grid[0], grid[-1]
     best = None
     probes = []
     while lo <= hi:
@@ -137,7 +109,8 @@ def parametric_search(
     eps, budget = query.eps, query.budget
     bounds = adapter.bounds(instance)
     lo, hi = eps * budget / bounds.ub2, eps * budget / bounds.lb2
-    limit = (1 + eps) * budget
+    factors = parametric_factors(eps)
+    limit = factors[0] * budget
     mid = (lo + hi) / 2
     witness, comparisons, probes = None, 0, []
 
@@ -165,7 +138,7 @@ def parametric_search(
     midpoint_record = adapter.solve_weighted_sum(instance, mid)
     picked = midpoint_record if midpoint_record.image.f1 <= limit else witness
     record, certificate = certify(
-        adapter, instance, [*probes, midpoint_record], picked, limit, (1 + eps, 1 + 1 / eps), budget
+        adapter, instance, [*probes, midpoint_record], picked, limit, factors, budget
     )
     return ParametricOutcome(
         record=record,

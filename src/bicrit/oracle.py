@@ -7,22 +7,20 @@ the oracle that checks them: each call scales the instance's weight
 ratios to ints over D, the lcm of their denominators, with its own code,
 never the plugins' ``ScaledWeights``, and sums every solution's members
 as ints.  One private core yields those int sums.  ``enumerate_all``
-builds a record from each, with one ``Fraction`` pair per distinct image.
-The verification paths build no records: ``exact_opt_budget`` folds the
-sums into the least f2 within the budget, and
-``verify_pareto_by_enumeration`` looks each solution up in one sorted
+builds a record from each.  The verification paths build no records:
+``exact_opt_budget`` folds the sums into the least f2 within the budget,
+and ``verify_pareto_by_enumeration`` looks each solution up in one sorted
 front of the curve, scaled to the same ints.  The ``solutions_checked``
 of a ``--verify`` report counts the solutions enumerated.
 
 Everything is capped: a truncated oracle is worse than none, so exceeding
 a cap raises instead of truncating.  The node cap is checked before any
 work starts, by ``check_node_cap``, which the CLI also calls right after
-ingest, before any oracle call.  ``max_solutions`` bounds the work for
+ingest, before any oracle call.  ``MAX_SOLUTIONS`` bounds the work for
 every kind, because the enumerators extend only partial solutions that
-lead to a solution: spanning trees and simple paths are found by
+lead to a solution: spanning trees, simple paths and covers are found by
 backtracking that prunes dead branches before it enters them, and every
-side of a cut is a solution.  Covers are a scan of the at most 2**12 node
-subsets that the node cap allows.  The enumerators keep explicit stacks
+side of a cut is a solution.  The enumerators keep explicit stacks
 rather than recursing, so no edge count reaches the recursion limit and
 no call leaves a reference cycle behind.
 """
@@ -30,7 +28,6 @@ no call leaves a reference cycle behind.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, lcm
 from typing import Optional
@@ -39,17 +36,11 @@ from .core import CostPair, SolutionRecord, rational
 from .errors import CapExceeded
 from .pareto import ParetoSet, filter_dominated
 from .problems.graphs import BiweightedGraph, VertexWeightedGraph
+from .sweep import grid_factors
 
-
-@dataclass(frozen=True)
-class EnumerationCap:
-    """Hard limits enforced on brute-force enumeration."""
-
-    max_solutions: int = 100_000
-    max_nodes: int = 12
-
-
-DEFAULT_CAP = EnumerationCap()
+# Hard limits on brute-force enumeration, read at each call.
+MAX_NODES = 12
+MAX_SOLUTIONS = 100_000
 
 
 def _reach(neighbours, start, blocked=0) -> int:
@@ -174,34 +165,47 @@ def _cuts(graph: BiweightedGraph):
 
 
 def _covers(graph: VertexWeightedGraph):
-    """Yield (node frozenset, nodes) per vertex cover, in subset-mask order."""
+    """Yield (node frozenset, nodes) per vertex cover, in subset-mask order.
+
+    Nodes are decided from the highest index down, out before in, so the
+    masks come in increasing order.  A node is left out only if all of its
+    neighbours decided before it are in; then no edge has both ends out,
+    and taking every node still undecided completes a cover.
+    """
     n = graph.node_count
-    edge_masks = [1 << u | 1 << v for u, v in graph.edges]
-    for mask in range(1 << n):
-        if all(mask & e for e in edge_masks):
-            nodes = [v for v in range(n) if mask >> v & 1]
+    above = [0] * n  # above[v]: v's neighbours with a higher index
+    for u, v in graph.edges:
+        above[min(u, v)] |= 1 << max(u, v)
+    stack = [(n, 0)]  # (nodes decided: those >= v, the ones taken in)
+    while stack:
+        v, mask = stack.pop()
+        if v == 0:
+            nodes = [u for u in range(n) if mask >> u & 1]
             yield frozenset(nodes), nodes
+            continue
+        v -= 1
+        stack.append((v, mask | 1 << v))
+        if not above[v] & ~mask:
+            stack.append((v, mask))
 
 
 _ENUMERATORS = {"mst": _spanning_trees, "path": _simple_paths, "cut": _cuts}
 
 
-def check_node_cap(instance, cap: EnumerationCap = DEFAULT_CAP) -> None:
-    """Raise ``CapExceeded`` if the instance has more nodes than enumeration allows."""
-    if instance.node_count > cap.max_nodes:
-        raise CapExceeded(
-            f"{instance.node_count} nodes exceeds the enumeration cap {cap.max_nodes}"
-        )
+def check_node_cap(instance) -> None:
+    """Raise ``CapExceeded`` if the instance has more than ``MAX_NODES`` nodes."""
+    if instance.node_count > MAX_NODES:
+        raise CapExceeded(f"{instance.node_count} nodes exceeds the enumeration cap {MAX_NODES}")
 
 
-def _scaled_images(instance, cap: EnumerationCap):
+def _scaled_images(instance):
     """(D, solutions): D the lcm of every weight denominator, solutions an iterator.
 
     The iterator yields (token, D*f1, D*f2) per feasible solution, as ints,
     in enumeration order.  The node cap is checked before anything is
-    enumerated; ``max_solutions`` is checked as the solutions come.
+    enumerated; ``MAX_SOLUTIONS`` is checked as the solutions come.
     """
-    check_node_cap(instance, cap)
+    check_node_cap(instance)
     if isinstance(instance, VertexWeightedGraph):
         solutions = _covers(instance)
     elif isinstance(instance, BiweightedGraph):
@@ -214,7 +218,7 @@ def _scaled_images(instance, cap: EnumerationCap):
     scale = lcm(*[q for pair in ratios for _, q in pair])
     first = [p * (scale // q) for (p, q), _ in ratios]
     second = [p * (scale // q) for _, (p, q) in ratios]
-    return scale, _summed(solutions, first, second, cap.max_solutions)
+    return scale, _summed(solutions, first, second, MAX_SOLUTIONS)
 
 
 def _summed(solutions, first, second, limit):
@@ -226,26 +230,22 @@ def _summed(solutions, first, second, limit):
         yield token, sum(map(first.__getitem__, members)), sum(map(second.__getitem__, members))
 
 
-def enumerate_all(instance, cap: EnumerationCap = DEFAULT_CAP):
+def enumerate_all(instance):
     """Every feasible solution of the instance, exactly once, with its image."""
-    scale, solutions = _scaled_images(instance, cap)
-    records = []
-    images = {}  # (D*f1, D*f2) -> CostPair: records with one image share one object
-    for token, s1, s2 in solutions:
-        image = images.get((s1, s2))
-        if image is None:
-            image = images[s1, s2] = CostPair(Fraction(s1, scale), Fraction(s2, scale))
-        records.append(SolutionRecord(token=token, image=image))
-    return records
+    scale, solutions = _scaled_images(instance)
+    return [
+        SolutionRecord(token, CostPair(Fraction(s1, scale), Fraction(s2, scale)))
+        for token, s1, s2 in solutions
+    ]
 
 
-def exact_opt_budget(instance, budget, cap: EnumerationCap = DEFAULT_CAP) -> Optional[Fraction]:
+def exact_opt_budget(instance, budget) -> Optional[Fraction]:
     """Minimum f2 over solutions with f1 <= budget; None when none qualifies.
 
     D*f1 is an int, so f1 <= budget exactly when D*f1 <= floor(D*budget).
     """
     budget = rational(budget)
-    scale, solutions = _scaled_images(instance, cap)
+    scale, solutions = _scaled_images(instance)
     limit = budget.numerator * scale // budget.denominator
     best = None
     for _, s1, s2 in solutions:
@@ -254,21 +254,21 @@ def exact_opt_budget(instance, budget, cap: EnumerationCap = DEFAULT_CAP) -> Opt
     return None if best is None else Fraction(best, scale)
 
 
-def exact_pareto(instance, cap: EnumerationCap = DEFAULT_CAP) -> ParetoSet:
+def exact_pareto(instance) -> ParetoSet:
     """The exact Pareto curve: the nondominated subset of all solutions."""
-    records = enumerate_all(instance, cap)
+    records = enumerate_all(instance)
     return ParetoSet(tuple(filter_dominated(records)), Fraction(1), Fraction(1))
 
 
 def verify_budget(record: SolutionRecord, budget, eps, alpha, opt, factors=None) -> bool:
     """Check a budget-run record against the exact optimum, exactly.
 
-    Default factors are (alpha*(1+2*eps), alpha*(1+2/eps)); pass explicit
-    ``factors`` to check a variant such as the parametric (1+eps, 1+1/eps).
+    Default factors are the grid's, ``grid_factors(alpha, eps)``; pass
+    explicit ``factors`` to check a variant such as ``parametric_factors(eps)``.
     """
     budget, eps, alpha, opt = map(rational, (budget, eps, alpha, opt))
     if factors is None:
-        factors = (alpha * (1 + 2 * eps), alpha * (1 + 2 / eps))
+        factors = grid_factors(alpha, eps)
     budget_factor, cost_factor = (rational(f) for f in factors)
     return record.image.f1 <= budget_factor * budget and record.image.f2 <= cost_factor * opt
 
@@ -317,7 +317,7 @@ def verify_pareto_coverage(approx, all_records, a, b) -> bool:
     return all(_reaches(front, x.image.f1, x.image.f2) for x in all_records)
 
 
-def verify_pareto_by_enumeration(instance, approx, a, b, cap: EnumerationCap = DEFAULT_CAP):
+def verify_pareto_by_enumeration(instance, approx, a, b):
     """(verdict, solutions checked): ``verify_pareto_coverage`` against every solution.
 
     The same check on ints, with no record built: with s1 = D*f1 and
@@ -327,7 +327,7 @@ def verify_pareto_by_enumeration(instance, approx, a, b, cap: EnumerationCap = D
     ``enumerate_all``.
     """
     a, b = _positive(a, b)
-    scale, solutions = _scaled_images(instance, cap)
+    scale, solutions = _scaled_images(instance)
     front = _front(
         (ceil(r.image.f1 * scale / a), ceil(r.image.f2 * scale / b)) for r in _records(approx)
     )

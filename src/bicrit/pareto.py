@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .core import Bounds, ProblemAdapter, check_epsilon, rational
 from .core import pow_one_plus_eps  # noqa: F401  unused; perfbench's tracer wraps this name
-from .sweep import IndexRange, grid_factors, solve_grid, zero_f2_weight
+from .sweep import covering_range, grid_factors, parametric_factors, solve_grid, zero_f2_weight
 
 
 @dataclass(frozen=True)
@@ -73,10 +73,10 @@ def filter_dominated(records) -> list:
     return [records[k] for k in sorted(kept)]
 
 
-def pareto_index_range(eps, bounds: Bounds) -> IndexRange:
+def pareto_index_range(eps, bounds: Bounds) -> range:
     """Exponent range bracketing [eps*LB(1)/UB(2), eps*UB(1)/LB(2)] exactly."""
     eps = check_epsilon(eps)
-    return IndexRange.covering(eps, eps * bounds.lb1 / bounds.ub2, eps * bounds.ub1 / bounds.lb2)
+    return covering_range(eps, eps * bounds.lb1 / bounds.ub2, eps * bounds.ub1 / bounds.lb2)
 
 
 def approximate_pareto(adapter: ProblemAdapter, instance, eps) -> ParetoSet:
@@ -112,7 +112,7 @@ def pareto_from_parametric(adapter: ProblemAdapter, instance, eps) -> ParetoSet:
     records = adapter.solve_all_weights(
         instance, eps * bounds.lb1 / (2 * bounds.ub2), 2 * bounds.ub1 / bounds.lb2
     )
-    return ParetoSet(tuple(filter_dominated(records)), 1 + eps, 1 + 1 / eps, len(records))
+    return ParetoSet(tuple(filter_dominated(records)), *parametric_factors(eps), len(records))
 
 
 def boundary_solutions(adapter: ProblemAdapter, instance, bounds: Bounds = None):

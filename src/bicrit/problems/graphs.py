@@ -21,9 +21,8 @@ from functools import cached_property
 from math import lcm
 from typing import Optional
 
-from ..core import Bounds, CostPair, ratio_text, rational
+from ..core import Bounds, CostPair, LinearValue, ratio_text, rational
 from ..errors import ValidationError
-from ..exact_search import LinearValue
 
 GRAPH_KINDS = ("mst", "path", "cut")
 
@@ -62,16 +61,14 @@ class _Graph:
     """The reader's entry and the weight-derived views both graph kinds share."""
 
     @classmethod
-    def from_ratios(cls, *args, texts=None, **kwargs):
+    def from_ratios(cls, *args, texts, **kwargs):
         """The graph that ``_build`` makes of the reduced int pairs ``ratios``.
 
-        It takes ``_build``'s arguments; ``texts``, when given, are the
-        ``weight_texts``.
+        It takes ``_build``'s arguments; ``texts`` are the ``weight_texts``.
         """
         graph = cls.__new__(cls)
         graph._build(*args, **kwargs)
-        if texts is not None:
-            graph.__dict__["weight_texts"] = tuple(texts)
+        graph.__dict__["weight_texts"] = tuple(texts)
         return graph
 
     @cached_property

@@ -142,7 +142,7 @@ def reference_binary(adapter, instance, query):
     rng = index_range(eps, budget, adapter.bounds(instance))
     budget_factor, cost_factor = grid_factors(1, eps)
     limit = budget_factor * budget
-    lo, hi = rng.i_min, rng.i_max
+    lo, hi = rng[0], rng[-1]
     best = None
     probes = []
     while lo <= hi:
@@ -210,9 +210,8 @@ class TestLinearValue:
         v = LinearValue(1, 2) + LinearValue(3, 4) - LinearValue(5, 7)
         assert (type(v.constant), type(v.slope)) == (int, int)
         assert v == LinearValue(-1, -1)
-        half = LinearValue(Fraction(1, 2), "3/2")
-        assert half.constant == Fraction(1, 2) and half.slope == Fraction(3, 2)
-        assert type((half + LinearValue(1, 1)).slope) is Fraction
+        with pytest.raises(TypeError):
+            LinearValue(Fraction(1, 2), "3/2")
 
     def test_floats_and_bools_are_refused(self):
         for bad in ((0.5, 1), (1, 0.5), (True, 1), (1, False)):
@@ -222,7 +221,8 @@ class TestLinearValue:
     def test_critical_gamma_is_exact_on_int_fields(self):
         crit = critical_gamma(LinearValue(2, 3), LinearValue(3, 1))
         assert crit == Fraction(1, 2) and type(crit) is Fraction
-        assert critical_gamma(LinearValue(Fraction(2), 3), LinearValue(3, 1)) == Fraction(1, 2)
+        with pytest.raises(TypeError):
+            LinearValue(Fraction(2), 3)
 
 
 class TestBinarySearch:

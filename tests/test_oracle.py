@@ -7,10 +7,10 @@ from fractions import Fraction
 import pytest
 
 from _suite import random_mst_instance
+from bicrit import oracle
 from bicrit.core import CostPair, SolutionRecord
 from bicrit.errors import CapExceeded
 from bicrit.oracle import (
-    EnumerationCap,
     enumerate_all,
     exact_opt_budget,
     exact_pareto,
@@ -65,11 +65,16 @@ class TestEnumerate:
             assert adapter.evaluate(inst, rec.token) == rec.image
             assert rec.produced_at is None
 
-    def test_caps(self, ex1):
-        with pytest.raises(CapExceeded):
-            enumerate_all(ex1, EnumerationCap(max_nodes=2))
-        with pytest.raises(CapExceeded):
-            enumerate_all(ex1, EnumerationCap(max_solutions=2))
+    def test_caps(self, ex1, monkeypatch):
+        with monkeypatch.context() as patch:
+            patch.setattr(oracle, "MAX_NODES", 2)
+            with pytest.raises(CapExceeded):
+                enumerate_all(ex1)
+        with monkeypatch.context() as patch:
+            patch.setattr(oracle, "MAX_SOLUTIONS", 2)
+            with pytest.raises(CapExceeded):
+                enumerate_all(ex1)
+        assert len(enumerate_all(ex1)) == 3
 
 
 class TestOptBudget:

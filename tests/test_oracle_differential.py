@@ -26,11 +26,12 @@ from _suite import (
     random_relaxed_instance,
     random_vc_instance,
 )
+from bicrit import oracle
 from bicrit.cli import ALGORITHMS, main
 from bicrit.core import CostPair, SolutionRecord
 from bicrit.errors import CapExceeded
 from bicrit.oracle import (
-    EnumerationCap,
+    _covers,
     enumerate_all,
     exact_opt_budget,
     exact_pareto,
@@ -53,8 +54,8 @@ def _ref_sum_image(weights, indices) -> CostPair:
 
 
 class _RefCounter:
-    def __init__(self, cap):
-        self.left = cap.max_solutions
+    def __init__(self, limit):
+        self.left = limit
 
     def tick(self):
         self.left -= 1
@@ -151,10 +152,11 @@ def _ref_covers(graph, counter):
     return out
 
 
-def reference_enumerate_all(instance, cap=EnumerationCap()):
-    if instance.node_count > cap.max_nodes:
+def reference_enumerate_all(instance):
+    """The reference enumeration, under the oracle's caps as they are at the call."""
+    if instance.node_count > oracle.MAX_NODES:
         raise CapExceeded("node cap")
-    counter = _RefCounter(cap)
+    counter = _RefCounter(oracle.MAX_SOLUTIONS)
     if isinstance(instance, VertexWeightedGraph):
         tokens = _ref_covers(instance, counter)
         weights = instance.vertex_weights
@@ -294,20 +296,46 @@ def test_awkward_denominators_match(style):
         assert_same_enumeration(instance)
 
 
-def test_cap_semantics_match():
+def _scan_covers(graph):
+    """The cover enumeration the backtracking one replaced: every one of the 2**n masks."""
+    n = graph.node_count
+    edge_masks = [1 << u | 1 << v for u, v in graph.edges]
+    for mask in range(1 << n):
+        if all(mask & e for e in edge_masks):
+            nodes = [v for v in range(n) if mask >> v & 1]
+            yield frozenset(nodes), nodes
+
+
+def test_covers_match_the_subset_scan(suite):
+    rng = random.Random(4109)
+    graphs = [case.instance for case in suite if case.instance.kind == "vc"]
+    graphs += [random_relaxed_instance(rng, "vc", rng.randint(2, 9)) for _ in range(30)]
+    graphs += [random_vc_instance(rng, 12) for _ in range(3)]
+    complete = [(u, v) for u in range(12) for v in range(u)]
+    graphs.append(VertexWeightedGraph(12, complete, [(1, 1)] * 12))
+    graphs.append(VertexWeightedGraph(5, (), [(1, 2)] * 5))  # edgeless: every subset is a cover
+    assert len(graphs) > 60
+    for graph in graphs:
+        expected = list(_scan_covers(graph))
+        assert list(_covers(graph)) == expected
+    assert len(expected) == 2**5
+
+
+def test_cap_semantics_match(monkeypatch):
     rng = random.Random(4102)
     for i in range(60):
         instance = _random_instance(rng, KINDS[i % 4])
         total = len(reference_enumerate_all(instance))
         for limit in (0, total - 1, total):
-            cap = EnumerationCap(max_solutions=max(limit, 0))
-            try:
-                expected = reference_enumerate_all(instance, cap)
-            except CapExceeded:
-                with pytest.raises(CapExceeded):
-                    enumerate_all(instance, cap)
-            else:
-                assert enumerate_all(instance, cap) == expected
+            with monkeypatch.context() as patch:
+                patch.setattr(oracle, "MAX_SOLUTIONS", max(limit, 0))
+                try:
+                    expected = reference_enumerate_all(instance)
+                except CapExceeded:
+                    with pytest.raises(CapExceeded):
+                        enumerate_all(instance)
+                else:
+                    assert enumerate_all(instance) == expected
 
 
 def test_opt_budget_matches_at_every_achievable_budget(suite):
@@ -347,23 +375,24 @@ def _fold_instances(suite):
     return [case.instance for case in suite[::4]] + relaxed
 
 
-def test_folds_raise_at_the_caps():
+def test_folds_raise_at_the_caps(monkeypatch):
     rng = random.Random(4107)
     for i in range(40):
         instance = _random_instance(rng, KINDS[i % 4])
         total = len(reference_enumerate_all(instance))
         curve = exact_pareto(instance)
-        for cap in (
-            EnumerationCap(max_solutions=total - 1),
-            EnumerationCap(max_nodes=instance.node_count - 1),
-        ):
-            with pytest.raises(CapExceeded):
-                exact_opt_budget(instance, 10**6, cap)
-            with pytest.raises(CapExceeded):
-                verify_pareto_by_enumeration(instance, curve, 1, 1, cap)
-        cap = EnumerationCap(max_solutions=total, max_nodes=instance.node_count)
-        assert exact_opt_budget(instance, 10**6, cap) == min(r.image.f2 for r in curve.records)
-        assert verify_pareto_by_enumeration(instance, curve, 1, 1, cap) == (True, total)
+        for name, limit in (("MAX_SOLUTIONS", total - 1), ("MAX_NODES", instance.node_count - 1)):
+            with monkeypatch.context() as patch:
+                patch.setattr(oracle, name, limit)
+                with pytest.raises(CapExceeded):
+                    exact_opt_budget(instance, 10**6)
+                with pytest.raises(CapExceeded):
+                    verify_pareto_by_enumeration(instance, curve, 1, 1)
+        with monkeypatch.context() as patch:
+            patch.setattr(oracle, "MAX_SOLUTIONS", total)
+            patch.setattr(oracle, "MAX_NODES", instance.node_count)
+            assert exact_opt_budget(instance, 10**6) == min(r.image.f2 for r in curve.records)
+            assert verify_pareto_by_enumeration(instance, curve, 1, 1) == (True, total)
 
 
 def test_opt_budget_fold_matches_on_relaxed_instances(suite):
@@ -473,10 +502,11 @@ def test_spanning_trees_past_the_recursion_limit():
     assert [r.token for r in records] == [frozenset({i}) for i in range(3000)]
 
 
-def test_path_enumeration_skips_dead_ends():
+def test_path_enumeration_skips_dead_ends(monkeypatch):
     # Nodes 0-9 pairwise joined twice; the sink hangs off the source only.
     edges = [(u, v, (1, 1)) for u in range(10) for v in range(u + 1, 10) for _ in range(2)]
     edges.append((0, 10, (2, 3)))
     graph = BiweightedGraph(11, tuple(edges), kind="path", source=0, sink=10)
-    records = enumerate_all(graph, EnumerationCap(max_solutions=1))
+    monkeypatch.setattr(oracle, "MAX_SOLUTIONS", 1)
+    records = enumerate_all(graph)
     assert [(r.token, r.image) for r in records] == [((90,), CostPair(2, 3))]

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import ast
 import random
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +16,7 @@ from _suite import (
     random_vc_instance,
     weighted_minimum,
 )
+from bicrit import problems
 from bicrit.core import CostPair
 from bicrit.errors import (
     DisconnectedGraph,
@@ -394,3 +397,29 @@ class TestAdversary:
         adv = adversarial_wrap(MstAdapter(), Fraction(1), ex1)
         with pytest.raises(ValueError):
             adv.solve_weighted_sum(ex2, Fraction(1))
+
+
+def _module_level_imports(tree):
+    """The dotted parts of each module, and of each name, imported outside a function body."""
+    pending = list(tree.body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".") for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = (node.module or "").split(".")
+            yield module
+            yield from (module + [alias.name] for alias in node.names)
+        else:
+            pending.extend(ast.iter_child_nodes(node))
+
+
+def test_problem_modules_do_not_import_the_algorithm_layer():
+    algorithms = {"sweep", "exact_search", "pareto", "oracle"}
+    modules = sorted(Path(problems.__file__).parent.glob("*.py"))
+    assert {m.name for m in modules} >= {"graphs.py", "adversary.py", "vertex_cover.py"}
+    for module in modules:
+        for parts in _module_level_imports(ast.parse(module.read_text())):
+            assert not algorithms & set(parts), (module.name, ".".join(parts))

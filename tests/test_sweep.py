@@ -23,10 +23,10 @@ from bicrit.oracle import exact_opt_budget, verify_budget
 from bicrit.problems import BiweightedGraph, MstAdapter, mst
 from bicrit.sweep import (
     BudgetQuery,
-    IndexRange,
     index_range,
     solve_budget_fixed,
     solve_budget_sweep,
+    solve_grid,
     zero_f2_weight,
 )
 
@@ -52,9 +52,9 @@ def _full_sweep(adapter, instance, query):
 class TestIndexRange:
     def test_examples(self):
         b = Bounds(1, 1, 2, 5)
-        assert index_range(Fraction(1), Fraction(3), b) == IndexRange(-1, 1)
-        assert index_range(Fraction(1), Fraction(1), Bounds(1, 1, 1, 1)) == IndexRange(0, 0)
-        assert index_range(Fraction(1, 2), Fraction(2), Bounds(1, 1, 1, 4)) == IndexRange(-4, 0)
+        assert index_range(Fraction(1), Fraction(3), b) == range(-1, 2)
+        assert index_range(Fraction(1), Fraction(1), Bounds(1, 1, 1, 1)) == range(0, 1)
+        assert index_range(Fraction(1, 2), Fraction(2), Bounds(1, 1, 1, 4)) == range(-4, 1)
 
     def test_brackets_the_ideal_weight(self):
         rng = random.Random(29)
@@ -66,12 +66,14 @@ class TestIndexRange:
             budget = Fraction(rng.randint(1, 9), rng.randint(1, 4))
             rng_idx = index_range(eps, budget, bounds)
             base = 1 + eps
-            assert base**rng_idx.i_min <= eps * budget / ub2
-            assert base**rng_idx.i_max >= eps * budget / lb2
+            assert base ** rng_idx[0] <= eps * budget / ub2
+            assert base ** rng_idx[-1] >= eps * budget / lb2
 
-    def test_invalid_inputs(self):
+    def test_invalid_inputs(self, ex2):
+        adapter = CachingAdapter(MstAdapter(), ex2)
         with pytest.raises(ValueError):
-            IndexRange(2, 1)
+            solve_grid(adapter, ex2, Fraction(1), range(2, 2))
+        assert adapter.invocations == 0
         with pytest.raises(ValueError):
             index_range(Fraction(1), Fraction(0), Bounds(1, 1, 1, 1))
         with pytest.raises(ValueError):
@@ -157,8 +159,8 @@ class TestSweepProperties:
                     opt = exact_opt_budget(inst, budget)
                     ideal = eps * budget / opt
                     rng_idx = index_range(eps, budget, bounds)
-                    lo = pow_one_plus_eps(eps, rng_idx.i_min)
-                    hi = pow_one_plus_eps(eps, rng_idx.i_max)
+                    lo = pow_one_plus_eps(eps, rng_idx[0])
+                    hi = pow_one_plus_eps(eps, rng_idx[-1])
                     assert lo <= ideal <= hi
                     assert any(
                         ideal / (1 + eps) <= pow_one_plus_eps(eps, i) <= (1 + eps) * ideal

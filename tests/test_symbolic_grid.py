@@ -20,7 +20,6 @@ from bicrit.pareto import approximate_pareto, pareto_index_range
 from bicrit.problems import VertexCoverAdapter, VertexWeightedGraph, adversarial_wrap, vc_oracle
 from bicrit.sweep import (
     BudgetQuery,
-    IndexRange,
     index_range,
     solve_budget_fixed,
     solve_budget_sweep,
@@ -106,7 +105,7 @@ class TestGridRecords:
     )
     def test_critical_weight_on_a_grid_weight(self, eps, edges, weights, tie):
         graph = VertexWeightedGraph(len(weights), edges, weights)
-        records = _check_grid(graph, eps, IndexRange(tie - 3, tie + 3))
+        records = _check_grid(graph, eps, range(tie - 3, tie + 4))
         # The tied weight's answer differs from both neighbours', so it is
         # a range of its own.
         produced = [r.produced_at for r in records]
