@@ -42,6 +42,7 @@ from .exact_search import (
     solve_budget_parametric,
 )
 from .oracle import (
+    adversarial_wrap,
     check_node_cap,
     enumerate_all,
     exact_opt_budget,
@@ -66,7 +67,6 @@ from .problems import (
     VertexCoverAdapter,
     VertexWeightedGraph,
     adapter_for,
-    adversarial_wrap,
 )
 from .sweep import BudgetQuery, index_range, solve_budget_fixed, solve_budget_sweep
 

@@ -243,9 +243,6 @@ class LinearValue:
         if type(self.constant) is not int or type(self.slope) is not int:
             raise TypeError(f"LinearValue needs int fields, got {self}")
 
-    def at(self, gamma) -> Fraction:
-        return self.constant + rational(gamma) * self.slope
-
     def __add__(self, other: "LinearValue") -> "LinearValue":
         return LinearValue(self.constant + other.constant, self.slope + other.slope)
 

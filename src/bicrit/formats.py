@@ -5,9 +5,11 @@ it is a "p/q" string.  ``instance_from_dict`` parses each distinct text
 once into a reduced int pair and hands the pairs to the graphs'
 ``from_ratios``, so no ``Fraction`` or ``CostPair`` is made per weight.
 The canonical form of an instance is JSON with keys sorted and no
-spaces, written in one join from the canonical texts of the weights by
-``_canonical_json``, its only writer: ``instance_digest`` hashes it and
-``serialize_instance`` reads it back as a dict.  ``report_json`` lays
+spaces.  ``_canonical_json`` is its only writer: it derives the canonical
+text of each distinct int pair with ``ratio_text`` and writes the form in
+one join.  ``instance_digest`` hashes it and ``serialize_instance`` reads
+it back as a dict, so an instance read from a file and one built by the
+constructors from the same weights have one digest.  ``report_json`` lays
 out a report as ``json.dumps(report, indent=2, sort_keys=True)`` does.
 """
 
@@ -57,17 +59,10 @@ def _optional_int(data, name):
     return None if value is None else _typed(value, int, name)
 
 
-def _rational(text):
-    """((p, q), canonical text) of a p/q string; the text itself when it is canonical."""
-    p, q = parse_ratio(text)
-    canonical = ratio_text(p, q)
-    return (p, q), (text if text == canonical else canonical)
-
-
 def _rational_field(data, name, where):
     text = _field(data, name, str, where)
     try:
-        return _rational(text)
+        return parse_ratio(text)
     except ParseError as exc:
         raise ParseError(f"{where}.{name}: {exc}") from None
 
@@ -77,8 +72,7 @@ def _checked_ends(entry, where):
 
 
 def _checked_weights(entry, where):
-    (r1, t1), (r2, t2) = (_rational_field(entry, name, where) for name in ("w1", "w2"))
-    return (r1, r2), (t1, t2)
+    return tuple([_rational_field(entry, name, where) for name in ("w1", "w2")])
 
 
 # The fast readers take a whole list of entries at once and return None
@@ -100,29 +94,28 @@ def _read_ends(entries):
 
 
 def _read_weights(entries):
-    """(ratios, texts): per entry, its w1 and w2 as (p, q) pairs and as canonical texts, or None.
+    """Per entry, its w1 and w2 as reduced (p, q) pairs, or None.
 
     A file's weights repeat, so each distinct text is parsed once.
     """
-    seen = {}  # text -> ((p, q), canonical text)
-    ratios, texts = [], []
+    seen = {}  # text -> (p, q)
+    ratios = []
     try:
         for w1, w2 in map(_WEIGHTS, entries):
             a = seen.get(w1)
             if a is None:
                 if type(w1) is not str:
                     return None
-                a = seen[w1] = _rational(w1)
+                a = seen[w1] = parse_ratio(w1)
             b = seen.get(w2)
             if b is None:
                 if type(w2) is not str:
                     return None
-                b = seen[w2] = _rational(w2)
-            ratios.append((a[0], b[0]))
-            texts.append((a[1], b[1]))
+                b = seen[w2] = parse_ratio(w2)
+            ratios.append((a, b))
     except (KeyError, TypeError, ParseError):  # not a dict, a field missing, or not p/q
         return None
-    return ratios, texts
+    return ratios
 
 
 def _ends(entries, name):
@@ -133,11 +126,10 @@ def _ends(entries, name):
 
 
 def _weights(entries, name):
-    out = _read_weights(entries)
-    if out is None:
-        read = [_checked_weights(e, f"{name}[{i}]") for i, e in enumerate(entries)]
-        out = [ratios for ratios, _ in read], [texts for _, texts in read]
-    return out
+    ratios = _read_weights(entries)
+    if ratios is None:
+        ratios = [_checked_weights(e, f"{name}[{i}]") for i, e in enumerate(entries)]
+    return ratios
 
 
 def instance_from_dict(data):
@@ -153,20 +145,16 @@ def instance_from_dict(data):
     try:
         if kind == "vc":
             weights_raw = _field(data, "vertex_weights", list)
-            ratios, texts = _weights(weights_raw, "vertex_weights")
-            return VertexWeightedGraph.from_ratios(
-                nodes, ends, ratios, relaxed=relaxed, texts=texts
-            )
-        ratios, texts = _weights(edges_raw, "edges")
+            ratios = _weights(weights_raw, "vertex_weights")
+            return VertexWeightedGraph.from_ratios(nodes, ends, ratios, relaxed=relaxed)
         instance = BiweightedGraph.from_ratios(
             nodes,
             ends,
-            ratios,
+            _weights(edges_raw, "edges"),
             kind=kind,
             source=_optional_int(data, "source"),
             sink=_optional_int(data, "sink"),
             relaxed=relaxed,
-            texts=texts,
         )
     except ValueError as exc:
         raise ValidationError(str(exc)) from None
@@ -181,7 +169,9 @@ def instance_from_dict(data):
 
 def _canonical_json(instance) -> str:
     """The canonical form of an instance: JSON with sorted keys and no spaces, in one join."""
-    texts = instance.weight_texts
+    # A file's weights repeat: write each distinct pair's text once.
+    text = {r: ratio_text(*r) for r in {r for pair in instance.ratios for r in pair}}
+    texts = [(text[a], text[b]) for a, b in instance.ratios]
     relaxed = "true" if instance.relaxed else "false"
     head = f'"kind":"{instance.kind}","nodes":{instance.node_count},"relaxed":{relaxed}'
     if instance.kind == "vc":

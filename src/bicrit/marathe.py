@@ -19,8 +19,8 @@ from typing import Any, Optional
 
 from .core import ProblemAdapter, SolutionRecord, rational
 from .errors import BicritError
-from .oracle import exact_opt_budget
-from .problems import BiweightedGraph, MstAdapter, adversarial_wrap
+from .oracle import adversarial_wrap, exact_opt_budget
+from .problems import BiweightedGraph, MstAdapter
 from .sweep import zero_f2_weight
 
 

@@ -12,6 +12,9 @@ builds a record from each.  The verification paths build no records:
 and ``verify_pareto_by_enumeration`` looks each solution up in one sorted
 front of the curve, scaled to the same ints.  The ``solutions_checked``
 of a ``--verify`` report counts the solutions enumerated.
+``adversarial_wrap`` builds on ``enumerate_all`` a worst-case legal
+approximate oracle, for reproducing documented failures of
+approximation-oracle-driven search and for negative tests.
 
 Everything is capped: a truncated oracle is worse than none, so exceeding
 a cap raises instead of truncating.  The node cap is checked before any
@@ -28,11 +31,12 @@ no call leaves a reference cycle behind.
 from __future__ import annotations
 
 from bisect import bisect_right
+from dataclasses import replace
 from fractions import Fraction
 from math import ceil, lcm
 from typing import Optional
 
-from .core import CostPair, SolutionRecord, rational
+from .core import CostPair, ProblemAdapter, SolutionRecord, check_weight, rational
 from .errors import CapExceeded
 from .pareto import ParetoSet, filter_dominated
 from .problems.graphs import BiweightedGraph, VertexWeightedGraph
@@ -237,6 +241,55 @@ def enumerate_all(instance):
         SolutionRecord(token, CostPair(Fraction(s1, scale), Fraction(s2, scale)))
         for token, s1, s2 in solutions
     ]
+
+
+def adversarial_wrap(inner: ProblemAdapter, alpha, instance, script=None) -> ProblemAdapter:
+    """Wrap ``inner`` as an alpha-approximate adversary bound to ``instance``.
+
+    The default policy returns, among all feasible solutions whose
+    weighted value is within alpha of the optimum, the one maximizing f1
+    (ties by maximal f2, then enumeration order).  ``script`` maps a
+    weight gamma to a forced token; scripted answers are validated to be
+    alpha-legal.  The instance must be small enough to enumerate.
+    """
+    alpha = rational(alpha)
+    if alpha < 1:
+        raise ValueError("adversary factor must be >= 1")
+    candidates = enumerate_all(instance)
+    return _AdversarialAdapter(inner, alpha, instance, candidates, dict(script or {}))
+
+
+class _AdversarialAdapter(ProblemAdapter):
+    def __init__(self, inner, alpha, instance, candidates, script):
+        self._inner = inner
+        self._alpha = alpha
+        self._instance = instance
+        self._candidates = candidates
+        self._script = {rational(g): token for g, token in script.items()}
+
+    def alpha(self) -> Fraction:
+        return self._alpha
+
+    def evaluate(self, instance, token):
+        return self._inner.evaluate(instance, token)
+
+    def bounds(self, instance):
+        return self._inner.bounds(instance)
+
+    def solve_weighted_sum(self, instance, gamma) -> SolutionRecord:
+        if instance != self._instance:
+            raise ValueError("adversary is bound to the instance it was built for")
+        gamma = check_weight(gamma)
+        best = min(r.image.weighted(gamma) for r in self._candidates)
+        legal = [r for r in self._candidates if r.image.weighted(gamma) <= self._alpha * best]
+        forced = self._script.get(gamma)
+        if forced is not None:
+            chosen = next((r for r in legal if r.token == forced), None)
+            if chosen is None:
+                raise ValueError(f"scripted answer at gamma={gamma} is not alpha-legal")
+        else:
+            chosen = max(legal, key=lambda r: (r.image.f1, r.image.f2))
+        return replace(chosen, produced_at=gamma)
 
 
 def exact_opt_budget(instance, budget) -> Optional[Fraction]:

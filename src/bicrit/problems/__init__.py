@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from .adversary import adversarial_wrap
 from .graphs import BiweightedGraph, VertexWeightedGraph
 from .min_cut import MinCutAdapter, cut_oracle
 from .mst import MstAdapter, mst_oracle
@@ -30,7 +29,6 @@ __all__ = [
     "MinCutAdapter",
     "VertexCoverAdapter",
     "adapter_for",
-    "adversarial_wrap",
     "mst_oracle",
     "sp_oracle",
     "cut_oracle",

@@ -2,15 +2,16 @@
 
 Both graph kinds are frozen dataclasses.  Parallel edges are first-class
 (the zero-cost boundary fixtures need them); self-loops are rejected
-since no plugin can use one.  An instance keeps its weights as
-``ratios``: per weight pair, ((p1, q1), (p2, q2)) with w1 = p1/q1 and
-w2 = p2/q2 in lowest terms, q > 0.  The constructors take ``CostPair``s,
-or pairs that ``CostPair`` accepts, and turn each into its int pairs;
-``from_ratios`` takes the int pairs straight from a reader.  Both go
-through one ``_build`` per kind, which runs every check.  The
-``CostPair``s of ``edges``, ``weights()`` and ``vertex_weights``, the
-``ScaledWeights`` the oracles use and the adjacency are built from
-``ratios`` on first read and kept with the instance.
+since no plugin can use one.  An instance is its node count, its ends,
+its flags and its weights as ``ratios``: per weight pair,
+((p1, q1), (p2, q2)) with w1 = p1/q1 and w2 = p2/q2 in lowest terms,
+q > 0.  The constructors take ``CostPair``s, or pairs that ``CostPair``
+accepts, and turn each into its int pairs; ``from_ratios`` takes the int
+pairs straight from a reader.  Both go through one ``_build`` per kind,
+which runs every check.  Only what the oracles read is derived from
+``ratios`` and the ends, on first read, and kept with the instance: the
+``ScaledWeights``, the adjacency and the neighbours.  ``CostPair``s
+appear only as images; ``formats`` writes the canonical texts.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from functools import cached_property
 from math import lcm
 from typing import Optional
 
-from ..core import Bounds, CostPair, LinearValue, ratio_text, rational
+from ..core import Bounds, CostPair, LinearValue, rational
 from ..errors import ValidationError
 
 GRAPH_KINDS = ("mst", "path", "cut")
@@ -58,17 +59,16 @@ def _check_positivity(ratios, relaxed: bool, what: str):
 
 
 class _Graph:
-    """The reader's entry and the weight-derived views both graph kinds share."""
+    """The reader's entry and the oracles' weights, shared by both graph kinds."""
 
     @classmethod
-    def from_ratios(cls, *args, texts, **kwargs):
+    def from_ratios(cls, *args, **kwargs):
         """The graph that ``_build`` makes of the reduced int pairs ``ratios``.
 
-        It takes ``_build``'s arguments; ``texts`` are the ``weight_texts``.
+        It takes ``_build``'s arguments.
         """
         graph = cls.__new__(cls)
         graph._build(*args, **kwargs)
-        graph.__dict__["weight_texts"] = tuple(texts)
         return graph
 
     @cached_property
@@ -76,15 +76,10 @@ class _Graph:
         """The weights as ints, for the oracles."""
         return ScaledWeights.of(self.ratios)
 
-    @cached_property
-    def weight_texts(self) -> tuple:
-        """Per weight pair, the canonical texts ("p/q", or "p") of w1 and w2."""
-        return tuple([(ratio_text(*a), ratio_text(*b)) for a, b in self.ratios])
-
 
 @dataclass(frozen=True, init=False)
 class BiweightedGraph(_Graph):
-    """Undirected multigraph with a CostPair per edge.
+    """Undirected multigraph with a weight pair per edge.
 
     ``kind`` selects the solution space: spanning trees ("mst"),
     simple source-sink paths ("path"), or source-sink cuts ("cut").
@@ -150,20 +145,12 @@ class BiweightedGraph(_Graph):
             relaxed=relaxed,
         )
 
-    @cached_property
-    def edges(self) -> tuple:
-        """(u, v, CostPair) per edge."""
-        return tuple([(u, v, _cost_pair(r)) for (u, v), r in zip(self._ends, self.ratios)])
-
     @property
     def edge_count(self) -> int:
         return len(self._ends)
 
     def endpoints(self) -> tuple:
         return self._ends
-
-    def weights(self):
-        return [w for _, _, w in self.edges]
 
     @cached_property
     def adjacency(self) -> tuple:
@@ -189,7 +176,7 @@ class BiweightedGraph(_Graph):
 
 @dataclass(frozen=True, init=False)
 class VertexWeightedGraph(_Graph):
-    """Undirected graph with a CostPair per vertex, for vertex-cover instances."""
+    """Undirected graph with a weight pair per vertex, for vertex-cover instances."""
 
     node_count: int
     edges: tuple
@@ -217,11 +204,6 @@ class VertexWeightedGraph(_Graph):
         self.__dict__.update(
             node_count=node_count, edges=tuple(checked), ratios=tuple(ratios), relaxed=relaxed
         )
-
-    @cached_property
-    def vertex_weights(self) -> tuple:
-        """The CostPair of each vertex."""
-        return tuple([_cost_pair(r) for r in self.ratios])
 
     @property
     def edge_count(self) -> int:

@@ -30,6 +30,15 @@ def pareto_call_bound(eps, bounds: Bounds) -> int:
     return ceil_log(1 + check_epsilon(eps), ratio) + 2
 
 
+def cost_pairs(instance) -> list:
+    """The ``CostPair`` of each weight pair (edge, or vertex for vc), built from ``ratios``.
+
+    The reference code's view of the weights: it reads the reduced int
+    pairs only, never the plugins' ``scaled`` ints.
+    """
+    return [CostPair(Fraction(p1, q1), Fraction(p2, q2)) for (p1, q1), (p2, q2) in instance.ratios]
+
+
 def rand_weight(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(1, 6), rng.choice((1, 1, 1, 2)))
 

@@ -23,14 +23,13 @@ from bicrit.exact_search import (
     solve_budget_binary,
     solve_budget_parametric,
 )
-from bicrit.oracle import enumerate_all, exact_opt_budget, verify_budget
+from bicrit.oracle import adversarial_wrap, enumerate_all, exact_opt_budget, verify_budget
 from bicrit.problems import (
     BiweightedGraph,
     MinCutAdapter,
     MstAdapter,
     ShortestPathAdapter,
     VertexCoverAdapter,
-    adversarial_wrap,
 )
 from bicrit.sweep import (
     BudgetQuery,
@@ -103,7 +102,8 @@ def reference_parametric_search(adapter, instance, query):
             )
             if side == "right" and len(probes) > before:
                 state["witness"] = probes[-1]
-        value = (p - q).at(state["interval"].midpoint)
+        d, gamma = p - q, state["interval"].midpoint
+        value = d.constant + gamma * d.slope
         return -1 if value < 0 else (1 if value > 0 else 0)
 
     master_token = adapter.run_parametric(instance, compare)
@@ -203,7 +203,7 @@ class TestLinearValue:
     def test_arithmetic(self):
         v = LinearValue(1, 2) + LinearValue(3, 4)
         assert v == LinearValue(4, 6)
-        assert v.at(Fraction(1, 2)) == 7
+        assert v.constant + Fraction(1, 2) * v.slope == 7
         assert (v - LinearValue(4, 5)).slope == 1
 
     def test_int_fields_stay_ints(self):

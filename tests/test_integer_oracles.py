@@ -19,6 +19,7 @@ import pytest
 
 from _suite import (
     build_suite,
+    cost_pairs,
     random_cut_instance,
     random_mst_instance,
     random_path_instance,
@@ -59,7 +60,7 @@ def _image(weights, indices) -> CostPair:
 
 
 def reference_kruskal(graph, gamma) -> frozenset:
-    values = [w.weighted(gamma) for w in graph.weights()]
+    values = [w.weighted(gamma) for w in cost_pairs(graph)]
     endpoints = graph.endpoints()
     order = sorted(
         range(len(endpoints)), key=cmp_to_key(lambda a, b: fraction_compare(values[a], values[b]))
@@ -71,7 +72,7 @@ def reference_kruskal(graph, gamma) -> frozenset:
 
 def reference_dijkstra(graph, gamma) -> tuple:
     n, source, sink = graph.node_count, graph.source, graph.sink
-    values = [w.weighted(gamma) for w in graph.weights()]
+    values = [w.weighted(gamma) for w in cost_pairs(graph)]
     adjacency = [[] for _ in range(n)]
     for idx, (u, v) in enumerate(graph.endpoints()):
         adjacency[u].append((idx, v))
@@ -107,7 +108,7 @@ def reference_dijkstra(graph, gamma) -> tuple:
 def reference_edmonds_karp(graph, gamma) -> frozenset:
     n, source, sink = graph.node_count, graph.source, graph.sink
     cap = [[Fraction(0)] * n for _ in range(n)]
-    for (u, v), w in zip(graph.endpoints(), graph.weights()):
+    for (u, v), w in zip(graph.endpoints(), cost_pairs(graph)):
         cap[u][v] += w.weighted(gamma)
         cap[v][u] += w.weighted(gamma)
     flow = [[Fraction(0)] * n for _ in range(n)]
@@ -137,7 +138,7 @@ def reference_edmonds_karp(graph, gamma) -> frozenset:
 
 
 def reference_local_ratio(graph, gamma) -> frozenset:
-    residual = [w.weighted(gamma) for w in graph.vertex_weights]
+    residual = [w.weighted(gamma) for w in cost_pairs(graph)]
     for u, v in graph.edges:
         delta = residual[v] if fraction_compare(residual[v], residual[u]) < 0 else residual[u]
         residual[u] -= delta
@@ -149,14 +150,14 @@ def reference_record(graph, gamma) -> SolutionRecord:
     """The Fraction oracle's record for ``graph`` at ``gamma``."""
     if graph.kind == "vc":
         token = reference_local_ratio(graph, gamma)
-        return SolutionRecord(token, _image(graph.vertex_weights, token), gamma)
+        return SolutionRecord(token, _image(cost_pairs(graph), token), gamma)
     if graph.kind == "cut":
         token = reference_edmonds_karp(graph, gamma)
         crossing = [i for i, (u, v) in enumerate(graph.endpoints()) if (u in token) != (v in token)]
-        return SolutionRecord(token, _image(graph.weights(), crossing), gamma)
+        return SolutionRecord(token, _image(cost_pairs(graph), crossing), gamma)
     run = reference_kruskal if graph.kind == "mst" else reference_dijkstra
     token = run(graph, gamma)
-    return SolutionRecord(token, _image(graph.weights(), token), gamma)
+    return SolutionRecord(token, _image(cost_pairs(graph), token), gamma)
 
 
 def concrete_record(graph, gamma) -> SolutionRecord:
@@ -216,8 +217,7 @@ class TestSameRecords:
         for _ in range(15):
             for kind in ("mst", "path", "cut", "vc"):
                 graph = random_relaxed_instance(rng, kind, rng.randint(2, 7))
-                pairs = graph.vertex_weights if kind == "vc" else graph.weights()
-                zeros += sum(w.f1 == 0 or w.f2 == 0 for w in pairs)
+                zeros += sum(w.f1 == 0 or w.f2 == 0 for w in cost_pairs(graph))
                 gammas = [Fraction(rng.randint(1, 30), rng.randint(1, 30)) for _ in range(3)]
                 _check(graph, gammas + _grid_weights(graph, Fraction(1, 2)))
         assert zeros > 0
@@ -316,7 +316,8 @@ def test_symbolic_runs_compare_ints(adapter):
     def compare(p, q):
         fields = (p.constant, p.slope, q.constant, q.slope)
         assert all(type(x) is int for x in fields), fields
-        d = p.at(Fraction(3, 2)) - q.at(Fraction(3, 2))
+        gamma = Fraction(3, 2)
+        d = (p.constant + gamma * p.slope) - (q.constant + gamma * q.slope)
         return (d > 0) - (d < 0)
 
     assert adapter.run_parametric(graph, compare) == adapter.solve_weighted_sum(

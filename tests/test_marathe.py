@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from _suite import random_mst_instance
+from _suite import cost_pairs, random_mst_instance
 from bicrit.core import CostPair
 from bicrit.marathe import (
     EXAMPLE1_SCRIPT,
@@ -17,8 +17,8 @@ from bicrit.marathe import (
     reproduce_example1,
     reproduce_example2,
 )
-from bicrit.oracle import exact_opt_budget, verify_budget
-from bicrit.problems import BiweightedGraph, MstAdapter, adversarial_wrap
+from bicrit.oracle import adversarial_wrap, exact_opt_budget, verify_budget
+from bicrit.problems import BiweightedGraph, MstAdapter
 from bicrit.sweep import BudgetQuery, solve_budget_sweep
 from bicrit.exact_search import solve_budget_binary, solve_budget_parametric
 
@@ -129,7 +129,7 @@ class TestReproductions:
             (reproduce_example2(), example2_graph()),
         ):
             budget = trace.params[0]
-            weights = graph.weights()
+            weights = cost_pairs(graph)
             for d, h, token in trace.tested:
                 f1 = sum(weights[i].f1 for i in token)
                 f2 = sum(weights[i].f2 for i in token)

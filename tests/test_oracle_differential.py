@@ -20,6 +20,7 @@ import pytest
 
 from _suite import (
     build_suite,
+    cost_pairs,
     random_cut_instance,
     random_mst_instance,
     random_path_instance,
@@ -157,13 +158,11 @@ def reference_enumerate_all(instance):
     if instance.node_count > oracle.MAX_NODES:
         raise CapExceeded("node cap")
     counter = _RefCounter(oracle.MAX_SOLUTIONS)
+    weights = cost_pairs(instance)
+    members = iter
     if isinstance(instance, VertexWeightedGraph):
         tokens = _ref_covers(instance, counter)
-        weights = instance.vertex_weights
-        members = iter
     else:
-        weights = instance.weights()
-        members = iter
         if instance.kind == "mst":
             tokens = _ref_spanning_trees(instance, counter)
         elif instance.kind == "path":
@@ -222,9 +221,9 @@ def assert_same_enumeration(instance):
 def _reweighted(instance, draw):
     """The instance with every weight pair replaced by ``draw()``."""
     if isinstance(instance, VertexWeightedGraph):
-        weights = tuple(draw() for _ in instance.vertex_weights)
+        weights = tuple(draw() for _ in range(instance.node_count))
         return VertexWeightedGraph(instance.node_count, instance.edges, weights)
-    edges = tuple((u, v, draw()) for u, v, _ in instance.edges)
+    edges = tuple((u, v, draw()) for u, v in instance.endpoints())
     ends = {} if instance.kind == "mst" else {"source": instance.source, "sink": instance.sink}
     return BiweightedGraph(instance.node_count, edges, kind=instance.kind, **ends)
 

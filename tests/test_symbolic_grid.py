@@ -15,9 +15,9 @@ from _suite import (
 )
 from bicrit.core import ParametricAdapter, pow_one_plus_eps
 from bicrit.errors import NoCertificate
-from bicrit.oracle import enumerate_all
+from bicrit.oracle import adversarial_wrap, enumerate_all
 from bicrit.pareto import approximate_pareto, pareto_index_range
-from bicrit.problems import VertexCoverAdapter, VertexWeightedGraph, adversarial_wrap, vc_oracle
+from bicrit.problems import VertexCoverAdapter, VertexWeightedGraph, vc_oracle
 from bicrit.sweep import (
     BudgetQuery,
     index_range,
