@@ -7,9 +7,9 @@ report layout live in ``formats``.
 
 ``Fraction`` appears only at the edges of a call.  Ingest reads every
 "p/q" of the instance file as a reduced int pair, and the oracles work
-on ints scaled from those pairs.  Fractions are made for the flags, for
-the images, weights and factors a run produces, and for the report that
-prints them.
+on ints scaled from those pairs.  Fractions are made for the flags and
+for the images, weights and factors a run produces; a report holds them
+until ``formats`` writes it, so no number becomes text here.
 
 Exit codes: 0 success, 2 usage, 3 no certificate / no feasible solution,
 4 parse or validation failure.
@@ -22,14 +22,13 @@ each call reads and validates its ``--input`` file again.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import json
 import sys
 import time
 from fractions import Fraction
 
-from .core import format_rational, parse_rational
+from .core import parse_rational
 from .errors import (
     CapExceeded,
     ExactOracleRequired,
@@ -41,7 +40,7 @@ from .errors import (
     ValidationError,
 )
 from .exact_search import solve_budget_binary, solve_budget_parametric
-from .formats import PROBLEM_KINDS, instance_digest, instance_from_dict, report_json
+from .formats import PROBLEM_KINDS, curve_csv, instance_digest, instance_from_dict, report_json
 from .marathe import example2_graph, reproduce_example1, reproduce_example2
 from .oracle import check_node_cap, exact_opt_budget, verify_budget, verify_pareto_by_enumeration
 from .oracle import (  # unused here; perfbench's tracer wraps these names
@@ -88,44 +87,11 @@ def _token_list(token):
 def _record_dict(record) -> dict:
     out = {
         "token": _token_list(record.token),
-        "image": {
-            "f1": format_rational(record.image.f1),
-            "f2": format_rational(record.image.f2),
-        },
+        "image": {"f1": record.image.f1, "f2": record.image.f2},
     }
     if record.produced_at is not None:
-        out["produced_at"] = format_rational(record.produced_at)
+        out["produced_at"] = record.produced_at
     return out
-
-
-def _certificate_dict(cert) -> dict:
-    return {
-        "alpha": format_rational(cert.alpha),
-        "budget_factor": format_rational(cert.budget_factor),
-        "cost_factor": format_rational(cert.cost_factor),
-        "budget": format_rational(cert.budget),
-        "oracle_calls": cert.oracle_calls,
-    }
-
-
-@contextlib.contextmanager
-def _long_integers():
-    """Lift Python's int-to-str digit limit (3.11+) while a report is formatted.
-
-    Grid weights (1+eps)**i reach tens of thousands of digits at eps = 1/1000,
-    and every record prints the weight that produced it.  The limit guards
-    against slow conversions of untrusted text, so it is lifted only after
-    the instance file and the flags have been parsed, and restored after.
-    """
-    if not hasattr(sys, "set_int_max_str_digits"):
-        yield
-        return
-    saved = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(saved)
 
 
 def _budget_verification(instance, record, budget, eps, alpha, factors):
@@ -133,10 +99,17 @@ def _budget_verification(instance, record, budget, eps, alpha, factors):
     verdict = True if opt is None else verify_budget(record, budget, eps, alpha, opt, factors)
     return {
         "verdict": verdict,
-        "opt_budget": None if opt is None else format_rational(opt),
-        "budget_factor": format_rational(factors[0]),
-        "cost_factor": format_rational(factors[1]),
+        "opt_budget": opt,
+        "budget_factor": factors[0],
+        "cost_factor": factors[1],
     }
+
+
+def _print_report(report, started, code=0) -> int:
+    """Print ``report`` with its ``wall_time_ms``, timed before any number becomes text."""
+    report["wall_time_ms"] = (time.perf_counter() - started) * 1000
+    print(report_json(report))
+    return code
 
 
 def _ingest_for(args):
@@ -173,46 +146,41 @@ def _cmd_solve_budget(args, parser) -> int:
         query = BudgetQuery(budget=budget, eps=eps)
     except ValueError as exc:
         parser.error(str(exc))
-    with _long_integers():
-        started = time.perf_counter()
-        report = {
-            "command": args.echo,
-            "instance_digest": instance_digest(instance),
-            "problem": instance.kind,
-            "algorithm": args.algorithm,
-            "budget": format_rational(budget),
-            "epsilon": format_rational(eps),
+    started = time.perf_counter()
+    report = {
+        "command": args.echo,
+        "instance_digest": instance_digest(instance),
+        "problem": instance.kind,
+        "algorithm": args.algorithm,
+        "budget": budget,
+        "epsilon": eps,
+    }
+    try:
+        if args.algorithm == "sweep":
+            record, cert = solve_budget_sweep(adapter, instance, query)
+        elif args.algorithm == "fixed":
+            record, cert = solve_budget_fixed(adapter, instance, budget)
+        elif args.algorithm == "binary":
+            record, cert = solve_budget_binary(adapter, instance, query)
+        else:
+            record, cert = solve_budget_parametric(adapter, instance, query)
+    except NoCertificate as exc:
+        report["no_certificate"] = {
+            "records": [_record_dict(r) for r in exc.records],
+            "oracle_calls": len(exc.records),
+            "f1_limit": exc.f1_limit,
+            "min_f1": min(r.image.f1 for r in exc.records),
         }
-        try:
-            if args.algorithm == "sweep":
-                record, cert = solve_budget_sweep(adapter, instance, query)
-            elif args.algorithm == "fixed":
-                record, cert = solve_budget_fixed(adapter, instance, budget)
-            elif args.algorithm == "binary":
-                record, cert = solve_budget_binary(adapter, instance, query)
-            else:
-                record, cert = solve_budget_parametric(adapter, instance, query)
-        except NoCertificate as exc:
-            report["no_certificate"] = {
-                "records": [_record_dict(r) for r in exc.records],
-                "oracle_calls": len(exc.records),
-                "f1_limit": format_rational(exc.f1_limit),
-                "min_f1": format_rational(min(r.image.f1 for r in exc.records)),
-            }
-            report["wall_time_ms"] = (time.perf_counter() - started) * 1000
-            print(report_json(report))
-            return 3
-        report["record"] = _record_dict(record)
-        report["certificate"] = _certificate_dict(cert)
-        report["oracle_calls"] = cert.oracle_calls
-        if args.verify:
-            factors = (cert.budget_factor, cert.cost_factor)
-            report["verification"] = _budget_verification(
-                instance, record, budget, eps, adapter.alpha(), factors
-            )
-        report["wall_time_ms"] = (time.perf_counter() - started) * 1000
-        print(report_json(report))
-        return 0
+        return _print_report(report, started, 3)
+    report["record"] = _record_dict(record)
+    report["certificate"] = dict(vars(cert))  # its five fields; asdict deep-copies
+    report["oracle_calls"] = cert.oracle_calls
+    if args.verify:
+        factors = (cert.budget_factor, cert.cost_factor)
+        report["verification"] = _budget_verification(
+            instance, record, budget, eps, adapter.alpha(), factors
+        )
+    return _print_report(report, started)
 
 
 def _cmd_pareto(args, parser) -> int:
@@ -221,55 +189,43 @@ def _cmd_pareto(args, parser) -> int:
     eps = _flag_rational(parser, "--epsilon", args.epsilon)
     instance = _ingest_for(args)
     adapter = adapter_for(instance)
-    with _long_integers():
-        started = time.perf_counter()
-        try:
-            if args.parametric:
-                curve = pareto_from_parametric(adapter, instance, eps)
-            else:
-                curve = approximate_pareto(adapter, instance, eps)
-        except (ValueError, ExactOracleRequired) as exc:
-            parser.error(str(exc))
-        if args.format == "csv":
-            print("f1,f2")
-            for record in curve.records:
-                print(f"{format_rational(record.image.f1)},{format_rational(record.image.f2)}")
-            return 0
-        report = {
-            "command": args.echo,
-            "instance_digest": instance_digest(instance),
-            "problem": instance.kind,
-            "algorithm": "pareto-parametric" if args.parametric else "pareto",
-            "epsilon": format_rational(eps),
-            "pareto": {
-                "factor1": format_rational(curve.factor1),
-                "factor2": format_rational(curve.factor2),
-                "records": [_record_dict(r) for r in curve.records],
-            },
-            "oracle_calls": curve.oracle_calls,
-        }
-        if args.verify:
-            verdict, checked = verify_pareto_by_enumeration(
-                instance, curve, curve.factor1, curve.factor2
-            )
-            report["verification"] = {"verdict": verdict, "solutions_checked": checked}
-        report["wall_time_ms"] = (time.perf_counter() - started) * 1000
-        print(report_json(report))
+    started = time.perf_counter()
+    try:
+        if args.parametric:
+            curve = pareto_from_parametric(adapter, instance, eps)
+        else:
+            curve = approximate_pareto(adapter, instance, eps)
+    except (ValueError, ExactOracleRequired) as exc:
+        parser.error(str(exc))
+    if args.format == "csv":
+        print(curve_csv(curve.records))
         return 0
+    report = {
+        "command": args.echo,
+        "instance_digest": instance_digest(instance),
+        "problem": instance.kind,
+        "algorithm": "pareto-parametric" if args.parametric else "pareto",
+        "epsilon": eps,
+        "pareto": {
+            "factor1": curve.factor1,
+            "factor2": curve.factor2,
+            "records": [_record_dict(r) for r in curve.records],
+        },
+        "oracle_calls": curve.oracle_calls,
+    }
+    if args.verify:
+        verdict, checked = verify_pareto_by_enumeration(
+            instance, curve, curve.factor1, curve.factor2
+        )
+        report["verification"] = {"verdict": verdict, "solutions_checked": checked}
+    return _print_report(report, started)
 
 
 def _trace_dict(trace) -> dict:
     budget, eps, ub2 = trace.params
     return {
-        "params": {
-            "budget": format_rational(budget),
-            "eps": format_rational(eps),
-            "ub2": format_rational(ub2),
-        },
-        "tested": [
-            {"D": format_rational(d), "h": format_rational(h), "token": _token_list(token)}
-            for d, h, token in trace.tested
-        ],
+        "params": {"budget": budget, "eps": eps, "ub2": ub2},
+        "tested": [{"D": d, "h": h, "token": _token_list(token)} for d, h, token in trace.tested],
         "outcome": None if trace.outcome is None else _record_dict(trace.outcome),
     }
 
@@ -278,13 +234,14 @@ def _cmd_repro(args, parser) -> int:
     started = time.perf_counter()
     if args.case == "marathe-ex1":
         trace = reproduce_example1()
-        extra = {"ratios": [format_rational(h / d) for d, h, _ in trace.tested]}
+        extra = {"ratios": [h / d for d, h, _ in trace.tested]}
     else:
         trace = reproduce_example2()
+        budget = Fraction(3)
         extra = {
             "feasibility_witness": {
-                "budget": "3",
-                "opt_budget": format_rational(exact_opt_budget(example2_graph(), Fraction(3))),
+                "budget": budget,
+                "opt_budget": exact_opt_budget(example2_graph(), budget),
             }
         }
     report = {
@@ -294,9 +251,7 @@ def _cmd_repro(args, parser) -> int:
         "oracle_calls": len(trace.tested),
         **extra,
     }
-    report["wall_time_ms"] = (time.perf_counter() - started) * 1000
-    print(report_json(report))
-    return 0
+    return _print_report(report, started)
 
 
 @functools.cache

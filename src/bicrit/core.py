@@ -6,7 +6,8 @@ counterexample reproductions require exact comparisons.  An instance
 file's weights are read as reduced int pairs (``parse_ratio``) and stay
 ints in the oracles (``problems.graphs.ScaledWeights``).  Images, weights
 gamma, bounds, factors and accuracy parameters are exact rationals
-(`fractions.Fraction`), which reports print with ``format_rational``.
+(`fractions.Fraction`); a report holds them as such until ``formats``
+writes each as its reduced "p/q" text (``ratio_text``).
 """
 
 from __future__ import annotations
@@ -160,9 +161,6 @@ class CostPair:
     def weighted(self, gamma) -> Fraction:
         """The weighted-sum value f1 + gamma * f2."""
         return self.f1 + rational(gamma) * self.f2
-
-    def __add__(self, other: "CostPair") -> "CostPair":
-        return CostPair(self.f1 + other.f1, self.f2 + other.f2)
 
 
 def dominates(a: CostPair, b: CostPair) -> bool:

@@ -9,18 +9,21 @@ spaces.  ``_canonical_json`` is its only writer: it derives the canonical
 text of each distinct int pair with ``ratio_text`` and writes the form in
 one join.  ``instance_digest`` hashes it and ``serialize_instance`` reads
 it back as a dict, so an instance read from a file and one built by the
-constructors from the same weights have one digest.  ``report_json`` lays
-out a report as ``json.dumps(report, indent=2, sort_keys=True)`` does.
+constructors from the same weights have one digest.  A report holds ints
+and ``Fraction``s: only ``report_json`` and ``curve_csv`` write them as text.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
 import operator
+import sys
+from fractions import Fraction
 
-from .core import parse_ratio, ratio_text
+from .core import format_rational, parse_ratio, ratio_text
 from .errors import ParseError, ValidationError
 from .problems import BiweightedGraph, VertexWeightedGraph
 
@@ -199,20 +202,62 @@ def instance_digest(instance) -> str:
     return sha256(_canonical_json(instance).encode()).hexdigest()
 
 
+def _long_integers(write):
+    """``write`` with Python's int-to-str digit limit (3.11+) lifted while it runs.
+
+    Grid weights (1+eps)**i reach tens of thousands of digits at eps = 1/1000,
+    and every record prints the weight that produced it.  The limit guards
+    against slow conversions of untrusted text, so only the report writers
+    lift it, after the instance file and the flags were parsed.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return write
+
+    @functools.wraps(write)
+    def lifted(*args):
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return write(*args)
+        finally:
+            sys.set_int_max_str_digits(saved)
+
+    return lifted
+
+
 _encode_str = json.encoder.encode_basestring_ascii
-_LEAF_WRITERS = {int: int.__repr__, str: _encode_str}
 
 
-def report_json(value, pad="") -> str:
-    """``json.dumps(value, indent=2, sort_keys=True)``, written at indent ``pad``.
+def _fraction_json(value):
+    return f'"{ratio_text(value.numerator, value.denominator)}"'
+
+
+_LEAF_WRITERS = {int: int.__repr__, str: _encode_str, Fraction: _fraction_json}
+
+
+@_long_integers
+def report_json(report) -> str:
+    """``json.dumps(report, indent=2, sort_keys=True)``, each Fraction written as "p/q".
 
     For what a report holds: dicts with str keys, lists, tuples, strs,
-    ints, floats, bools and None, of exactly those types.  With an indent,
-    ``json`` takes its pure-Python encoder, which builds mutually recursive
-    closures on every call: slower, and a reference cycle per report.
-    Strings go through the C ``encode_basestring_ascii`` that
+    ints, Fractions, floats, bools and None, of exactly those types.  With
+    an indent, ``json`` takes its pure-Python encoder, which builds mutually
+    recursive closures on every call: slower, and a reference cycle per
+    report.  Strings go through the C ``encode_basestring_ascii`` that
     ``json.dumps`` uses by default.
     """
+    return _json(report, "")
+
+
+@_long_integers
+def curve_csv(records) -> str:
+    """A curve as CSV: the header "f1,f2", then each record's image as "p/q" texts."""
+    rows = [f"{format_rational(r.image.f1)},{format_rational(r.image.f2)}" for r in records]
+    return "\n".join(["f1,f2", *rows])
+
+
+def _json(value, pad) -> str:
+    """``report_json`` of ``value``, written at indent ``pad``."""
     kind = type(value)
     leaf = _LEAF_WRITERS.get(kind)
     if leaf is not None:
@@ -223,11 +268,11 @@ def report_json(value, pad="") -> str:
             return opening + closing
         inner = pad + "  "
         if kind is dict:
-            items = [f"{_encode_str(k)}: {report_json(value[k], inner)}" for k in sorted(value)]
+            items = [f"{_encode_str(k)}: {_json(value[k], inner)}" for k in sorted(value)]
         else:
             kinds = set(map(type, value))
             leaf = _LEAF_WRITERS.get(kinds.pop()) if len(kinds) == 1 else None
-            items = map(leaf, value) if leaf else [report_json(v, inner) for v in value]
+            items = map(leaf, value) if leaf else [_json(v, inner) for v in value]
         return f"{opening}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{closing}"
     if value is None or kind is bool:
         return "null" if value is None else "true" if value else "false"

@@ -8,6 +8,7 @@ import resource
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -442,6 +443,23 @@ class TestReports:
         if limit is not None:
             assert sys.get_int_max_str_digits() == limit
 
+    def test_csv_prints_long_images(self, tmp_path, capsys):
+        # Each edge's w1 has a 3000-digit denominator, so the tree's f1 has about 6000.
+        edges = [
+            {"u": 0, "v": 1, "w1": "1/1" + "0" * 2998 + "1", "w2": "1"},
+            {"u": 1, "v": 2, "w1": "1/1" + "0" * 2998 + "3", "w2": "1"},
+        ]
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps({"kind": "mst", "nodes": 3, "edges": edges}))
+        limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+        code = main(["pareto", "--problem", "mst", "--format", "csv", "--epsilon", "1/2",
+                     "--input", str(path)])
+        rows = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert rows[0] == "f1,f2" and max(len(row) for row in rows) > 4300
+        if limit is not None:
+            assert sys.get_int_max_str_digits() == limit
+
 
 class TestRepro:
     def test_example1_case(self, capsys):
@@ -483,17 +501,31 @@ class TestSerialization:
 
 
 class TestReportWriter:
-    """``report_json`` writes exactly what ``json.dumps(indent=2, sort_keys=True)`` would."""
+    """``report_json`` writes exactly what ``json.dumps(indent=2, sort_keys=True)`` would,
+    with each ``Fraction`` written as the string of its reduced "p/q" text."""
 
     def test_report_values(self):
-        value = {
-            "b": [1, -2, 10**40, True, False, None, 1.5, 0.1, -0.0, 1e300, 12.0],
-            "a": {"z": [], "y": {}, "x": [[], [{}], {"k": [1]}], "w": (3, "t")},
-            "s": ["", "p/q", 'quote " and \\', "tab\t new\nline", "caf\u00e9 \U0001f600", "\x00"],
-            "": "empty key",
-            "nan": [float("nan"), float("inf"), float("-inf")],
-        }
-        assert report_json(value) == json.dumps(value, indent=2, sort_keys=True)
+        # (text, Fraction) leaves; the 5001-digit numerator is written without str().
+        long = ("1" + "0" * 5000 + "/3", Fraction(10**5000, 3))
+        leaves = [("3/4", Fraction(3, 4)), ("-7/2", Fraction(-7, 2)), ("2", Fraction(8, 4)),
+                  ("0", Fraction(0)), long]
+
+        def report(pick):
+            return {
+                "b": [1, -2, 10**40, True, False, None, 1.5, 0.1, -0.0, 1e300, 12.0],
+                "a": {"z": [], "y": {}, "x": [[], [{}], {"k": [1]}], "w": (3, "t")},
+                "s": ["", "p/q", 'quote " and \\', "tab\t new\nline", "caf\u00e9 \U0001f600", "\x00"],
+                "": "empty key",
+                "nan": [float("nan"), float("inf"), float("-inf")],
+                "f": [pick(leaf) for leaf in leaves],
+                "g": {"x": pick(leaves[0]), "mixed": [pick(long), 7, None, (pick(leaves[1]),)]},
+            }
+
+        assert report_json(report(lambda leaf: leaf[1])) == json.dumps(
+            report(lambda leaf: leaf[0]), indent=2, sort_keys=True
+        )
+        plain = report(lambda leaf: leaf[0])
+        assert report_json(plain) == json.dumps(plain, indent=2, sort_keys=True)
 
     @pytest.mark.parametrize("value", [[], {}, "x", 0, None, True, [[[]]], {"a": {"b": {}}}])
     def test_small_values(self, value):
