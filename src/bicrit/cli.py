@@ -96,7 +96,10 @@ def _record_dict(record) -> dict:
 
 def _budget_verification(instance, record, budget, eps, alpha, factors):
     opt = exact_opt_budget(instance, budget)
-    verdict = True if opt is None else verify_budget(record, budget, eps, alpha, opt, factors)
+    if opt is None:  # no solution meets B: there is no OPT(B), but f1 still has its limit
+        verdict = record.image.f1 <= factors[0] * budget
+    else:
+        verdict = verify_budget(record, budget, eps, alpha, opt, factors)
     return {
         "verdict": verdict,
         "opt_budget": opt,

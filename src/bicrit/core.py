@@ -103,22 +103,23 @@ def pow_one_plus_eps(eps, i: int) -> Fraction:
     return (1 + rational(eps)) ** i
 
 
-def floor_log(base: Fraction, value) -> int:
-    """Largest integer i with base**i <= value, by exact comparison.
+def grid_index(eps, value) -> tuple[int, bool]:
+    """The largest integer i with (1+eps)**i <= value, and whether the two are equal.
 
-    Galloping search with exact integer comparisons, no logarithms, so the
-    floor semantics are exact: square the base while the square stays
-    within the target, then multiply the squares back in from the largest
-    down, keeping each that stays within it.  That is O(log |i|)
-    multiplications instead of |i|.  Powers of a reduced p/q are kept as
-    integer pairs (p**n, q**n), which are reduced already, and compared by
-    cross-multiplication, so no gcd of the long powers is ever taken.
-    Requires base > 1 and value > 0.
+    The grid's ceiling, the smallest i with (1+eps)**i >= value, is then
+    ``i + (not exact)``.  Galloping search with exact integer comparisons,
+    no logarithms: square the base while the square stays within the
+    target, then multiply the squares back in from the largest down,
+    keeping each that stays within it.  That is O(log |i|) multiplications
+    instead of |i|, and the last cross-multiplication decides equality.
+    Powers of the reduced base p/q are kept as integer pairs (p**n, q**n),
+    which are reduced already, so no gcd of the long powers is ever taken.
+    Requires 0 < eps <= 1 and value > 0.
     """
-    base = rational(base)
+    base = 1 + check_epsilon(eps)
     value = rational(value)
-    if base <= 1 or value <= 0:
-        raise ValueError("floor_log requires base > 1 and value > 0")
+    if value <= 0:
+        raise ValueError(f"grid_index requires value > 0, got {value}")
     # For value < 1 find the largest j with base**j <= 1/value instead;
     # the answer is -j when base**j hits 1/value exactly, else -(j+1).
     target = value if value >= 1 else 1 / value
@@ -134,14 +135,8 @@ def floor_log(base: Fraction, value) -> int:
         if num * sq_num * b <= a * den * sq_den:
             num, den = num * sq_num, den * sq_den
             i += 1 << k
-    if value >= 1:
-        return i
-    return -i if num * b == a * den else -(i + 1)
-
-
-def ceil_log(base: Fraction, value) -> int:
-    """Smallest integer i with base**i >= value, by exact comparison."""
-    return -floor_log(base, 1 / rational(value))
+    exact = num * b == a * den
+    return (i if value >= 1 else -i - (not exact)), exact
 
 
 @dataclass(frozen=True)

@@ -78,10 +78,11 @@ def _checked_weights(entry, where):
     return tuple([_rational_field(entry, name, where) for name in ("w1", "w2")])
 
 
-# The fast readers take a whole list of entries at once and return None
-# at the first entry that is not a dict, or whose field is missing,
-# mistyped or not p/q.  Only then are the entries read again, one by one,
-# by the ``_checked`` readers above, whose error names that fault.
+# The ends are read by one C-level pass over the whole list, which
+# returns None at the first entry that is not a dict or whose u or v is
+# missing or not an int; only then are the entries read again, one by
+# one, by ``_checked_ends``, whose error names that fault.  The weights'
+# loop is Python anyway, so it names a faulty entry where it finds it.
 
 _ENDS = operator.itemgetter("u", "v")
 _WEIGHTS = operator.itemgetter("w1", "w2")
@@ -96,31 +97,6 @@ def _read_ends(entries):
     return ends if set(map(type, itertools.chain.from_iterable(ends))) <= {int} else None
 
 
-def _read_weights(entries):
-    """Per entry, its w1 and w2 as reduced (p, q) pairs, or None.
-
-    A file's weights repeat, so each distinct text is parsed once.
-    """
-    seen = {}  # text -> (p, q)
-    ratios = []
-    try:
-        for w1, w2 in map(_WEIGHTS, entries):
-            a = seen.get(w1)
-            if a is None:
-                if type(w1) is not str:
-                    return None
-                a = seen[w1] = parse_ratio(w1)
-            b = seen.get(w2)
-            if b is None:
-                if type(w2) is not str:
-                    return None
-                b = seen[w2] = parse_ratio(w2)
-            ratios.append((a, b))
-    except (KeyError, TypeError, ParseError):  # not a dict, a field missing, or not p/q
-        return None
-    return ratios
-
-
 def _ends(entries, name):
     ends = _read_ends(entries)
     if ends is None:
@@ -129,9 +105,25 @@ def _ends(entries, name):
 
 
 def _weights(entries, name):
-    ratios = _read_weights(entries)
-    if ratios is None:
-        ratios = [_checked_weights(e, f"{name}[{i}]") for i, e in enumerate(entries)]
+    """Per entry, its w1 and w2 as reduced (p, q) pairs.
+
+    A file's weights repeat, so each distinct text is parsed once.  At the
+    first faulty entry ``_checked_weights`` raises the error that names it.
+    """
+    seen = {}  # text -> (p, q); parse_ratio refuses any w that is not a str
+    ratios = []
+    for i, entry in enumerate(entries):
+        try:
+            w1, w2 = _WEIGHTS(entry)
+            a = seen.get(w1)
+            if a is None:
+                a = seen[w1] = parse_ratio(w1)
+            b = seen.get(w2)
+            if b is None:
+                b = seen[w2] = parse_ratio(w2)
+        except (KeyError, TypeError, ParseError):  # not a dict, a field missing, or not p/q
+            a, b = _checked_weights(entry, f"{name}[{i}]")
+        ratios.append((a, b))
     return ratios
 
 
@@ -206,9 +198,11 @@ def _long_integers(write):
     """``write`` with Python's int-to-str digit limit (3.11+) lifted while it runs.
 
     Grid weights (1+eps)**i reach tens of thousands of digits at eps = 1/1000,
-    and every record prints the weight that produced it.  The limit guards
-    against slow conversions of untrusted text, so only the report writers
-    lift it, after the instance file and the flags were parsed.
+    and every record prints the weight that produced it.  An image's
+    denominator is the lcm of its weights' denominators, so it can be longer
+    than any number in the instance file, whatever the weights.  The limit
+    guards against slow conversions of untrusted text, so only the report
+    writers lift it, after the instance file and the flags were parsed.
     """
     if not hasattr(sys, "set_int_max_str_digits"):
         return write

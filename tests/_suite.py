@@ -6,7 +6,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from bicrit.core import Bounds, CostPair, ParametricAdapter, ProblemAdapter, ceil_log, check_epsilon
+from bicrit.core import Bounds, CostPair, ParametricAdapter, ProblemAdapter, grid_index
 from bicrit.errors import ValidationError
 from bicrit.oracle import enumerate_all
 from bicrit.problems import (
@@ -19,15 +19,21 @@ from bicrit.problems import (
 )
 
 
+def _ceil_log(eps, value) -> int:
+    """ceil(log_{1+eps}(value)), the grid's ceiling index of ``value``."""
+    i, exact = grid_index(eps, value)
+    return i + (not exact)
+
+
 def sweep_call_bound(eps, bounds: Bounds) -> int:
     """Bound ceil(log_{1+eps}(UB(2)/LB(2))) + 2 on grid calls; ``certify`` may add one."""
-    return ceil_log(1 + check_epsilon(eps), bounds.ub2 / bounds.lb2) + 2
+    return _ceil_log(eps, bounds.ub2 / bounds.lb2) + 2
 
 
 def pareto_call_bound(eps, bounds: Bounds) -> int:
     """Grid-size bound ceil(log_{1+eps}(UB1*UB2/(LB1*LB2))) + 2."""
     ratio = (bounds.ub1 * bounds.ub2) / (bounds.lb1 * bounds.lb2)
-    return ceil_log(1 + check_epsilon(eps), ratio) + 2
+    return _ceil_log(eps, ratio) + 2
 
 
 def cost_pairs(instance) -> list:

@@ -13,8 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from bicrit.cli import build_parser, ingest, main
-from bicrit.core import parse_rational
+from bicrit.cli import _budget_verification, build_parser, ingest, main
+from bicrit.core import CostPair, SolutionRecord, parse_rational
 from bicrit.errors import ParseError, ValidationError
 from bicrit.formats import instance_digest, report_json, serialize_instance
 from bicrit.marathe import example1_graph
@@ -443,8 +443,10 @@ class TestReports:
         if limit is not None:
             assert sys.get_int_max_str_digits() == limit
 
-    def test_csv_prints_long_images(self, tmp_path, capsys):
-        # Each edge's w1 has a 3000-digit denominator, so the tree's f1 has about 6000.
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_reports_print_long_images(self, tmp_path, capsys, fmt):
+        # Each edge's w1 has a 3000-digit denominator, so the tree's f1 has about
+        # 6000: an image's denominator is the lcm of its weights' denominators.
         edges = [
             {"u": 0, "v": 1, "w1": "1/1" + "0" * 2998 + "1", "w2": "1"},
             {"u": 1, "v": 2, "w1": "1/1" + "0" * 2998 + "3", "w2": "1"},
@@ -452,13 +454,39 @@ class TestReports:
         path = tmp_path / "long.json"
         path.write_text(json.dumps({"kind": "mst", "nodes": 3, "edges": edges}))
         limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
-        code = main(["pareto", "--problem", "mst", "--format", "csv", "--epsilon", "1/2",
+        code = main(["pareto", "--problem", "mst", "--format", fmt, "--epsilon", "1/2",
                      "--input", str(path)])
-        rows = capsys.readouterr().out.splitlines()
+        out = capsys.readouterr().out
         assert code == 0
-        assert rows[0] == "f1,f2" and max(len(row) for row in rows) > 4300
+        if fmt == "csv":
+            rows = out.splitlines()
+            assert rows[0] == "f1,f2"
+            images = rows[1:]
+        else:
+            images = [r["image"]["f1"] for r in json.loads(out)["pareto"]["records"]]
+        assert max(len(image) for image in images) > 4300
         if limit is not None:
             assert sys.get_int_max_str_digits() == limit
+
+    def test_budget_verification_checks_f1_without_an_optimum(self, capsys):
+        # No tree of demo_mst_b meets B = 3/2 (the least f1 is 3), so there is
+        # no OPT(B) to check f2 against; f1 must still meet budget_factor*B.
+        instance = ingest(demo("demo_mst_b.json"))
+        forged = SolutionRecord((0, 1), CostPair(10**6, 2))
+        factors = (Fraction(3), Fraction(3))
+        verification = _budget_verification(
+            instance, forged, Fraction(3, 2), Fraction(1), Fraction(1), factors
+        )
+        assert verification["opt_budget"] is None
+        assert verification["verdict"] is False
+        # A certified record meets its own f1 limit, so a real run still verifies.
+        code, report = run_json(capsys, [
+            "solve-budget", "--problem", "mst", "--budget", "1", "--epsilon", "1",
+            "--input", demo("demo_mst_b.json"), "--verify",
+        ])
+        assert code == 0
+        assert report["verification"]["opt_budget"] is None
+        assert report["verification"]["verdict"] is True
 
 
 class TestRepro:

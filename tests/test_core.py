@@ -9,12 +9,11 @@ from bicrit.core import (
     Bounds,
     CostPair,
     GuaranteeCertificate,
-    ceil_log,
     check_epsilon,
     check_weight,
     dominates,
-    floor_log,
     format_rational,
+    grid_index,
     parse_rational,
     pow_one_plus_eps,
     rational,
@@ -28,7 +27,7 @@ def rand_fraction(rng, lo=-20, hi=20):
 
 
 def _linear_floor_log(base, value):
-    """Reference for floor_log: one exact multiplication per step."""
+    """Reference for ``grid_index``'s index: one exact multiplication per step."""
     i, power = 0, Fraction(1)
     if power <= value:
         while power * base <= value:
@@ -102,38 +101,44 @@ class TestPow:
 
 
 class TestLogs:
-    def test_floor_ceil_log_exact(self):
+    def test_grid_index_brackets_the_value(self):
         rng = random.Random(11)
         for _ in range(300):
-            base = 1 + Fraction(rng.randint(1, 4), rng.randint(1, 4))
+            eps = Fraction(rng.randint(1, 4), rng.randint(4, 8))
+            base = 1 + eps
             x = Fraction(rng.randint(1, 400), rng.randint(1, 400))
-            lo = floor_log(base, x)
-            assert base**lo <= x < base ** (lo + 1)
-            hi = ceil_log(base, x)
-            assert base**hi >= x > base ** (hi - 1)
+            i, exact = grid_index(eps, x)
+            assert base**i <= x < base ** (i + 1)
+            assert exact == (base**i == x)
+            ceiling = i + (not exact)
+            assert base**ceiling >= x > base ** (ceiling - 1)
 
-    def test_floor_log_matches_linear_search(self):
+    def test_grid_index_matches_linear_search(self):
         rng = random.Random(29)
-        for _ in range(200):
-            base = 1 + Fraction(1, rng.randint(1, 100))
+        for eps in [Fraction(1), Fraction(1, 1000)] + [
+            Fraction(1, rng.randint(1, 100)) for _ in range(200)
+        ]:
+            base = 1 + eps
             k = rng.randint(-150, 150)
             values = [
                 base**k,
                 base**k * Fraction(10**6 - 1, 10**6),
                 base**k * Fraction(10**6 + 1, 10**6),
+                base ** (k - 1),
+                base ** (k + 1),
                 Fraction(rng.randint(1, 10**4), rng.randint(1, 10**4)),
+                Fraction(1, rng.randint(2, 10**4)),
             ]
             for value in values:
-                assert floor_log(base, value) == _linear_floor_log(base, value)
-            assert floor_log(base, base**k) == k
-            assert ceil_log(base, base**k) == k
-        assert floor_log(Fraction(3, 2), 1) == 0
+                i = _linear_floor_log(base, value)
+                assert grid_index(eps, value) == (i, base**i == value)
+            assert grid_index(eps, base**k) == (k, True)
+        assert grid_index(Fraction(1, 2), 1) == (0, True)
 
     def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            floor_log(Fraction(1), 2)
-        with pytest.raises(ValueError):
-            floor_log(Fraction(2), 0)
+        for eps, value in ((0, 2), (Fraction(3, 2), 2), (1, 0), (1, Fraction(-1, 2))):
+            with pytest.raises(ValueError):
+                grid_index(eps, value)
 
 
 class TestDominates:
