@@ -1,4 +1,4 @@
-"""Print the total and the code-only line counts of src/bicrit.
+"""Print the total and the code-only line counts of src/bicrit, then of each module.
 
 Code-only leaves out blank lines, comment lines and docstring lines: a
 line counts when it holds a token other than a comment or a string that
@@ -42,10 +42,15 @@ def code_lines(path: Path) -> set:
 
 
 def main():
-    files = sorted(SOURCE.rglob("*.py"))
-    total = sum(len(path.read_bytes().splitlines()) for path in files)
-    code = sum(len(code_lines(path)) for path in files)
+    rows = []
+    for path in sorted(SOURCE.rglob("*.py")):
+        name = path.relative_to(SOURCE).as_posix()
+        rows.append((name, len(path.read_bytes().splitlines()), len(code_lines(path))))
+    total = sum(lines for _, lines, _ in rows)
+    code = sum(code for _, _, code in rows)
     print(f"src/bicrit: {total} lines, {code} code-only")
+    for name, lines, module_code in rows:
+        print(f"  {name}: {lines} lines, {module_code} code-only")
 
 
 if __name__ == "__main__":

@@ -14,7 +14,6 @@ from .core import (
     ParametricAdapter,
     ProblemAdapter,
     SolutionRecord,
-    dominates,
     format_rational,
     parse_rational,
     pow_one_plus_eps,
@@ -46,7 +45,6 @@ from .oracle import (
     check_node_cap,
     enumerate_all,
     exact_opt_budget,
-    exact_pareto,
     verify_budget,
     verify_pareto_by_enumeration,
     verify_pareto_coverage,

@@ -28,7 +28,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .core import parse_rational
+from .core import check_epsilon, parse_rational
 from .errors import (
     CapExceeded,
     ExactOracleRequired,
@@ -94,14 +94,10 @@ def _record_dict(record) -> dict:
     return out
 
 
-def _budget_verification(instance, record, budget, eps, alpha, factors):
+def _budget_verification(instance, record, budget, factors):
     opt = exact_opt_budget(instance, budget)
-    if opt is None:  # no solution meets B: there is no OPT(B), but f1 still has its limit
-        verdict = record.image.f1 <= factors[0] * budget
-    else:
-        verdict = verify_budget(record, budget, eps, alpha, opt, factors)
     return {
-        "verdict": verdict,
+        "verdict": verify_budget(record, budget, opt, factors),
         "opt_budget": opt,
         "budget_factor": factors[0],
         "cost_factor": factors[1],
@@ -180,9 +176,7 @@ def _cmd_solve_budget(args, parser) -> int:
     report["oracle_calls"] = cert.oracle_calls
     if args.verify:
         factors = (cert.budget_factor, cert.cost_factor)
-        report["verification"] = _budget_verification(
-            instance, record, budget, eps, adapter.alpha(), factors
-        )
+        report["verification"] = _budget_verification(instance, record, budget, factors)
     return _print_report(report, started)
 
 
@@ -191,6 +185,10 @@ def _cmd_pareto(args, parser) -> int:
         parser.error("--verify needs --format json: the csv output has no verification")
     eps = _flag_rational(parser, "--epsilon", args.epsilon)
     instance = _ingest_for(args)
+    try:
+        check_epsilon(eps)
+    except ValueError as exc:
+        parser.error(str(exc))
     adapter = adapter_for(instance)
     started = time.perf_counter()
     try:
@@ -198,7 +196,7 @@ def _cmd_pareto(args, parser) -> int:
             curve = pareto_from_parametric(adapter, instance, eps)
         else:
             curve = approximate_pareto(adapter, instance, eps)
-    except (ValueError, ExactOracleRequired) as exc:
+    except ExactOracleRequired as exc:
         parser.error(str(exc))
     if args.format == "csv":
         print(curve_csv(curve.records))
@@ -218,7 +216,7 @@ def _cmd_pareto(args, parser) -> int:
     }
     if args.verify:
         verdict, checked = verify_pareto_by_enumeration(
-            instance, curve, curve.factor1, curve.factor2
+            instance, curve.records, curve.factor1, curve.factor2
         )
         report["verification"] = {"verdict": verdict, "solutions_checked": checked}
     return _print_report(report, started)

@@ -158,11 +158,6 @@ class CostPair:
         return self.f1 + rational(gamma) * self.f2
 
 
-def dominates(a: CostPair, b: CostPair) -> bool:
-    """True iff image a dominates image b: a <= b componentwise and a != b."""
-    return a.f1 <= b.f1 and a.f2 <= b.f2 and a != b
-
-
 @dataclass(frozen=True)
 class Bounds:
     """Per-dimension bounds lb_i <= f_i(x) <= ub_i over feasible solutions.

@@ -1,20 +1,22 @@
 """Brute-force ground truth for small instances.
 
-Full solution enumeration, exact Pareto curves, exact budget optima, and
-guarantee verification.  Images are computed here by direct weight
-summation, independent of the solver plugins, so this module can serve as
-the oracle that checks them: each call scales the instance's weight
-ratios to ints over D, the lcm of their denominators, with its own code,
-never the plugins' ``ScaledWeights``, and sums every solution's members
-as ints.  One private core yields those int sums.  ``enumerate_all``
-builds a record from each.  The verification paths build no records:
-``exact_opt_budget`` folds the sums into the least f2 within the budget,
-and ``verify_pareto_by_enumeration`` looks each solution up in one sorted
-front of the curve, scaled to the same ints.  The ``solutions_checked``
-of a ``--verify`` report counts the solutions enumerated.
-``adversarial_wrap`` builds on ``enumerate_all`` a worst-case legal
-approximate oracle, for reproducing documented failures of
-approximation-oracle-driven search and for negative tests.
+Full solution enumeration, exact budget optima, and guarantee
+verification.  The module imports nothing from the package but ``core``
+and ``errors``, so it shares no code with the algorithms it checks: each
+check takes the factors and the records it checks from its caller, and
+the instance's ``kind`` picks the enumerator.  Images are computed here
+by direct weight summation, independent of the solver plugins: each call
+scales the instance's weight ratios to ints over D, the lcm of their
+denominators, with its own code, never the plugins' ``ScaledWeights``,
+and sums every solution's members as ints.  One private core yields
+those int sums.  ``enumerate_all`` builds a record from each.  The
+verification paths build no records: ``exact_opt_budget`` folds the sums
+into the least f2 within the budget, and ``verify_pareto_by_enumeration``
+looks each solution up in one sorted front of the curve, scaled to the
+same ints.  The ``solutions_checked`` of a ``--verify`` report counts the
+solutions enumerated.  ``adversarial_wrap`` builds on ``enumerate_all`` a
+worst-case legal approximate oracle, for reproducing documented failures
+of approximation-oracle-driven search and for negative tests.
 
 Everything is capped: a truncated oracle is worse than none, so exceeding
 a cap raises instead of truncating.  The node cap is checked before any
@@ -38,9 +40,6 @@ from typing import Optional
 
 from .core import CostPair, ProblemAdapter, SolutionRecord, check_weight, rational
 from .errors import CapExceeded
-from .pareto import ParetoSet, filter_dominated
-from .problems.graphs import BiweightedGraph, VertexWeightedGraph
-from .sweep import grid_factors
 
 # Hard limits on brute-force enumeration, read at each call.
 MAX_NODES = 12
@@ -66,7 +65,7 @@ def _spans(neighbours, forest, full) -> bool:
     return _reach([a | c for a, c in zip(neighbours, forest)], 0) == full
 
 
-def _spanning_trees(graph: BiweightedGraph):
+def _spanning_trees(graph):
     """Yield (edge-index frozenset, edge indices) per spanning tree, include-first DFS order.
 
     A state is (next edge, forest, chosen edges); the forest is the list
@@ -115,7 +114,7 @@ def _spanning_trees(graph: BiweightedGraph):
                 stack.append((idx + 1, taken, chosen))
 
 
-def _simple_paths(graph: BiweightedGraph):
+def _simple_paths(graph):
     """Yield (edge-index tuple, same tuple) per simple source-sink path, adjacency DFS order.
 
     The walk steps to a neighbour only if the sink is reachable from it
@@ -152,7 +151,7 @@ def _simple_paths(graph: BiweightedGraph):
         stack.append(frame(other))
 
 
-def _cuts(graph: BiweightedGraph):
+def _cuts(graph):
     """Yield (source-side node frozenset, crossing edge indices) per cut, in subset-mask order."""
     others = [v for v in range(graph.node_count) if v not in (graph.source, graph.sink)]
     endpoints = graph.endpoints()
@@ -168,7 +167,7 @@ def _cuts(graph: BiweightedGraph):
         yield frozenset(side), crossing
 
 
-def _covers(graph: VertexWeightedGraph):
+def _covers(graph):
     """Yield (node frozenset, nodes) per vertex cover, in subset-mask order.
 
     Nodes are decided from the highest index down, out before in, so the
@@ -193,7 +192,7 @@ def _covers(graph: VertexWeightedGraph):
             stack.append((v, mask))
 
 
-_ENUMERATORS = {"mst": _spanning_trees, "path": _simple_paths, "cut": _cuts}
+_ENUMERATORS = {"mst": _spanning_trees, "path": _simple_paths, "cut": _cuts, "vc": _covers}
 
 
 def check_node_cap(instance) -> None:
@@ -210,11 +209,8 @@ def _scaled_images(instance):
     enumerated; ``MAX_SOLUTIONS`` is checked as the solutions come.
     """
     check_node_cap(instance)
-    if isinstance(instance, VertexWeightedGraph):
-        solutions = _covers(instance)
-    elif isinstance(instance, BiweightedGraph):
-        solutions = _ENUMERATORS[instance.kind](instance)
-    else:
+    enumerator = _ENUMERATORS.get(instance.kind)
+    if enumerator is None:
         raise TypeError(f"cannot enumerate {type(instance).__name__}")
     ratios = instance.ratios  # ((p1, q1), (p2, q2)) per edge or vertex weight
     # A list, not a generator: a tuple built from a generator grows by resizing, and
@@ -222,7 +218,7 @@ def _scaled_images(instance):
     scale = lcm(*[q for pair in ratios for _, q in pair])
     first = [p * (scale // q) for (p, q), _ in ratios]
     second = [p * (scale // q) for _, (p, q) in ratios]
-    return scale, _summed(solutions, first, second, MAX_SOLUTIONS)
+    return scale, _summed(enumerator(instance), first, second, MAX_SOLUTIONS)
 
 
 def _summed(solutions, first, second, limit):
@@ -307,23 +303,16 @@ def exact_opt_budget(instance, budget) -> Optional[Fraction]:
     return None if best is None else Fraction(best, scale)
 
 
-def exact_pareto(instance) -> ParetoSet:
-    """The exact Pareto curve: the nondominated subset of all solutions."""
-    records = enumerate_all(instance)
-    return ParetoSet(tuple(filter_dominated(records)), Fraction(1), Fraction(1))
+def verify_budget(record: SolutionRecord, budget, opt, factors) -> bool:
+    """True iff f1 <= budget_factor*B and f2 <= cost_factor*OPT(B), exactly.
 
-
-def verify_budget(record: SolutionRecord, budget, eps, alpha, opt, factors=None) -> bool:
-    """Check a budget-run record against the exact optimum, exactly.
-
-    Default factors are the grid's, ``grid_factors(alpha, eps)``; pass
-    explicit ``factors`` to check a variant such as ``parametric_factors(eps)``.
+    ``factors`` is (budget_factor, cost_factor), the guarantee to check.
+    ``opt`` is OPT(B), or None when no solution meets B; then only the f1
+    half is checked.
     """
-    budget, eps, alpha, opt = map(rational, (budget, eps, alpha, opt))
-    if factors is None:
-        factors = grid_factors(alpha, eps)
-    budget_factor, cost_factor = (rational(f) for f in factors)
-    return record.image.f1 <= budget_factor * budget and record.image.f2 <= cost_factor * opt
+    budget_factor, cost_factor = map(rational, factors)
+    within = record.image.f1 <= budget_factor * rational(budget)
+    return within and (opt is None or record.image.f2 <= cost_factor * rational(opt))
 
 
 def _positive(a, b):
@@ -355,18 +344,15 @@ def _reaches(front, x1, x2) -> bool:
     return i > 0 and seconds[i - 1] <= x2
 
 
-def _records(approx):
-    return approx.records if isinstance(approx, ParetoSet) else approx
-
-
 def verify_pareto_coverage(approx, all_records, a, b) -> bool:
-    """True iff every record in ``all_records`` is (a, b)-covered by ``approx``.
+    """True iff every record in ``all_records`` is (a, b)-covered by one in ``approx``.
 
+    ``approx`` is a sequence of records, such as a curve's ``records``.
     Record r covers x iff r.f1 <= a*x.f1 and r.f2 <= b*x.f2, that is iff
     (r.f1/a, r.f2/b) <= (x.f1, x.f2); the factors must be positive.
     """
     a, b = _positive(a, b)
-    front = _front((r.image.f1 / a, r.image.f2 / b) for r in _records(approx))
+    front = _front((r.image.f1 / a, r.image.f2 / b) for r in approx)
     return all(_reaches(front, x.image.f1, x.image.f2) for x in all_records)
 
 
@@ -381,9 +367,7 @@ def verify_pareto_by_enumeration(instance, approx, a, b):
     """
     a, b = _positive(a, b)
     scale, solutions = _scaled_images(instance)
-    front = _front(
-        (ceil(r.image.f1 * scale / a), ceil(r.image.f2 * scale / b)) for r in _records(approx)
-    )
+    front = _front((ceil(r.image.f1 * scale / a), ceil(r.image.f2 * scale / b)) for r in approx)
     verdict, checked = True, 0
     for _, s1, s2 in solutions:
         checked += 1

@@ -143,15 +143,16 @@ def solve_grid_symbolic(adapter: ParametricAdapter, instance, eps, grid: range) 
     indices or on one.  When that splits [a, b], the run keeps the lowest
     piece, pushes the rest for later runs and answers for the kept piece;
     earlier answers still hold on it, so every run ends with one token
-    that is the oracle's answer at every index of its final range.  A grid weight equal to the critical weight gets a piece of its
-    own, where the answer is 0.  The ranges partition the grid, so there
-    are never more runs than indices.  Each run's record is its token, the
-    token's image and ``produced_at`` the range's first weight: the oracle's
-    record there.  A change of answer always falls between two ranges, so
-    the first record of each run of equal answers is returned, which is
-    all that ``solve_grid``'s consumers read.  Only those weights are
-    built; a comparison reads the values' fields and a cache of the
-    critical weights' grid indices.
+    that is the oracle's answer at every index of its final range.  A grid
+    weight equal to the critical weight gets a piece of its own, where the
+    answer is 0.  The ranges partition the grid, so there are never more
+    runs than indices.  Each run's record is its token, the token's image
+    and ``produced_at`` the range's first weight: the oracle's record
+    there.  A change of answer always falls between two ranges, so the
+    first record of each run of equal answers is returned, which is all
+    that ``solve_grid``'s consumers read.  Only those weights are built; a
+    comparison reads the values' fields and a cache of the critical
+    weights' grid indices.
     """
     # critical weight -> grid_index of it.  Runs meet the same critical
     # weights again: without this cache one budget-medium round of the

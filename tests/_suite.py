@@ -9,6 +9,7 @@ from fractions import Fraction
 from bicrit.core import Bounds, CostPair, ParametricAdapter, ProblemAdapter, grid_index
 from bicrit.errors import ValidationError
 from bicrit.oracle import enumerate_all
+from bicrit.pareto import ParetoSet, filter_dominated
 from bicrit.problems import (
     BiweightedGraph,
     MinCutAdapter,
@@ -17,6 +18,26 @@ from bicrit.problems import (
     VertexCoverAdapter,
     VertexWeightedGraph,
 )
+
+
+def grid_guarantee(alpha, eps) -> tuple:
+    """The README's (alpha*(1+2eps), alpha*(1+2/eps)): sweep, fixed at eps 1, binary, pareto."""
+    return alpha * (1 + 2 * eps), alpha * (1 + 2 / Fraction(eps))
+
+
+def parametric_guarantee(eps) -> tuple:
+    """The README's (1+eps, 1+1/eps): the parametric budget search and ``pareto --parametric``."""
+    return 1 + eps, 1 + 1 / Fraction(eps)
+
+
+def dominates(a: CostPair, b: CostPair) -> bool:
+    """True iff image a dominates image b: a <= b componentwise and a != b."""
+    return a.f1 <= b.f1 and a.f2 <= b.f2 and a != b
+
+
+def exact_pareto(instance) -> ParetoSet:
+    """The exact Pareto curve: the nondominated subset of all solutions."""
+    return ParetoSet(tuple(filter_dominated(enumerate_all(instance))), 1, 1)
 
 
 def _ceil_log(eps, value) -> int:

@@ -13,7 +13,13 @@ from fractions import Fraction
 
 import pytest
 
-from _suite import build_suite, pareto_call_bound, weighted_minimum
+from _suite import (
+    build_suite,
+    grid_guarantee,
+    parametric_guarantee,
+    pareto_call_bound,
+    weighted_minimum,
+)
 from bicrit.core import CostPair, pow_one_plus_eps
 from bicrit.exact_search import parametric_search, solve_budget_binary
 from bicrit.marathe import (
@@ -73,7 +79,7 @@ def test_c01_sweep_budget_guarantee(suite, opt_cache):
                 )
                 opt = opt_cache[(idx, budget)]
                 assert opt is not None
-                assert verify_budget(record, budget, eps, case.alpha, opt)
+                assert verify_budget(record, budget, opt, grid_guarantee(case.alpha, eps))
                 trials += 1
     _report(1, f"sweep met (a(1+2e), a(1+2/e)) in {trials}/{trials} feasible cases "
                f"over {len(suite)} instances")
@@ -90,7 +96,8 @@ def test_c02_binary_search_parity_and_call_bound(suite, opt_cache):
                 record, cert = solve_budget_binary(
                     case.adapter, case.instance, BudgetQuery(budget, eps)
                 )
-                assert verify_budget(record, budget, eps, 1, opt_cache[(idx, budget)])
+                opt = opt_cache[(idx, budget)]
+                assert verify_budget(record, budget, opt, grid_guarantee(1, eps))
                 grid = len(index_range(eps, budget, bounds))
                 assert cert.oracle_calls <= (grid - 1).bit_length() + 1
                 trials += 1
@@ -129,9 +136,7 @@ def test_c04_parametric_tightening(suite, opt_cache):
                     case.adapter, case.instance, BudgetQuery(budget, eps)
                 )
                 opt = opt_cache[(idx, budget)]
-                assert verify_budget(
-                    outcome.record, budget, eps, 1, opt, factors=(1 + eps, 1 + 1 / eps)
-                )
+                assert verify_budget(outcome.record, budget, opt, parametric_guarantee(eps))
                 assert outcome.certificate.oracle_calls <= outcome.comparisons + 1
                 trials += 1
     _report(4, f"parametric search met the tighter (1+e, 1+1/e) in {trials} runs")
@@ -151,14 +156,16 @@ def test_c05_pareto_coverage_and_call_bound(suite):
             assert calls == curve.oracle_calls <= grid
             assert calls <= pareto_call_bound(eps, bounds)
             assert verify_pareto_coverage(
-                curve, case.records, case.alpha * (1 + 2 * eps), case.alpha * (1 + 2 / eps)
+                curve.records, case.records, *grid_guarantee(case.alpha, eps)
             )
             grid_runs += 1
             if case.kind != "vc":
                 before = case.adapter.invocations
                 tight = pareto_from_parametric(case.adapter, case.instance, eps)
                 calls = case.adapter.invocations - before
-                assert verify_pareto_coverage(tight, case.records, 1 + eps, 1 + 1 / eps)
+                assert verify_pareto_coverage(
+                    tight.records, case.records, *parametric_guarantee(eps)
+                )
                 # Records optimal at positive weights are nondominated, so the
                 # curve keeps one point per distinct image the search found.
                 assert calls == tight.oracle_calls <= 2 * len(tight.records)
@@ -189,11 +196,11 @@ def test_c07_missed_feasible_reproduction():
     assert opt == 3
     adapter = MstAdapter()
     rec, _ = solve_budget_sweep(adapter, graph, BudgetQuery(budget, eps))
-    assert verify_budget(rec, budget, eps, 1, opt)
+    assert verify_budget(rec, budget, opt, grid_guarantee(1, eps))
     rec, _ = solve_budget_binary(adapter, graph, BudgetQuery(budget, eps))
-    assert verify_budget(rec, budget, eps, 1, opt)
+    assert verify_budget(rec, budget, opt, grid_guarantee(1, eps))
     outcome = parametric_search(adapter, graph, BudgetQuery(budget, eps))
-    assert verify_budget(outcome.record, budget, eps, 1, opt, factors=(1 + eps, 1 + 1 / eps))
+    assert verify_budget(outcome.record, budget, opt, parametric_guarantee(eps))
     _report(7, "prior search returns no solution at B=3 while all three solvers certify one")
 
 
@@ -211,7 +218,7 @@ def test_c08_boundary_exactness():
     curve = approximate_pareto(adapter, fixture, Fraction(1))
     records = enumerate_all(fixture)
     assert len(records) == 3
-    assert verify_pareto_coverage(curve, records, 3, 3)
+    assert verify_pareto_coverage(curve.records, records, 3, 3)
     _report(8, "boundary records hit f2=0 and f1=0 exactly; relaxed curve covers at (3,3)")
 
 
@@ -228,9 +235,7 @@ def test_c09_vertex_cover_composite_factor(suite, opt_cache):
                 assert cert.budget_factor == 2 + 4 * eps
                 assert cert.cost_factor == 2 + 4 / eps
                 opt = opt_cache[(idx, budget)]
-                assert verify_budget(
-                    record, budget, eps, 2, opt, factors=(2 + 4 * eps, 2 + 4 / eps)
-                )
+                assert verify_budget(record, budget, opt, (2 + 4 * eps, 2 + 4 / eps))
                 trials += 1
     _report(9, f"vertex-cover sweep met (2+4e, 2+4/e) in {trials}/{trials} cases")
 

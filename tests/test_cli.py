@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from bicrit import cli
 from bicrit.cli import _budget_verification, build_parser, ingest, main
 from bicrit.core import CostPair, SolutionRecord, parse_rational
 from bicrit.errors import ParseError, ValidationError
@@ -146,6 +147,16 @@ class TestExitCodes:
                   "--format", "csv", "--verify"])
         assert excinfo.value.code == 2
         assert "--verify" in capsys.readouterr().err
+
+    def test_pareto_reports_an_internal_value_error_as_such(self, monkeypatch):
+        # Only a bad --epsilon is a usage error (a golden pins it); a fault in the build is not.
+        def fail(*_):
+            raise ValueError("records not mutually nondominated: internal")
+
+        monkeypatch.setattr(cli, "approximate_pareto", fail)
+        with pytest.raises(ValueError, match="internal"):
+            main(["pareto", "--problem", "mst", "--epsilon", "1/2",
+                  "--input", demo("demo_mst_a.json")])
 
     def test_malformed_flag_rationals_exit_two(self, capsys):
         for budget, eps in (("2.5", "1"), ("3", "abc")):
@@ -474,9 +485,7 @@ class TestReports:
         instance = ingest(demo("demo_mst_b.json"))
         forged = SolutionRecord((0, 1), CostPair(10**6, 2))
         factors = (Fraction(3), Fraction(3))
-        verification = _budget_verification(
-            instance, forged, Fraction(3, 2), Fraction(1), Fraction(1), factors
-        )
+        verification = _budget_verification(instance, forged, Fraction(3, 2), factors)
         assert verification["opt_budget"] is None
         assert verification["verdict"] is False
         # A certified record meets its own f1 limit, so a real run still verifies.

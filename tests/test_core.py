@@ -5,13 +5,13 @@ from fractions import Fraction
 
 import pytest
 
+from _suite import dominates
 from bicrit.core import (
     Bounds,
     CostPair,
     GuaranteeCertificate,
     check_epsilon,
     check_weight,
-    dominates,
     format_rational,
     grid_index,
     parse_rational,

@@ -6,7 +6,14 @@ from fractions import Fraction
 
 import pytest
 
-from _suite import build_suite, make_case, random_mst_instance, random_path_instance
+from _suite import (
+    build_suite,
+    grid_guarantee,
+    make_case,
+    parametric_guarantee,
+    random_mst_instance,
+    random_path_instance,
+)
 from bicrit.core import (
     CostPair,
     GuaranteeCertificate,
@@ -33,7 +40,6 @@ from bicrit.problems import (
 )
 from bicrit.sweep import (
     BudgetQuery,
-    grid_factors,
     index_range,
     solve_budget_sweep,
     solve_grid,
@@ -140,7 +146,7 @@ def reference_binary(adapter, instance, query):
         raise ExactOracleRequired("binary search needs an exact weighted-sum oracle")
     eps, budget = query.eps, query.budget
     rng = index_range(eps, budget, adapter.bounds(instance))
-    budget_factor, cost_factor = grid_factors(1, eps)
+    budget_factor, cost_factor = grid_guarantee(1, eps)
     limit = budget_factor * budget
     lo, hi = rng[0], rng[-1]
     best = None
@@ -170,7 +176,7 @@ def reference_sweep(adapter, instance, query):
     eps, budget = query.eps, query.budget
     alpha = adapter.alpha()
     records = solve_grid(adapter, instance, eps, index_range(eps, budget, adapter.bounds(instance)))
-    budget_factor, cost_factor = grid_factors(alpha, eps)
+    budget_factor, cost_factor = grid_guarantee(alpha, eps)
     limit = budget_factor * budget
     qualifying = [r for r in records if r.image.f1 <= limit]
     if not qualifying:
@@ -267,7 +273,7 @@ class TestBinarySearch:
                             adapter, inst, BudgetQuery(budget, eps)
                         )
                         opt = exact_opt_budget(inst, budget)
-                        assert verify_budget(record, budget, eps, 1, opt)
+                        assert verify_budget(record, budget, opt, grid_guarantee(1, eps))
                         grid = len(index_range(eps, budget, adapter.bounds(inst)))
                         bound = 1
                         while 2**bound < grid:
@@ -354,7 +360,7 @@ class TestParametric:
         assert outcome.record.image == CostPair(2, 5)
         assert outcome.record.produced_at == 1
         opt = exact_opt_budget(graph, query.budget)
-        assert verify_budget(outcome.record, query.budget, query.eps, 1, opt, factors=(2, 2))
+        assert verify_budget(outcome.record, query.budget, opt, (2, 2))
 
     def test_rejects_non_parametric_and_approximate(self, ex1):
         query = BudgetQuery(Fraction(2), Fraction(1))
@@ -377,12 +383,7 @@ class TestParametric:
                 points = {lo, hi} | {lo + (hi - lo) * Fraction(k, 99) for k in range(100)}
                 assert any(
                     verify_budget(
-                        adapter.solve_weighted_sum(inst, g),
-                        budget,
-                        eps,
-                        1,
-                        opt,
-                        factors=(1 + eps, 1 + 1 / eps),
+                        adapter.solve_weighted_sum(inst, g), budget, opt, parametric_guarantee(eps)
                     )
                     for g in sorted(points)
                 )
@@ -402,12 +403,7 @@ class TestParametric:
                         )
                         opt = exact_opt_budget(inst, budget)
                         assert verify_budget(
-                            outcome.record,
-                            budget,
-                            eps,
-                            1,
-                            opt,
-                            factors=(1 + eps, 1 + 1 / eps),
+                            outcome.record, budget, opt, parametric_guarantee(eps)
                         )
                         assert outcome.master_token == outcome.midpoint_record.token
 

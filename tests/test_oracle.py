@@ -6,18 +6,11 @@ from fractions import Fraction
 
 import pytest
 
-from _suite import random_mst_instance
+from _suite import exact_pareto, grid_guarantee, random_mst_instance
 from bicrit import oracle
 from bicrit.core import CostPair, SolutionRecord
 from bicrit.errors import CapExceeded
-from bicrit.oracle import (
-    enumerate_all,
-    exact_opt_budget,
-    exact_pareto,
-    verify_budget,
-    verify_pareto_coverage,
-)
-from bicrit.pareto import ParetoSet
+from bicrit.oracle import enumerate_all, exact_opt_budget, verify_budget, verify_pareto_coverage
 from bicrit.problems import BiweightedGraph, VertexWeightedGraph, adapter_for
 
 
@@ -98,7 +91,7 @@ class TestExactPareto:
 
     def test_pareto_covers_everything_at_unit_factors(self, ex1):
         records = enumerate_all(ex1)
-        assert verify_pareto_coverage(exact_pareto(ex1), records, 1, 1)
+        assert verify_pareto_coverage(exact_pareto(ex1).records, records, 1, 1)
 
 
 def _record(f1, f2):
@@ -107,21 +100,28 @@ def _record(f1, f2):
 
 class TestVerifyBudget:
     def test_examples(self):
-        assert verify_budget(_record(4, 2), 4, Fraction(1), 1, 2)
-        assert not verify_budget(_record(4, 2), 1, Fraction(1), 1, 2)
-        assert verify_budget(_record(3, 3), 3, Fraction(1), 1, 3)
+        factors = grid_guarantee(1, Fraction(1))
+        assert verify_budget(_record(4, 2), 4, 2, factors)
+        assert not verify_budget(_record(4, 2), 1, 2, factors)
+        assert verify_budget(_record(3, 3), 3, 3, factors)
 
     def test_variant_factors(self):
         rec = _record(4, 2)
-        assert verify_budget(rec, 4, Fraction(1), 1, 2, factors=(1, 1))
-        assert not verify_budget(rec, 4, Fraction(1), 1, 2, factors=(Fraction(1, 2), 1))
+        assert verify_budget(rec, 4, 2, (1, 1))
+        assert not verify_budget(rec, 4, 2, (Fraction(1, 2), 1))
+        assert not verify_budget(rec, 4, 1, (1, 1))
+
+    def test_without_an_optimum_only_f1_is_checked(self):
+        # opt None: no solution meets B, so f2 has no bound; f1 <= budget_factor*B still holds.
+        factors = (Fraction(3), Fraction(3))
+        assert verify_budget(_record(6, 10**6), 2, None, factors)
+        assert not verify_budget(_record(6 + Fraction(1, 10**9), 1), 2, None, factors)
 
 
 class TestVerifyCoverage:
     def test_examples(self, ex2):
         records = enumerate_all(ex2)
         exact = exact_pareto(ex2)
-        assert verify_pareto_coverage(exact, records, 1, 1)
-        only_heavy = ParetoSet((_record(4, 2),), 1, 1)
-        assert not verify_pareto_coverage(only_heavy, records, 1, 1)
+        assert verify_pareto_coverage(exact.records, records, 1, 1)
+        assert not verify_pareto_coverage((_record(4, 2),), records, 1, 1)
         assert verify_pareto_coverage(records, records, 1, 1)

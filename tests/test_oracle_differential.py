@@ -21,6 +21,7 @@ import pytest
 from _suite import (
     build_suite,
     cost_pairs,
+    exact_pareto,
     random_cut_instance,
     random_mst_instance,
     random_path_instance,
@@ -35,11 +36,10 @@ from bicrit.oracle import (
     _covers,
     enumerate_all,
     exact_opt_budget,
-    exact_pareto,
     verify_pareto_by_enumeration,
     verify_pareto_coverage,
 )
-from bicrit.pareto import ParetoSet, approximate_pareto, filter_dominated
+from bicrit.pareto import approximate_pareto, filter_dominated
 from bicrit.problems import BiweightedGraph, VertexWeightedGraph, adapter_for
 from bicrit.problems.graphs import ScaledWeights
 
@@ -358,10 +358,9 @@ def test_coverage_matches_at_random_factors(suite):
             b = Fraction(rng.randint(1, 12), rng.randint(1, 6))
             expected = reference_coverage(cover, records, a, b)
             assert verify_pareto_coverage(cover, records, a, b) is expected
-            front = tuple(filter_dominated(cover))
-            as_set = ParetoSet(front, Fraction(1), Fraction(1))
+            front = filter_dominated(cover)
             expected = reference_coverage(front, records, a, b)
-            assert verify_pareto_coverage(as_set, records, a, b) is expected
+            assert verify_pareto_coverage(front, records, a, b) is expected
 
 
 # -- the int folds against the records they replace -----------------------
@@ -379,7 +378,7 @@ def test_folds_raise_at_the_caps(monkeypatch):
     for i in range(40):
         instance = _random_instance(rng, KINDS[i % 4])
         total = len(reference_enumerate_all(instance))
-        curve = exact_pareto(instance)
+        curve = exact_pareto(instance).records
         for name, limit in (("MAX_SOLUTIONS", total - 1), ("MAX_NODES", instance.node_count - 1)):
             with monkeypatch.context() as patch:
                 patch.setattr(oracle, name, limit)
@@ -390,7 +389,7 @@ def test_folds_raise_at_the_caps(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(oracle, "MAX_SOLUTIONS", total)
             patch.setattr(oracle, "MAX_NODES", instance.node_count)
-            assert exact_opt_budget(instance, 10**6) == min(r.image.f2 for r in curve.records)
+            assert exact_opt_budget(instance, 10**6) == min(r.image.f2 for r in curve)
             assert verify_pareto_by_enumeration(instance, curve, 1, 1) == (True, total)
 
 
@@ -411,9 +410,10 @@ def test_enumerated_coverage_matches_the_record_check(suite):
         curves = [exact_pareto(instance)]
         curves += [approximate_pareto(adapter, instance, Fraction(1, k)) for k in (1, 4)]
         for curve in curves:
-            expected = verify_pareto_coverage(curve, records, curve.factor1, curve.factor2)
+            factors = curve.factor1, curve.factor2
+            expected = verify_pareto_coverage(curve.records, records, *factors)
             assert expected is True
-            got = verify_pareto_by_enumeration(instance, curve, curve.factor1, curve.factor2)
+            got = verify_pareto_by_enumeration(instance, curve.records, *factors)
             assert got == (expected, len(records))
         # A point less on the exact curve leaves that point's solutions uncovered.
         exact = curves[0].records

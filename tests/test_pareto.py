@@ -8,13 +8,16 @@ import pytest
 from _suite import (
     CachingAdapter,
     build_suite,
+    dominates,
+    grid_guarantee,
+    parametric_guarantee,
     pareto_call_bound,
     random_cut_instance,
     random_mst_instance,
     random_path_instance,
     random_vc_instance,
 )
-from bicrit.core import Bounds, CostPair, SolutionRecord, dominates, pow_one_plus_eps
+from bicrit.core import Bounds, CostPair, SolutionRecord, pow_one_plus_eps
 from bicrit.errors import ExactOracleRequired
 from bicrit.oracle import enumerate_all, verify_pareto_coverage
 from bicrit.pareto import (
@@ -132,13 +135,13 @@ class TestParetoSet:
 class TestApproximatePareto:
     def test_example_instance_coverage(self, ex1):
         ps = approximate_pareto(MstAdapter(), ex1, Fraction(1))
-        assert verify_pareto_coverage(ps, enumerate_all(ex1), 3, 3)
+        assert verify_pareto_coverage(ps.records, enumerate_all(ex1), 3, 3)
         assert (ps.factor1, ps.factor2) == (3, 3)
 
     def test_supported_images_only(self, ex2):
         ps = approximate_pareto(MstAdapter(), ex2, Fraction(1))
         assert {(r.image.f1, r.image.f2) for r in ps.records} <= {(4, 2), (3, 3)}
-        assert verify_pareto_coverage(ps, enumerate_all(ex2), 3, 3)
+        assert verify_pareto_coverage(ps.records, enumerate_all(ex2), 3, 3)
 
     def test_single_solution_instance(self, single_edge):
         ps = approximate_pareto(MstAdapter(), single_edge, Fraction(1))
@@ -164,13 +167,13 @@ class TestApproximatePareto:
             inst = random_mst_instance(rng, rng.randint(3, 5))
             for eps in (Fraction(1), Fraction(1, 2)):
                 ps = approximate_pareto(MstAdapter(), inst, eps)
-                assert verify_pareto_coverage(
-                    ps, enumerate_all(inst), ps.factor1, ps.factor2
-                )
+                factors = grid_guarantee(1, eps)
+                assert verify_pareto_coverage(ps.records, enumerate_all(inst), *factors)
         for _ in range(4):
             inst = random_vc_instance(rng, rng.randint(3, 6))
             ps = approximate_pareto(VertexCoverAdapter(), inst, Fraction(1, 2))
-            assert verify_pareto_coverage(ps, enumerate_all(inst), ps.factor1, ps.factor2)
+            factors = grid_guarantee(2, Fraction(1, 2))
+            assert verify_pareto_coverage(ps.records, enumerate_all(inst), *factors)
 
 
 class TestBisectedGrid:
@@ -214,7 +217,7 @@ class TestParametricPareto:
         assert (ps1.factor1, ps1.factor2) == (2, 2)
         ps2 = pareto_from_parametric(MstAdapter(), ex2, Fraction(1))
         assert {(r.image.f1, r.image.f2) for r in ps2.records} == {(4, 2), (3, 3)}
-        assert verify_pareto_coverage(ps2, enumerate_all(ex2), 2, 2)
+        assert verify_pareto_coverage(ps2.records, enumerate_all(ex2), 2, 2)
 
     def test_single_edge(self, single_edge):
         ps = pareto_from_parametric(MstAdapter(), single_edge, Fraction(1))
@@ -227,7 +230,7 @@ class TestParametricPareto:
             for eps in (Fraction(1), Fraction(1, 2)):
                 ps = pareto_from_parametric(MstAdapter(), inst, eps)
                 assert verify_pareto_coverage(
-                    ps, enumerate_all(inst), 1 + eps, 1 + 1 / eps
+                    ps.records, enumerate_all(inst), *parametric_guarantee(eps)
                 )
 
     def test_requires_curve_capability(self):
@@ -280,7 +283,7 @@ class TestExtendedPareto:
         ps = approximate_pareto(adapter, boundary_fixture, Fraction(1))
         images = {(r.image.f1, r.image.f2) for r in ps.records}
         assert images == {(1, 0), (0, 1)}
-        assert verify_pareto_coverage(ps, enumerate_all(boundary_fixture), 3, 3)
+        assert verify_pareto_coverage(ps.records, enumerate_all(boundary_fixture), 3, 3)
         grid = len(pareto_index_range(Fraction(1), adapter.bounds(boundary_fixture)))
         assert ps.oracle_calls == adapter.invocations == grid + 2
 
@@ -296,5 +299,5 @@ class TestExtendedPareto:
             ps = pareto_from_parametric(MstAdapter(), boundary_fixture, eps)
             assert ps.images == (CostPair(0, 1), CostPair(1, 0))
             assert verify_pareto_coverage(
-                ps, enumerate_all(boundary_fixture), 1 + eps, 1 + 1 / eps
+                ps.records, enumerate_all(boundary_fixture), *parametric_guarantee(eps)
             )

@@ -16,7 +16,7 @@ from _suite import (
     random_vc_instance,
     weighted_minimum,
 )
-from bicrit import problems
+from bicrit import oracle, problems
 from bicrit.core import CostPair
 from bicrit.errors import (
     DisconnectedGraph,
@@ -453,3 +453,11 @@ def test_problem_modules_do_not_import_the_algorithm_layer():
     for module in modules:
         for parts in _imports(ast.parse(module.read_text())):
             assert not algorithms & set(parts), (module.name, ".".join(parts))
+
+
+def test_oracle_imports_only_core_and_errors():
+    # The ground truth shares no code with the algorithms and plugins it checks.
+    source = Path(oracle.__file__)
+    package = {m.stem for m in source.parent.glob("*.py")} | {"problems"}
+    imported = {part for parts in _imports(ast.parse(source.read_text())) for part in parts}
+    assert imported & package == {"core", "errors"}

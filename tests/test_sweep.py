@@ -8,7 +8,9 @@ import pytest
 from _suite import (
     CachingAdapter,
     build_suite,
+    grid_guarantee,
     make_case,
+    parametric_guarantee,
     random_cut_instance,
     random_mst_instance,
     random_path_instance,
@@ -23,7 +25,9 @@ from bicrit.oracle import exact_opt_budget, verify_budget
 from bicrit.problems import BiweightedGraph, MstAdapter, mst
 from bicrit.sweep import (
     BudgetQuery,
+    grid_factors,
     index_range,
+    parametric_factors,
     solve_budget_fixed,
     solve_budget_sweep,
     solve_grid,
@@ -47,6 +51,14 @@ def _full_sweep(adapter, instance, query):
         return records, None
     best = min(qualifying, key=lambda r: (r.image.f2, r.image.f1))
     return records, (best, (alpha * (1 + 2 * eps), alpha * (1 + Fraction(2) / eps)))
+
+
+@pytest.mark.parametrize("eps", [Fraction(1), Fraction(1, 2), Fraction(1, 4), Fraction(1, 100)])
+def test_factors_are_the_readme_formulas(eps):
+    # The checks take their factors from tests/_suite.py; the solvers print these.
+    for alpha in (Fraction(1), Fraction(5, 4), Fraction(2)):
+        assert grid_factors(alpha, eps) == grid_guarantee(alpha, eps)
+    assert parametric_factors(eps) == parametric_guarantee(eps)
 
 
 class TestIndexRange:
@@ -145,7 +157,7 @@ class TestSweepProperties:
                     )
                     opt = exact_opt_budget(inst, budget)
                     assert opt is not None
-                    assert verify_budget(record, budget, eps, case.alpha, opt)
+                    assert verify_budget(record, budget, opt, grid_guarantee(case.alpha, eps))
                     assert cert.oracle_calls <= sweep_call_bound(eps, bounds)
 
     def test_weight_coverage(self):
@@ -255,8 +267,11 @@ class TestRelaxedBudget:
                         for search in self._searches(case.adapter, eps):
                             before = case.adapter.invocations
                             record, cert = search(case.adapter, case.instance, query)
-                            factors = (cert.budget_factor, cert.cost_factor)
-                            assert verify_budget(record, budget, eps, case.alpha, opt, factors)
+                            if search is solve_budget_parametric:
+                                factors = parametric_guarantee(eps)
+                            else:  # the grid's: fixed runs at eps 1, binary at alpha 1
+                                factors = grid_guarantee(case.alpha, eps)
+                            assert verify_budget(record, budget, opt, factors)
                             assert cert.oracle_calls == case.adapter.invocations - before
 
     def test_zero_f2_record_is_taken(self, boundary_fixture):
