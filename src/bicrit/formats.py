@@ -26,6 +26,7 @@ from fractions import Fraction
 from .core import format_rational, parse_ratio, ratio_text
 from .errors import ParseError, ValidationError
 from .problems import BiweightedGraph, VertexWeightedGraph
+from .problems.graphs import GRAPH_KINDS
 
 # CPython's builtin sha256, as random.py takes its sha512: hashlib would load
 # OpenSSL's libcrypto, megabytes resident, to hash a few KB per report.
@@ -37,7 +38,7 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
-PROBLEM_KINDS = ("mst", "path", "cut", "vc")
+PROBLEM_KINDS = (*GRAPH_KINDS, "vc")
 
 
 def _typed(value, kind, where):
@@ -137,20 +138,15 @@ def instance_from_dict(data):
     if kind != "vc" and nodes > 2 * len(edges_raw) + 2:  # before any per-node allocation
         raise ParseError(f"nodes: {nodes} is more than the edges, source and sink can name")
     ends = _ends(edges_raw, "edges")
+    if kind == "vc":
+        ratios = _weights(_field(data, "vertex_weights", list), "vertex_weights")
+        graph_type, source, sink = VertexWeightedGraph, None, None
+    else:
+        ratios = _weights(edges_raw, "edges")
+        graph_type = BiweightedGraph
+        source, sink = _optional_int(data, "source"), _optional_int(data, "sink")
     try:
-        if kind == "vc":
-            weights_raw = _field(data, "vertex_weights", list)
-            ratios = _weights(weights_raw, "vertex_weights")
-            return VertexWeightedGraph.from_ratios(nodes, ends, ratios, relaxed=relaxed)
-        instance = BiweightedGraph.from_ratios(
-            nodes,
-            ends,
-            _weights(edges_raw, "edges"),
-            kind=kind,
-            source=_optional_int(data, "source"),
-            sink=_optional_int(data, "sink"),
-            relaxed=relaxed,
-        )
+        instance = graph_type.from_ratios(nodes, ends, ratios, kind, source, sink, relaxed)
     except ValueError as exc:
         raise ValidationError(str(exc)) from None
     if kind == "mst" and not instance.is_connected():
@@ -176,7 +172,7 @@ def _canonical_json(instance) -> str:
     edges = ",".join(
         [
             f'{{"u":{u},"v":{v},"w1":"{a}","w2":"{b}"}}'
-            for (u, v), (a, b) in zip(instance.endpoints(), texts)
+            for (u, v), (a, b) in zip(instance.edges, texts)
         ]
     )
     if instance.source is not None:

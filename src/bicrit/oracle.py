@@ -80,15 +80,15 @@ def _spanning_trees(graph):
     empties, and on the verify-small benchmark they read as resident memory.
     """
     n = graph.node_count
-    endpoints = graph.endpoints()
-    m = len(endpoints)
+    edges = graph.edges
+    m = len(edges)
     need = n - 1
     full = (1 << n) - 1
     # suffix[idx][v]: the neighbours of v over edges idx..m-1.
     suffix = [None] * m
     masks = [0] * n
     for idx in range(m - 1, -1, -1):
-        u, v = endpoints[idx]
+        u, v = edges[idx]
         masks[u] |= 1 << v
         masks[v] |= 1 << u
         suffix[idx] = masks.copy()
@@ -98,7 +98,7 @@ def _spanning_trees(graph):
     stack = [(0, forest, ())]
     while stack:
         idx, forest, chosen = stack.pop()
-        u, v = endpoints[idx]
+        u, v = edges[idx]
         joins = not forest[u] >> v & 1
         if m - idx > need - len(chosen) and (
             not joins or _spans(suffix[idx + 1], forest, full)
@@ -154,7 +154,7 @@ def _simple_paths(graph):
 def _cuts(graph):
     """Yield (source-side node frozenset, crossing edge indices) per cut, in subset-mask order."""
     others = [v for v in range(graph.node_count) if v not in (graph.source, graph.sink)]
-    endpoints = graph.endpoints()
+    edges = graph.edges
     for mask in range(1 << len(others)):
         # A frozenset copied from a set gets a compact table; one grown from an iterable may not.
         side = {graph.source}
@@ -163,7 +163,7 @@ def _cuts(graph):
             if mask >> bit & 1:
                 side.add(node)
                 bits |= 1 << node
-        crossing = [i for i, (u, v) in enumerate(endpoints) if (bits >> u ^ bits >> v) & 1]
+        crossing = [i for i, (u, v) in enumerate(edges) if (bits >> u ^ bits >> v) & 1]
         yield frozenset(side), crossing
 
 

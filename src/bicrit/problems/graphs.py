@@ -1,17 +1,22 @@
 """Instance types for the graph problem plugins, and the helpers they share.
 
-Both graph kinds are frozen dataclasses.  Parallel edges are first-class
-(the zero-cost boundary fixtures need them); self-loops are rejected
-since no plugin can use one.  An instance is its node count, its ends,
-its flags and its weights as ``ratios``: per weight pair,
+Both graph kinds are one frozen dataclass record, ``_Graph``, with seven
+fields: ``node_count``; ``edges``, (u, v) per edge; ``ratios``, the
+weights; ``kind``; ``source`` and ``sink``, None unless the kind needs
+them; and ``relaxed``.  Per weight pair, ``ratios`` holds
 ((p1, q1), (p2, q2)) with w1 = p1/q1 and w2 = p2/q2 in lowest terms,
-q > 0.  The constructors take ``CostPair``s, or pairs that ``CostPair``
-accepts, and turn each into its int pairs; ``from_ratios`` takes the int
-pairs straight from a reader.  Both go through one ``_build`` per kind,
-which runs every check.  Only what the oracles read is derived from
-``ratios`` and the ends, on first read, and kept with the instance: the
-``ScaledWeights``, the adjacency and the neighbours.  ``CostPair``s
-appear only as images; ``formats`` writes the canonical texts.
+q > 0; pair i weighs edge i, or vertex i for "vc".  Parallel edges are
+first-class (the zero-cost boundary fixtures need them); self-loops are
+rejected since no plugin can use one.  The constructors take
+``CostPair``s, or pairs that ``CostPair`` accepts, and turn each into its
+int pairs; ``from_ratios`` takes the int pairs straight from a reader.
+Both go through the one ``_Graph._build``, which refuses a node count,
+end, source or sink that is not an exact int and a ``relaxed`` that is
+not a bool, runs the checks every kind shares, then the kind's own.
+Only what the oracles read is derived from ``ratios`` and the ends, on
+first read, and kept with the instance: the ``ScaledWeights``, the
+adjacency and the neighbours.  ``CostPair``s appear only as images;
+``formats`` writes the canonical texts.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from math import lcm
 from typing import Optional
 
@@ -39,11 +45,10 @@ def _cost_pair(ratio) -> CostPair:
     return CostPair(Fraction(p1, q1), Fraction(p2, q2))
 
 
-def _check_ends(node_count: int, u, v):
-    if not (0 <= u < node_count and 0 <= v < node_count):
-        raise ValidationError(f"edge ({u},{v}) references a missing node")
-    if u == v:
-        raise ValidationError(f"self-loop at node {u}")
+def _typed(value, expected, where):
+    # Exact types, as the reader checks them: a bool is an int subclass but never a node.
+    if type(value) is not expected:
+        raise ValidationError(f"{where}: expected {expected.__name__}, got {type(value).__name__}")
 
 
 def _check_positivity(ratios, relaxed: bool, what: str):
@@ -58,18 +63,63 @@ def _check_positivity(ratios, relaxed: bool, what: str):
             raise ValidationError(f"no positive {what} weight in dimension {dim + 1}")
 
 
+@dataclass(frozen=True, init=False)
 class _Graph:
-    """The reader's entry and the oracles' weights, shared by both graph kinds."""
+    """The one instance record of both graph kinds, the checks they share, and its weights."""
+
+    node_count: int
+    edges: tuple
+    ratios: tuple
+    kind: str
+    source: Optional[int]
+    sink: Optional[int]
+    relaxed: bool
+
+    _element = "edge"  # what each weight pair weighs
 
     @classmethod
-    def from_ratios(cls, *args, **kwargs):
-        """The graph that ``_build`` makes of the reduced int pairs ``ratios``.
-
-        It takes ``_build``'s arguments.
-        """
+    def from_ratios(cls, node_count, edges, ratios, kind, source=None, sink=None, relaxed=False):
+        """The graph of the seven fields, its weights given as reduced int pairs ``ratios``."""
         graph = cls.__new__(cls)
-        graph._build(*args, **kwargs)
+        graph._build(node_count, edges, ratios, kind, source, sink, relaxed)
         return graph
+
+    def _build(self, node_count, edges, ratios, kind, source, sink, relaxed):
+        """Check and store the graph; ``_check_kind`` adds the checks of its kind."""
+        # From a list, the tuple is made at its size (see ``adjacency``).
+        edges, ratios = tuple(list(map(tuple, edges))), tuple(ratios)
+        _typed(node_count, int, "node_count")
+        _typed(relaxed, bool, "relaxed")
+        for name, node in (("source", source), ("sink", sink)):
+            if node is not None:
+                _typed(node, int, name)
+        # One C-level pass over the ends; only a faulty one is looked for again.
+        if not set(map(type, chain.from_iterable(edges))) <= {int}:
+            _typed(next(x for x in chain.from_iterable(edges) if type(x) is not int), int, "edges")
+        if node_count < 1:
+            raise ValidationError("graph needs at least one node")
+        for u, v in edges:
+            if not (0 <= u < node_count and 0 <= v < node_count):
+                raise ValidationError(f"edge ({u},{v}) references a missing node")
+            if u == v:
+                raise ValidationError(f"self-loop at node {u}")
+        what = self._element
+        if len(ratios) != (node_count if what == "vertex" else len(edges)):
+            raise ValidationError(f"one weight pair per {what} required")
+        for ratio in ratios:
+            if ratio[0][0] < 0 or ratio[1][0] < 0:
+                _cost_pair(ratio)  # raises CostPair's own error
+        _check_positivity(ratios, relaxed, what)
+        self._check_kind(node_count, kind, source, sink)
+        self.__dict__.update(
+            node_count=node_count,
+            edges=edges,
+            ratios=ratios,
+            kind=kind,
+            source=source,
+            sink=sink,
+            relaxed=relaxed,
+        )
 
     @cached_property
     def scaled(self) -> "ScaledWeights":
@@ -77,6 +127,8 @@ class _Graph:
         return ScaledWeights.of(self.ratios)
 
 
+# Each kind is a dataclass of its own, so that it refuses to set any
+# attribute, not only the seven fields.
 @dataclass(frozen=True, init=False)
 class BiweightedGraph(_Graph):
     """Undirected multigraph with a weight pair per edge.
@@ -87,18 +139,10 @@ class BiweightedGraph(_Graph):
     components are permitted.
     """
 
-    node_count: int
-    _ends: tuple
-    ratios: tuple
-    kind: str
-    source: Optional[int]
-    sink: Optional[int]
-    relaxed: bool
-
     def __init__(
         self,
         node_count: int,
-        edges=(),
+        edges,
         kind: str = "mst",
         source: Optional[int] = None,
         sink: Optional[int] = None,
@@ -110,18 +154,9 @@ class BiweightedGraph(_Graph):
             ratios.append(_ratio(w))
         self._build(node_count, ends, ratios, kind, source, sink, relaxed)
 
-    def _build(self, node_count, ends, ratios, kind="mst", source=None, sink=None, relaxed=False):
-        """Check and store the graph with edge ``ends[i]`` weighted by ``ratios[i]``."""
+    def _check_kind(self, node_count, kind, source, sink):
         if kind not in GRAPH_KINDS:
             raise ValidationError(f"unknown graph kind {kind!r}")
-        if node_count < 1:
-            raise ValidationError("graph needs at least one node")
-        for (u, v), ratio in zip(ends, ratios, strict=True):
-            if not (0 <= u < node_count and 0 <= v < node_count and u != v):
-                _check_ends(node_count, u, v)
-            if ratio[0][0] < 0 or ratio[1][0] < 0:
-                _cost_pair(ratio)  # raises CostPair's own error
-        _check_positivity(ratios, relaxed, "edge")
         if kind == "mst":
             if node_count < 2:
                 raise ValidationError("spanning-tree instance needs >= 2 nodes")
@@ -135,28 +170,12 @@ class BiweightedGraph(_Graph):
                     raise ValidationError(f"{name} {node} is not a node")
             if source == sink:
                 raise ValidationError("source and sink must differ")
-        self.__dict__.update(
-            node_count=node_count,
-            _ends=tuple(ends),
-            ratios=tuple(ratios),
-            kind=kind,
-            source=source,
-            sink=sink,
-            relaxed=relaxed,
-        )
-
-    @property
-    def edge_count(self) -> int:
-        return len(self._ends)
-
-    def endpoints(self) -> tuple:
-        return self._ends
 
     @cached_property
     def adjacency(self) -> tuple:
         """Per-node tuple of (edge index, other endpoint), in edge order."""
         adj = [[] for _ in range(self.node_count)]
-        for i, (u, v) in enumerate(self._ends):
+        for i, (u, v) in enumerate(self.edges):
             adj[u].append((i, v))
             adj[v].append((i, u))
         # Tuples of lists, as everywhere in this module: CPython resizes a
@@ -171,43 +190,22 @@ class BiweightedGraph(_Graph):
         return tuple([tuple(sorted({other for _, other in adj})) for adj in self.adjacency])
 
     def is_connected(self) -> bool:
-        return connected_components(self.node_count, self._ends) == 1
+        return connected_components(self.node_count, self.edges) == 1
 
 
 @dataclass(frozen=True, init=False)
 class VertexWeightedGraph(_Graph):
     """Undirected graph with a weight pair per vertex, for vertex-cover instances."""
 
-    node_count: int
-    edges: tuple
-    ratios: tuple
-    relaxed: bool
-    kind = "vc"
+    _element = "vertex"
 
-    def __init__(self, node_count: int, edges=(), vertex_weights=(), relaxed: bool = False):
-        self._build(node_count, edges, [_ratio(w) for w in vertex_weights], relaxed)
+    def __init__(self, node_count: int, edges, vertex_weights, relaxed: bool = False):
+        ratios = [_ratio(w) for w in vertex_weights]
+        self._build(node_count, edges, ratios, "vc", None, None, relaxed)
 
-    def _build(self, node_count, edges, ratios, relaxed=False):
-        """Check and store the graph with vertex ``i`` weighted by ``ratios[i]``."""
-        if node_count < 1:
-            raise ValidationError("graph needs at least one node")
-        checked = []
-        for u, v in edges:
-            _check_ends(node_count, u, v)
-            checked.append((u, v))
-        if len(ratios) != node_count:
-            raise ValidationError("one weight pair per vertex required")
-        for ratio in ratios:
-            if ratio[0][0] < 0 or ratio[1][0] < 0:
-                _cost_pair(ratio)  # raises CostPair's own error
-        _check_positivity(ratios, relaxed, "vertex")
-        self.__dict__.update(
-            node_count=node_count, edges=tuple(checked), ratios=tuple(ratios), relaxed=relaxed
-        )
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
+    def _check_kind(self, node_count, kind, source, sink):
+        if kind != "vc" or source is not None or sink is not None:
+            raise ValidationError("a vertex-weighted graph has kind 'vc' and no source/sink")
 
 
 @dataclass(frozen=True)

@@ -58,7 +58,7 @@ def edmonds_karp_cut(neighbours, endpoints, capacities, source, sink) -> frozens
 
 def cut_image(graph: BiweightedGraph, token) -> CostPair:
     """Image of the cut with source side ``token``: the edges crossing it."""
-    crossing = [i for i, (u, v) in enumerate(graph.endpoints()) if (u in token) != (v in token)]
+    crossing = [i for i, (u, v) in enumerate(graph.edges) if (u in token) != (v in token)]
     return graph.scaled.image(crossing)
 
 
@@ -66,7 +66,7 @@ def cut_oracle(graph: BiweightedGraph, source, sink, gamma) -> SolutionRecord:
     """Exact minimum s-t cut under edge capacity w1 + gamma*w2."""
     gamma = check_weight(gamma)
     capacities = graph.scaled.combined(gamma)
-    token = edmonds_karp_cut(graph.neighbours, graph.endpoints(), capacities, source, sink)
+    token = edmonds_karp_cut(graph.neighbours, graph.edges, capacities, source, sink)
     return SolutionRecord(token=token, image=cut_image(graph, token), produced_at=gamma)
 
 

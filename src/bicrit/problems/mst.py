@@ -40,7 +40,7 @@ def mst_oracle(graph: BiweightedGraph, gamma) -> SolutionRecord:
     """Exact minimum spanning tree under edge weight w1 + gamma*w2."""
     gamma = check_weight(gamma)
     keys = graph.scaled.combined(gamma)
-    token = kruskal_run(graph.node_count, graph.endpoints(), keys.__getitem__)
+    token = kruskal_run(graph.node_count, graph.edges, keys.__getitem__)
     return SolutionRecord(token=token, image=graph.scaled.image(token), produced_at=gamma)
 
 
@@ -52,12 +52,12 @@ class MstAdapter(ParametricAdapter):
 
     def evaluate(self, instance: BiweightedGraph, token) -> CostPair:
         token = frozenset(token)
-        if not all(isinstance(i, int) and 0 <= i < instance.edge_count for i in token):
+        edges = instance.edges
+        if not all(isinstance(i, int) and 0 <= i < len(edges) for i in token):
             raise InfeasibleToken(f"unknown edge index in {token}")
         if len(token) != instance.node_count - 1:
             raise InfeasibleToken("wrong edge count for a spanning tree")
-        endpoints = instance.endpoints()
-        if connected_components(instance.node_count, [endpoints[i] for i in token]) != 1:
+        if connected_components(instance.node_count, [edges[i] for i in token]) != 1:
             raise InfeasibleToken("edge set does not span the graph")
         return instance.scaled.image(token)
 
@@ -71,4 +71,4 @@ class MstAdapter(ParametricAdapter):
         """Kruskal with every edge-weight comparison routed through ``compare``."""
         values = instance.scaled.linear()
         key = cmp_to_key(compare)
-        return kruskal_run(instance.node_count, instance.endpoints(), lambda i: key(values[i]))
+        return kruskal_run(instance.node_count, instance.edges, lambda i: key(values[i]))

@@ -82,13 +82,13 @@ class ShortestPathAdapter(ParametricAdapter):
         return Fraction(1)
 
     def evaluate(self, instance: BiweightedGraph, token) -> CostPair:
-        endpoints = instance.endpoints()
+        edges = instance.edges
         node = instance.source
         seen = {node}
         for idx in token:
-            if not (isinstance(idx, int) and 0 <= idx < instance.edge_count):
+            if not (isinstance(idx, int) and 0 <= idx < len(edges)):
                 raise InfeasibleToken(f"unknown edge index {idx}")
-            u, v = endpoints[idx]
+            u, v = edges[idx]
             if node == u:
                 node = v
             elif node == v:

@@ -159,7 +159,7 @@ def reference_digest(instance):
     else:
         data["edges"] = [
             {"u": u, "v": v, "w1": text(w.f1), "w2": text(w.f2)}
-            for (u, v), w in zip(instance.endpoints(), cost_pairs(instance))
+            for (u, v), w in zip(instance.edges, cost_pairs(instance))
         ]
         if instance.source is not None:
             data["source"], data["sink"] = instance.source, instance.sink

@@ -61,7 +61,7 @@ def _image(weights, indices) -> CostPair:
 
 def reference_kruskal(graph, gamma) -> frozenset:
     values = [w.weighted(gamma) for w in cost_pairs(graph)]
-    endpoints = graph.endpoints()
+    endpoints = graph.edges
     order = sorted(
         range(len(endpoints)), key=cmp_to_key(lambda a, b: fraction_compare(values[a], values[b]))
     )
@@ -74,7 +74,7 @@ def reference_dijkstra(graph, gamma) -> tuple:
     n, source, sink = graph.node_count, graph.source, graph.sink
     values = [w.weighted(gamma) for w in cost_pairs(graph)]
     adjacency = [[] for _ in range(n)]
-    for idx, (u, v) in enumerate(graph.endpoints()):
+    for idx, (u, v) in enumerate(graph.edges):
         adjacency[u].append((idx, v))
         adjacency[v].append((idx, u))
     dist = [None] * n
@@ -108,7 +108,7 @@ def reference_dijkstra(graph, gamma) -> tuple:
 def reference_edmonds_karp(graph, gamma) -> frozenset:
     n, source, sink = graph.node_count, graph.source, graph.sink
     cap = [[Fraction(0)] * n for _ in range(n)]
-    for (u, v), w in zip(graph.endpoints(), cost_pairs(graph)):
+    for (u, v), w in zip(graph.edges, cost_pairs(graph)):
         cap[u][v] += w.weighted(gamma)
         cap[v][u] += w.weighted(gamma)
     flow = [[Fraction(0)] * n for _ in range(n)]
@@ -153,7 +153,7 @@ def reference_record(graph, gamma) -> SolutionRecord:
         return SolutionRecord(token, _image(cost_pairs(graph), token), gamma)
     if graph.kind == "cut":
         token = reference_edmonds_karp(graph, gamma)
-        crossing = [i for i, (u, v) in enumerate(graph.endpoints()) if (u in token) != (v in token)]
+        crossing = [i for i, (u, v) in enumerate(graph.edges) if (u in token) != (v in token)]
         return SolutionRecord(token, _image(cost_pairs(graph), crossing), gamma)
     run = reference_kruskal if graph.kind == "mst" else reference_dijkstra
     token = run(graph, gamma)

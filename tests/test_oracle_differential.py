@@ -66,7 +66,7 @@ class _RefCounter:
 
 def _ref_spanning_trees(graph, counter):
     n = graph.node_count
-    endpoints = graph.endpoints()
+    endpoints = graph.edges
     m = len(endpoints)
 
     def find(parent, x):
@@ -169,7 +169,7 @@ def reference_enumerate_all(instance):
             tokens = _ref_simple_paths(instance, counter)
         else:
             tokens = _ref_cuts(instance, counter)
-            endpoints = instance.endpoints()
+            endpoints = instance.edges
 
             def members(side):
                 return (i for i, (u, v) in enumerate(endpoints) if (u in side) != (v in side))
@@ -220,12 +220,11 @@ def assert_same_enumeration(instance):
 
 def _reweighted(instance, draw):
     """The instance with every weight pair replaced by ``draw()``."""
-    if isinstance(instance, VertexWeightedGraph):
-        weights = tuple(draw() for _ in range(instance.node_count))
-        return VertexWeightedGraph(instance.node_count, instance.edges, weights)
-    edges = tuple((u, v, draw()) for u, v in instance.endpoints())
-    ends = {} if instance.kind == "mst" else {"source": instance.source, "sink": instance.sink}
-    return BiweightedGraph(instance.node_count, edges, kind=instance.kind, **ends)
+    weights = [draw() for _ in instance.ratios]
+    ratios = [tuple((x.numerator, x.denominator) for x in (w.f1, w.f2)) for w in weights]
+    return type(instance).from_ratios(
+        instance.node_count, instance.edges, ratios, instance.kind, instance.source, instance.sink
+    )
 
 
 def _random_instance(rng, kind):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import dataclasses
 import random
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
@@ -79,6 +80,50 @@ class TestGraphValidation:
         with pytest.raises(ValidationError):
             VertexWeightedGraph(2, ((0, 1),), ((1, 1),))
 
+    def test_both_kinds_store_the_same_seven_fields(self):
+        names = ("node_count", "edges", "ratios", "kind", "source", "sink", "relaxed")
+        for cls in (BiweightedGraph, VertexWeightedGraph):
+            assert tuple(field.name for field in dataclasses.fields(cls)) == names
+
+    def test_from_ratios_needs_one_pair_per_element(self):
+        with pytest.raises(ValidationError, match="one weight pair per edge"):
+            BiweightedGraph.from_ratios(3, [(0, 1), (1, 2)], [((1, 1), (1, 1))], "mst")
+        with pytest.raises(ValidationError, match="one weight pair per vertex"):
+            VertexWeightedGraph.from_ratios(3, [(0, 1)], [((1, 1), (1, 1))] * 2, "vc")
+
+    def test_vertex_weighted_graph_is_vc_only(self):
+        with pytest.raises(ValidationError, match="kind 'vc'"):
+            VertexWeightedGraph.from_ratios(2, [(0, 1)], [((1, 1), (1, 1))] * 2, "mst")
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: BiweightedGraph(3, [(0, 1.0, (1, 1)), (1, 2, (1, 1))]),
+            lambda: BiweightedGraph(3, [(0, True, (1, 1)), (1, 2, (1, 1))]),
+            lambda: BiweightedGraph(3.0, [(0, 1, (1, 1)), (1, 2, (1, 1))]),
+            lambda: BiweightedGraph(2, [(0, 1, (1, 1))], relaxed="yes"),
+            lambda: BiweightedGraph(3, _PATH_EDGES, kind="path", source=True, sink=2),
+            lambda: BiweightedGraph(3, _PATH_EDGES, kind="path", source=0, sink=2.0),
+            lambda: VertexWeightedGraph(2, [(0, 1.0)], [(1, 1)] * 2),
+            lambda: VertexWeightedGraph(True, [], [(1, 1)]),
+            lambda: VertexWeightedGraph(2, [(0, 1)], [(1, 1)] * 2, relaxed=1),
+        ],
+        ids=[
+            "float-end",
+            "bool-end",
+            "float-node-count",
+            "str-relaxed",
+            "bool-source",
+            "float-sink",
+            "vc-float-end",
+            "vc-bool-node-count",
+            "vc-int-relaxed",
+        ],
+    )
+    def test_refuses_what_is_not_an_exact_int_or_bool(self, build):
+        with pytest.raises(ValidationError, match="expected (int|bool), got"):
+            build()
+
     @pytest.mark.parametrize("name", ["node_count", "ratios", "relaxed", "scaled", "other"])
     def test_graphs_are_frozen(self, name):
         rng = random.Random(11)
@@ -115,6 +160,7 @@ class TestGraphValidation:
             assert instance_digest(graph) == instance_digest(read)
 
 
+_PATH_EDGES = [(0, 1, (1, 1)), (1, 2, (1, 1))]
 _THREE_NODE_ENDS = ((0, 1), (1, 2), (0, 2))
 
 
