@@ -215,13 +215,14 @@ class GuaranteeCertificate:
             raise ValueError("a successful run makes at least one oracle call")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LinearValue:
     """A quantity constant + slope * gamma, linear in the symbolic weight.
 
     Both fields are ints, and ``+`` and ``-`` keep them ints: a plugin
     scales its weights to integers and runs on integer arithmetic.  Any
-    other type, a bool or a Fraction included, raises TypeError.
+    other type, a bool or a Fraction included, raises TypeError, and so
+    does adding or subtracting anything but a ``LinearValue``.
     """
 
     constant: int
@@ -232,10 +233,28 @@ class LinearValue:
             raise TypeError(f"LinearValue needs int fields, got {self}")
 
     def __add__(self, other: "LinearValue") -> "LinearValue":
-        return LinearValue(self.constant + other.constant, self.slope + other.slope)
+        if not isinstance(other, LinearValue):
+            return NotImplemented
+        return _linear(self.constant + other.constant, self.slope + other.slope)
 
     def __sub__(self, other: "LinearValue") -> "LinearValue":
-        return LinearValue(self.constant - other.constant, self.slope - other.slope)
+        if not isinstance(other, LinearValue):
+            return NotImplemented
+        return _linear(self.constant - other.constant, self.slope - other.slope)
+
+
+# The sums and differences of int fields are ints, so ``+`` and ``-`` build
+# their results unchecked: the slots' own setters skip the dataclass
+# ``__init__``, its check and the frozen ``__setattr__``.  The symbolic runs
+# make one per comparison.
+_set_constant, _set_slope = LinearValue.constant.__set__, LinearValue.slope.__set__
+
+
+def _linear(constant: int, slope: int) -> LinearValue:
+    value = object.__new__(LinearValue)
+    _set_constant(value, constant)
+    _set_slope(value, slope)
+    return value
 
 
 class ProblemAdapter(ABC):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Optional
 
 from .core import (
@@ -24,6 +25,8 @@ from .core import (
 )
 from .errors import ExactOracleRequired, NotParametricCapable
 from .sweep import BudgetQuery, certify, grid_factors, index_range, parametric_factors
+
+_pair = attrgetter("numerator", "denominator")  # a Fraction as its two ints
 
 
 def critical_gamma(p: LinearValue, q: LinearValue) -> Optional[Fraction]:
@@ -113,25 +116,29 @@ def parametric_search(
     limit = factors[0] * budget
     mid = (lo + hi) / 2
     witness, comparisons, probes = None, 0, []
+    # lo, hi and mid as (numerator, denominator) ints, read by every
+    # comparison and rebuilt only when a probe moves lo or hi.
+    lo_n, lo_d, hi_n, hi_d, mid_n, mid_d = *_pair(lo), *_pair(hi), *_pair(mid)
 
     def compare(p: LinearValue, q: LinearValue) -> int:
-        nonlocal lo, hi, mid, witness, comparisons
+        nonlocal lo, hi, mid, lo_n, lo_d, hi_n, hi_d, mid_n, mid_d, witness, comparisons
         comparisons += 1
         # p - q = c + s*gamma at gamma = n/d has the sign of c*d + s*n, with
         # d > 0: ints, with no Fraction built.  The line crosses zero strictly
         # inside (lo, hi) exactly when its signs at lo and at hi are opposite.
         c, s = p.constant - q.constant, p.slope - q.slope
-        at_lo = c * lo.denominator + s * lo.numerator
-        at_hi = c * hi.denominator + s * hi.numerator
+        at_lo = c * lo_d + s * lo_n
+        at_hi = c * hi_d + s * hi_n
         if (at_lo < 0 < at_hi) or (at_hi < 0 < at_lo):
             crit = critical_gamma(p, q)
             probes.append(adapter.solve_weighted_sum(instance, crit))
             if probes[-1].image.f1 > limit:
-                hi = crit
+                hi, (hi_n, hi_d) = crit, _pair(crit)
             else:
-                lo, witness = crit, probes[-1]
+                lo, witness, (lo_n, lo_d) = crit, probes[-1], _pair(crit)
             mid = (lo + hi) / 2
-        value = c * mid.denominator + s * mid.numerator
+            mid_n, mid_d = _pair(mid)
+        value = c * mid_d + s * mid_n
         return (value > 0) - (value < 0)
 
     master_token = adapter.run_parametric(instance, compare)

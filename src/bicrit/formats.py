@@ -140,11 +140,11 @@ def instance_from_dict(data):
     ends = _ends(edges_raw, "edges")
     if kind == "vc":
         ratios = _weights(_field(data, "vertex_weights", list), "vertex_weights")
-        graph_type, source, sink = VertexWeightedGraph, None, None
+        graph_type = VertexWeightedGraph
     else:
         ratios = _weights(edges_raw, "edges")
         graph_type = BiweightedGraph
-        source, sink = _optional_int(data, "source"), _optional_int(data, "sink")
+    source, sink = _optional_int(data, "source"), _optional_int(data, "sink")
     try:
         instance = graph_type.from_ratios(nodes, ends, ratios, kind, source, sink, relaxed)
     except ValueError as exc:

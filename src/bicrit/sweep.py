@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 
 from .core import (
     Bounds,
@@ -24,6 +25,8 @@ from .core import (
     rational,
 )
 from .errors import NoCertificate
+
+_pair = attrgetter("numerator", "denominator")  # a Fraction as its two ints
 
 
 def covering_range(eps, lo, hi) -> range:
@@ -138,58 +141,58 @@ def solve_grid_symbolic(adapter: ParametricAdapter, instance, eps, grid: range) 
     Megiddo's parametric simulation (JACM 30(4), 1983), run over a finite
     grid.  Each ``run_parametric`` call covers an index range [a, b].  A
     comparison of linear values p, q is the sign of d = p - q = c + s*gamma
-    at every weight (1+eps)**i, i in [a, b]; it changes only at the
-    critical weight -c/s, which ``grid_index`` places between two grid
-    indices or on one.  When that splits [a, b], the run keeps the lowest
-    piece, pushes the rest for later runs and answers for the kept piece;
-    earlier answers still hold on it, so every run ends with one token
-    that is the oracle's answer at every index of its final range.  A grid
-    weight equal to the critical weight gets a piece of its own, where the
-    answer is 0.  The ranges partition the grid, so there are never more
-    runs than indices.  Each run's record is its token, the token's image
-    and ``produced_at`` the range's first weight: the oracle's record
-    there.  A change of answer always falls between two ranges, so the
-    first record of each run of equal answers is returned, which is all
-    that ``solve_grid``'s consumers read.  Only those weights are built; a
-    comparison reads the values' fields and a cache of the critical
-    weights' grid indices.
+    at every weight (1+eps)**i, i in [a, b].  d is linear and the weights
+    increase, so when d has the same strict sign at both end weights it has
+    it on the whole range, and that sign is the answer: two int products
+    per end decide it.  Otherwise d is 0 at an end or crosses 0 inside, at
+    the critical weight -c/s, which ``grid_index`` places between two grid
+    indices or on one.  That splits [a, b]: the run keeps the lowest piece,
+    pushes the rest for later runs and answers for the kept piece; earlier
+    answers still hold on it, so every run ends with one token that is the
+    oracle's answer at every index of its final range.  A grid weight equal
+    to the critical weight gets a piece of its own, where the answer is 0.
+    The ranges partition the grid, so there are never more runs than
+    indices.  Each run's record is its token, the token's image and
+    ``produced_at`` the range's first weight: the oracle's record there.  A
+    change of answer always falls between two ranges, so the first record
+    of each run of equal answers is returned, which is all that
+    ``solve_grid``'s consumers read.  Only the ranges' end weights are
+    built, as int pairs; the run refreshes b's whenever it narrows b.
     """
-    # critical weight -> grid_index of it.  Runs meet the same critical
-    # weights again: without this cache one budget-medium round of the
-    # benchmark (seed 3) makes 1989 searches instead of 507, and a
-    # pareto-fine round 401 instead of 212; the searches took 23.4 ms
-    # against 7.1 ms per budget-medium round on a 2-core Intel Xeon host.
-    brackets = {}
     pending = [(grid[0], grid[-1])]
     records = []
     while pending:
         a, b = pending.pop()
+        first = pow_one_plus_eps(eps, a)
+        a_num, a_den = _pair(first)
+        b_num, b_den = (a_num, a_den) if b == a else _pair(pow_one_plus_eps(eps, b))
 
         def compare(p, q) -> int:
-            nonlocal b
+            nonlocal b, b_num, b_den
             c, s = p.constant - q.constant, p.slope - q.slope
-            if s == 0:
-                return (c > 0) - (c < 0)
+            # d at gamma = n/m has the sign of c*m + s*n, as m > 0.
+            at_a, at_b = c * a_den + s * a_num, c * b_den + s * b_num
+            if at_a > 0 < at_b:
+                return 1
+            if at_a < 0 > at_b:
+                return -1
+            if at_a == 0 == at_b:  # d is 0 at both ends, so on all of [a, b]
+                return 0
+            # Here s != 0 and -c/s lies in [(1+eps)**a, (1+eps)**b], so a <= lo, hi <= b.
+            hi, exact = grid_index(eps, Fraction(-c, s))
+            lo = hi + (not exact)  # weights below index lo are below -c/s, above hi above
             sign = 1 if s > 0 else -1
-            if c * sign >= 0:  # no positive critical weight: d has the sign of s
-                return sign
-            crit = Fraction(-c, s)
-            if crit not in brackets:
-                brackets[crit] = grid_index(eps, crit)
-            hi, exact = brackets[crit]
-            lo = hi + (not exact)  # weights below index lo are below crit, above hi above
-            pieces = (
-                (a, min(lo - 1, b), -sign),
-                (max(lo, a), min(hi, b), 0),
-                (max(hi + 1, a), b, sign),
-            )
-            (_, b, answer), *rest = [piece for piece in pieces if piece[0] <= piece[1]]
+            pieces = ((a, lo - 1, -sign), (lo, hi, 0), (hi + 1, b, sign))
+            (_, end, answer), *rest = [piece for piece in pieces if piece[0] <= piece[1]]
             pending.extend((x, y) for x, y, _ in reversed(rest))
+            if end != b:
+                b = end
+                b_num, b_den = (a_num, a_den) if b == a else _pair(pow_one_plus_eps(eps, b))
             return answer
 
         token = adapter.run_parametric(instance, compare)
         image = adapter.evaluate(instance, token)
-        records.append(SolutionRecord(token, image, pow_one_plus_eps(eps, a)))
+        records.append(SolutionRecord(token, image, first))
     return records
 
 

@@ -303,6 +303,20 @@ class TestExitCodes:
         assert main(["pareto", "--problem", "path", "--input", str(path)]) == 4
         assert capsys.readouterr().err.startswith(f"error: {where}: expected ")
 
+    @pytest.mark.parametrize("ends, message", [
+        ({"source": 1.5, "sink": "x"}, "source: expected int, got float"),
+        ({"source": 0, "sink": 1}, "a vertex-weighted graph has kind 'vc' and no source/sink"),
+    ])
+    def test_vertex_cover_file_with_source_and_sink_exits_four(
+        self, capsys, tmp_path, ends, message
+    ):
+        data = json.loads(Path(demo("demo_vc.json")).read_text())
+        data.update(ends)
+        path = tmp_path / "vc.json"
+        path.write_text(json.dumps(data))
+        assert main(["pareto", "--problem", "vc", "--epsilon", "1", "--input", str(path)]) == 4
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     @pytest.mark.parametrize("name, extra", [
         ("demo_mst_a.json", {}),
         ("demo_path.json", {"relaxed": True}),

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 
 import pytest
@@ -223,6 +223,36 @@ class TestLinearValue:
         for bad in ((0.5, 1), (1, 0.5), (True, 1), (1, False)):
             with pytest.raises(TypeError):
                 LinearValue(*bad)
+
+    def test_sum_and_difference_are_exact_int_linear_values(self):
+        big = 3**200
+        for v in (LinearValue(big, -2) + LinearValue(1, 5), LinearValue(big, -2) - LinearValue(1, 5)):
+            assert type(v) is LinearValue
+            assert (type(v.constant), type(v.slope)) == (int, int)
+        assert LinearValue(big, -2) + LinearValue(1, 5) == LinearValue(big + 1, 3)
+        assert LinearValue(big, -2) - LinearValue(1, 5) == LinearValue(big - 1, -7)
+
+    @pytest.mark.parametrize("other", [(1, 2), 1, Fraction(1, 2), None])
+    def test_only_linear_values_add_and_subtract(self, other):
+        with pytest.raises(TypeError):
+            LinearValue(1, 2) + other
+        with pytest.raises(TypeError):
+            LinearValue(1, 2) - other
+        with pytest.raises(TypeError):
+            other + LinearValue(1, 2)
+
+    def test_fields_cannot_be_set(self):
+        v = LinearValue(1, 2) - LinearValue(3, 5)
+        for name in ("constant", "slope"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(v, name, 0)
+        assert v == LinearValue(-2, -3)
+
+    def test_equal_values_are_equal_and_hash_alike(self):
+        built, summed = LinearValue(4, 6), LinearValue(1, 2) + LinearValue(3, 4)
+        assert built == summed and hash(built) == hash(summed)
+        assert len({built, summed, LinearValue(4, 7)}) == 2
+        assert built != (4, 6)
 
     def test_critical_gamma_is_exact_on_int_fields(self):
         crit = critical_gamma(LinearValue(2, 3), LinearValue(3, 1))

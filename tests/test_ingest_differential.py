@@ -112,7 +112,11 @@ def reference_instance_from_dict(data):
             weights = [
                 _parse_pair(w, f"vertex_weights[{i}]") for i, w in enumerate(weights_raw)
             ]
-            return VertexWeightedGraph(nodes, tuple(ends), tuple(weights), relaxed=relaxed)
+            source, sink = _optional_int(data, "source"), _optional_int(data, "sink")
+            graph = VertexWeightedGraph(nodes, tuple(ends), tuple(weights), relaxed=relaxed)
+            if source is not None or sink is not None:
+                raise ValidationError("a vertex-weighted graph has kind 'vc' and no source/sink")
+            return graph
         edges = [
             (u, v, _parse_pair(e, f"edges[{i}]"))
             for i, ((u, v), e) in enumerate(zip(ends, edges_raw))

@@ -13,7 +13,16 @@ from _suite import (
     random_relaxed_instance,
     random_vc_instance,
 )
-from bicrit.core import ParametricAdapter, pow_one_plus_eps
+from bicrit import sweep
+from bicrit.core import (
+    Bounds,
+    CostPair,
+    LinearValue,
+    ParametricAdapter,
+    SolutionRecord,
+    grid_index,
+    pow_one_plus_eps,
+)
 from bicrit.errors import NoCertificate
 from bicrit.oracle import adversarial_wrap, enumerate_all
 from bicrit.pareto import approximate_pareto, pareto_index_range
@@ -30,6 +39,47 @@ from bicrit.sweep import (
 def _per_index_walk(instance, eps, grid):
     """The walk the symbolic one replaced: ``vc_oracle`` at every grid weight."""
     return [vc_oracle(instance, pow_one_plus_eps(eps, i)) for i in grid]
+
+
+def reference_solve_grid_symbolic(adapter, instance, eps, grid):
+    """The walk that the end-sign test replaced: a critical weight per comparison.
+
+    Each comparison with slope s != 0 and a positive critical weight -c/s
+    placed that weight on the grid with ``grid_index``, through a cache of
+    the weights already placed.
+    """
+    brackets = {}
+    pending = [(grid[0], grid[-1])]
+    records = []
+    while pending:
+        a, b = pending.pop()
+
+        def compare(p, q) -> int:
+            nonlocal b
+            c, s = p.constant - q.constant, p.slope - q.slope
+            if s == 0:
+                return (c > 0) - (c < 0)
+            sign = 1 if s > 0 else -1
+            if c * sign >= 0:  # no positive critical weight: d has the sign of s
+                return sign
+            crit = Fraction(-c, s)
+            if crit not in brackets:
+                brackets[crit] = grid_index(eps, crit)
+            hi, exact = brackets[crit]
+            lo = hi + (not exact)
+            pieces = (
+                (a, min(lo - 1, b), -sign),
+                (max(lo, a), min(hi, b), 0),
+                (max(hi + 1, a), b, sign),
+            )
+            (_, b, answer), *rest = [piece for piece in pieces if piece[0] <= piece[1]]
+            pending.extend((x, y) for x, y, _ in reversed(rest))
+            return answer
+
+        token = adapter.run_parametric(instance, compare)
+        image = adapter.evaluate(instance, token)
+        records.append(SolutionRecord(token, image, pow_one_plus_eps(eps, a)))
+    return records
 
 
 def _firsts(records):
@@ -50,8 +100,9 @@ class IntegerCover(VertexCoverAdapter):
 
 
 def _check_grid(instance, eps, grid):
-    """Symbolic records: the per-index walk's, at least its first of each token run."""
+    """Symbolic records: the reference walk's, and the per-index walk's first of each token run."""
     symbolic = solve_grid(IntegerCover(), instance, eps, grid)
+    assert symbolic == reference_solve_grid_symbolic(IntegerCover(), instance, eps, grid)
     reference = _per_index_walk(instance, eps, grid)
     at = {r.produced_at: r for r in reference}
     assert all(at[r.produced_at] == r for r in symbolic)
@@ -113,6 +164,20 @@ class TestGridRecords:
         assert pow_one_plus_eps(eps, tie + 1) in produced
         assert len(records) == 3
 
+    @pytest.mark.parametrize("grid", [range(1, 4), range(-1, 2)], ids=["at_a", "at_b"])
+    def test_line_zero_at_an_end_weight(self, monkeypatch, grid):
+        # The first comparison's line 2 - gamma is 0 at gamma = 2 = 2**1, the
+        # first weight of range(1, 4) and the last of range(-1, 2): neither
+        # sign test decides it, so its critical weight is placed.
+        graph = VertexWeightedGraph(2, ((0, 1),), ((1, 2), (3, 1)))
+        placed = []
+        monkeypatch.setattr(
+            sweep, "grid_index", lambda eps, value: placed.append(value) or grid_index(eps, value)
+        )
+        records = _check_grid(graph, Fraction(1), grid)
+        assert placed[0] == 2
+        assert Fraction(2) in [r.produced_at for r in records]
+
 
 class TestConsumers:
     """Sweep, fixed and Pareto results equal those of the per-index walk."""
@@ -164,6 +229,52 @@ class TestConsumers:
             inst = random_relaxed_instance(rng, "vc", rng.randint(2, 6))
             for eps in (Fraction(1), Fraction(1, 4)):
                 self._check(inst, eps)
+
+
+class LineSigns(ParametricAdapter):
+    """A symbolic oracle whose answer is the sign of each of its lines c + s*gamma."""
+
+    def __init__(self, lines):
+        self.lines = lines
+
+    def alpha(self):
+        return Fraction(2)
+
+    def evaluate(self, instance, token):
+        return CostPair(1, 1)
+
+    def solve_weighted_sum(self, instance, gamma):
+        token = tuple((c + s * gamma > 0) - (c + s * gamma < 0) for c, s in self.lines)
+        return SolutionRecord(token, CostPair(1, 1), gamma)
+
+    def bounds(self, instance):
+        return Bounds(1, 1, 1, 1)
+
+    def run_parametric(self, instance, compare):
+        return tuple(compare(LinearValue(c, s), LinearValue(0, 0)) for c, s in self.lines)
+
+
+@pytest.mark.parametrize(
+    "lines",
+    [
+        # 3 - 2*gamma splits off [1, 3], whose first weight 2 zeroes 2 - gamma,
+        # negative at its last weight 8; then the mirror images of both.
+        ((3, -2), (2, -1)),
+        ((-3, 2), (-2, 1)),
+        # -5 + 2*gamma splits off [-3, 1], whose last weight 2 zeroes 2 - gamma; the mirror.
+        ((-5, 2), (2, -1)),
+        ((5, -2), (-2, 1)),
+        # Constants, the zero line, and lines that stay off every grid weight.
+        ((5, 0), (0, 0), (0, 3), (-7, 0), (-1, 3), (10, -3)),
+    ],
+)
+def test_every_run_answers_the_signs_on_its_whole_range(lines):
+    adapter, eps, grid = LineSigns(lines), Fraction(1), range(-3, 4)
+    records = solve_grid(adapter, None, eps, grid)
+    assert records == reference_solve_grid_symbolic(adapter, None, eps, grid)
+    per_index = [adapter.solve_weighted_sum(None, pow_one_plus_eps(eps, i)) for i in grid]
+    assert _firsts(records) == _firsts(per_index)
+    assert all(r in per_index for r in records)
 
 
 def test_adversary_keeps_one_call_per_grid_weight():
