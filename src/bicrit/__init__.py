@@ -35,7 +35,6 @@ from .errors import (
 )
 from .exact_search import (
     ParametricOutcome,
-    critical_gamma,
     parametric_search,
     solve_budget_binary,
     solve_budget_parametric,

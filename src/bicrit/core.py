@@ -17,6 +17,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import attrgetter
 from typing import Any, Optional
 
 from .errors import ExactOracleRequired, ParseError
@@ -257,6 +258,19 @@ def _linear(constant: int, slope: int) -> LinearValue:
     return value
 
 
+ratio_of = attrgetter("numerator", "denominator")  # a Fraction as its int pair (n, d)
+
+
+def sign_at(constant: int, slope: int, ratio: tuple) -> int:
+    """The sign (-1, 0, 1) of constant + slope*gamma at gamma = n/d, ``ratio`` = (n, d), d > 0.
+
+    It is the sign of the int constant*d + slope*n; n/d need not be reduced.
+    """
+    n, d = ratio
+    value = constant * d + slope * n
+    return (value > 0) - (value < 0)
+
+
 class ProblemAdapter(ABC):
     """Contract every problem plugin implements and every algorithm consumes.
 
@@ -322,7 +336,7 @@ class ParametricAdapter(ProblemAdapter):
     comparator; the returned solution must depend on gamma only through
     those comparison outcomes.  An exact oracle's run drives
     ``parametric_search``; an approximate one's, the symbolic grid walk of
-    ``sweep.solve_grid``.
+    ``sweep.solve_grid``.  Both comparators read signs from ``sign_at``.
     """
 
     @abstractmethod

@@ -12,32 +12,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import attrgetter
-from typing import Optional
 
 from .core import (
     GuaranteeCertificate,
-    LinearValue,
     ParametricAdapter,
     ProblemAdapter,
     SolutionRecord,
     pow_one_plus_eps,
+    ratio_of,
+    sign_at,
 )
 from .errors import ExactOracleRequired, NotParametricCapable
 from .sweep import BudgetQuery, certify, grid_factors, index_range, parametric_factors
-
-_pair = attrgetter("numerator", "denominator")  # a Fraction as its two ints
-
-
-def critical_gamma(p: LinearValue, q: LinearValue) -> Optional[Fraction]:
-    """The unique weight where p and q cross, or None when slopes agree.
-
-    Parallel (and identical) lines have a gamma-independent comparison,
-    which the caller resolves from the constants alone.
-    """
-    if p.slope == q.slope:
-        return None
-    return Fraction(q.constant - p.constant, p.slope - q.slope)
 
 
 def solve_budget_binary(
@@ -85,6 +71,12 @@ class ParametricOutcome:
     master_token: object
 
 
+def _midpoint(lo, hi) -> tuple:
+    """The midpoint of the int pairs lo = (a, b) and hi = (c, d), unreduced: (a*d + c*b, 2*b*d)."""
+    (a, b), (c, d) = lo, hi
+    return a * d + c * b, 2 * b * d
+
+
 def parametric_search(
     adapter: ParametricAdapter, instance, query: BudgetQuery
 ) -> ParametricOutcome:
@@ -92,9 +84,10 @@ def parametric_search(
 
     Starting from the interval [lo, hi] = [eps*B/UB(2), eps*B/LB(2)], the
     master run of the oracle executes over LinearValue quantities and
-    decides each comparison at the interval's midpoint.  A comparison
-    whose critical weight lies strictly inside (lo, hi) is first resolved
-    by one concrete oracle run there: a record breaking f1 <= (1+eps)*B
+    decides each comparison at the interval's midpoint, all three held as
+    int pairs for ``sign_at``.  A comparison whose line c + s*gamma has
+    opposite signs at lo and hi is first resolved by one concrete oracle
+    run at its critical weight -c/s: a record breaking f1 <= (1+eps)*B
     moves hi to that weight; otherwise the record meets the filter and no
     smaller weight improves f2, so lo moves there and the record becomes
     the witness.  At the end the concrete oracle runs once at the final
@@ -111,38 +104,30 @@ def parametric_search(
         raise NotParametricCapable(f"{type(adapter).__name__} has no parametric run")
     eps, budget = query.eps, query.budget
     bounds = adapter.bounds(instance)
-    lo, hi = eps * budget / bounds.ub2, eps * budget / bounds.lb2
+    lo, hi = ratio_of(eps * budget / bounds.ub2), ratio_of(eps * budget / bounds.lb2)
     factors = parametric_factors(eps)
     limit = factors[0] * budget
-    mid = (lo + hi) / 2
+    mid = _midpoint(lo, hi)
     witness, comparisons, probes = None, 0, []
-    # lo, hi and mid as (numerator, denominator) ints, read by every
-    # comparison and rebuilt only when a probe moves lo or hi.
-    lo_n, lo_d, hi_n, hi_d, mid_n, mid_d = *_pair(lo), *_pair(hi), *_pair(mid)
 
-    def compare(p: LinearValue, q: LinearValue) -> int:
-        nonlocal lo, hi, mid, lo_n, lo_d, hi_n, hi_d, mid_n, mid_d, witness, comparisons
+    def compare(p, q) -> int:
+        nonlocal lo, hi, mid, witness, comparisons
         comparisons += 1
-        # p - q = c + s*gamma at gamma = n/d has the sign of c*d + s*n, with
-        # d > 0: ints, with no Fraction built.  The line crosses zero strictly
-        # inside (lo, hi) exactly when its signs at lo and at hi are opposite.
+        # p - q = c + s*gamma crosses 0 strictly inside (lo, hi) exactly
+        # when its signs at lo and at hi are opposite.
         c, s = p.constant - q.constant, p.slope - q.slope
-        at_lo = c * lo_d + s * lo_n
-        at_hi = c * hi_d + s * hi_n
-        if (at_lo < 0 < at_hi) or (at_hi < 0 < at_lo):
-            crit = critical_gamma(p, q)
+        if sign_at(c, s, lo) * sign_at(c, s, hi) < 0:
+            crit = Fraction(-c, s)
             probes.append(adapter.solve_weighted_sum(instance, crit))
             if probes[-1].image.f1 > limit:
-                hi, (hi_n, hi_d) = crit, _pair(crit)
+                hi = ratio_of(crit)
             else:
-                lo, witness, (lo_n, lo_d) = crit, probes[-1], _pair(crit)
-            mid = (lo + hi) / 2
-            mid_n, mid_d = _pair(mid)
-        value = c * mid_d + s * mid_n
-        return (value > 0) - (value < 0)
+                lo, witness = ratio_of(crit), probes[-1]
+            mid = _midpoint(lo, hi)
+        return sign_at(c, s, mid)
 
     master_token = adapter.run_parametric(instance, compare)
-    midpoint_record = adapter.solve_weighted_sum(instance, mid)
+    midpoint_record = adapter.solve_weighted_sum(instance, Fraction(*mid))
     picked = midpoint_record if midpoint_record.image.f1 <= limit else witness
     record, certificate = certify(
         adapter, instance, [*probes, midpoint_record], picked, limit, factors, budget
@@ -150,7 +135,7 @@ def parametric_search(
     return ParametricOutcome(
         record=record,
         certificate=certificate,
-        interval=(lo, hi),
+        interval=(Fraction(*lo), Fraction(*hi)),
         comparisons=comparisons,
         probes=tuple(probes),
         midpoint_record=midpoint_record,

@@ -155,6 +155,10 @@ def instance_from_dict(data):
         raise ValidationError(
             "strict cut instance must be connected (a zero-capacity cut needs relaxed=true)"
         )
+    if kind == "vc" and not relaxed and not instance.edges:
+        raise ValidationError(
+            "strict vertex-cover instance needs an edge (an empty cover needs relaxed=true)"
+        )
     return instance
 
 

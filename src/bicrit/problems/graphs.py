@@ -238,9 +238,10 @@ class ScaledWeights:
         p, q = gamma.numerator, gamma.denominator
         return [q * a + p * b for a, b in zip(self.first, self.second)]
 
-    def linear(self) -> list:
-        """``LinearValue(W1, W2)`` per pair: D times the combined weight, symbolic in gamma."""
-        return [LinearValue(a, b) for a, b in zip(self.first, self.second)]
+    @cached_property
+    def linear(self) -> tuple:
+        """``LinearValue(W1, W2)`` per pair, D times the combined weight: built once, shared."""
+        return tuple([LinearValue(a, b) for a, b in zip(self.first, self.second)])
 
     def image(self, indices) -> CostPair:
         """Exact image of the solution made of the pairs at ``indices``."""

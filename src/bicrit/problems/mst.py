@@ -69,6 +69,6 @@ class MstAdapter(ParametricAdapter):
 
     def run_parametric(self, instance, compare):
         """Kruskal with every edge-weight comparison routed through ``compare``."""
-        values = instance.scaled.linear()
+        values = instance.scaled.linear
         key = cmp_to_key(compare)
         return kruskal_run(instance.node_count, instance.edges, lambda i: key(values[i]))

@@ -115,6 +115,6 @@ class ShortestPathAdapter(ParametricAdapter):
             instance.adjacency,
             instance.source,
             instance.sink,
-            instance.scaled.linear(),
+            instance.scaled.linear,
             keyed_by(compare),
         )

@@ -70,4 +70,4 @@ class VertexCoverAdapter(ParametricAdapter):
 
     def run_parametric(self, instance, compare):
         """Local ratio over the instance's scaled weights as ``LinearValue``s: int residuals."""
-        return local_ratio_run(instance, instance.scaled.linear(), compare)
+        return local_ratio_run(instance, instance.scaled.linear, compare)

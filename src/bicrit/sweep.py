@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import attrgetter
 
 from .core import (
     Bounds,
@@ -22,11 +21,11 @@ from .core import (
     check_epsilon,
     grid_index,
     pow_one_plus_eps,
+    ratio_of,
     rational,
+    sign_at,
 )
 from .errors import NoCertificate
-
-_pair = attrgetter("numerator", "denominator")  # a Fraction as its two ints
 
 
 def covering_range(eps, lo, hi) -> range:
@@ -142,12 +141,12 @@ def solve_grid_symbolic(adapter: ParametricAdapter, instance, eps, grid: range) 
     grid.  Each ``run_parametric`` call covers an index range [a, b].  A
     comparison of linear values p, q is the sign of d = p - q = c + s*gamma
     at every weight (1+eps)**i, i in [a, b].  d is linear and the weights
-    increase, so when d has the same strict sign at both end weights it has
-    it on the whole range, and that sign is the answer: two int products
-    per end decide it.  Otherwise d is 0 at an end or crosses 0 inside, at
-    the critical weight -c/s, which ``grid_index`` places between two grid
-    indices or on one.  That splits [a, b]: the run keeps the lowest piece,
-    pushes the rest for later runs and answers for the kept piece; earlier
+    increase, so when d has the same sign at both end weights (``sign_at``
+    on their int pairs; 0 at both included) it has it on the whole range,
+    and that sign is the answer.  Otherwise d is 0 at one end or crosses 0
+    inside, at the critical weight -c/s, which ``grid_index`` places between
+    two grid indices or on one.  That splits [a, b]: the run keeps the
+    lowest piece, pushes the rest for later runs and answers for it; earlier
     answers still hold on it, so every run ends with one token that is the
     oracle's answer at every index of its final range.  A grid weight equal
     to the critical weight gets a piece of its own, where the answer is 0.
@@ -156,28 +155,23 @@ def solve_grid_symbolic(adapter: ParametricAdapter, instance, eps, grid: range) 
     ``produced_at`` the range's first weight: the oracle's record there.  A
     change of answer always falls between two ranges, so the first record
     of each run of equal answers is returned, which is all that
-    ``solve_grid``'s consumers read.  Only the ranges' end weights are
-    built, as int pairs; the run refreshes b's whenever it narrows b.
+    ``solve_grid``'s consumers read.  The run refreshes b's int pair
+    whenever it narrows b.
     """
     pending = [(grid[0], grid[-1])]
     records = []
     while pending:
         a, b = pending.pop()
         first = pow_one_plus_eps(eps, a)
-        a_num, a_den = _pair(first)
-        b_num, b_den = (a_num, a_den) if b == a else _pair(pow_one_plus_eps(eps, b))
+        a_end = ratio_of(first)
+        b_end = a_end if b == a else ratio_of(pow_one_plus_eps(eps, b))
 
         def compare(p, q) -> int:
-            nonlocal b, b_num, b_den
+            nonlocal b, b_end
             c, s = p.constant - q.constant, p.slope - q.slope
-            # d at gamma = n/m has the sign of c*m + s*n, as m > 0.
-            at_a, at_b = c * a_den + s * a_num, c * b_den + s * b_num
-            if at_a > 0 < at_b:
-                return 1
-            if at_a < 0 > at_b:
-                return -1
-            if at_a == 0 == at_b:  # d is 0 at both ends, so on all of [a, b]
-                return 0
+            at_a = sign_at(c, s, a_end)
+            if at_a == sign_at(c, s, b_end):  # so d has that sign on all of [a, b]
+                return at_a
             # Here s != 0 and -c/s lies in [(1+eps)**a, (1+eps)**b], so a <= lo, hi <= b.
             hi, exact = grid_index(eps, Fraction(-c, s))
             lo = hi + (not exact)  # weights below index lo are below -c/s, above hi above
@@ -187,7 +181,7 @@ def solve_grid_symbolic(adapter: ParametricAdapter, instance, eps, grid: range) 
             pending.extend((x, y) for x, y, _ in reversed(rest))
             if end != b:
                 b = end
-                b_num, b_den = (a_num, a_den) if b == a else _pair(pow_one_plus_eps(eps, b))
+                b_end = a_end if b == a else ratio_of(pow_one_plus_eps(eps, b))
             return answer
 
         token = adapter.run_parametric(instance, compare)

@@ -317,6 +317,25 @@ class TestExitCodes:
         assert main(["pareto", "--problem", "vc", "--epsilon", "1", "--input", str(path)]) == 4
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("relaxed, code", [(False, 4), (True, 0)])
+    def test_edgeless_vertex_cover_file_needs_relaxed(self, capsys, tmp_path, relaxed, code):
+        # Its one cover is the empty one, image (0, 0): outside the strict, positive regime.
+        path = tmp_path / "edgeless.json"
+        path.write_text(json.dumps({
+            "kind": "vc", "nodes": 2, "edges": [], "relaxed": relaxed,
+            "vertex_weights": [{"w1": "1", "w2": "2"}, {"w1": "3", "w2": "1"}],
+        }))
+        argv = ["solve-budget", "--problem", "vc", "--budget", "1", "--input", str(path)]
+        assert main(argv) == code
+        out, err = capsys.readouterr()
+        if relaxed:
+            assert json.loads(out)["record"]["image"] == {"f1": "0", "f2": "0"}
+        else:
+            assert err == (
+                "error: strict vertex-cover instance needs an edge "
+                "(an empty cover needs relaxed=true)\n"
+            )
+
     @pytest.mark.parametrize("name, extra", [
         ("demo_mst_a.json", {}),
         ("demo_path.json", {"relaxed": True}),

@@ -10,13 +10,16 @@ from bicrit.core import (
     Bounds,
     CostPair,
     GuaranteeCertificate,
+    LinearValue,
     check_epsilon,
     check_weight,
     format_rational,
     grid_index,
     parse_rational,
     pow_one_plus_eps,
+    ratio_of,
     rational,
+    sign_at,
 )
 from bicrit.errors import ParseError
 from bicrit.sweep import BudgetQuery
@@ -139,6 +142,60 @@ class TestLogs:
         for eps, value in ((0, 2), (Fraction(3, 2), 2), (1, 0), (1, Fraction(-1, 2))):
             with pytest.raises(ValueError):
                 grid_index(eps, value)
+
+
+class TestSignAt:
+    """``sign_at(c, s, (n, d))`` is the sign of c + s*gamma at gamma = n/d."""
+
+    def test_zero_at_one_end(self):
+        # 1 - 2*gamma over [1/4, 1/2]
+        assert (sign_at(1, -2, (1, 4)), sign_at(1, -2, (1, 2))) == (1, 0)
+
+    def test_zero_at_both_ends(self):
+        # Only the zero line, the difference of equal values, is 0 at two weights.
+        d = LinearValue(1, 2) - LinearValue(1, 2)
+        assert [sign_at(d.constant, d.slope, end) for end in ((1, 4), (3, 1))] == [0, 0]
+
+    def test_opposite_signs_at_the_ends(self):
+        # 2 + 3*gamma against 3 + gamma: the difference -1 + 2*gamma crosses 0 inside [1/4, 1].
+        d = LinearValue(2, 3) - LinearValue(3, 1)
+        assert [sign_at(d.constant, d.slope, end) for end in ((1, 4), (1, 1))] == [-1, 1]
+        crit = Fraction(-d.constant, d.slope)  # the critical weight, exact on int fields
+        assert crit == Fraction(1, 2) and type(crit) is Fraction
+        assert sign_at(d.constant, d.slope, ratio_of(crit)) == 0
+
+    def test_parallel_lines_keep_their_sign(self):
+        d = LinearValue(1, 2) - LinearValue(5, 2)
+        assert d.slope == 0
+        assert {sign_at(d.constant, d.slope, end) for end in ((1, 1000), (1, 1), (1000, 1))} == {-1}
+
+    def test_negative_slope(self):
+        # 3 - 2*gamma is 0 at 3/2, an unreduced pair included
+        ends = ((1, 1), (3, 2), (6, 4), (2, 1))
+        assert [sign_at(3, -2, end) for end in ends] == [1, 0, 0, -1]
+
+    def test_matches_fraction_arithmetic(self):
+        rng = random.Random(17)
+        for _ in range(2000):
+            c, s = rng.randint(-30, 30), rng.randint(-30, 30)
+            n, d = rng.randint(0, 60), rng.randint(1, 60)
+            value = c + s * Fraction(n, d)
+            assert sign_at(c, s, (n, d)) == (value > 0) - (value < 0)
+
+    def test_ends_of_more_than_20000_digits(self):
+        n, d = 3**45000, 2**70000
+        assert n > 10**20000 and d > 10**20000
+        # -n + d*gamma is 0 at exactly n/d; a change of 1 anywhere shows.
+        assert sign_at(-n, d, (n, d)) == 0
+        assert (sign_at(1 - n, d, (n, d)), sign_at(-1 - n, d, (n, d))) == (1, -1)
+        assert (sign_at(-n, d, (n + 1, d)), sign_at(-n, d, (n, d + 1))) == (1, -1)
+        # A grid weight of the vertex-cover walk at eps 1/1000, against Fraction arithmetic.
+        weight = pow_one_plus_eps(Fraction(1, 1000), 7200)
+        end = ratio_of(weight)
+        assert end[0] > 10**20000 and end[1] > 10**20000
+        for c, s in ((-end[0], end[1]), (-(end[0] // end[1]), 1), (5, -1), (-(3**13000), 2**40000)):
+            value = c + s * weight
+            assert sign_at(c, s, end) == (value > 0) - (value < 0)
 
 
 class TestDominates:

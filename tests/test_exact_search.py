@@ -17,15 +17,14 @@ from _suite import (
 from bicrit.core import (
     CostPair,
     GuaranteeCertificate,
+    LinearValue,
     ParametricAdapter,
     pow_one_plus_eps,
     rational,
 )
 from bicrit.errors import ExactOracleRequired, NoCertificate, NotParametricCapable
 from bicrit.exact_search import (
-    LinearValue,
     ParametricOutcome,
-    critical_gamma,
     parametric_search,
     solve_budget_binary,
     solve_budget_parametric,
@@ -100,7 +99,8 @@ def reference_parametric_search(adapter, instance, query):
 
     def compare(p, q):
         state["comparisons"] += 1
-        crit = critical_gamma(p, q)
+        d = p - q  # the line d.constant + d.slope*gamma crosses 0 at -constant/slope
+        crit = Fraction(-d.constant, d.slope) if d.slope else None
         if crit is not None and state["interval"].lo < crit < state["interval"].hi:
             before = len(probes)
             side, state["interval"] = resolve_comparison(
@@ -108,7 +108,7 @@ def reference_parametric_search(adapter, instance, query):
             )
             if side == "right" and len(probes) > before:
                 state["witness"] = probes[-1]
-        d, gamma = p - q, state["interval"].midpoint
+        gamma = state["interval"].midpoint
         value = d.constant + gamma * d.slope
         return -1 if value < 0 else (1 if value > 0 else 0)
 
@@ -201,11 +201,6 @@ def _outcome(search, adapter, instance, query):
 
 
 class TestLinearValue:
-    def test_critical_gamma_examples(self):
-        assert critical_gamma(LinearValue(2, 3), LinearValue(3, 1)) == Fraction(1, 2)
-        assert critical_gamma(LinearValue(1, 2), LinearValue(5, 2)) is None
-        assert critical_gamma(LinearValue(1, 2), LinearValue(1, 2)) is None
-
     def test_arithmetic(self):
         v = LinearValue(1, 2) + LinearValue(3, 4)
         assert v == LinearValue(4, 6)
@@ -220,7 +215,7 @@ class TestLinearValue:
             LinearValue(Fraction(1, 2), "3/2")
 
     def test_floats_and_bools_are_refused(self):
-        for bad in ((0.5, 1), (1, 0.5), (True, 1), (1, False)):
+        for bad in ((0.5, 1), (1, 0.5), (True, 1), (1, False), (Fraction(2), 3)):
             with pytest.raises(TypeError):
                 LinearValue(*bad)
 
@@ -253,12 +248,6 @@ class TestLinearValue:
         assert built == summed and hash(built) == hash(summed)
         assert len({built, summed, LinearValue(4, 7)}) == 2
         assert built != (4, 6)
-
-    def test_critical_gamma_is_exact_on_int_fields(self):
-        crit = critical_gamma(LinearValue(2, 3), LinearValue(3, 1))
-        assert crit == Fraction(1, 2) and type(crit) is Fraction
-        with pytest.raises(TypeError):
-            LinearValue(Fraction(2), 3)
 
 
 class TestBinarySearch:

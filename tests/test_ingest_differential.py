@@ -116,6 +116,10 @@ def reference_instance_from_dict(data):
             graph = VertexWeightedGraph(nodes, tuple(ends), tuple(weights), relaxed=relaxed)
             if source is not None or sink is not None:
                 raise ValidationError("a vertex-weighted graph has kind 'vc' and no source/sink")
+            if not relaxed and not ends:
+                raise ValidationError(
+                    "strict vertex-cover instance needs an edge (an empty cover needs relaxed=true)"
+                )
             return graph
         edges = [
             (u, v, _parse_pair(e, f"edges[{i}]"))
@@ -246,6 +250,17 @@ def test_unmutated_demos_read_the_same():
     for data in _demos().values():
         instance = assert_same(data)
         assert isinstance(instance, (BiweightedGraph, VertexWeightedGraph))
+
+
+@pytest.mark.parametrize("relaxed", [False, True])
+def test_edgeless_vertex_cover_files_read_the_same(relaxed):
+    weights = [{"w1": "1", "w2": "2"}, {"w1": "3", "w2": "1"}]
+    data = {"kind": "vc", "nodes": 2, "edges": [], "relaxed": relaxed, "vertex_weights": weights}
+    result = assert_same(data)
+    assert isinstance(result, tuple) != relaxed
+    # A fault the graph's own checks find is reported first.
+    data["vertex_weights"] = weights[:1]
+    assert assert_same(data) == (ValidationError, "one weight pair per vertex required")
 
 
 def _ascii_rational(rng):

@@ -26,7 +26,7 @@ from _suite import (
     random_relaxed_instance,
     random_vc_instance,
 )
-from bicrit.core import CostPair, SolutionRecord, pow_one_plus_eps
+from bicrit.core import CostPair, LinearValue, SolutionRecord, pow_one_plus_eps, sign_at
 from bicrit.pareto import pareto_index_range
 from bicrit.problems import (
     BiweightedGraph,
@@ -167,6 +167,51 @@ def concrete_record(graph, gamma) -> SolutionRecord:
 def _check(graph, gammas):
     for gamma in gammas:
         assert concrete_record(graph, gamma) == reference_record(graph, gamma), (graph, gamma)
+
+
+class _CountingTuple(tuple):
+    """A stand-in for ``scaled.linear`` that counts item reads and iterations."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return super().__getitem__(index)
+
+    def __iter__(self):
+        self.reads += 1
+        return super().__iter__()
+
+
+@pytest.mark.parametrize("kind", ["mst", "path", "vc"])
+def test_symbolic_runs_read_the_instances_one_linear_tuple(kind, monkeypatch):
+    """Kruskal, Dijkstra and local ratio read ``scaled.linear`` and leave it as built.
+
+    The tuple is built once per instance; a run that built its own values
+    would make checked ``LinearValue``s, which this test refuses, and local
+    ratio, which subtracts, has to copy the tuple first.
+    """
+    graph = _random_instance(random.Random(157), kind)
+    adapter = adapter_for(graph)
+    scaled = graph.scaled
+    fresh = tuple([LinearValue(a, b) for a, b in zip(scaled.first, scaled.second)])
+    assert type(scaled.linear) is tuple and scaled.linear == fresh
+    assert graph.scaled.linear is scaled.linear
+    spy = scaled.__dict__["linear"] = _CountingTuple(scaled.linear)
+
+    def refuse(value):
+        raise AssertionError(f"a symbolic run built {value}")
+
+    def compare(p, q):
+        d = p - q
+        return sign_at(d.constant, d.slope, (3, 2))
+
+    monkeypatch.setattr(LinearValue, "__post_init__", refuse)
+    tokens = [adapter.run_parametric(graph, compare) for _ in range(2)]
+    monkeypatch.undo()
+    assert graph.scaled.linear is spy and spy.reads >= 2
+    assert spy == fresh
+    assert tokens == [adapter.solve_weighted_sum(graph, Fraction(3, 2)).token] * 2
 
 
 def _grid_weights(graph, eps):
