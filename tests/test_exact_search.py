@@ -21,6 +21,7 @@ from bicrit.core import (
     ParametricAdapter,
     pow_one_plus_eps,
     rational,
+    sign_at,
 )
 from bicrit.errors import ExactOracleRequired, NoCertificate, NotParametricCapable
 from bicrit.exact_search import (
@@ -201,6 +202,14 @@ def _outcome(search, adapter, instance, query):
 
 
 class TestLinearValue:
+    def test_critical_gamma_examples(self):
+        # Two lines cross where their difference c + s*gamma is 0, at -c/s; equal slopes never cross.
+        d = LinearValue(2, 3) - LinearValue(3, 1)
+        assert Fraction(-d.constant, d.slope) == Fraction(1, 2)
+        assert sign_at(d.constant, d.slope, (1, 2)) == 0
+        for p, q in ((LinearValue(1, 2), LinearValue(5, 2)), (LinearValue(1, 2), LinearValue(1, 2))):
+            assert (p - q).slope == 0
+
     def test_arithmetic(self):
         v = LinearValue(1, 2) + LinearValue(3, 4)
         assert v == LinearValue(4, 6)
@@ -248,6 +257,13 @@ class TestLinearValue:
         assert built == summed and hash(built) == hash(summed)
         assert len({built, summed, LinearValue(4, 7)}) == 2
         assert built != (4, 6)
+
+    def test_critical_gamma_is_exact_on_int_fields(self):
+        d = LinearValue(2, 3) - LinearValue(3, 1)
+        crit = Fraction(-d.constant, d.slope)
+        assert crit == Fraction(1, 2) and type(crit) is Fraction
+        with pytest.raises(TypeError):
+            LinearValue(Fraction(2), 3)
 
 
 class TestBinarySearch:
