@@ -336,9 +336,16 @@ class ParametricAdapter(ProblemAdapter):
     comparator; the returned solution must depend on gamma only through
     those comparison outcomes.  An exact oracle's run drives
     ``parametric_search``; an approximate one's, the symbolic grid walk of
-    ``sweep.solve_grid``.  Both comparators read signs from ``sign_at``.
+    ``sweep.solve_grid``.  Both comparators read signs from ``sign_at``,
+    and both searches take the run's record as the oracle's answer at
+    every weight where the comparator's answers hold, so neither calls
+    ``evaluate``: that stays the checker of tokens from outside.
     """
 
     @abstractmethod
-    def run_parametric(self, instance, compare):
-        """Run the weighted-sum algorithm with ``compare``; return the token."""
+    def run_parametric(self, instance, compare) -> SolutionRecord:
+        """Run the weighted-sum algorithm with ``compare``.
+
+        Returns ``SolutionRecord(token, image)`` with ``produced_at`` None,
+        the image computed as the concrete oracle computes it.
+        """

@@ -60,7 +60,12 @@ def solve_budget_binary(
 
 @dataclass(frozen=True)
 class ParametricOutcome:
-    """Full transcript of one parametric search run."""
+    """Full transcript of one parametric search run.
+
+    ``probes`` are the concrete oracle's records at the critical weights,
+    and ``midpoint_record`` the master run's token and image, produced at
+    the midpoint of the final ``interval``.
+    """
 
     record: SolutionRecord
     certificate: GuaranteeCertificate
@@ -68,7 +73,6 @@ class ParametricOutcome:
     comparisons: int
     probes: tuple
     midpoint_record: SolutionRecord
-    master_token: object
 
 
 def _midpoint(lo, hi) -> tuple:
@@ -90,13 +94,18 @@ def parametric_search(
     run at its critical weight -c/s: a record breaking f1 <= (1+eps)*B
     moves hi to that weight; otherwise the record meets the filter and no
     smaller weight improves f2, so lo moves there and the record becomes
-    the witness.  At the end the concrete oracle runs once at the final
-    midpoint; ``certify`` gets that record when it meets the filter, else
-    the witness (the midpoint record can miss the filter only through an
-    endpoint tie).  The result satisfies f1 <= (1+eps)*B and
-    f2 <= (1+1/eps)*OPT(B); oracle calls are at most one per master-run
-    comparison, plus one (two on a relaxed instance, through ``certify``).
-    ``interval`` is the final (lo, hi).
+    the witness.  The master run's record is the oracle's answer at the
+    final midpoint, so the oracle is not called there: each comparison was
+    answered by its sign at the midpoint of an interval that its line does
+    not cross, which is its sign everywhere inside that interval, and every
+    later interval nests inside that one, so every answer still holds at
+    the final midpoint.  ``certify`` gets that record when it meets the
+    filter, else the witness (the midpoint record can miss the filter only
+    through an endpoint tie).  The result satisfies f1 <= (1+eps)*B and
+    f2 <= (1+1/eps)*OPT(B).  Oracle calls are one per probe, at most one
+    per master-run comparison, plus one for the master run (two on a
+    relaxed instance, through ``certify``).  ``interval`` is the final
+    (lo, hi).
     """
     if adapter.alpha() != 1:
         raise ExactOracleRequired("parametric search needs an exact oracle")
@@ -126,8 +135,8 @@ def parametric_search(
             mid = _midpoint(lo, hi)
         return sign_at(c, s, mid)
 
-    master_token = adapter.run_parametric(instance, compare)
-    midpoint_record = adapter.solve_weighted_sum(instance, Fraction(*mid))
+    master = adapter.run_parametric(instance, compare)
+    midpoint_record = SolutionRecord(master.token, master.image, Fraction(*mid))
     picked = midpoint_record if midpoint_record.image.f1 <= limit else witness
     record, certificate = certify(
         adapter, instance, [*probes, midpoint_record], picked, limit, factors, budget
@@ -139,7 +148,6 @@ def parametric_search(
         comparisons=comparisons,
         probes=tuple(probes),
         midpoint_record=midpoint_record,
-        master_token=master_token,
     )
 
 

@@ -62,11 +62,11 @@ def cut_image(graph: BiweightedGraph, token) -> CostPair:
     return graph.scaled.image(crossing)
 
 
-def cut_oracle(graph: BiweightedGraph, source, sink, gamma) -> SolutionRecord:
-    """Exact minimum s-t cut under edge capacity w1 + gamma*w2."""
+def cut_oracle(graph: BiweightedGraph, gamma) -> SolutionRecord:
+    """Exact minimum ``graph.source``-``graph.sink`` cut under edge capacity w1 + gamma*w2."""
     gamma = check_weight(gamma)
     capacities = graph.scaled.combined(gamma)
-    token = edmonds_karp_cut(graph.neighbours, graph.edges, capacities, source, sink)
+    token = edmonds_karp_cut(graph.neighbours, graph.edges, capacities, graph.source, graph.sink)
     return SolutionRecord(token=token, image=cut_image(graph, token), produced_at=gamma)
 
 
@@ -85,7 +85,7 @@ class MinCutAdapter(ProblemAdapter):
         return cut_image(instance, token)
 
     def solve_weighted_sum(self, instance, gamma) -> SolutionRecord:
-        return cut_oracle(instance, instance.source, instance.sink, gamma)
+        return cut_oracle(instance, gamma)
 
     def bounds(self, instance) -> Bounds:
         # A cut with positive cost crosses at least one positive edge.

@@ -71,4 +71,5 @@ class MstAdapter(ParametricAdapter):
         """Kruskal with every edge-weight comparison routed through ``compare``."""
         values = instance.scaled.linear
         key = cmp_to_key(compare)
-        return kruskal_run(instance.node_count, instance.edges, lambda i: key(values[i]))
+        token = kruskal_run(instance.node_count, instance.edges, lambda i: key(values[i]))
+        return SolutionRecord(token, instance.scaled.image(token))

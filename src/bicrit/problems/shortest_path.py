@@ -68,10 +68,10 @@ def dijkstra_run(adjacency, source, sink, values, label=tuple):
     return tuple(reversed(path))
 
 
-def sp_oracle(graph: BiweightedGraph, source, sink, gamma) -> SolutionRecord:
-    """Exact shortest s-t path under edge weight w1 + gamma*w2."""
+def sp_oracle(graph: BiweightedGraph, gamma) -> SolutionRecord:
+    """Exact shortest ``graph.source``-``graph.sink`` path under edge weight w1 + gamma*w2."""
     gamma = check_weight(gamma)
-    token = dijkstra_run(graph.adjacency, source, sink, graph.scaled.combined(gamma))
+    token = dijkstra_run(graph.adjacency, graph.source, graph.sink, graph.scaled.combined(gamma))
     return SolutionRecord(token=token, image=graph.scaled.image(token), produced_at=gamma)
 
 
@@ -103,7 +103,7 @@ class ShortestPathAdapter(ParametricAdapter):
         return instance.scaled.image(token)
 
     def solve_weighted_sum(self, instance, gamma) -> SolutionRecord:
-        return sp_oracle(instance, instance.source, instance.sink, gamma)
+        return sp_oracle(instance, gamma)
 
     def bounds(self, instance) -> Bounds:
         # A simple path uses at least one edge and each edge at most once.
@@ -111,10 +111,11 @@ class ShortestPathAdapter(ParametricAdapter):
 
     def run_parametric(self, instance, compare):
         """Dijkstra with every label comparison routed through ``compare``."""
-        return dijkstra_run(
+        token = dijkstra_run(
             instance.adjacency,
             instance.source,
             instance.sink,
             instance.scaled.linear,
             keyed_by(compare),
         )
+        return SolutionRecord(token, instance.scaled.image(token))

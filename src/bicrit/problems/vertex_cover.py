@@ -70,4 +70,5 @@ class VertexCoverAdapter(ParametricAdapter):
 
     def run_parametric(self, instance, compare):
         """Local ratio over the instance's scaled weights as ``LinearValue``s: int residuals."""
-        return local_ratio_run(instance, instance.scaled.linear, compare)
+        token = local_ratio_run(instance, instance.scaled.linear, compare)
+        return SolutionRecord(token, instance.scaled.image(token))

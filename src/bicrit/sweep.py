@@ -151,12 +151,12 @@ def solve_grid_symbolic(adapter: ParametricAdapter, instance, eps, grid: range) 
     oracle's answer at every index of its final range.  A grid weight equal
     to the critical weight gets a piece of its own, where the answer is 0.
     The ranges partition the grid, so there are never more runs than
-    indices.  Each run's record is its token, the token's image and
-    ``produced_at`` the range's first weight: the oracle's record there.  A
-    change of answer always falls between two ranges, so the first record
-    of each run of equal answers is returned, which is all that
-    ``solve_grid``'s consumers read.  The run refreshes b's int pair
-    whenever it narrows b.
+    indices.  Each run counts as one oracle call; its record is the run's
+    token and image with ``produced_at`` the range's first weight: the
+    oracle's record there.  A change of answer always falls between two
+    ranges, so the first record of each run of equal answers is returned,
+    which is all that ``solve_grid``'s consumers read.  The run refreshes
+    b's int pair whenever it narrows b.
     """
     pending = [(grid[0], grid[-1])]
     records = []
@@ -184,9 +184,8 @@ def solve_grid_symbolic(adapter: ParametricAdapter, instance, eps, grid: range) 
                 b_end = a_end if b == a else ratio_of(pow_one_plus_eps(eps, b))
             return answer
 
-        token = adapter.run_parametric(instance, compare)
-        image = adapter.evaluate(instance, token)
-        records.append(SolutionRecord(token, image, first))
+        run = adapter.run_parametric(instance, compare)
+        records.append(SolutionRecord(run.token, run.image, first))
     return records
 
 

@@ -159,17 +159,15 @@ class CachingAdapter(ProblemAdapter):
 
 
 class CachingParametricAdapter(CachingAdapter, ParametricAdapter):
-    """Also counts the symbolic runs that stand in for oracle calls.
+    """Also counts the symbolic runs, each of which is one oracle call.
 
     ``solve_grid`` runs an approximate oracle (alpha != 1) symbolically,
-    one run per grid range, and counts each run as an oracle call.  The
-    master run of an exact oracle's ``parametric_search`` is no oracle
-    call, so it is not counted.
+    one run per grid range, and ``parametric_search`` takes its master
+    run's record as the oracle's answer at the final midpoint.
     """
 
     def run_parametric(self, instance, compare):
-        if self.alpha() != 1:
-            self.invocations += 1
+        self.invocations += 1
         return self._inner.run_parametric(instance, compare)
 
 

@@ -113,7 +113,7 @@ def reference_parametric_search(adapter, instance, query):
         value = d.constant + gamma * d.slope
         return -1 if value < 0 else (1 if value > 0 else 0)
 
-    master_token = adapter.run_parametric(instance, compare)
+    adapter.run_parametric(instance, compare)
     interval = state["interval"]
     midpoint_record = adapter.solve_weighted_sum(instance, interval.midpoint)
     calls = len(probes) + 1
@@ -138,7 +138,6 @@ def reference_parametric_search(adapter, instance, query):
         comparisons=state["comparisons"],
         probes=tuple(probes),
         midpoint_record=midpoint_record,
-        master_token=master_token,
     )
 
 
@@ -361,7 +360,24 @@ class TestParametric:
         assert outcome.record.image.f1 <= 6
         assert outcome.record.image.f2 <= 2 * exact_opt_budget(ex2, Fraction(3))
         assert outcome.certificate.oracle_calls <= outcome.comparisons + 1
-        assert outcome.master_token == outcome.midpoint_record.token
+
+    def test_oracle_runs_only_at_the_probes(self):
+        # The master run's record is the concrete oracle's at the final midpoint.
+        for case in build_suite():
+            if case.kind not in ("mst", "path"):
+                continue
+            adapter, weights = type(case.raw_adapter)(), []
+            solve = adapter.solve_weighted_sum
+            adapter.solve_weighted_sum = lambda inst, gamma: weights.append(gamma) or solve(
+                inst, gamma
+            )
+            for eps in (Fraction(1), Fraction(1, 4)):
+                for budget in case.budgets:
+                    weights.clear()
+                    outcome = parametric_search(adapter, case.instance, BudgetQuery(budget, eps))
+                    assert weights == [probe.produced_at for probe in outcome.probes]
+                    lo, hi = outcome.interval
+                    assert outcome.midpoint_record == solve(case.instance, (lo + hi) / 2)
 
     def test_example_instance_budget_four(self, ex1):
         record, cert = solve_budget_parametric(
@@ -440,7 +456,6 @@ class TestParametric:
                         assert verify_budget(
                             outcome.record, budget, opt, parametric_guarantee(eps)
                         )
-                        assert outcome.master_token == outcome.midpoint_record.token
 
 
 class TestMatchesReferenceSearch:
@@ -464,7 +479,6 @@ class TestMatchesReferenceSearch:
         assert outcome.comparisons == expected.comparisons
         assert outcome.probes == expected.probes
         assert outcome.midpoint_record == expected.midpoint_record
-        assert outcome.master_token == expected.master_token
         # The interval only ever narrows from [eps*B/UB(2), eps*B/LB(2)].
         bounds = case.raw_adapter.bounds(case.instance)
         lo, hi = outcome.interval

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from _suite import (
+    build_suite,
     random_cut_instance,
     random_mst_instance,
     random_path_instance,
@@ -17,7 +18,7 @@ from _suite import (
     random_vc_instance,
     weighted_minimum,
 )
-from bicrit import oracle, problems
+from bicrit import exact_search, oracle, pareto, problems, sweep
 from bicrit.core import CostPair
 from bicrit.errors import (
     DisconnectedGraph,
@@ -26,8 +27,10 @@ from bicrit.errors import (
     Unreachable,
     ValidationError,
 )
+from bicrit.exact_search import parametric_search
 from bicrit.formats import instance_digest, instance_from_dict, serialize_instance
 from bicrit.oracle import adversarial_wrap, enumerate_all
+from bicrit.pareto import pareto_index_range
 from bicrit.problems import (
     BiweightedGraph,
     MinCutAdapter,
@@ -41,6 +44,7 @@ from bicrit.problems import (
     sp_oracle,
     vc_oracle,
 )
+from bicrit.sweep import BudgetQuery, solve_grid
 
 ADAPTERS = {
     "mst": MstAdapter(),
@@ -229,8 +233,8 @@ class TestMstOracle:
 
         for graph in (ex1, ex2):
             counter = []
-            token = MstAdapter().run_parametric(graph, counting_comparator_at(Fraction(2), counter))
-            assert token == mst_oracle(graph, Fraction(2)).token
+            run = MstAdapter().run_parametric(graph, counting_comparator_at(Fraction(2), counter))
+            assert run.token == mst_oracle(graph, Fraction(2)).token
         counter = []
         MstAdapter().run_parametric(single_edge, counting_comparator_at(Fraction(1), counter))
         assert counter == []
@@ -241,8 +245,8 @@ class TestShortestPathOracle:
         graph = BiweightedGraph(
             2, [(0, 1, (1, 3)), (0, 1, (3, 1))], kind="path", source=0, sink=1
         )
-        assert sp_oracle(graph, 0, 1, Fraction(1)).token == (0,)
-        assert sp_oracle(graph, 0, 1, Fraction(3)).token == (1,)
+        assert sp_oracle(graph, Fraction(1)).token == (0,)
+        assert sp_oracle(graph, Fraction(3)).token == (1,)
 
     def test_two_route_flip_at_unit_weight(self):
         graph = BiweightedGraph(
@@ -252,38 +256,38 @@ class TestShortestPathOracle:
             source=0,
             sink=2,
         )
-        assert sp_oracle(graph, 0, 2, Fraction(1, 2)).image == CostPair(2, 2)
-        assert sp_oracle(graph, 0, 2, Fraction(2)).image == CostPair(3, 1)
+        assert sp_oracle(graph, Fraction(1, 2)).image == CostPair(2, 2)
+        assert sp_oracle(graph, Fraction(2)).image == CostPair(3, 1)
 
     def test_unreachable(self):
         graph = BiweightedGraph(
             3, [(0, 1, (1, 1)), (0, 1, (2, 2)), (1, 0, (1, 2))], kind="path", source=0, sink=2
         )
         with pytest.raises(Unreachable):
-            sp_oracle(graph, 0, 2, Fraction(1))
+            sp_oracle(graph, Fraction(1))
 
 
 class TestCutOracle:
     def test_single_edge(self):
         graph = BiweightedGraph(2, [(0, 1, (2, 3))], kind="cut", source=0, sink=1)
-        rec = cut_oracle(graph, 0, 1, Fraction(5))
+        rec = cut_oracle(graph, Fraction(5))
         assert rec.token == frozenset({0}) and rec.image == CostPair(2, 3)
 
     def test_chain_tie_and_flip(self):
         graph = BiweightedGraph(
             3, [(0, 1, (1, 4)), (1, 2, (4, 1))], kind="cut", source=0, sink=2
         )
-        tie = cut_oracle(graph, 0, 2, Fraction(1))
+        tie = cut_oracle(graph, Fraction(1))
         assert tie.image.weighted(Fraction(1)) == 5
         assert tie.token == frozenset({0})
-        assert cut_oracle(graph, 0, 2, Fraction(4)).token == frozenset({0, 1})
+        assert cut_oracle(graph, Fraction(4)).token == frozenset({0, 1})
 
     def test_cut_value_equals_crossing_weight(self):
         rng = random.Random(2)
         for _ in range(10):
             graph = random_cut_instance(rng, 4 + rng.randint(0, 2))
             gamma = Fraction(rng.randint(1, 9), rng.randint(1, 4))
-            rec = cut_oracle(graph, graph.source, graph.sink, gamma)
+            rec = cut_oracle(graph, gamma)
             assert rec.image.weighted(gamma) == weighted_minimum(enumerate_all(graph), gamma)
 
 
@@ -507,3 +511,40 @@ def test_oracle_imports_only_core_and_errors():
     package = {m.stem for m in source.parent.glob("*.py")} | {"problems"}
     imported = {part for parts in _imports(ast.parse(source.read_text())) for part in parts}
     assert imported & package == {"core", "errors"}
+
+
+def test_searches_never_call_evaluate():
+    # ``evaluate`` checks tokens from outside; the searches read the images their oracles return.
+    for module in (sweep, exact_search, pareto):
+        tree = ast.parse(Path(module.__file__).read_text())
+        called = {
+            node.func.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        }
+        assert "evaluate" not in called, module.__name__
+
+
+def test_every_symbolic_run_returns_its_evaluated_record(monkeypatch):
+    # The searches take a run's image as it comes; ``evaluate`` must agree with it.
+    runs = []
+    for adapter in (MstAdapter, ShortestPathAdapter, VertexCoverAdapter):
+
+        def recorded(self, instance, compare, _run=adapter.run_parametric):
+            record = _run(self, instance, compare)
+            runs.append((self, instance, record))
+            return record
+
+        monkeypatch.setattr(adapter, "run_parametric", recorded)
+    for case in build_suite():
+        bounds = case.raw_adapter.bounds(case.instance)
+        for eps in (Fraction(1), Fraction(1, 4)):
+            if case.kind == "vc":
+                solve_grid(case.raw_adapter, case.instance, eps, pareto_index_range(eps, bounds))
+            elif case.kind != "cut":
+                for budget in case.budgets:
+                    parametric_search(case.raw_adapter, case.instance, BudgetQuery(budget, eps))
+    assert {instance.kind for _, instance, _ in runs} == {"mst", "path", "vc"}
+    for adapter, instance, record in runs:
+        assert record.produced_at is None
+        assert record.image == adapter.evaluate(instance, record.token)

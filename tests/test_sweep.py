@@ -304,6 +304,11 @@ class TestRelaxedBudget:
         monkeypatch.setattr(
             mst, "mst_oracle", lambda g, gamma: weights.append(gamma) or solve(g, gamma)
         )
+        # Parametric search's master run is one oracle call, at no weight of its own.
+        run = MstAdapter.run_parametric
+        monkeypatch.setattr(
+            MstAdapter, "run_parametric", lambda *args: weights.append(None) or run(*args)
+        )
         # Strict instance: never.  Relaxed, when the picked record has f2 = 0: neither.
         for graph, budget in ((ex2, Fraction(3)), (boundary_fixture, Fraction(2))):
             for search in self._searches(MstAdapter(), Fraction(1)):

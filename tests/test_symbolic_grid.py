@@ -76,7 +76,7 @@ def reference_solve_grid_symbolic(adapter, instance, eps, grid):
             pending.extend((x, y) for x, y, _ in reversed(rest))
             return answer
 
-        token = adapter.run_parametric(instance, compare)
+        token = adapter.run_parametric(instance, compare).token
         image = adapter.evaluate(instance, token)
         records.append(SolutionRecord(token, image, pow_one_plus_eps(eps, a)))
     return records
@@ -141,6 +141,22 @@ class TestGridRecords:
             inst = random_relaxed_instance(rng, "vc", rng.randint(2, 7))
             for eps in (Fraction(1), Fraction(1, 4)):
                 _check_grid(inst, eps, pareto_index_range(eps, VertexCoverAdapter().bounds(inst)))
+
+    def test_runs_are_never_evaluated(self, monkeypatch):
+        # A run's record carries its image, so the walk never checks its cover again.
+        relaxed = random_relaxed_instance(random.Random(79), "vc", 6)
+        walks = [
+            (inst, eps, pareto_index_range(eps, VertexCoverAdapter().bounds(inst)))
+            for inst in [*(case.instance for case in _vc_suite()), relaxed]
+            for eps in (Fraction(1), Fraction(1, 4))
+        ]
+        expected = [solve_grid(VertexCoverAdapter(), *walk) for walk in walks]
+
+        def refuse(adapter, instance, token):
+            raise AssertionError(f"evaluated {token}")
+
+        monkeypatch.setattr(VertexCoverAdapter, "evaluate", refuse)
+        assert [solve_grid(VertexCoverAdapter(), *walk) for walk in walks] == expected
 
     @pytest.mark.parametrize(
         "eps, edges, weights, tie",
@@ -251,7 +267,8 @@ class LineSigns(ParametricAdapter):
         return Bounds(1, 1, 1, 1)
 
     def run_parametric(self, instance, compare):
-        return tuple(compare(LinearValue(c, s), LinearValue(0, 0)) for c, s in self.lines)
+        token = tuple(compare(LinearValue(c, s), LinearValue(0, 0)) for c, s in self.lines)
+        return SolutionRecord(token, CostPair(1, 1))
 
 
 @pytest.mark.parametrize(
