@@ -99,6 +99,9 @@ def check_weight(gamma) -> Fraction:
     return gamma
 
 
+ratio_of = attrgetter("numerator", "denominator")  # a Fraction as its int pair (n, d)
+
+
 def pow_one_plus_eps(eps, i: int) -> Fraction:
     """Exact (1 + eps)**i for a signed integer exponent."""
     return (1 + rational(eps)) ** i
@@ -108,14 +111,9 @@ def grid_index(eps, value) -> tuple[int, bool]:
     """The largest integer i with (1+eps)**i <= value, and whether the two are equal.
 
     The grid's ceiling, the smallest i with (1+eps)**i >= value, is then
-    ``i + (not exact)``.  Galloping search with exact integer comparisons,
-    no logarithms: square the base while the square stays within the
-    target, then multiply the squares back in from the largest down,
-    keeping each that stays within it.  That is O(log |i|) multiplications
-    instead of |i|, and the last cross-multiplication decides equality.
-    Powers of the reduced base p/q are kept as integer pairs (p**n, q**n),
-    which are reduced already, so no gcd of the long powers is ever taken.
-    Requires 0 < eps <= 1 and value > 0.
+    ``i + (not exact)``.  It climbs from index 0 with ``_climb``, exact
+    integer comparisons and no logarithms.  Requires 0 < eps <= 1 and
+    value > 0.
     """
     base = 1 + check_epsilon(eps)
     value = rational(value)
@@ -124,20 +122,48 @@ def grid_index(eps, value) -> tuple[int, bool]:
     # For value < 1 find the largest j with base**j <= 1/value instead;
     # the answer is -j when base**j hits 1/value exactly, else -(j+1).
     target = value if value >= 1 else 1 / value
-    a, b = target.numerator, target.denominator
-    squares = []  # base**(2**k) as (num, den), each <= target
-    num, den = base.numerator, base.denominator
-    while num * b <= a * den:
-        squares.append((num, den))
-        num, den = num * num, den * den
-    i, num, den = 0, 1, 1
-    for k in reversed(range(len(squares))):
-        sq_num, sq_den = squares[k]
-        if num * sq_num * b <= a * den * sq_den:
-            num, den = num * sq_num, den * sq_den
-            i += 1 << k
-    exact = num * b == a * den
+    i, exact = _climb(ratio_of(base), (1, 1), ratio_of(target), None)
     return (i if value >= 1 else -i - (not exact)), exact
+
+
+def grid_index_between(eps, ratio: tuple, i: int, start: tuple, j: int) -> tuple[int, bool]:
+    """``grid_index`` of n/d, ``ratio`` = (n, d) positive ints, known to lie in a bracket [i, j].
+
+    Requires a validated eps and (1+eps)**i <= n/d <= (1+eps)**j;
+    ``start`` is (1+eps)**i as an int pair, and n/d need not be reduced.
+    It climbs from index i, so no power beyond (1+eps)**(j-i) is built.
+    The base 1 + p/q is the reduced pair (q + p, q), built on ints.
+    """
+    p, q = ratio_of(eps)
+    k, exact = _climb((q + p, q), start, ratio, j - i)
+    return i + k, exact
+
+
+def _climb(base: tuple, start: tuple, target: tuple, most) -> tuple[int, bool]:
+    """The largest t >= 0 with start * base**t <= target, and whether the two are equal.
+
+    All three are int pairs (n, d), d > 0, with start <= target; ``most``,
+    unless None, is a bound on t that no square beyond it is built for.
+    Galloping search: square the base while start times the square stays
+    within the target, then multiply the squares back in from the largest
+    down, keeping each that stays within it.  That is O(log t)
+    multiplications instead of t, and the last cross-multiplication decides
+    equality.  Powers of a reduced base p/q are kept as integer pairs
+    (p**n, q**n), which are reduced already, so no gcd of the long powers
+    is ever taken.
+    """
+    (p, q), (a, b), (num, den) = base, target, start
+    squares = []  # base**(2**k) as (num, den), each within the target after start
+    while (most is None or 1 << len(squares) <= most) and num * p * b <= a * den * q:
+        squares.append((p, q))
+        p, q = p * p, q * q
+    t = 0
+    for k in reversed(range(len(squares))):
+        p, q = squares[k]
+        if num * p * b <= a * den * q:
+            num, den = num * p, den * q
+            t += 1 << k
+    return t, num * b == a * den
 
 
 @dataclass(frozen=True)
@@ -258,9 +284,6 @@ def _linear(constant: int, slope: int) -> LinearValue:
     return value
 
 
-ratio_of = attrgetter("numerator", "denominator")  # a Fraction as its int pair (n, d)
-
-
 def sign_at(constant: int, slope: int, ratio: tuple) -> int:
     """The sign (-1, 0, 1) of constant + slope*gamma at gamma = n/d, ``ratio`` = (n, d), d > 0.
 
@@ -269,6 +292,17 @@ def sign_at(constant: int, slope: int, ratio: tuple) -> int:
     n, d = ratio
     value = constant * d + slope * n
     return (value > 0) - (value < 0)
+
+
+def crossing(a: CostPair, b: CostPair) -> tuple:
+    """The weight (b.f1 - a.f1)/(a.f2 - b.f2) where the lines of a and b cross, as an int pair.
+
+    Built from the images' numerators and denominators and left
+    unreduced; the pair is positive when a.f1 < b.f1 and a.f2 > b.f2.
+    """
+    (a1, a1d), (a2, a2d) = ratio_of(a.f1), ratio_of(a.f2)
+    (b1, b1d), (b2, b2d) = ratio_of(b.f1), ratio_of(b.f2)
+    return (b1 * a1d - a1 * b1d) * a2d * b2d, (a2 * b2d - b2 * a2d) * a1d * b1d
 
 
 class ProblemAdapter(ABC):
@@ -320,10 +354,10 @@ class ProblemAdapter(ABC):
             if a.image == b.image:
                 continue
             # Exact answers at weights lo <= hi give a.f1 < b.f1 and a.f2 > b.f2.
-            crossing = (b.image.f1 - a.image.f1) / (a.image.f2 - b.image.f2)
-            middle = self.solve_weighted_sum(instance, crossing)
+            gamma = Fraction(*crossing(a.image, b.image))
+            middle = self.solve_weighted_sum(instance, gamma)
             records.append(middle)
-            if middle.image.weighted(crossing) < a.image.weighted(crossing):
+            if middle.image.weighted(gamma) < a.image.weighted(gamma):
                 pending += [(a, middle), (middle, b)]
         return records
 

@@ -19,7 +19,9 @@ from .core import (
     ProblemAdapter,
     SolutionRecord,
     check_epsilon,
+    crossing,
     grid_index,
+    grid_index_between,
     pow_one_plus_eps,
     ratio_of,
     rational,
@@ -32,7 +34,10 @@ def covering_range(eps, lo, hi) -> range:
     """The exponents ``range(i_min, i_max + 1)`` of the narrowest grid covering [lo, hi].
 
     i_min is the largest integer with (1+eps)^i_min <= lo and i_max the
-    smallest with (1+eps)^i_max >= hi, both found exactly.
+    smallest with (1+eps)^i_max >= hi, both found exactly by ``grid_index``
+    climbing from index 0.  These two are the only grid searches on a
+    ``Fraction``: ``solve_grid`` places every crossing inside the range
+    with ``grid_index_between``, climbing from a weight it has solved.
     """
     i_max, exact = grid_index(eps, hi)
     return range(grid_index(eps, lo)[0], i_max + (not exact) + 1)
@@ -81,20 +86,39 @@ def solve_grid(adapter: ProblemAdapter, instance, eps, grid: range) -> list:
     ``grid`` is a nonempty range of consecutive indices; an empty one
     raises ValueError.
 
-    The walk solves both ends of the grid and splits each index interval at
-    its midpoint until its ends are neighbours, but skips the inside of an
-    interval whose ends returned the same image when the oracle is exact.
-    An approximate one (alpha != 1) is called at every index.  Skipping is
-    sound because the envelope g(gamma) = min_x f1(x) + gamma*f2(x) is
-    concave.  If one image A is optimal at weights gamma_a < gamma_b, A's
-    line meets g at both ends, and a concave g lies on or above that chord
-    between them while never exceeding A's line, so A is optimal on all of
+    The walk solves both ends of the grid and splits each index interval
+    (left, j) inside until its ends are neighbours, but skips the inside of
+    an interval whose ends returned the same image when the oracle is
+    exact.  An approximate one (alpha != 1) is called at every index, so
+    its intervals are split at their midpoints.  Skipping is sound because
+    the envelope g(gamma) = min_x f1(x) + gamma*f2(x) is concave.  If one
+    image A is optimal at weights gamma_a < gamma_b, A's line meets g at
+    both ends, and a concave g lies on or above that chord between them
+    while never exceeding A's line, so A is optimal on all of
     [gamma_a, gamma_b].  Any other optimal image B there has a line that
     stays >= g = A's line and touches it at an interior point, so B's line
     is A's: an exact oracle returns image A at every skipped index.  The
     full sweep's images thus come in runs of neighbouring indices, and the
     walk narrows every change of image down to two neighbouring solved
     indices, so every image is solved at the lowest index of its run.
+    Nothing in this uses where an interval is split, so any index inside
+    it gives the same first record of every run.
+
+    An exact oracle's interval with end images A != B is split where
+    their lines f1 + gamma*f2 cross (the dichotomic step of Aneja and
+    Nair, Management Science 25(1), 1979).  Both ends are optimal, at
+    w_left < w_j, so A.f2 > B.f2, A.f1 < B.f1, and the crossing
+    c = (B.f1 - A.f1)/(A.f2 - B.f2) lies in [w_left, w_j].  Below c
+    A's line is below B's, so the oracle never returns B there; above c
+    it never returns A.  The split is the floor index of c, the largest
+    with weight <= c, clamped into [left+1, j-1].  Between two images
+    adjacent on the envelope a change costs at most two calls: the floor
+    index returns A (or B, when c is that weight), and its neighbour
+    across c returns the other one; any other answer is a new envelope
+    image, whose runs the walk narrows the same way.  Every split lies
+    strictly inside its interval, so the walk still makes at most one call
+    per grid weight.  ``core.grid_index_between`` finds the floor index on
+    ints, climbing from w_left's int pair.
 
     An approximate oracle that is a ``ParametricAdapter`` is walked by
     ``solve_grid_symbolic`` instead: one run per range of grid indices on
@@ -115,22 +139,26 @@ def solve_grid(adapter: ProblemAdapter, instance, eps, grid: range) -> list:
         return solve_grid_symbolic(adapter, instance, eps, grid)
 
     def solve(i):
-        return adapter.solve_weighted_sum(instance, pow_one_plus_eps(eps, i))
+        weight = pow_one_plus_eps(eps, i)
+        return i, ratio_of(weight), adapter.solve_weighted_sum(instance, weight)
 
-    # records[-1] was solved at ``left``; ``pending`` holds the solved
-    # (index, record) pairs right of it, nearest on top.  No recursive
-    # closure: its reference cycle would hold the records until a gc run.
-    left, records = grid[0], [solve(grid[0])]
-    pending = [(grid[-1], solve(grid[-1]))] if len(grid) > 1 else []
+    # ``done`` is the last (index, weight's int pair, record) in ``records``;
+    # ``pending`` holds the solved ones right of it, nearest on top.  No
+    # recursive closure: its reference cycle would hold the records until a
+    # gc run.
+    done = solve(grid[0])
+    records = [done[2]]
+    pending = [solve(grid[-1])] if len(grid) > 1 else []
     while pending:
-        j, last = pending[-1]
-        if j - left > 1 and not (exact and records[-1].image == last.image):
-            m = (left + j) // 2
-            pending.append((m, solve(m)))
+        (left, start, a), (j, _, b) = done, pending[-1]
+        if j - left < 2 or (exact and a.image == b.image):
+            records.append(b)
+            done = pending.pop()
+        elif exact and j - left > 2:  # with one index inside, the midpoint is it
+            m, _ = grid_index_between(eps, crossing(a.image, b.image), left, start, j)
+            pending.append(solve(min(max(m, left + 1), j - 1)))
         else:
-            records.append(last)
-            left = j
-            pending.pop()
+            pending.append(solve((left + j) // 2))
     return records
 
 
@@ -144,19 +172,20 @@ def solve_grid_symbolic(adapter: ParametricAdapter, instance, eps, grid: range) 
     increase, so when d has the same sign at both end weights (``sign_at``
     on their int pairs; 0 at both included) it has it on the whole range,
     and that sign is the answer.  Otherwise d is 0 at one end or crosses 0
-    inside, at the critical weight -c/s, which ``grid_index`` places between
-    two grid indices or on one.  That splits [a, b]: the run keeps the
-    lowest piece, pushes the rest for later runs and answers for it; earlier
-    answers still hold on it, so every run ends with one token that is the
-    oracle's answer at every index of its final range.  A grid weight equal
-    to the critical weight gets a piece of its own, where the answer is 0.
-    The ranges partition the grid, so there are never more runs than
-    indices.  Each run counts as one oracle call; its record is the run's
-    token and image with ``produced_at`` the range's first weight: the
-    oracle's record there.  A change of answer always falls between two
-    ranges, so the first record of each run of equal answers is returned,
-    which is all that ``solve_grid``'s consumers read.  The run refreshes
-    b's int pair whenever it narrows b.
+    inside, at the critical weight -c/s, which ``grid_index_between`` places
+    between two grid indices of [a, b] or on one, climbing from a's int
+    pair.  That splits [a, b]: the run keeps the lowest piece, pushes the
+    rest for later runs and answers for it; earlier answers still hold on
+    it, so every run ends with one token that is the oracle's answer at
+    every index of its final range.  A grid weight equal to the critical
+    weight gets a piece of its own, where the answer is 0.  The ranges
+    partition the grid, so there are never more runs than indices.  Each
+    run counts as one oracle call; its record is the run's token and image
+    with ``produced_at`` the range's first weight: the oracle's record
+    there.  A change of answer always falls between two ranges, so the
+    first record of each run of equal answers is returned, which is all
+    that ``solve_grid``'s consumers read.  The run refreshes b's int pair
+    whenever it narrows b.
     """
     pending = [(grid[0], grid[-1])]
     records = []
@@ -173,7 +202,7 @@ def solve_grid_symbolic(adapter: ParametricAdapter, instance, eps, grid: range) 
             if at_a == sign_at(c, s, b_end):  # so d has that sign on all of [a, b]
                 return at_a
             # Here s != 0 and -c/s lies in [(1+eps)**a, (1+eps)**b], so a <= lo, hi <= b.
-            hi, exact = grid_index(eps, Fraction(-c, s))
+            hi, exact = grid_index_between(eps, (-c, s) if s > 0 else (c, -s), a, a_end, b)
             lo = hi + (not exact)  # weights below index lo are below -c/s, above hi above
             sign = 1 if s > 0 else -1
             pieces = ((a, lo - 1, -sign), (lo, hi, 0), (hi + 1, b, sign))

@@ -21,6 +21,7 @@ from bicrit.core import (
     ParametricAdapter,
     SolutionRecord,
     grid_index,
+    grid_index_between,
     pow_one_plus_eps,
 )
 from bicrit.errors import NoCertificate
@@ -187,9 +188,12 @@ class TestGridRecords:
         # sign test decides it, so its critical weight is placed.
         graph = VertexWeightedGraph(2, ((0, 1),), ((1, 2), (3, 1)))
         placed = []
-        monkeypatch.setattr(
-            sweep, "grid_index", lambda eps, value: placed.append(value) or grid_index(eps, value)
-        )
+
+        def place(eps, ratio, *bracket):
+            placed.append(Fraction(*ratio))
+            return grid_index_between(eps, ratio, *bracket)
+
+        monkeypatch.setattr(sweep, "grid_index_between", place)
         records = _check_grid(graph, Fraction(1), grid)
         assert placed[0] == 2
         assert Fraction(2) in [r.produced_at for r in records]
