@@ -5,12 +5,16 @@ the weights (1+eps)^i over an exactly computed index range and keeping the
 best record inside the budget filter yields an
 (alpha*(1+2*eps), alpha*(1+2/eps))-approximation for minimizing f2 subject
 to f1 <= B.  With eps = 1 the factors specialize to (3*alpha, 3*alpha).
+An exact oracle's records are monotone along the grid, so its sweep
+solves only the weights around the budget boundary and returns the same
+record.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from .core import (
     Bounds,
@@ -110,27 +114,29 @@ def solve_grid(adapter: ProblemAdapter, instance, eps, grid: range) -> list:
     w_left < w_j, so A.f2 > B.f2, A.f1 < B.f1, and the crossing
     c = (B.f1 - A.f1)/(A.f2 - B.f2) lies in [w_left, w_j].  Below c
     A's line is below B's, so the oracle never returns B there; above c
-    it never returns A.  The split is the floor index of c, the largest
-    with weight <= c, clamped into [left+1, j-1].  Between two images
-    adjacent on the envelope a change costs at most two calls: the floor
-    index returns A (or B, when c is that weight), and its neighbour
-    across c returns the other one; any other answer is a new envelope
-    image, whose runs the walk narrows the same way.  Every split lies
-    strictly inside its interval, so the walk still makes at most one call
-    per grid weight.  ``core.grid_index_between`` finds the floor index on
-    ints, climbing from w_left's int pair.
+    it never returns A.  The split (``_crossing_split``) is the floor
+    index of c, the largest with weight <= c, clamped into [left+1, j-1].
+    Between two images adjacent on the envelope a change costs at most two
+    calls: the floor index returns A (or B, when c is that weight), and its
+    neighbour across c returns the other one; any other answer is a new
+    envelope image, whose runs the walk narrows the same way.  Every split
+    lies strictly inside its interval, so the walk still makes at most one
+    call per grid weight.  ``core.grid_index_between`` finds the floor
+    index on ints, climbing from w_left's int pair.
 
     An approximate oracle that is a ``ParametricAdapter`` is walked by
     ``solve_grid_symbolic`` instead: one run per range of grid indices on
     which its answer cannot change, so the first index of every run of
     equal answers is solved.
 
-    Both consumers keep only the first record of an image, so each returns
-    the full sweep's records (token, image, ``produced_at``) with fewer
-    calls: ``approximate_pareto``'s filter keeps the first record of each
-    nondominated image, and ``solve_budget_sweep`` the first of least
-    (f2, f1) within its f1 limit, which reads images only, so it raises
-    NoCertificate exactly when the full sweep does.
+    ``approximate_pareto``, for every oracle, and ``solve_budget_sweep``,
+    for an approximate one, keep only the first record of an image, so each
+    returns the full sweep's records (token, image, ``produced_at``) with
+    fewer calls: the Pareto filter keeps the first record of each
+    nondominated image, and the sweep the first of least (f2, f1) within
+    its f1 limit, which reads images only, so it raises NoCertificate
+    exactly when the full sweep does.  An exact sweep searches the grid
+    around its f1 limit instead (``solve_grid_boundary``).
     """
     if not grid:
         raise ValueError(f"empty index range {grid}")
@@ -139,8 +145,7 @@ def solve_grid(adapter: ProblemAdapter, instance, eps, grid: range) -> list:
         return solve_grid_symbolic(adapter, instance, eps, grid)
 
     def solve(i):
-        weight = pow_one_plus_eps(eps, i)
-        return i, ratio_of(weight), adapter.solve_weighted_sum(instance, weight)
+        return _solve_at(adapter, instance, eps, i)
 
     # ``done`` is the last (index, weight's int pair, record) in ``records``;
     # ``pending`` holds the solved ones right of it, nearest on top.  No
@@ -150,16 +155,105 @@ def solve_grid(adapter: ProblemAdapter, instance, eps, grid: range) -> list:
     records = [done[2]]
     pending = [solve(grid[-1])] if len(grid) > 1 else []
     while pending:
-        (left, start, a), (j, _, b) = done, pending[-1]
+        (left, _, a), (j, _, b) = done, pending[-1]
         if j - left < 2 or (exact and a.image == b.image):
             records.append(b)
             done = pending.pop()
-        elif exact and j - left > 2:  # with one index inside, the midpoint is it
-            m, _ = grid_index_between(eps, crossing(a.image, b.image), left, start, j)
-            pending.append(solve(min(max(m, left + 1), j - 1)))
+        elif exact:
+            pending.append(solve(_crossing_split(eps, done, pending[-1])))
         else:
             pending.append(solve((left + j) // 2))
     return records
+
+
+def _solve_at(adapter: ProblemAdapter, instance, eps, i: int) -> tuple:
+    """(i, (1+eps)**i as an int pair, the oracle's record at that weight)."""
+    weight = pow_one_plus_eps(eps, i)
+    return i, ratio_of(weight), adapter.solve_weighted_sum(instance, weight)
+
+
+def _crossing_split(eps, left: tuple, right: tuple) -> int:
+    """The index where an exact walk splits the bracket between two solved grid indices.
+
+    ``left`` and ``right`` are ``_solve_at`` triples at indices i < j - 1
+    whose images A != B are both optimal, so A.f1 < B.f1, A.f2 > B.f2 and
+    their lines cross at a weight c in [(1+eps)**i, (1+eps)**j].  The split
+    is the floor grid index of c, clamped into [i+1, j-1], or i+1 when that
+    is the only index inside.
+    """
+    (i, start, a), (j, _, b) = left, right
+    if j - i == 2:
+        return i + 1
+    m, _ = grid_index_between(eps, crossing(a.image, b.image), i, start, j)
+    return min(max(m, i + 1), j - 1)
+
+
+def solve_grid_boundary(adapter: ProblemAdapter, instance, eps, grid: range, limit) -> tuple:
+    """``(records, picked)``: an exact oracle's search of ``grid`` around the f1 ``limit``.
+
+    ``records`` are the records solved, in call order, and ``picked`` is
+    the record ``solve_budget_sweep`` would pick from the full walk
+    (least (f2, f1) among records with f1 <= ``limit``, then lowest
+    index), or None when no grid record meets the limit.
+
+    An exact oracle's records are monotone along the grid.  If x is optimal
+    at weight w and y at w' > w, adding f1(x) + w*f2(x) <= f1(y) + w*f2(y)
+    to f1(y) + w'*f2(y) <= f1(x) + w'*f2(x) gives (w' - w)(f2(y) - f2(x))
+    <= 0, so f2(y) <= f2(x), and then f1(y) >= f1(x).  So the indices whose
+    records meet the limit form a prefix of the grid, ending at i* with
+    image A; if ``grid[0]`` misses it, every record does.  Within the
+    prefix f2 never rises, so A has the least f2.  An earlier record with
+    A's f2 has f1 <= A.f1; a smaller f1 would make A's value at i*'s
+    weight exceed that record's, against A's optimality, so its image is
+    A.  The full walk's pick is thus its first record with image A.  An
+    exact oracle's images come in runs of neighbouring indices
+    (``solve_grid``'s docstring), the walk solves the first index of every
+    run, and the oracle answers a weight the same way each time, so the
+    pick is the oracle's record at the first index of A's run.
+
+    Two searches find it.  The first solves both ends of the grid and keeps
+    a bracket (below, above) of solved indices, below meeting the limit
+    and above missing it, splitting it until the two are neighbours; then
+    below is i*.  The second keeps a bracket (low, high) with low's image
+    not A and high's image A, starting from the lowest solved index with
+    image A and the solved index just below it, and splits it until the
+    two are neighbours; A's indices are one run, so high is its first
+    index.  If the lowest solved index with image A is ``grid[0]``, the run
+    starts there.  Each bracket's invariant holds whatever index inside it
+    is solved, so every split is ``_crossing_split``'s: as in
+    ``solve_grid``, a change between two images adjacent on the lower
+    envelope costs at most two calls.  Both brackets are pairs of
+    neighbouring solved indices and every split lies strictly inside one,
+    so no grid weight is solved twice: at most one call per grid weight.
+    """
+    solved = []
+
+    def solve(i):
+        solved.append(_solve_at(adapter, instance, eps, i))
+        return solved[-1]
+
+    def narrow(low, high, keeps_low):
+        while high[0] - low[0] > 1:
+            probe = solve(_crossing_split(eps, low, high))
+            if keeps_low(probe[2]):
+                low = probe
+            else:
+                high = probe
+        return low, high
+
+    first = solve(grid[0])
+    last = solve(grid[-1]) if len(grid) > 1 else first
+    if first[2].image.f1 > limit:
+        return [s[2] for s in solved], None
+    below = last
+    if last[2].image.f1 > limit:
+        below = narrow(first, last, lambda r: r.image.f1 <= limit)[0]
+    image = below[2].image
+    ordered = sorted(solved, key=itemgetter(0))
+    k = next(k for k, s in enumerate(ordered) if s[2].image == image)
+    if k:
+        ordered[k] = narrow(ordered[k - 1], ordered[k], lambda r: r.image != image)[1]
+    return [s[2] for s in solved], ordered[k][2]
 
 
 def solve_grid_symbolic(adapter: ParametricAdapter, instance, eps, grid: range) -> list:
@@ -261,21 +355,30 @@ def certify(adapter: ProblemAdapter, instance, records, picked, limit, factors, 
 def solve_budget_sweep(
     adapter: ProblemAdapter, instance, query: BudgetQuery
 ) -> tuple[SolutionRecord, GuaranteeCertificate]:
-    """Walk the whole weight grid and return the best budget-respecting record.
+    """Search the weight grid and return the best budget-respecting record.
 
-    ``solve_grid`` walks it (no early exit: the guarantee lives at an
-    unknown index).  Among records with f1 <= alpha*(1+2*eps)*B the one
-    with minimum f2 is picked, ties broken by minimum f1, then lowest
-    index, and ``certify`` returns it.  NoCertificate, carrying the records
-    solved and that f1 limit, is raised when no record passes; that is not
-    a proof of infeasibility.
+    Among the records on the weights (1+eps)**i, i in ``index_range``, with
+    f1 <= alpha*(1+2*eps)*B, the one with minimum f2 is picked, ties broken
+    by minimum f1, then lowest index, and ``certify`` returns it.  An
+    exact oracle's grid is searched around that f1 limit by
+    ``solve_grid_boundary``, which picks the same record; when no record
+    passes, its NoCertificate carries the two end records it solved (the
+    first one already misses the limit).  An approximate oracle's grid is
+    walked by ``solve_grid`` with no early exit, since the guarantee lives
+    at an unknown index, and its NoCertificate carries every record the
+    walk solved.  Either way the NoCertificate carries that f1 limit and is
+    no proof of infeasibility.
     """
     eps, budget = query.eps, query.budget
-    records = solve_grid(adapter, instance, eps, index_range(eps, budget, adapter.bounds(instance)))
+    grid = index_range(eps, budget, adapter.bounds(instance))
     factors = grid_factors(adapter.alpha(), eps)
     limit = factors[0] * budget
-    qualifying = [r for r in records if r.image.f1 <= limit]
-    best = min(qualifying, key=lambda r: (r.image.f2, r.image.f1), default=None)
+    if adapter.alpha() == 1:
+        records, best = solve_grid_boundary(adapter, instance, eps, grid, limit)
+    else:
+        records = solve_grid(adapter, instance, eps, grid)
+        qualifying = [r for r in records if r.image.f1 <= limit]
+        best = min(qualifying, key=lambda r: (r.image.f2, r.image.f1), default=None)
     return certify(adapter, instance, records, best, limit, factors, budget)
 
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from bicrit.core import Bounds, CostPair, ParametricAdapter, ProblemAdapter, grid_index
-from bicrit.errors import ValidationError
+from bicrit.errors import NoCertificate, ValidationError
 from bicrit.oracle import enumerate_all
 from bicrit.pareto import ParetoSet, filter_dominated
 from bicrit.problems import (
@@ -169,6 +169,36 @@ class CachingParametricAdapter(CachingAdapter, ParametricAdapter):
     def run_parametric(self, instance, compare):
         self.invocations += 1
         return self._inner.run_parametric(instance, compare)
+
+
+class OncePerWeight(ProblemAdapter):
+    """Passes calls on to ``inner``, and fails a second call at the same weight."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.weights = []
+
+    def alpha(self):
+        return self._inner.alpha()
+
+    def evaluate(self, instance, token):
+        return self._inner.evaluate(instance, token)
+
+    def bounds(self, instance):
+        return self._inner.bounds(instance)
+
+    def solve_weighted_sum(self, instance, gamma):
+        assert gamma not in self.weights, f"solved twice at {gamma}"
+        self.weights.append(gamma)
+        return self._inner.solve_weighted_sum(instance, gamma)
+
+
+def search_outcome(search, adapter, instance, query):
+    """A budget search's result, or the records and f1 limit of its NoCertificate."""
+    try:
+        return search(adapter, instance, query)
+    except NoCertificate as exc:
+        return "no certificate", exc.records, exc.f1_limit
 
 
 @dataclass

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import random
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import FrozenInstanceError, dataclass, replace
 from fractions import Fraction
 
 import pytest
@@ -13,6 +13,7 @@ from _suite import (
     parametric_guarantee,
     random_mst_instance,
     random_path_instance,
+    search_outcome,
 )
 from bicrit.core import (
     CostPair,
@@ -190,14 +191,6 @@ def reference_sweep(adapter, instance, query):
         oracle_calls=len(records),
     )
     return best, certificate
-
-
-def _outcome(search, adapter, instance, query):
-    """A search's result, or the records and f1 limit of its NoCertificate."""
-    try:
-        return search(adapter, instance, query)
-    except NoCertificate as exc:
-        return "no certificate", exc.records, exc.f1_limit
 
 
 class TestLinearValue:
@@ -468,8 +461,8 @@ class TestMatchesReferenceSearch:
         return [*case.budgets, case.budgets[0] / 4]
 
     def _check_parametric(self, case, query):
-        expected = _outcome(reference_parametric_search, case.adapter, case.instance, query)
-        outcome = _outcome(parametric_search, case.adapter, case.instance, query)
+        expected = search_outcome(reference_parametric_search, case.adapter, case.instance, query)
+        outcome = search_outcome(parametric_search, case.adapter, case.instance, query)
         if isinstance(expected, tuple):  # a NoCertificate's records and f1 limit
             assert outcome == expected
             return
@@ -505,13 +498,34 @@ class TestMatchesReferenceSearch:
 
     def test_sweep_and_binary_on_acceptance_suite(self):
         # eps = 1/20 is left out here: its grids make the vc sweep cost seconds.
+        # Binary and the approximate (vc) sweep match their references call for
+        # call.  An exact sweep searches only around its f1 limit: it returns the
+        # walk's record and factors with no more calls, and when no record meets
+        # the limit it has solved only the grid's two ends.
         for case in build_suite():
-            searches = [(reference_sweep, solve_budget_sweep)]
-            if case.alpha == 1:
-                searches.append((reference_binary, solve_budget_binary))
+            bounds = case.raw_adapter.bounds(case.instance)
             for eps in self.EPSILONS[:2]:
                 for budget in self._budgets(case):
                     query = BudgetQuery(budget, eps)
-                    for reference, search in searches:
-                        expected = _outcome(reference, case.adapter, case.instance, query)
-                        assert _outcome(search, case.adapter, case.instance, query) == expected
+                    expected = search_outcome(reference_sweep, case.adapter, case.instance, query)
+                    outcome = search_outcome(solve_budget_sweep, case.adapter, case.instance, query)
+                    if case.alpha != 1:
+                        assert outcome == expected
+                        continue
+                    assert search_outcome(solve_budget_binary, case.adapter, case.instance, query) == (
+                        search_outcome(reference_binary, case.adapter, case.instance, query)
+                    )
+                    if expected[0] == "no certificate":
+                        grid = index_range(eps, budget, bounds)
+                        ends = [
+                            case.raw_adapter.solve_weighted_sum(
+                                case.instance, pow_one_plus_eps(eps, i)
+                            )
+                            for i in sorted({grid[0], grid[-1]})
+                        ]
+                        assert outcome == ("no certificate", tuple(ends), expected[2])
+                        continue
+                    (record, certificate), (want, reference) = outcome, expected
+                    assert record == want
+                    assert certificate.oracle_calls <= reference.oracle_calls
+                    assert replace(certificate, oracle_calls=reference.oracle_calls) == reference

@@ -7,10 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from _suite import build_suite, make_case, random_relaxed_instance
+from _suite import OncePerWeight, build_suite, make_case, random_relaxed_instance
 from bicrit.core import (
     CostPair,
-    ProblemAdapter,
     grid_index,
     grid_index_between,
     pow_one_plus_eps,
@@ -48,28 +47,6 @@ def bisection_walk(adapter, instance, eps, grid):
 def _firsts(records):
     """The first record (token, image, ``produced_at``) of each run of equal images."""
     return [r for k, r in enumerate(records) if k == 0 or records[k - 1].image != r.image]
-
-
-class OncePerWeight(ProblemAdapter):
-    """Passes calls on to ``inner``, and fails a second call at the same weight."""
-
-    def __init__(self, inner):
-        self._inner = inner
-        self.weights = []
-
-    def alpha(self):
-        return self._inner.alpha()
-
-    def evaluate(self, instance, token):
-        return self._inner.evaluate(instance, token)
-
-    def bounds(self, instance):
-        return self._inner.bounds(instance)
-
-    def solve_weighted_sum(self, instance, gamma):
-        assert gamma not in self.weights, f"solved twice at {gamma}"
-        self.weights.append(gamma)
-        return self._inner.solve_weighted_sum(instance, gamma)
 
 
 def _calls(walk, adapter, instance, eps, grid):
