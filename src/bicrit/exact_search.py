@@ -1,11 +1,12 @@
 """Accelerated budget-constrained search for exact weighted-sum oracles.
 
-Two variants: binary search over the geometric weight grid, and a
-Megiddo-style parametric search that simulates the oracle symbolically
-over the weight and resolves each weight-dependent comparison with one
-concrete oracle run.  Both are sound only for exact (alpha = 1) oracles;
-approximate oracles break the monotonicity both variants rely on, so they
-are rejected outright.
+Megiddo-style parametric search simulates the oracle symbolically over
+the weight and resolves each weight-dependent comparison with one
+concrete oracle run.  ``solve_budget_binary`` is the grid's search under
+another name: with an exact oracle the sweep already brackets its budget
+boundary in a logarithmic number of calls.  Both are sound only for
+exact (alpha = 1) oracles; approximate oracles break the monotonicity
+both rely on, so they are rejected outright.
 """
 
 from __future__ import annotations
@@ -18,44 +19,31 @@ from .core import (
     ParametricAdapter,
     ProblemAdapter,
     SolutionRecord,
-    pow_one_plus_eps,
     ratio_of,
     sign_at,
 )
+from .core import pow_one_plus_eps  # noqa: F401  unused; perfbench's tracer wraps this name
 from .errors import ExactOracleRequired, NotParametricCapable
-from .sweep import BudgetQuery, certify, grid_factors, index_range, parametric_factors
+from .sweep import BudgetQuery, certify, parametric_factors, solve_budget_sweep
+from .sweep import index_range  # noqa: F401  unused; perfbench's tracer wraps this name
 
 
 def solve_budget_binary(
     adapter: ProblemAdapter, instance, query: BudgetQuery
 ) -> tuple[SolutionRecord, GuaranteeCertificate]:
-    """Binary search over the weight grid; a (1+2*eps, 1+2/eps)-approximation.
+    """The exact sweep's boundary search; a (1+2*eps, 1+2/eps)-approximation.
 
-    The exact oracle's records are monotone along the grid (f1 nondecreasing,
-    f2 nonincreasing in the index), so records passing the f1 filter form a
-    prefix; the search returns the record of the largest accepted index with
-    at most ceil(log2(grid size)) + 1 oracle calls, plus ``certify``'s one on
-    a relaxed instance.
+    The exact oracle's records are monotone along the grid (f1
+    nondecreasing, f2 nonincreasing in the index), so records passing the
+    f1 filter form a prefix, and ``sweep.solve_grid_boundary`` brackets
+    its last index i* in at most 2*ceil(log2(n - 1)) + 2 oracle calls for
+    n grid weights, plus ``certify``'s one on a relaxed instance.  It
+    returns the oracle's record at i*, as bisection over the grid would,
+    and refuses an approximate oracle, whose records need not be monotone.
     """
     if adapter.alpha() != 1:
         raise ExactOracleRequired("binary search needs an exact weighted-sum oracle")
-    eps, budget = query.eps, query.budget
-    grid = index_range(eps, budget, adapter.bounds(instance))
-    factors = grid_factors(1, eps)
-    limit = factors[0] * budget
-    lo, hi = grid[0], grid[-1]
-    best = None
-    probes = []
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        record = adapter.solve_weighted_sum(instance, pow_one_plus_eps(eps, mid))
-        probes.append(record)
-        if record.image.f1 > limit:
-            hi = mid - 1
-        else:
-            best = record
-            lo = mid + 1
-    return certify(adapter, instance, probes, best, limit, factors, budget)
+    return solve_budget_sweep(adapter, instance, query)
 
 
 @dataclass(frozen=True)

@@ -6,15 +6,14 @@ best record inside the budget filter yields an
 (alpha*(1+2*eps), alpha*(1+2/eps))-approximation for minimizing f2 subject
 to f1 <= B.  With eps = 1 the factors specialize to (3*alpha, 3*alpha).
 An exact oracle's records are monotone along the grid, so its sweep
-solves only the weights around the budget boundary and returns the same
-record.
+brackets the last grid index inside the budget filter, whose record has
+the least f2 there, and solves only O(log) weights around it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
 
 from .core import (
     Bounds,
@@ -135,8 +134,9 @@ def solve_grid(adapter: ProblemAdapter, instance, eps, grid: range) -> list:
     fewer calls: the Pareto filter keeps the first record of each
     nondominated image, and the sweep the first of least (f2, f1) within
     its f1 limit, which reads images only, so it raises NoCertificate
-    exactly when the full sweep does.  An exact sweep searches the grid
-    around its f1 limit instead (``solve_grid_boundary``).
+    exactly when the full sweep does.  An exact sweep does not walk the
+    grid: ``solve_grid_boundary`` brackets the last index within its f1
+    limit.
     """
     if not grid:
         raise ValueError(f"empty index range {grid}")
@@ -189,71 +189,71 @@ def _crossing_split(eps, left: tuple, right: tuple) -> int:
 
 
 def solve_grid_boundary(adapter: ProblemAdapter, instance, eps, grid: range, limit) -> tuple:
-    """``(records, picked)``: an exact oracle's search of ``grid`` around the f1 ``limit``.
+    """``(records, picked)``: an exact oracle's search of ``grid`` for its f1 ``limit``.
 
     ``records`` are the records solved, in call order, and ``picked`` is
-    the record ``solve_budget_sweep`` would pick from the full walk
-    (least (f2, f1) among records with f1 <= ``limit``, then lowest
-    index), or None when no grid record meets the limit.
+    the oracle's record at i*, the last index of ``grid`` whose record
+    meets the limit, or None when no grid record meets it.
 
     An exact oracle's records are monotone along the grid.  If x is optimal
     at weight w and y at w' > w, adding f1(x) + w*f2(x) <= f1(y) + w*f2(y)
     to f1(y) + w'*f2(y) <= f1(x) + w'*f2(x) gives (w' - w)(f2(y) - f2(x))
     <= 0, so f2(y) <= f2(x), and then f1(y) >= f1(x).  So the indices whose
-    records meet the limit form a prefix of the grid, ending at i* with
-    image A; if ``grid[0]`` misses it, every record does.  Within the
-    prefix f2 never rises, so A has the least f2.  An earlier record with
-    A's f2 has f1 <= A.f1; a smaller f1 would make A's value at i*'s
-    weight exceed that record's, against A's optimality, so its image is
-    A.  The full walk's pick is thus its first record with image A.  An
-    exact oracle's images come in runs of neighbouring indices
-    (``solve_grid``'s docstring), the walk solves the first index of every
-    run, and the oracle answers a weight the same way each time, so the
-    pick is the oracle's record at the first index of A's run.
+    records meet the limit form a prefix of the grid, ending at i*; if
+    ``grid[0]`` misses it, every record does, and the search stops after
+    that one call.  Within the prefix f2 never rises, so i*'s record has
+    the least f2 among the grid's records within the limit, and an earlier
+    record with the same f2 has f1 <= its f1.  A smaller f1 would make i*'s
+    value at its own weight exceed that record's, against its optimality,
+    so every record of least (f2, f1) within the limit has i*'s image: the
+    full walk's pick differs from i*'s record at most in ``produced_at``,
+    the first index of that image's run.
 
-    Two searches find it.  The first solves both ends of the grid and keeps
-    a bracket (below, above) of solved indices, below meeting the limit
-    and above missing it, splitting it until the two are neighbours; then
-    below is i*.  The second keeps a bracket (low, high) with low's image
-    not A and high's image A, starting from the lowest solved index with
-    image A and the solved index just below it, and splits it until the
-    two are neighbours; A's indices are one run, so high is its first
-    index.  If the lowest solved index with image A is ``grid[0]``, the run
-    starts there.  Each bracket's invariant holds whatever index inside it
-    is solved, so every split is ``_crossing_split``'s: as in
-    ``solve_grid``, a change between two images adjacent on the lower
-    envelope costs at most two calls.  Both brackets are pairs of
-    neighbouring solved indices and every split lies strictly inside one,
-    so no grid weight is solved twice: at most one call per grid weight.
+    The search solves ``grid[0]`` and ``grid[-1]``; if the last meets the
+    limit, it is i*.  Otherwise it keeps a bracket (below, above) of solved
+    indices, below meeting the limit and above missing it, and splits it
+    until the two are neighbours; then below is i*.  The two images differ
+    in f1, so ``_crossing_split`` applies, and as in ``solve_grid`` a change
+    between two images adjacent on the lower envelope costs at most two
+    calls.  A crossing split need not halve the bracket, though: many
+    envelope images between the ends can make it creep forward one image
+    per call.  So after k = ceil(log2(grid[-1] - grid[0])) crossing splits
+    the bracket is split at its midpoint instead (a budgeted form of the
+    safeguarded secant step of Dekker, 1969, and Brent, 1973, ch. 4).
+
+    The bound: for n = len(grid) >= 2 weights the bracket starts with width
+    d = n - 1, and every split lies strictly inside it, so its width never
+    grows past d.  Bisecting a width w <= d down to 1 takes at most
+    ceil(log2 w) <= k splits, so a query makes at most 2 + k + k =
+    2*ceil(log2(n - 1)) + 2 calls (one for n = 1), and since every split
+    lies strictly between two neighbouring solved indices, no grid weight
+    is solved twice: never more than one call per grid weight either.
     """
-    solved = []
+    records = []
 
     def solve(i):
-        solved.append(_solve_at(adapter, instance, eps, i))
-        return solved[-1]
+        solved = _solve_at(adapter, instance, eps, i)
+        records.append(solved[2])
+        return solved
 
-    def narrow(low, high, keeps_low):
-        while high[0] - low[0] > 1:
-            probe = solve(_crossing_split(eps, low, high))
-            if keeps_low(probe[2]):
-                low = probe
-            else:
-                high = probe
-        return low, high
-
-    first = solve(grid[0])
-    last = solve(grid[-1]) if len(grid) > 1 else first
-    if first[2].image.f1 > limit:
-        return [s[2] for s in solved], None
-    below = last
-    if last[2].image.f1 > limit:
-        below = narrow(first, last, lambda r: r.image.f1 <= limit)[0]
-    image = below[2].image
-    ordered = sorted(solved, key=itemgetter(0))
-    k = next(k for k, s in enumerate(ordered) if s[2].image == image)
-    if k:
-        ordered[k] = narrow(ordered[k - 1], ordered[k], lambda r: r.image != image)[1]
-    return [s[2] for s in solved], ordered[k][2]
+    below = solve(grid[0])
+    if below[2].image.f1 > limit:
+        return records, None
+    above = solve(grid[-1]) if len(grid) > 1 else below
+    if above[2].image.f1 <= limit:
+        return records, above[2]
+    crossings = (grid[-1] - grid[0] - 1).bit_length()
+    while above[0] - below[0] > 1:
+        crossings -= 1
+        if crossings >= 0:
+            probe = solve(_crossing_split(eps, below, above))
+        else:
+            probe = solve((below[0] + above[0]) // 2)
+        if probe[2].image.f1 <= limit:
+            below = probe
+        else:
+            above = probe
+    return records, below[2]
 
 
 def solve_grid_symbolic(adapter: ParametricAdapter, instance, eps, grid: range) -> list:
@@ -358,16 +358,19 @@ def solve_budget_sweep(
     """Search the weight grid and return the best budget-respecting record.
 
     Among the records on the weights (1+eps)**i, i in ``index_range``, with
-    f1 <= alpha*(1+2*eps)*B, the one with minimum f2 is picked, ties broken
-    by minimum f1, then lowest index, and ``certify`` returns it.  An
-    exact oracle's grid is searched around that f1 limit by
-    ``solve_grid_boundary``, which picks the same record; when no record
-    passes, its NoCertificate carries the two end records it solved (the
-    first one already misses the limit).  An approximate oracle's grid is
-    walked by ``solve_grid`` with no early exit, since the guarantee lives
-    at an unknown index, and its NoCertificate carries every record the
-    walk solved.  Either way the NoCertificate carries that f1 limit and is
-    no proof of infeasibility.
+    f1 <= alpha*(1+2*eps)*B, one with minimum f2, ties broken by minimum
+    f1, is picked, and ``certify`` returns it.  An exact oracle's grid is
+    searched by ``solve_grid_boundary``, which returns the record at i*,
+    the last index within that f1 limit: it has the least (f2, f1), and
+    it is the record ``solve_budget_binary`` names too.  Its calls stay
+    within 2*ceil(log2(n - 1)) + 2 for n grid weights, and when the first
+    grid record misses the limit, so does every other, and its
+    NoCertificate carries that one record.  An approximate oracle's grid
+    is walked by ``solve_grid`` with no early exit, since the guarantee
+    lives at an unknown index; the lowest index breaks the remaining ties,
+    and its NoCertificate carries every record the walk solved.  Either
+    way ``certify`` adds its call on a relaxed instance, and the
+    NoCertificate carries the f1 limit and is no proof of infeasibility.
     """
     eps, budget = query.eps, query.budget
     grid = index_range(eps, budget, adapter.bounds(instance))

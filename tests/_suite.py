@@ -3,11 +3,18 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from bicrit.core import Bounds, CostPair, ParametricAdapter, ProblemAdapter, grid_index
-from bicrit.errors import NoCertificate, ValidationError
+from bicrit.core import (
+    Bounds,
+    CostPair,
+    ParametricAdapter,
+    ProblemAdapter,
+    grid_index,
+    pow_one_plus_eps,
+)
+from bicrit.errors import ExactOracleRequired, NoCertificate, ValidationError
 from bicrit.oracle import enumerate_all
 from bicrit.pareto import ParetoSet, filter_dominated
 from bicrit.problems import (
@@ -18,6 +25,7 @@ from bicrit.problems import (
     VertexCoverAdapter,
     VertexWeightedGraph,
 )
+from bicrit.sweep import certify, index_range
 
 
 def grid_guarantee(alpha, eps) -> tuple:
@@ -49,6 +57,14 @@ def _ceil_log(eps, value) -> int:
 def sweep_call_bound(eps, bounds: Bounds) -> int:
     """Bound ceil(log_{1+eps}(UB(2)/LB(2))) + 2 on grid calls; ``certify`` may add one."""
     return _ceil_log(eps, bounds.ub2 / bounds.lb2) + 2
+
+
+def boundary_call_bound(n) -> int:
+    """2*ceil(log2(n - 1)) + 2, the exact boundary search's calls on n >= 2 grid weights; 1 for n = 1.
+
+    ``certify`` may add one on a relaxed instance.
+    """
+    return 2 * (n - 2).bit_length() + 2 if n > 1 else 1
 
 
 def pareto_call_bound(eps, bounds: Bounds) -> int:
@@ -193,12 +209,68 @@ class OncePerWeight(ProblemAdapter):
         return self._inner.solve_weighted_sum(instance, gamma)
 
 
+def reference_binary(adapter, instance, query):
+    """Bisection over the grid for its last index within the f1 limit: the exact searches' reference.
+
+    The loop the exact boundary search replaced.  It returns the record it
+    solved at that index, through ``certify``, or raises NoCertificate with
+    the records it solved.
+    """
+    if adapter.alpha() != 1:
+        raise ExactOracleRequired("binary search needs an exact weighted-sum oracle")
+    eps, budget = query.eps, query.budget
+    rng = index_range(eps, budget, adapter.bounds(instance))
+    factors = grid_guarantee(1, eps)
+    limit = factors[0] * budget
+    lo, hi = rng[0], rng[-1]
+    best = None
+    probes = []
+    while lo <= hi:
+        mid = (lo + hi) // 2
+        record = adapter.solve_weighted_sum(instance, pow_one_plus_eps(eps, mid))
+        probes.append(record)
+        if record.image.f1 > limit:
+            hi = mid - 1
+        else:
+            best = record
+            lo = mid + 1
+    return certify(adapter, instance, probes, best, limit, factors, budget)
+
+
 def search_outcome(search, adapter, instance, query):
     """A budget search's result, or the records and f1 limit of its NoCertificate."""
     try:
         return search(adapter, instance, query)
     except NoCertificate as exc:
         return "no certificate", exc.records, exc.f1_limit
+
+
+def check_exact_search(search, adapter, instance, query, walked) -> int:
+    """Check an exact budget search against ``walked``, the full grid walk's outcome; return its calls.
+
+    ``walked`` is ``search_outcome``'s result for the walk.  Run with a
+    ``OncePerWeight`` adapter, the search must return the walk's image
+    and certificate with no more calls, and within ``boundary_call_bound``
+    plus ``certify``'s call on a relaxed instance; its record must be
+    ``reference_binary``'s.  When no record meets the f1 limit, its
+    NoCertificate carries only the record at the grid's first weight, plus
+    ``certify``'s call on a relaxed instance.
+    """
+    eps, budget = query.eps, query.budget
+    grid = index_range(eps, budget, adapter.bounds(instance))
+    got = search_outcome(search, OncePerWeight(adapter), instance, query)
+    if walked[0] == "no certificate":
+        first = adapter.solve_weighted_sum(instance, pow_one_plus_eps(eps, grid[0]))
+        relaxed_call = walked[1][-1:] if instance.relaxed else ()
+        assert got == ("no certificate", (first, *relaxed_call), walked[2])
+        return len(got[1])
+    (record, certificate), (want_record, want_certificate) = got, walked
+    assert record.image == want_record.image
+    assert record == search_outcome(reference_binary, adapter, instance, query)[0]
+    assert certificate.oracle_calls <= want_certificate.oracle_calls
+    assert certificate.oracle_calls <= boundary_call_bound(len(grid)) + instance.relaxed
+    assert replace(certificate, oracle_calls=want_certificate.oracle_calls) == want_certificate
+    return certificate.oracle_calls
 
 
 @dataclass

@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 import random
-from dataclasses import FrozenInstanceError, dataclass, replace
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 
 import pytest
 
 from _suite import (
     build_suite,
+    check_exact_search,
     grid_guarantee,
     make_case,
     parametric_guarantee,
@@ -140,37 +141,6 @@ def reference_parametric_search(adapter, instance, query):
         probes=tuple(probes),
         midpoint_record=midpoint_record,
     )
-
-
-def reference_binary(adapter, instance, query):
-    if adapter.alpha() != 1:
-        raise ExactOracleRequired("binary search needs an exact weighted-sum oracle")
-    eps, budget = query.eps, query.budget
-    rng = index_range(eps, budget, adapter.bounds(instance))
-    budget_factor, cost_factor = grid_guarantee(1, eps)
-    limit = budget_factor * budget
-    lo, hi = rng[0], rng[-1]
-    best = None
-    probes = []
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        record = adapter.solve_weighted_sum(instance, pow_one_plus_eps(eps, mid))
-        probes.append(record)
-        if record.image.f1 > limit:
-            hi = mid - 1
-        else:
-            best = record
-            lo = mid + 1
-    if best is None:
-        raise NoCertificate(probes, limit)
-    certificate = GuaranteeCertificate(
-        alpha=Fraction(1),
-        budget_factor=budget_factor,
-        cost_factor=cost_factor,
-        budget=budget,
-        oracle_calls=len(probes),
-    )
-    return best, certificate
 
 
 def reference_sweep(adapter, instance, query):
@@ -498,34 +468,18 @@ class TestMatchesReferenceSearch:
 
     def test_sweep_and_binary_on_acceptance_suite(self):
         # eps = 1/20 is left out here: its grids make the vc sweep cost seconds.
-        # Binary and the approximate (vc) sweep match their references call for
-        # call.  An exact sweep searches only around its f1 limit: it returns the
-        # walk's record and factors with no more calls, and when no record meets
-        # the limit it has solved only the grid's two ends.
+        # The approximate (vc) sweep matches its reference call for call.  With
+        # an exact oracle, sweep and binary run one search around the f1 limit:
+        # it returns the walk's image and factors with no more calls, and
+        # bisection's record (``check_exact_search``).
         for case in build_suite():
-            bounds = case.raw_adapter.bounds(case.instance)
             for eps in self.EPSILONS[:2]:
                 for budget in self._budgets(case):
                     query = BudgetQuery(budget, eps)
                     expected = search_outcome(reference_sweep, case.adapter, case.instance, query)
-                    outcome = search_outcome(solve_budget_sweep, case.adapter, case.instance, query)
                     if case.alpha != 1:
+                        outcome = search_outcome(solve_budget_sweep, case.adapter, case.instance, query)
                         assert outcome == expected
                         continue
-                    assert search_outcome(solve_budget_binary, case.adapter, case.instance, query) == (
-                        search_outcome(reference_binary, case.adapter, case.instance, query)
-                    )
-                    if expected[0] == "no certificate":
-                        grid = index_range(eps, budget, bounds)
-                        ends = [
-                            case.raw_adapter.solve_weighted_sum(
-                                case.instance, pow_one_plus_eps(eps, i)
-                            )
-                            for i in sorted({grid[0], grid[-1]})
-                        ]
-                        assert outcome == ("no certificate", tuple(ends), expected[2])
-                        continue
-                    (record, certificate), (want, reference) = outcome, expected
-                    assert record == want
-                    assert certificate.oracle_calls <= reference.oracle_calls
-                    assert replace(certificate, oracle_calls=reference.oracle_calls) == reference
+                    for search in (solve_budget_sweep, solve_budget_binary):
+                        check_exact_search(search, case.adapter, case.instance, query, expected)

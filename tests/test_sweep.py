@@ -7,6 +7,8 @@ import pytest
 
 from _suite import (
     CachingAdapter,
+    OncePerWeight,
+    boundary_call_bound,
     build_suite,
     grid_guarantee,
     make_case,
@@ -16,6 +18,7 @@ from _suite import (
     random_path_instance,
     random_relaxed_instance,
     random_vc_instance,
+    reference_binary,
     sweep_call_bound,
 )
 from bicrit.core import Bounds, CostPair, ParametricAdapter, pow_one_plus_eps
@@ -105,7 +108,8 @@ class TestSweep:
         assert record.image.f1 <= 9
         assert record.image.f2 <= 3 * exact_opt_budget(ex2, Fraction(3))
         assert (cert.budget_factor, cert.cost_factor) == (3, 3)
-        assert cert.oracle_calls == 3
+        # The grid's two ends: the last one already meets the f1 limit.
+        assert cert.oracle_calls == 2
 
     def test_example_instance_budget_four(self, ex2):
         record, _ = solve_budget_sweep(MstAdapter(), ex2, BudgetQuery(Fraction(4), Fraction(1)))
@@ -193,29 +197,45 @@ class TestSweepProperties:
 
 
 class TestMatchesFullSweep:
-    """The grid walker must pick the full per-index sweep's record, record for record."""
+    """The sweep must pick the full per-index sweep's image and factors.
+
+    With an approximate oracle it picks the full sweep's record, record for
+    record; with an exact one, the record at the last index within the f1
+    limit, as bisection does (``reference_binary``).
+    """
 
     def _check(self, case, query):
-        """Compare one query with the full sweep; True when the walker skipped calls."""
+        """Compare one query with the full sweep; True when the sweep skipped calls."""
         grid = len(index_range(query.eps, query.budget, case.raw_adapter.bounds(case.instance)))
         full_records, expected = _full_sweep(case.adapter, case.instance, query)
+        exact = case.alpha == 1
+        # An exact search solves no weight twice; vc's runs need its own adapter.
+        adapter = OncePerWeight(case.adapter) if exact else case.adapter
         before = case.adapter.invocations
         if expected is None:
             with pytest.raises(NoCertificate) as excinfo:
-                solve_budget_sweep(case.adapter, case.instance, query)
+                solve_budget_sweep(adapter, case.instance, query)
             solved = excinfo.value.records
             calls = case.adapter.invocations - before
             assert len(solved) == calls
             weights = {r.produced_at for r in solved}
             assert list(solved) == [r for r in full_records if r.produced_at in weights]
+            # An exact search stops at the grid's first record, which misses the limit.
+            assert not exact or solved == (full_records[0],)
         else:
-            record, cert = solve_budget_sweep(case.adapter, case.instance, query)
+            record, cert = solve_budget_sweep(adapter, case.instance, query)
             calls = case.adapter.invocations - before
-            assert record == expected[0]
+            assert record.image == expected[0].image
+            if exact:
+                assert record == reference_binary(case.raw_adapter, case.instance, query)[0]
+            else:
+                assert record == expected[0]
             assert (cert.budget_factor, cert.cost_factor) == expected[1]
             assert cert.oracle_calls == calls
-        # Bisected for an exact oracle, one counted symbolic run per range for vc.
+        # One counted symbolic run per range for vc; an exact search brackets
+        # the f1 limit, at most one call per grid weight and within its bound.
         assert calls <= grid
+        assert not exact or calls <= boundary_call_bound(grid)
         return calls < grid
 
     def _budgets(self, case):
