@@ -368,12 +368,14 @@ class ParametricAdapter(ProblemAdapter):
     The plugin re-expresses its algorithm over ``LinearValue`` quantities
     with every value comparison routed through an injected three-way
     comparator; the returned solution must depend on gamma only through
-    those comparison outcomes.  An exact oracle's run drives
-    ``parametric_search``; an approximate one's, the symbolic grid walk of
-    ``sweep.solve_grid``.  Both comparators read signs from ``sign_at``,
-    and both searches take the run's record as the oracle's answer at
-    every weight where the comparator's answers hold, so neither calls
-    ``evaluate``: that stays the checker of tokens from outside.
+    those comparison outcomes.  An exact oracle's run drives Megiddo's
+    simulation, the safeguard that ``parametric_search`` falls back on
+    when its envelope walk runs out of steps; an approximate one's, the
+    symbolic grid walk of ``sweep.solve_grid``.  Both comparators read
+    signs from ``sign_at``, and both searches take the run's record as the
+    oracle's answer at every weight where the comparator's answers hold,
+    so neither calls ``evaluate``: that stays the checker of tokens from
+    outside.
     """
 
     @abstractmethod

@@ -1,24 +1,31 @@
 """Accelerated budget-constrained search for exact weighted-sum oracles.
 
-Megiddo-style parametric search simulates the oracle symbolically over
-the weight and resolves each weight-dependent comparison with one
-concrete oracle run.  ``solve_budget_binary`` is the grid's search under
-another name: with an exact oracle the sweep already brackets its budget
-boundary in a logarithmic number of calls.  Both are sound only for
-exact (alpha = 1) oracles; approximate oracles break the monotonicity
-both rely on, so they are rejected outright.
+Parametric search walks the lower envelope of the weighted-sum lines
+inward from the two ends of the weight range [eps*B/UB(2), eps*B/LB(2)],
+one oracle call per crossing of two lines, to the weight where the
+optimal records' f1 passes the limit (1+eps)*B.  After a logarithmic
+number of steps it hands the narrowed range to Megiddo's simulation,
+which runs the oracle symbolically over the weight and resolves each
+weight-dependent comparison with one concrete oracle run.
+``solve_budget_binary`` is the grid's search under another name: with an
+exact oracle the sweep already brackets its budget boundary in a
+logarithmic number of calls.  Both are sound only for exact (alpha = 1)
+oracles; approximate oracles break the monotonicity both rely on, so
+they are rejected outright.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
 from .core import (
     GuaranteeCertificate,
     ParametricAdapter,
     ProblemAdapter,
     SolutionRecord,
+    crossing,
     ratio_of,
     sign_at,
 )
@@ -50,17 +57,23 @@ def solve_budget_binary(
 class ParametricOutcome:
     """Full transcript of one parametric search run.
 
+    ``walk`` holds the records the envelope walk solved, in call order: at
+    eps*B/LB(2); at eps*B/UB(2), unless the first met the f1 limit or the
+    two weights are equal; then one per crossing step.  The simulation's
+    transcript is filled in only when it ran: ``interval`` is its final
+    (lo, hi), ``comparisons`` counts the master run's comparisons,
     ``probes`` are the concrete oracle's records at the critical weights,
-    and ``midpoint_record`` the master run's token and image, produced at
-    the midpoint of the final ``interval``.
+    and ``midpoint_record`` is the master run's token and image, produced
+    at the midpoint of ``interval``.
     """
 
     record: SolutionRecord
     certificate: GuaranteeCertificate
-    interval: tuple
-    comparisons: int
-    probes: tuple
-    midpoint_record: SolutionRecord
+    walk: tuple
+    interval: Optional[tuple] = None
+    comparisons: int = 0
+    probes: tuple = ()
+    midpoint_record: Optional[SolutionRecord] = None
 
 
 def _midpoint(lo, hi) -> tuple:
@@ -69,31 +82,61 @@ def _midpoint(lo, hi) -> tuple:
     return a * d + c * b, 2 * b * d
 
 
+def walk_step_budget(instance) -> int:
+    """ceil(log2(m + 1)) for the instance's m weight pairs: the crossing steps the walk may take."""
+    return len(instance.ratios).bit_length()
+
+
 def parametric_search(
     adapter: ParametricAdapter, instance, query: BudgetQuery
 ) -> ParametricOutcome:
-    """Megiddo simulation of the exact oracle over a symbolic weight.
+    """A walk along the lower envelope, safeguarded by Megiddo's simulation.
 
-    Starting from the interval [lo, hi] = [eps*B/UB(2), eps*B/LB(2)], the
-    master run of the oracle executes over LinearValue quantities and
-    decides each comparison at the interval's midpoint, all three held as
-    int pairs for ``sign_at``.  A comparison whose line c + s*gamma has
-    opposite signs at lo and hi is first resolved by one concrete oracle
-    run at its critical weight -c/s: a record breaking f1 <= (1+eps)*B
-    moves hi to that weight; otherwise the record meets the filter and no
-    smaller weight improves f2, so lo moves there and the record becomes
-    the witness.  The master run's record is the oracle's answer at the
-    final midpoint, so the oracle is not called there: each comparison was
-    answered by its sign at the midpoint of an interval that its line does
-    not cross, which is its sign everywhere inside that interval, and every
-    later interval nests inside that one, so every answer still holds at
-    the final midpoint.  ``certify`` gets that record when it meets the
-    filter, else the witness (the midpoint record can miss the filter only
-    through an endpoint tie).  The result satisfies f1 <= (1+eps)*B and
-    f2 <= (1+1/eps)*OPT(B).  Oracle calls are one per probe, at most one
-    per master-run comparison, plus one for the master run (two on a
-    relaxed instance, through ``certify``).  ``interval`` is the final
-    (lo, hi).
+    Let x* have f1(x*) <= B and f2(x*) = OPT(B) > 0, and gamma* =
+    eps*B/OPT(B).  A record y optimal at a weight g has f1(y) + g*f2(y) <=
+    B + g*OPT(B).  So f2(y) <= B/g + OPT(B), and at g <= gamma* every such
+    y has f1(y) <= B + g*OPT(B) <= (1+eps)*B, the f1 limit.  Every step
+    below rests on these two facts.
+
+    The search solves hi = eps*B/LB(2) first.  OPT(B) >= LB(2), so a record
+    there within the limit has f2 <= LB(2)/eps + OPT(B) <= (1+1/eps)*OPT(B),
+    and it is the answer.  Otherwise it solves lo = eps*B/UB(2) <= gamma*,
+    unless lo = hi: if that record misses the limit, no solution has
+    f1 <= B, and the search ends in NoCertificate.  Else L = lo's record
+    meets the limit and R = hi's misses it.  Both are optimal, at lo < hi,
+    so f1(L) < f1(R), and f2(L) > f2(R), or R would not be optimal at hi.  Their lines
+    f1 + gamma*f2 cross at a weight c in [lo, hi] (``core.crossing``, the
+    dichotomic step of Aneja and Nair, 1979, as in ``solve_all_weights``),
+    and the walk solves c.  A record strictly below L's line at c is a new
+    envelope image; it replaces L when it meets the limit and R when it
+    does not.  Otherwise L and R are both optimal at c; R misses the limit,
+    so c > gamma*, and L is the answer, with f2(L) <= B/c + OPT(B) <
+    (1+1/eps)*OPT(B).  This is the hull walk of Handler and Zang (Networks
+    10(4), 1980).
+
+    The walk may take super-polynomially many steps (Carstensen, 1983), so
+    after ``walk_step_budget`` of them Megiddo's simulation (JACM 30(4),
+    1983) finishes the search on [lo, hi] = [L's weight, R's weight], with L
+    as its witness.  The master run of the oracle executes over
+    LinearValue quantities and decides each comparison at the interval's
+    midpoint, all three held as int pairs for ``sign_at``.  A comparison
+    whose line c + s*gamma has opposite signs at lo and hi is first
+    resolved by one concrete oracle run at its critical weight -c/s: a
+    record missing the limit moves hi there; otherwise lo moves there and
+    the record becomes the witness.  So hi stays a solved weight whose
+    record misses the limit, and lo one whose record, the witness, meets
+    it.  No critical weight lies inside the final (lo, hi), so the master
+    run's record is the oracle's answer on all of it, and by continuity it
+    is optimal at both ends; the oracle is not called at the midpoint.  If
+    that record meets the limit, it is optimal at hi > gamma* and is the
+    answer.  If not, lo > gamma*, and the witness, optimal at lo, is.
+
+    ``certify`` gets the answer and, on a relaxed instance, where OPT(B)
+    may be 0, makes its zero-f2 call.  The result satisfies
+    f1 <= (1+eps)*B and f2 <= (1+1/eps)*OPT(B).  Oracle calls are at most
+    2 + ``walk_step_budget``, plus, when the simulation runs, one per probe
+    (at most one per comparison) and one for the master run, plus
+    ``certify``'s call.
     """
     if adapter.alpha() != 1:
         raise ExactOracleRequired("parametric search needs an exact oracle")
@@ -101,11 +144,46 @@ def parametric_search(
         raise NotParametricCapable(f"{type(adapter).__name__} has no parametric run")
     eps, budget = query.eps, query.budget
     bounds = adapter.bounds(instance)
-    lo, hi = ratio_of(eps * budget / bounds.ub2), ratio_of(eps * budget / bounds.lb2)
+    lo, hi = eps * budget / bounds.ub2, eps * budget / bounds.lb2
     factors = parametric_factors(eps)
     limit = factors[0] * budget
+    walk = [adapter.solve_weighted_sum(instance, hi)]
+    if walk[0].image.f1 > limit and lo != hi:
+        walk.append(adapter.solve_weighted_sum(instance, lo))
+    left, right = walk[-1], walk[0]
+    picked, simulation = None, {}
+    if right.image.f1 <= limit:
+        picked = right
+    elif left.image.f1 <= limit:
+        for _ in range(walk_step_budget(instance)):
+            gamma = Fraction(*crossing(left.image, right.image))
+            middle = adapter.solve_weighted_sum(instance, gamma)
+            walk.append(middle)
+            if middle.image.weighted(gamma) == left.image.weighted(gamma):
+                picked = left
+                break
+            if middle.image.f1 <= limit:
+                left = middle
+            else:
+                right = middle
+        else:
+            weights = left.produced_at, right.produced_at
+            picked, simulation = _simulate(adapter, instance, *weights, left, limit)
+    solved = [*walk, *simulation["probes"], simulation["midpoint_record"]] if simulation else walk
+    record, certificate = certify(adapter, instance, solved, picked, limit, factors, budget)
+    return ParametricOutcome(record, certificate, tuple(walk), **simulation)
+
+
+def _simulate(adapter: ParametricAdapter, instance, lo, hi, witness, limit) -> tuple:
+    """Megiddo's simulation over the weights [lo, hi]: (its pick, its transcript's fields).
+
+    ``witness`` is a record optimal at lo within the f1 ``limit``, or None.
+    The pick is the master run's record when it meets the limit, else the
+    last witness, which is None only if no probe met the limit either.
+    """
+    lo, hi = ratio_of(lo), ratio_of(hi)
     mid = _midpoint(lo, hi)
-    witness, comparisons, probes = None, 0, []
+    comparisons, probes = 0, []
 
     def compare(p, q) -> int:
         nonlocal lo, hi, mid, witness, comparisons
@@ -126,17 +204,12 @@ def parametric_search(
     master = adapter.run_parametric(instance, compare)
     midpoint_record = SolutionRecord(master.token, master.image, Fraction(*mid))
     picked = midpoint_record if midpoint_record.image.f1 <= limit else witness
-    record, certificate = certify(
-        adapter, instance, [*probes, midpoint_record], picked, limit, factors, budget
-    )
-    return ParametricOutcome(
-        record=record,
-        certificate=certificate,
-        interval=(Fraction(*lo), Fraction(*hi)),
-        comparisons=comparisons,
-        probes=tuple(probes),
-        midpoint_record=midpoint_record,
-    )
+    return picked, {
+        "interval": (Fraction(*lo), Fraction(*hi)),
+        "comparisons": comparisons,
+        "probes": tuple(probes),
+        "midpoint_record": midpoint_record,
+    }
 
 
 def solve_budget_parametric(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -65,6 +66,17 @@ def boundary_call_bound(n) -> int:
     ``certify`` may add one on a relaxed instance.
     """
     return 2 * (n - 2).bit_length() + 2 if n > 1 else 1
+
+
+def parametric_call_bound(instance, comparisons) -> int:
+    """2 + ceil(log2(m + 1)) + comparisons + 1, the parametric search's calls on m weight pairs.
+
+    The walk solves both ends of the weight range and takes at most
+    ceil(log2(m + 1)) crossing steps; the simulation, when it runs, makes
+    at most one probe per comparison of its master run, which counts one
+    more.  ``certify`` may add one on a relaxed instance.
+    """
+    return 2 + len(instance.ratios).bit_length() + comparisons + 1
 
 
 def pareto_call_bound(eps, bounds: Bounds) -> int:
@@ -321,3 +333,68 @@ def build_suite(seed=20250801):
 
 def weighted_minimum(records, gamma) -> Fraction:
     return min(r.image.weighted(gamma) for r in records)
+
+
+def positive_budgets(case):
+    """Every positive achievable budget, and one below all of them."""
+    budgets = [b for b in case.budgets if b > 0]
+    return [*budgets, budgets[0] / 4]
+
+
+@functools.cache
+def exact_cases():
+    """Every exact instance of the acceptance suite, then ten relaxed ones of each exact kind."""
+    cases = [case for case in build_suite() if case.alpha == 1]
+    rng = random.Random(83)
+    for kind in ("mst", "path", "cut"):
+        for _ in range(10):
+            cases.append(make_case(kind, random_relaxed_instance(rng, kind, rng.randint(2, 7))))
+    return cases
+
+
+def _front_instance(rng, kind, n) -> BiweightedGraph:
+    """A tree plus n random edges, weights d*10**k (d in 1..9, k in 0..3)."""
+
+    def weight():
+        return rng.randint(1, 9) * 10 ** rng.randint(0, 3)
+
+    ends = [(rng.randrange(v), v) for v in range(1, n)]
+    ends += [tuple(rng.sample(range(n), 2)) for _ in range(n)]
+    edges = [(u, v, (weight(), weight())) for u, v in ends]
+    terminals = {} if kind == "mst" else {"source": 0, "sink": n - 1}
+    return BiweightedGraph(n, edges, kind=kind, **terminals)
+
+
+@functools.cache
+def front_cases():
+    """Eight instances of each exact kind whose exact Pareto front has at least four points."""
+    rng = random.Random(89)
+    cases = []
+    for kind in ("mst", "path", "cut"):
+        kept = 0
+        while kept < 8:
+            instance = _front_instance(rng, kind, rng.randint(7, 9))
+            if len(exact_pareto(instance).records) >= 4:
+                cases.append(make_case(kind, instance))
+                kept += 1
+    return cases
+
+
+def front_budgets(case):
+    """Each front point's f1, the midpoints between neighbouring ones, and one below all."""
+    f1s = sorted({r.image.f1 for r in exact_pareto(case.instance).records})
+    return [*f1s, *((a + b) / 2 for a, b in zip(f1s, f1s[1:])), f1s[0] / 4]
+
+
+def creeping_front(kind, m) -> BiweightedGraph:
+    """m + 1 parallel edges from node 0 to node 1, one image each, all on the lower envelope.
+
+    From image j to j + 1, f2 falls by 8**j and f1 rises by 8**j * 4**(j-m+1),
+    so their lines cross at 4**(j-m+1); f1 starts at 3 and f2 ends at 1.
+    """
+    steps = [(Fraction(8) ** j * Fraction(4) ** (j - m + 1), Fraction(8) ** j) for j in range(m)]
+    images = [(Fraction(3), 1 + sum(d2 for _, d2 in steps))]
+    for d1, d2 in steps:
+        images.append((images[-1][0] + d1, images[-1][1] - d2))
+    terminals = {} if kind == "mst" else {"source": 0, "sink": 1}
+    return BiweightedGraph(2, [(0, 1, pair) for pair in images], kind=kind, **terminals)

@@ -14,8 +14,10 @@ from fractions import Fraction
 import pytest
 
 from _suite import (
+    boundary_call_bound,
     build_suite,
     grid_guarantee,
+    parametric_call_bound,
     parametric_guarantee,
     pareto_call_bound,
     weighted_minimum,
@@ -99,7 +101,7 @@ def test_c02_binary_search_parity_and_call_bound(suite, opt_cache):
                 opt = opt_cache[(idx, budget)]
                 assert verify_budget(record, budget, opt, grid_guarantee(1, eps))
                 grid = len(index_range(eps, budget, bounds))
-                assert cert.oracle_calls <= (grid - 1).bit_length() + 1
+                assert cert.oracle_calls <= boundary_call_bound(grid)
                 trials += 1
     _report(2, f"binary search met (1+2e, 1+2/e) and its call bound in {trials} runs")
 
@@ -137,7 +139,8 @@ def test_c04_parametric_tightening(suite, opt_cache):
                 )
                 opt = opt_cache[(idx, budget)]
                 assert verify_budget(outcome.record, budget, opt, parametric_guarantee(eps))
-                assert outcome.certificate.oracle_calls <= outcome.comparisons + 1
+                bound = parametric_call_bound(case.instance, outcome.comparisons)
+                assert outcome.certificate.oracle_calls <= bound
                 trials += 1
     _report(4, f"parametric search met the tighter (1+e, 1+1/e) in {trials} runs")
 

@@ -1,21 +1,33 @@
 from __future__ import annotations
 
+import functools
+import itertools
 import random
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from _suite import (
+    boundary_call_bound,
     build_suite,
     check_exact_search,
+    creeping_front,
+    exact_cases,
+    front_budgets,
+    front_cases,
     grid_guarantee,
     make_case,
+    parametric_call_bound,
     parametric_guarantee,
+    positive_budgets,
     random_mst_instance,
     random_path_instance,
     search_outcome,
 )
+from bicrit import exact_search
+from bicrit.cli import ingest
 from bicrit.core import (
     CostPair,
     GuaranteeCertificate,
@@ -28,9 +40,11 @@ from bicrit.core import (
 from bicrit.errors import ExactOracleRequired, NoCertificate, NotParametricCapable
 from bicrit.exact_search import (
     ParametricOutcome,
+    _simulate,
     parametric_search,
     solve_budget_binary,
     solve_budget_parametric,
+    walk_step_budget,
 )
 from bicrit.oracle import adversarial_wrap, enumerate_all, exact_opt_budget, verify_budget
 from bicrit.problems import (
@@ -136,6 +150,7 @@ def reference_parametric_search(adapter, instance, query):
     return ParametricOutcome(
         record=chosen,
         certificate=certificate,
+        walk=(),
         interval=interval,
         comparisons=state["comparisons"],
         probes=tuple(probes),
@@ -272,10 +287,7 @@ class TestBinarySearch:
                         opt = exact_opt_budget(inst, budget)
                         assert verify_budget(record, budget, opt, grid_guarantee(1, eps))
                         grid = len(index_range(eps, budget, adapter.bounds(inst)))
-                        bound = 1
-                        while 2**bound < grid:
-                            bound += 1
-                        assert cert.oracle_calls <= bound + 1
+                        assert cert.oracle_calls <= boundary_call_bound(grid)
 
 
 class TestGridMonotonicity:
@@ -324,23 +336,37 @@ class TestParametric:
         assert outcome.record.image.f2 <= 2 * exact_opt_budget(ex2, Fraction(3))
         assert outcome.certificate.oracle_calls <= outcome.comparisons + 1
 
-    def test_oracle_runs_only_at_the_probes(self):
-        # The master run's record is the concrete oracle's at the final midpoint.
-        for case in build_suite():
-            if case.kind not in ("mst", "path"):
-                continue
-            adapter, weights = type(case.raw_adapter)(), []
-            solve = adapter.solve_weighted_sum
-            adapter.solve_weighted_sum = lambda inst, gamma: weights.append(gamma) or solve(
-                inst, gamma
-            )
-            for eps in (Fraction(1), Fraction(1, 4)):
-                for budget in case.budgets:
-                    weights.clear()
-                    outcome = parametric_search(adapter, case.instance, BudgetQuery(budget, eps))
-                    assert weights == [probe.produced_at for probe in outcome.probes]
-                    lo, hi = outcome.interval
-                    assert outcome.midpoint_record == solve(case.instance, (lo + hi) / 2)
+    def test_oracle_runs_only_at_the_probes(self, monkeypatch):
+        # The concrete oracle runs at the walk's weights, then at the
+        # simulation's probes; the master run's record is the concrete
+        # oracle's at the final midpoint.  With no walk steps allowed, the
+        # simulation runs whenever eps*B/LB(2) misses the f1 limit and
+        # eps*B/UB(2) meets it.
+        simulated = 0
+        for no_steps in (False, True):
+            if no_steps:
+                monkeypatch.setattr(exact_search, "walk_step_budget", lambda instance: 0)
+            for case in build_suite():
+                if case.kind not in ("mst", "path"):
+                    continue
+                adapter, weights = type(case.raw_adapter)(), []
+                solve = adapter.solve_weighted_sum
+                adapter.solve_weighted_sum = lambda inst, gamma: weights.append(gamma) or solve(
+                    inst, gamma
+                )
+                for eps in (Fraction(1), Fraction(1, 4)):
+                    for budget in case.budgets:
+                        weights.clear()
+                        query = BudgetQuery(budget, eps)
+                        outcome = parametric_search(adapter, case.instance, query)
+                        solved = (*outcome.walk, *outcome.probes)
+                        assert weights == [record.produced_at for record in solved]
+                        if outcome.midpoint_record is None:
+                            continue
+                        simulated += 1
+                        lo, hi = outcome.interval
+                        assert outcome.midpoint_record == solve(case.instance, (lo + hi) / 2)
+        assert simulated > 0
 
     def test_example_instance_budget_four(self, ex1):
         record, cert = solve_budget_parametric(
@@ -358,22 +384,32 @@ class TestParametric:
         assert outcome.probes == ()
         assert outcome.certificate.oracle_calls == 1
 
-    def test_endpoint_tie_falls_back_to_probe_record(self):
+    def test_endpoint_tie_falls_back_to_probe_record(self, monkeypatch):
         # Parallel edges crossing at gamma=1 with an f1 jump straddling the
-        # budget filter: the concrete oracle at the crossing breaks the tie
-        # toward the (2,5) tree and the probe accepts it, but the master run
+        # budget filter f1 <= (1+eps)*B = 9/2.  hi = eps*B/LB(2) = 9/8 returns
+        # the (5,2) tree, which misses it, and lo = 3/8 the (2,5) tree.  The
+        # walk solves their crossing, 1, where the concrete oracle breaks the
+        # tie toward (2,5): nothing lies below the two lines there, so the walk
+        # stops with lo's record.  With no walk steps allowed, the simulation
+        # runs on [3/8, 9/8]: its probe at 1 accepts (2,5), but the master run
         # continues on [1, 9/8] where the (5,2) tree is optimal.  The final
-        # midpoint record then violates f1 <= (1+eps)*B = 9/2, so the search
-        # must return the in-budget probe record instead.
+        # midpoint record then misses the filter, so the search must return
+        # the in-budget probe record instead.
         graph = BiweightedGraph(
             3, [(0, 1, (1, 4)), (0, 1, (4, 1)), (1, 2, (1, 1))], kind="mst"
         )
         query = BudgetQuery(Fraction(9, 4), Fraction(1))
+        opt = exact_opt_budget(graph, query.budget)
+        walked = parametric_search(MstAdapter(), graph, query)
+        assert [record.produced_at for record in walked.walk] == [Fraction(9, 8), Fraction(3, 8), 1]
+        assert walked.interval is None and walked.record == walked.walk[1]
+        assert verify_budget(walked.record, query.budget, opt, (2, 2))
+        monkeypatch.setattr(exact_search, "walk_step_budget", lambda instance: 0)
         outcome = parametric_search(MstAdapter(), graph, query)
+        assert outcome.interval == (1, Fraction(9, 8))
         assert outcome.midpoint_record.image.f1 > (1 + query.eps) * query.budget
         assert outcome.record.image == CostPair(2, 5)
         assert outcome.record.produced_at == 1
-        opt = exact_opt_budget(graph, query.budget)
         assert verify_budget(outcome.record, query.budget, opt, (2, 2))
 
     def test_rejects_non_parametric_and_approximate(self, ex1):
@@ -383,15 +419,21 @@ class TestParametric:
         with pytest.raises(ExactOracleRequired):
             parametric_search(adversarial_wrap(MstAdapter(), Fraction(5, 4), ex1), ex1, query)
 
-    def test_final_interval_contains_a_good_weight(self):
+    def test_final_interval_contains_a_good_weight(self, monkeypatch):
+        # With no walk steps allowed, the simulation runs on [eps*B/UB(2), eps*B/LB(2)]
+        # whenever its ends' records straddle the f1 limit.
+        monkeypatch.setattr(exact_search, "walk_step_budget", lambda instance: 0)
         rng = random.Random(59)
         adapter = MstAdapter()
+        simulated = 0
         for _ in range(5):
             inst = random_mst_instance(rng, rng.randint(3, 4), extra=2)
             budgets = sorted({r.image.f1 for r in enumerate_all(inst)})
-            for eps in (Fraction(1), Fraction(1, 2)):
-                budget = budgets[len(budgets) // 2]
+            for eps, budget in itertools.product((Fraction(1), Fraction(1, 2)), budgets):
                 outcome = parametric_search(adapter, inst, BudgetQuery(budget, eps))
+                if outcome.interval is None:
+                    continue
+                simulated += 1
                 opt = exact_opt_budget(inst, budget)
                 lo, hi = outcome.interval
                 points = {lo, hi} | {lo + (hi - lo) * Fraction(k, 99) for k in range(100)}
@@ -401,6 +443,7 @@ class TestParametric:
                     )
                     for g in sorted(points)
                 )
+        assert simulated > 0
 
     def test_consistency_and_guarantee_on_random_instances(self):
         rng = random.Random(61)
@@ -421,8 +464,45 @@ class TestParametric:
                         )
 
 
+def check_against_megiddo(case, query, opt) -> tuple:
+    """Check the parametric search against Megiddo's on one query.
+
+    Returns (its calls, Megiddo's, whether its simulation ran).
+
+    Both must end alike: in a record, or in NoCertificate with the same f1
+    limit, which the search reaches from its first two records (plus
+    ``certify``'s call on a relaxed instance).  Its record must meet
+    (1+eps, 1+1/eps) against ``opt``, OPT(B) by enumeration.  Its calls are
+    one per walk record and per probe, one for the master run when the
+    simulation ran, and ``certify``'s, within ``parametric_call_bound``.
+    """
+    adapter, instance = case.raw_adapter, case.instance
+    expected = search_outcome(reference_parametric_search, adapter, instance, query)
+    outcome = search_outcome(parametric_search, adapter, instance, query)
+    if isinstance(expected, tuple):  # a NoCertificate's records and f1 limit
+        assert outcome[0] == "no certificate" and outcome[2] == expected[2]
+        assert len(outcome[1]) <= 2 + instance.relaxed
+        return len(outcome[1]), len(expected[1]), False
+    assert isinstance(outcome, ParametricOutcome)
+    eps, budget = query.eps, query.budget
+    assert verify_budget(outcome.record, budget, opt, parametric_guarantee(eps))
+    calls = outcome.certificate.oracle_calls
+    simulated = outcome.midpoint_record is not None
+    solved = len(outcome.walk) + len(outcome.probes) + simulated
+    assert calls - solved in ((0, 1) if instance.relaxed else (0,))
+    assert calls <= parametric_call_bound(instance, outcome.comparisons) + instance.relaxed
+    if simulated:
+        # The interval only ever narrows from [eps*B/UB(2), eps*B/LB(2)].
+        bounds = adapter.bounds(instance)
+        lo, hi = outcome.interval
+        assert eps * budget / bounds.ub2 <= lo <= hi <= eps * budget / bounds.lb2
+    else:
+        assert (outcome.interval, outcome.comparisons, outcome.probes) == (None, 0, ())
+    return calls, expected.certificate.oracle_calls, simulated
+
+
 class TestMatchesReferenceSearch:
-    """The closure-only parametric search and ``certify`` change no result on strict instances."""
+    """Parametric search ends as Megiddo's does; ``certify`` changes no strict sweep's result."""
 
     EPSILONS = (Fraction(1), Fraction(1, 4), Fraction(1, 20))
 
@@ -431,22 +511,7 @@ class TestMatchesReferenceSearch:
         return [*case.budgets, case.budgets[0] / 4]
 
     def _check_parametric(self, case, query):
-        expected = search_outcome(reference_parametric_search, case.adapter, case.instance, query)
-        outcome = search_outcome(parametric_search, case.adapter, case.instance, query)
-        if isinstance(expected, tuple):  # a NoCertificate's records and f1 limit
-            assert outcome == expected
-            return
-        assert outcome.record == expected.record
-        assert outcome.certificate == expected.certificate
-        assert outcome.interval == (expected.interval.lo, expected.interval.hi)
-        assert outcome.comparisons == expected.comparisons
-        assert outcome.probes == expected.probes
-        assert outcome.midpoint_record == expected.midpoint_record
-        # The interval only ever narrows from [eps*B/UB(2), eps*B/LB(2)].
-        bounds = case.raw_adapter.bounds(case.instance)
-        lo, hi = outcome.interval
-        eps, budget = query.eps, query.budget
-        assert eps * budget / bounds.ub2 <= lo <= hi <= eps * budget / bounds.lb2
+        check_against_megiddo(case, query, exact_opt_budget(case.instance, query.budget))
 
     def test_parametric_on_acceptance_suite(self):
         for case in build_suite():
@@ -483,3 +548,102 @@ class TestMatchesReferenceSearch:
                         continue
                     for search in (solve_budget_sweep, solve_budget_binary):
                         check_exact_search(search, case.adapter, case.instance, query, expected)
+
+
+@functools.cache
+def _walk_queries() -> tuple:
+    """(case, budget, OPT(B)) on the exact mst/path cases and fronts of the boundary tests."""
+    return tuple(
+        (case, budget, exact_opt_budget(case.instance, budget))
+        for cases, budgets in ((exact_cases(), positive_budgets), (front_cases(), front_budgets))
+        for case in cases
+        if case.kind in ("mst", "path")
+        for budget in budgets(case)
+    )
+
+
+class TestEnvelopeWalk:
+    """The envelope walk and its safeguard against Megiddo's simulation, and its step budget."""
+
+    @pytest.mark.parametrize("eps", [Fraction(1), Fraction(1, 4), Fraction(1, 100)], ids=str)
+    @pytest.mark.parametrize("steps", [None, 0], ids=["walk", "no_steps"])
+    def test_matches_megiddo_with_the_guarantee_and_call_bound(self, eps, steps, monkeypatch):
+        # The suite's and the relaxed mst/path cases, then the 16 mst/path
+        # fronts.  With no walk steps allowed, every query whose range ends
+        # straddle the f1 limit runs the simulation on that range, with lo's
+        # record as its first witness.
+        if steps is not None:
+            monkeypatch.setattr(exact_search, "walk_step_budget", lambda instance: steps)
+        totals = [0, 0, 0]  # calls, Megiddo's calls, simulations
+        for case, budget, opt in _walk_queries():
+            checked = check_against_megiddo(case, BudgetQuery(budget, eps), opt)
+            totals = [total + count for total, count in zip(totals, checked)]
+        if steps is None:
+            assert totals[0] < totals[1]
+        else:
+            assert totals[2] > 0
+
+    @pytest.mark.parametrize("kind", ["mst", "path"])
+    def test_creeping_front_trips_the_step_budget(self, kind, monkeypatch):
+        # All 31 images of ``creeping_front`` lie on the lower envelope.  At
+        # B = 3 and eps 1 the walk finds one new image per step, so it uses
+        # all ceil(log2(32)) = 5 of its steps, and the simulation finishes
+        # the search.  Unbounded, the walk would take 19 steps.
+        graph = creeping_front(kind, 30)
+        adapter = MstAdapter() if kind == "mst" else ShortestPathAdapter()
+        query = BudgetQuery(Fraction(3), Fraction(1))
+        opt = exact_opt_budget(graph, query.budget)
+        outcome = parametric_search(adapter, graph, query)
+        assert walk_step_budget(graph) == 5 and len(outcome.walk) == 2 + 5
+        assert outcome.interval is not None
+        assert verify_budget(outcome.record, query.budget, opt, parametric_guarantee(query.eps))
+        assert outcome.certificate.oracle_calls <= parametric_call_bound(graph, outcome.comparisons)
+        monkeypatch.setattr(exact_search, "walk_step_budget", lambda instance: len(instance.ratios))
+        unbounded = parametric_search(adapter, graph, query)
+        assert unbounded.interval is None and len(unbounded.walk) == 2 + 19
+        assert unbounded.record.image == outcome.record.image
+
+    def test_simulation_starts_with_the_walks_witness(self, monkeypatch):
+        # Four parallel edges, each its own tree: A = (1, 901/100) meets the f1
+        # limit (1+eps)*B = 2 at B = 1, eps 1, as does L = (2, 5); M = (3, 4) and
+        # R = (10, 1/100) miss it.  L's and M's lines cross at 1, where A's and
+        # R's do too, and both lie below them there.  The walk solves
+        # R at 100, A at 50/901, then their crossing 1, where Kruskal breaks the
+        # L-M tie toward L by edge order.  With one step allowed, the simulation
+        # then runs on [1, 100].  L's and M's comparison turns at its end 1, so
+        # no probe is made for it; both probes return M, and so does the master
+        # run.  M misses the limit, so only the witness the walk handed over, L,
+        # can answer: without it the search would end in NoCertificate.
+        images = [(1, Fraction(901, 100)), (2, 5), (3, 4), (10, Fraction(1, 100))]
+        graph = BiweightedGraph(2, [(0, 1, pair) for pair in images], kind="mst")
+        query = BudgetQuery(Fraction(1), Fraction(1))
+        opt = exact_opt_budget(graph, query.budget)
+        monkeypatch.setattr(exact_search, "walk_step_budget", lambda instance: 1)
+        outcome = parametric_search(MstAdapter(), graph, query)
+        assert outcome.interval == (1, Fraction(800, 499))
+        assert [probe.image for probe in outcome.probes] == [CostPair(3, 4)] * 2
+        assert outcome.midpoint_record.image == CostPair(3, 4)
+        assert outcome.record == outcome.walk[-1]
+        assert (outcome.record.image, outcome.record.produced_at) == (CostPair(2, 5), 1)
+        assert verify_budget(outcome.record, query.budget, opt, parametric_guarantee(query.eps))
+
+    @pytest.mark.parametrize(
+        ("name", "adapter"),
+        [("demo_mst_b.json", MstAdapter()), ("demo_path.json", ShortestPathAdapter())],
+        ids=["mst", "path"],
+    )
+    def test_simulation_at_eps_one_thousandth_verifies(self, name, adapter):
+        # At B = 3 and eps 1/1000 the search answers both demos from
+        # eps*B/LB(2) alone, so the simulation is forced here: over the whole
+        # range [eps*B/UB(2), eps*B/LB(2)] with no witness, as Megiddo's
+        # search runs it, deciding each comparison on its ends' int pairs.
+        instance = ingest(str(Path(__file__).resolve().parent.parent / "instances" / name))
+        query = BudgetQuery(Fraction(3), Fraction(1, 1000))
+        eps, budget = query.eps, query.budget
+        bounds = adapter.bounds(instance)
+        lo, hi = eps * budget / bounds.ub2, eps * budget / bounds.lb2
+        picked, simulation = _simulate(adapter, instance, lo, hi, None, (1 + eps) * budget)
+        assert simulation["comparisons"] > 0
+        assert picked == reference_parametric_search(adapter, instance, query).record
+        opt = exact_opt_budget(instance, budget)
+        assert verify_budget(picked, budget, opt, parametric_guarantee(eps))

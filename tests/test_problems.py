@@ -527,6 +527,9 @@ def test_searches_never_call_evaluate():
 
 def test_every_symbolic_run_returns_its_evaluated_record(monkeypatch):
     # The searches take a run's image as it comes; ``evaluate`` must agree with it.
+    # With no walk steps allowed, parametric search runs mst and path symbolically
+    # whenever the ends of its weight range straddle the f1 limit.
+    monkeypatch.setattr(exact_search, "walk_step_budget", lambda instance: 0)
     runs = []
     for adapter in (MstAdapter, ShortestPathAdapter, VertexCoverAdapter):
 
