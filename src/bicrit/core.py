@@ -272,8 +272,8 @@ class LinearValue:
 
 # The sums and differences of int fields are ints, so ``+`` and ``-`` build
 # their results unchecked: the slots' own setters skip the dataclass
-# ``__init__``, its check and the frozen ``__setattr__``.  The symbolic runs
-# make one per comparison.
+# ``__init__``, its check and the frozen ``__setattr__``.  Dijkstra's symbolic
+# run makes one per label it builds.
 _set_constant, _set_slope = LinearValue.constant.__set__, LinearValue.slope.__set__
 
 
@@ -365,10 +365,16 @@ class ProblemAdapter(ABC):
 class ParametricAdapter(ProblemAdapter):
     """Adapter whose weighted-sum oracle can run symbolically over linear weights.
 
-    The plugin re-expresses its algorithm over ``LinearValue`` quantities
-    with every value comparison routed through an injected three-way
-    comparator; the returned solution must depend on gamma only through
-    those comparison outcomes.  An exact oracle's run drives Megiddo's
+    The plugin re-expresses its algorithm over quantities linear in gamma,
+    each an int constant plus an int slope times gamma, and routes every
+    comparison of two of them through an injected comparator:
+    ``compare(c, s)`` returns the sign (-1, 0 or 1) of the one linear form
+    c + s*gamma, the difference of the two quantities, given as two ints.
+    The returned solution must depend on gamma only through those
+    outcomes.  How a plugin holds its quantities is its own affair: local
+    ratio keeps int lists of constants and slopes, Kruskal compares
+    differences of ``scaled.first`` and ``scaled.second``, and Dijkstra adds
+    up ``LinearValue`` distances.  An exact oracle's run drives Megiddo's
     simulation, the safeguard that ``parametric_search`` falls back on
     when its envelope walk runs out of steps; an approximate one's, the
     symbolic grid walk of ``sweep.solve_grid``.  Both comparators read

@@ -59,12 +59,12 @@ class ParametricOutcome:
 
     ``walk`` holds the records the envelope walk solved, in call order: at
     eps*B/LB(2); at eps*B/UB(2), unless the first met the f1 limit or the
-    two weights are equal; then one per crossing step.  The simulation's
-    transcript is filled in only when it ran: ``interval`` is its final
-    (lo, hi), ``comparisons`` counts the master run's comparisons,
-    ``probes`` are the concrete oracle's records at the critical weights,
-    and ``midpoint_record`` is the master run's token and image, produced
-    at the midpoint of ``interval``.
+    two weights are equal; then one per crossing step that is not already
+    a solved weight.  The simulation's transcript is filled in only when it
+    ran: ``interval`` is its final (lo, hi), ``comparisons`` counts the
+    master run's comparisons, ``probes`` are the concrete oracle's records
+    at the critical weights, and ``midpoint_record`` is the master run's
+    token and image, produced at the midpoint of ``interval``.
     """
 
     record: SolutionRecord
@@ -112,15 +112,19 @@ def parametric_search(
     does not.  Otherwise L and R are both optimal at c; R misses the limit,
     so c > gamma*, and L is the answer, with f2(L) <= B/c + OPT(B) <
     (1+1/eps)*OPT(B).  This is the hull walk of Handler and Zang (Networks
-    10(4), 1980).
+    10(4), 1980).  When c is L's own weight, the weight L was solved at, L
+    is optimal at c and R's line meets L's there, so R's value at c is the
+    optimum too; when c is R's weight, the same holds with the two swapped.
+    Either way L and R are both optimal at c, and the walk stops with L as
+    above, without solving c again.
 
     The walk may take super-polynomially many steps (Carstensen, 1983), so
     after ``walk_step_budget`` of them Megiddo's simulation (JACM 30(4),
     1983) finishes the search on [lo, hi] = [L's weight, R's weight], with L
-    as its witness.  The master run of the oracle executes over
-    LinearValue quantities and decides each comparison at the interval's
-    midpoint, all three held as int pairs for ``sign_at``.  A comparison
-    whose line c + s*gamma has opposite signs at lo and hi is first
+    as its witness.  The master run of the oracle asks for the sign of each
+    comparison's line c + s*gamma, two ints, and gets its sign at the
+    interval's midpoint, all three held as int pairs for ``sign_at``.  A
+    comparison whose line has opposite signs at lo and hi is first
     resolved by one concrete oracle run at its critical weight -c/s: a
     record missing the limit moves hi there; otherwise lo moves there and
     the record becomes the witness.  So hi stays a solved weight whose
@@ -157,6 +161,9 @@ def parametric_search(
     elif left.image.f1 <= limit:
         for _ in range(walk_step_budget(instance)):
             gamma = Fraction(*crossing(left.image, right.image))
+            if gamma in (left.produced_at, right.produced_at):
+                picked = left
+                break
             middle = adapter.solve_weighted_sum(instance, gamma)
             walk.append(middle)
             if middle.image.weighted(gamma) == left.image.weighted(gamma):
@@ -185,12 +192,11 @@ def _simulate(adapter: ParametricAdapter, instance, lo, hi, witness, limit) -> t
     mid = _midpoint(lo, hi)
     comparisons, probes = 0, []
 
-    def compare(p, q) -> int:
+    def compare(c, s) -> int:
         nonlocal lo, hi, mid, witness, comparisons
         comparisons += 1
-        # p - q = c + s*gamma crosses 0 strictly inside (lo, hi) exactly
-        # when its signs at lo and at hi are opposite.
-        c, s = p.constant - q.constant, p.slope - q.slope
+        # c + s*gamma crosses 0 strictly inside (lo, hi) exactly when its
+        # signs at lo and at hi are opposite.
         if sign_at(c, s, lo) * sign_at(c, s, hi) < 0:
             crit = Fraction(-c, s)
             probes.append(adapter.solve_weighted_sum(instance, crit))

@@ -251,25 +251,22 @@ class ScaledWeights:
         )
 
 
-def three_way(a, b) -> int:
-    """Three-way comparison of concrete values, the plugins' non-symbolic comparator."""
-    return (a > b) - (a < b)
-
-
 class Keyed(tuple):
-    """Tuple ordered by a comparator on its first item, then by the items after it.
+    """Tuple ordered by its first item, a ``LinearValue``, then by the items after it.
 
     A symbolic run's stand-in for a plain tuple such as (distance, node).
-    The comparator rides along as the last item, so one type serves every
-    run and no class is built per run.  It makes one comparator call per
-    comparison, where a tuple of ``cmp_to_key`` objects makes two (``==``,
-    then ``<``).
+    The first items compare by the comparator's sign of their difference,
+    given as its constant and slope.  The comparator rides along as the
+    last item, so one type serves every run and no class is built per run.
+    It makes one comparator call per comparison, where a tuple of
+    ``cmp_to_key`` objects makes two (``==``, then ``<``).
     """
 
     __slots__ = ()
 
     def __lt__(self, other):
-        order = self[-1](self[0], other[0])
+        p, q = self[0], other[0]
+        order = self[-1](p.constant - q.constant, p.slope - q.slope)
         return order < 0 or (order == 0 and self[1:-1] < other[1:-1])
 
 

@@ -3,7 +3,8 @@
 Exact weighted-sum oracle: Kruskal, sorting the edges stably by their
 scaled int weights (``ScaledWeights``), so equal weights keep edge index
 order.  The parametric run is the same Kruskal, sorted through the
-comparator over ``LinearValue``s built from the same ints.
+comparator: edges i and j compare by the sign of the linear form
+(W1[i] - W1[j]) + (W2[i] - W2[j])*gamma, built from the same ints.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ class MstAdapter(ParametricAdapter):
 
     def run_parametric(self, instance, compare):
         """Kruskal with every edge-weight comparison routed through ``compare``."""
-        values = instance.scaled.linear
-        key = cmp_to_key(compare)
-        token = kruskal_run(instance.node_count, instance.edges, lambda i: key(values[i]))
+        first, second = instance.scaled.first, instance.scaled.second
+        key = cmp_to_key(lambda i, j: compare(first[i] - first[j], second[i] - second[j]))
+        token = kruskal_run(instance.node_count, instance.edges, key)
         return SolutionRecord(token, instance.scaled.image(token))

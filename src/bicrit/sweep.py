@@ -261,14 +261,14 @@ def solve_grid_symbolic(adapter: ParametricAdapter, instance, eps, grid: range) 
 
     Megiddo's parametric simulation (JACM 30(4), 1983), run over a finite
     grid.  Each ``run_parametric`` call covers an index range [a, b].  A
-    comparison of linear values p, q is the sign of d = p - q = c + s*gamma
-    at every weight (1+eps)**i, i in [a, b].  d is linear and the weights
-    increase, so when d has the same sign at both end weights (``sign_at``
-    on their int pairs; 0 at both included) it has it on the whole range,
-    and that sign is the answer.  Otherwise d is 0 at one end or crosses 0
-    inside, at the critical weight -c/s, which ``grid_index_between`` places
-    between two grid indices of [a, b] or on one, climbing from a's int
-    pair.  That splits [a, b]: the run keeps the lowest piece, pushes the
+    comparison asks for the sign of a linear form d = c + s*gamma, given as
+    its two ints, at every weight (1+eps)**i, i in [a, b].  d is linear and
+    the weights increase, so when d has the same sign at both end weights
+    (``sign_at`` on their int pairs; 0 at both included) it has it on the
+    whole range, and that sign is the answer.  Otherwise d is 0 at one end
+    or crosses 0 inside, at the critical weight -c/s, which
+    ``grid_index_between`` places between two grid indices of [a, b] or on
+    one, climbing from a's int pair.  That splits [a, b]: the run keeps the lowest piece, pushes the
     rest for later runs and answers for it; earlier answers still hold on
     it, so every run ends with one token that is the oracle's answer at
     every index of its final range.  A grid weight equal to the critical
@@ -289,9 +289,8 @@ def solve_grid_symbolic(adapter: ParametricAdapter, instance, eps, grid: range) 
         a_end = ratio_of(first)
         b_end = a_end if b == a else ratio_of(pow_one_plus_eps(eps, b))
 
-        def compare(p, q) -> int:
+        def compare(c, s) -> int:
             nonlocal b, b_end
-            c, s = p.constant - q.constant, p.slope - q.slope
             at_a = sign_at(c, s, a_end)
             if at_a == sign_at(c, s, b_end):  # so d has that sign on all of [a, b]
                 return at_a

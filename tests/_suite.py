@@ -12,6 +12,7 @@ from bicrit.core import (
     CostPair,
     ParametricAdapter,
     ProblemAdapter,
+    SolutionRecord,
     grid_index,
     pow_one_plus_eps,
 )
@@ -26,6 +27,7 @@ from bicrit.problems import (
     VertexCoverAdapter,
     VertexWeightedGraph,
 )
+from bicrit.problems.mst import kruskal_run
 from bicrit.sweep import certify, index_range
 
 
@@ -154,6 +156,49 @@ def random_vc_instance(rng, n) -> VertexWeightedGraph:
         edges = [(0, 1)]
     weights = tuple(rand_pair(rng) for _ in range(n))
     return VertexWeightedGraph(n, tuple(edges), weights)
+
+
+def reference_local_ratio_run(graph: VertexWeightedGraph, values, compare) -> frozenset:
+    """Local ratio over arbitrary vertex values, the form it had before it kept int forms.
+
+    ``compare(p, q)`` is a three-way comparison of two values; the
+    symbolic run passed ``LinearValue``s, the concrete oracle ints.
+    """
+    residual = list(values)
+    for u, v in graph.edges:
+        delta = residual[v] if compare(residual[v], residual[u]) < 0 else residual[u]
+        residual[u] -= delta
+        residual[v] -= delta
+    zero = values[0] - values[0]  # the zero of the values' own type
+    return frozenset(v for v in range(graph.node_count) if compare(residual[v], zero) == 0)
+
+
+def on_differences(compare):
+    """A comparator of two ``LinearValue``s p, q: ``compare``'s sign of p - q as (c, s)."""
+
+    def compare_values(p, q):
+        d = p - q
+        return compare(d.constant, d.slope)
+
+    return compare_values
+
+
+class ReferenceVertexCover(VertexCoverAdapter):
+    """Vertex cover whose symbolic run is local ratio over ``LinearValue`` residuals."""
+
+    def run_parametric(self, instance, compare):
+        token = reference_local_ratio_run(instance, instance.scaled.linear, on_differences(compare))
+        return SolutionRecord(token, instance.scaled.image(token))
+
+
+class ReferenceMst(MstAdapter):
+    """Spanning trees whose symbolic run sorts the edges' ``LinearValue``s."""
+
+    def run_parametric(self, instance, compare):
+        values = instance.scaled.linear
+        key = functools.cmp_to_key(on_differences(compare))
+        token = kruskal_run(instance.node_count, instance.edges, lambda i: key(values[i]))
+        return SolutionRecord(token, instance.scaled.image(token))
 
 
 class CachingAdapter(ProblemAdapter):

@@ -114,10 +114,9 @@ def reference_parametric_search(adapter, instance, query):
     }
     probes: list = []
 
-    def compare(p, q):
+    def compare(c, s):
         state["comparisons"] += 1
-        d = p - q  # the line d.constant + d.slope*gamma crosses 0 at -constant/slope
-        crit = Fraction(-d.constant, d.slope) if d.slope else None
+        crit = Fraction(-c, s) if s else None  # where the line c + s*gamma crosses 0
         if crit is not None and state["interval"].lo < crit < state["interval"].hi:
             before = len(probes)
             side, state["interval"] = resolve_comparison(
@@ -126,7 +125,7 @@ def reference_parametric_search(adapter, instance, query):
             if side == "right" and len(probes) > before:
                 state["witness"] = probes[-1]
         gamma = state["interval"].midpoint
-        value = d.constant + gamma * d.slope
+        value = c + gamma * s
         return -1 if value < 0 else (1 if value > 0 else 0)
 
     adapter.run_parametric(instance, compare)
@@ -614,9 +613,7 @@ class TestEnvelopeWalk:
         # no probe is made for it; both probes return M, and so does the master
         # run.  M misses the limit, so only the witness the walk handed over, L,
         # can answer: without it the search would end in NoCertificate.
-        images = [(1, Fraction(901, 100)), (2, 5), (3, 4), (10, Fraction(1, 100))]
-        graph = BiweightedGraph(2, [(0, 1, pair) for pair in images], kind="mst")
-        query = BudgetQuery(Fraction(1), Fraction(1))
+        graph, query = self._four_trees()
         opt = exact_opt_budget(graph, query.budget)
         monkeypatch.setattr(exact_search, "walk_step_budget", lambda instance: 1)
         outcome = parametric_search(MstAdapter(), graph, query)
@@ -625,6 +622,38 @@ class TestEnvelopeWalk:
         assert outcome.midpoint_record.image == CostPair(3, 4)
         assert outcome.record == outcome.walk[-1]
         assert (outcome.record.image, outcome.record.produced_at) == (CostPair(2, 5), 1)
+        assert verify_budget(outcome.record, query.budget, opt, parametric_guarantee(query.eps))
+
+    @staticmethod
+    def _four_trees():
+        """The instance of ``test_simulation_starts_with_the_walks_witness``: B = 1, eps 1."""
+        images = [(1, Fraction(901, 100)), (2, 5), (3, 4), (10, Fraction(1, 100))]
+        graph = BiweightedGraph(2, [(0, 1, pair) for pair in images], kind="mst")
+        return graph, BudgetQuery(Fraction(1), Fraction(1))
+
+    def test_walk_stops_at_a_solved_crossing_without_a_call(self, monkeypatch):
+        # With its ceil(log2(5)) = 3 steps the walk solves R at 100, A at
+        # 50/901 and their crossing 1, where L = (2, 5) lies below A's line and
+        # becomes the new left end; then L's and R's crossing 800/499, where
+        # M = (3, 4) lies below and misses the limit, so it becomes the right
+        # end.  L's and M's lines cross at 1, L's own weight: both are optimal
+        # there, so the walk returns L without solving 1 a second time.
+        graph, query = self._four_trees()
+        solved = []
+        solve = MstAdapter.solve_weighted_sum
+        monkeypatch.setattr(
+            MstAdapter,
+            "solve_weighted_sum",
+            lambda self, instance, gamma: solved.append(gamma) or solve(self, instance, gamma),
+        )
+        outcome = parametric_search(MstAdapter(), graph, query)
+        assert solved == [100, Fraction(50, 901), 1, Fraction(800, 499)]
+        assert [record.produced_at for record in outcome.walk] == solved
+        assert outcome.certificate.oracle_calls == 4
+        assert (outcome.interval, outcome.comparisons, outcome.probes) == (None, 0, ())
+        assert outcome.record is outcome.walk[2]
+        assert (outcome.record.image, outcome.record.produced_at) == (CostPair(2, 5), 1)
+        opt = exact_opt_budget(graph, query.budget)
         assert verify_budget(outcome.record, query.budget, opt, parametric_guarantee(query.eps))
 
     @pytest.mark.parametrize(

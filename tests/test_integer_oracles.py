@@ -170,7 +170,7 @@ def _check(graph, gammas):
 
 
 class _CountingTuple(tuple):
-    """A stand-in for ``scaled.linear`` that counts item reads and iterations."""
+    """A stand-in for one of ``scaled``'s tuples that counts item reads and iterations."""
 
     reads = 0
 
@@ -185,32 +185,45 @@ class _CountingTuple(tuple):
 
 @pytest.mark.parametrize("kind", ["mst", "path", "vc"])
 def test_symbolic_runs_read_the_instances_one_linear_tuple(kind, monkeypatch):
-    """Kruskal, Dijkstra and local ratio read ``scaled.linear`` and leave it as built.
+    """Kruskal, Dijkstra and local ratio read the instance's scaled weights and leave them as built.
 
-    The tuple is built once per instance; a run that built its own values
-    would make checked ``LinearValue``s, which this test refuses, and local
-    ratio, which subtracts, has to copy the tuple first.
+    Dijkstra reads ``scaled.linear``, a tuple built once per instance.
+    Kruskal and local ratio read the int tuples ``first`` and ``second``
+    and never build ``linear``.  A run that built its own values would make
+    checked ``LinearValue``s, which this test refuses, and local ratio,
+    which subtracts, has to copy its two int lists first.
     """
     graph = _random_instance(random.Random(157), kind)
     adapter = adapter_for(graph)
     scaled = graph.scaled
-    fresh = tuple([LinearValue(a, b) for a, b in zip(scaled.first, scaled.second)])
-    assert type(scaled.linear) is tuple and scaled.linear == fresh
-    assert graph.scaled.linear is scaled.linear
-    spy = scaled.__dict__["linear"] = _CountingTuple(scaled.linear)
+    first, second = scaled.first, scaled.second
+    if kind == "path":
+        fresh = tuple([LinearValue(a, b) for a, b in zip(first, second)])
+        assert type(scaled.linear) is tuple and scaled.linear == fresh
+        assert graph.scaled.linear is scaled.linear
+        spies = [_CountingTuple(scaled.linear)]
+        scaled.__dict__["linear"] = spies[0]
+    else:
+        spies = [_CountingTuple(first), _CountingTuple(second)]
+        object.__setattr__(scaled, "first", spies[0])
+        object.__setattr__(scaled, "second", spies[1])
 
     def refuse(value):
         raise AssertionError(f"a symbolic run built {value}")
 
-    def compare(p, q):
-        d = p - q
-        return sign_at(d.constant, d.slope, (3, 2))
+    def compare(c, s):
+        return sign_at(c, s, (3, 2))
 
     monkeypatch.setattr(LinearValue, "__post_init__", refuse)
     tokens = [adapter.run_parametric(graph, compare).token for _ in range(2)]
     monkeypatch.undo()
-    assert graph.scaled.linear is spy and spy.reads >= 2
-    assert spy == fresh
+    if kind == "path":
+        assert graph.scaled.linear is spies[0] and spies[0].reads >= 2
+        assert spies[0] == fresh
+    else:
+        assert (scaled.first, scaled.second) == tuple(spies) == (first, second)
+        assert all(spy.reads >= 2 for spy in spies)
+        assert "linear" not in scaled.__dict__
     assert tokens == [adapter.solve_weighted_sum(graph, Fraction(3, 2)).token] * 2
 
 
@@ -335,13 +348,12 @@ def test_every_compared_value_is_an_int(monkeypatch):
         lambda nbrs, ends, caps, s, t: edmonds_karp(nbrs, ends, ints(caps, "cut"), s, t),
     )
     local_ratio = vertex_cover.local_ratio_run
-    monkeypatch.setattr(
-        vertex_cover,
-        "local_ratio_run",
-        lambda graph, values, compare: local_ratio(
-            graph, ints(values, "vc"), lambda a, b: compare(*ints([a, b], "local ratio"))
-        ),
-    )
+
+    def checked_local_ratio(graph, compare):
+        ints([*graph.scaled.first, *graph.scaled.second], "vc")
+        return local_ratio(graph, lambda c, s: compare(*ints([c, s], "local ratio")))
+
+    monkeypatch.setattr(vertex_cover, "local_ratio_run", checked_local_ratio)
     rng = random.Random(149)
     for kind, oracle in (("mst", mst_oracle), ("path", sp_oracle), ("cut", cut_oracle)):
         graph = _random_instance(rng, kind)
@@ -357,11 +369,9 @@ def test_symbolic_runs_compare_ints(adapter):
     rng = random.Random(151)
     graph = _random_instance(rng, "mst" if isinstance(adapter, MstAdapter) else "path")
 
-    def compare(p, q):
-        fields = (p.constant, p.slope, q.constant, q.slope)
-        assert all(type(x) is int for x in fields), fields
-        gamma = Fraction(3, 2)
-        d = (p.constant + gamma * p.slope) - (q.constant + gamma * q.slope)
+    def compare(c, s):
+        assert type(c) is int and type(s) is int, (c, s)
+        d = c + Fraction(3, 2) * s
         return (d > 0) - (d < 0)
 
     assert adapter.run_parametric(graph, compare).token == adapter.solve_weighted_sum(

@@ -224,10 +224,10 @@ class TestMstOracle:
 
     def test_parametric_run_matches_concrete_oracle(self, ex1, ex2, single_edge):
         def counting_comparator_at(gamma, counter):
-            def compare(p, q):
+            def compare(c, s):
                 counter.append(1)
-                a, b = p.constant + gamma * p.slope, q.constant + gamma * q.slope
-                return -1 if a < b else (1 if a > b else 0)
+                d = c + gamma * s
+                return -1 if d < 0 else (1 if d > 0 else 0)
 
             return compare
 

@@ -17,7 +17,6 @@ from bicrit import sweep
 from bicrit.core import (
     Bounds,
     CostPair,
-    LinearValue,
     ParametricAdapter,
     SolutionRecord,
     grid_index,
@@ -55,9 +54,8 @@ def reference_solve_grid_symbolic(adapter, instance, eps, grid):
     while pending:
         a, b = pending.pop()
 
-        def compare(p, q) -> int:
+        def compare(c, s) -> int:
             nonlocal b
-            c, s = p.constant - q.constant, p.slope - q.slope
             if s == 0:
                 return (c > 0) - (c < 0)
             sign = 1 if s > 0 else -1
@@ -89,13 +87,12 @@ def _firsts(records):
 
 
 class IntegerCover(VertexCoverAdapter):
-    """Vertex cover whose symbolic runs check that every compared field is an int."""
+    """Vertex cover whose symbolic runs check that every compared form is two ints."""
 
     def run_parametric(self, instance, compare):
-        def checked(p, q):
-            fields = (p.constant, p.slope, q.constant, q.slope)
-            assert all(type(x) is int for x in fields), fields
-            return compare(p, q)
+        def checked(c, s):
+            assert type(c) is int and type(s) is int, (c, s)
+            return compare(c, s)
 
         return super().run_parametric(instance, checked)
 
@@ -271,7 +268,7 @@ class LineSigns(ParametricAdapter):
         return Bounds(1, 1, 1, 1)
 
     def run_parametric(self, instance, compare):
-        token = tuple(compare(LinearValue(c, s), LinearValue(0, 0)) for c, s in self.lines)
+        token = tuple(compare(c, s) for c, s in self.lines)
         return SolutionRecord(token, CostPair(1, 1))
 
 
