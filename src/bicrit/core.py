@@ -16,6 +16,7 @@ import re
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import gcd
 from operator import attrgetter
 from typing import Any, Optional
@@ -305,6 +306,69 @@ def crossing(a: CostPair, b: CostPair) -> tuple:
     return (b1 * a1d - a1 * b1d) * a2d * b2d, (a2 * b2d - b2 * a2d) * a1d * b1d
 
 
+def envelope_walk(solve, split, ends, meets=None, steps=None) -> tuple:
+    """Narrow brackets of weights between solved points of the lower envelope: (probes, ends).
+
+    ``ends`` is a list of solved points, whatever ``solve`` returns, in
+    increasing weight order; ``split(a, b)`` names the point to solve
+    between two neighbouring ones, or None when nothing is left there.
+    Without ``meets`` every bracket is split, leftmost first, and the
+    returned ``ends`` are every solved point in weight order.  With
+    ``meets``, ``ends`` is one bracket (meets, misses): a probe that meets
+    replaces its left end, one that misses its right end, and the final
+    bracket is returned.  ``steps``, unless None, caps the probes, the
+    points solved, which are returned in call order.
+
+    Why a bracket narrows.  Let an exact oracle's records A and B be
+    optimal at weights w_a < w_b.  Adding f1(A) + w_a*f2(A) <= f1(B) +
+    w_a*f2(B) to f1(B) + w_b*f2(B) <= f1(A) + w_b*f2(A) gives
+    (w_b - w_a)(f2(B) - f2(A)) <= 0: along the weights f2 never rises and
+    f1 never falls, so records within an f1 limit come first.  The
+    envelope g(gamma) = min_x f1(x) + gamma*f2(x) is concave.  If A = B,
+    A's line meets g at both ends, and g lies on or above that chord
+    between them while never exceeding A's line, so A is optimal
+    throughout; any other optimal image's line stays >= g and touches it
+    inside, so it is A's line.  Otherwise A.f1 < B.f1 and A.f2 > B.f2,
+    and their lines cross at a weight c in [w_a, w_b] (``crossing``, the
+    dichotomic step of Aneja and Nair, Management Science 25(1), 1979).
+    Below c the oracle never returns B, and above c never A: any other
+    answer inside the bracket is a new envelope image.
+    """
+    left, right = ends[0], ends[:0:-1]  # the points right of ``left``, nearest last
+    done, probes = [], []
+    while right and len(probes) != steps:
+        point = split(left, right[-1])
+        if point is None:  # this bracket is done; with ``meets`` it was the only one
+            done.append(left)
+            left = right.pop()
+        else:
+            probes.append(solve(point))
+            if meets is None:
+                right.append(probes[-1])
+            elif meets(probes[-1]):
+                left = probes[-1]
+            else:
+                right[-1] = probes[-1]
+    return probes, [*done, left, *reversed(right)]
+
+
+def crossing_split(a: SolutionRecord, b: SolutionRecord) -> Optional[Fraction]:
+    """The weight where two exact records' lines cross, or None when no call is left there.
+
+    ``a`` and ``b`` are optimal at their weights w_a <= w_b (``produced_at``).
+    None when their images are equal, or when the crossing c is w_a or w_b:
+    if c = w_a, b's line meets a's at a's optimum there, so both are
+    optimal at c (and so for c = w_b), and nothing lies strictly below
+    both lines.  So a probe p solved at c that lies on the lines of a and
+    b rather than below them ends the walk too: the lines of a and p, and
+    of p and b, cross at p's own weight, or their images are equal.
+    """
+    if a.image == b.image:
+        return None
+    gamma = Fraction(*crossing(a.image, b.image))
+    return None if gamma in (a.produced_at, b.produced_at) else gamma
+
+
 class ProblemAdapter(ABC):
     """Contract every problem plugin implements and every algorithm consumes.
 
@@ -329,37 +393,21 @@ class ProblemAdapter(ABC):
         """Valid Bounds for the instance (positive values only when relaxed)."""
 
     def solve_all_weights(self, instance, lo, hi) -> list:
-        """Records that hold an optimal solution for every weight in [lo, hi].
+        """Records that hold an optimal solution for every weight in [lo, hi], in call order.
 
-        Dichotomic search (Aneja and Nair, Management Science 25(1), 1979):
-        solve at ``lo`` and ``hi``, then, for each pair of neighbouring
-        records with distinct images, solve at the weight where their
-        weighted-sum lines cross.  A record strictly below that crossing
-        splits the pair in two.  Otherwise both records are optimal at the
-        crossing, and since the lower envelope of the lines is concave,
-        each stays optimal on its side of it.  Every split finds a new
-        image and every pair ends with one call, so the search makes at
-        most 2k oracle calls for the k distinct images it returns; every
-        record solved is returned, one per call.  The stopping rule needs
-        an exact oracle, so ExactOracleRequired is raised otherwise.
+        Dichotomic search (Aneja and Nair, 1979): solve at ``lo`` and ``hi``,
+        then split every bracket by ``envelope_walk`` at ``crossing_split``.
+        A probe strictly below its bracket's lines is a new envelope image;
+        one on them ends both halves.  So the search makes at most 2k
+        oracle calls for the k distinct images it returns, one record per
+        call.  That stop rule needs an exact oracle, so ExactOracleRequired
+        is raised otherwise.
         """
         if self.alpha() != 1:
             raise ExactOracleRequired("the all-weights search needs an exact oracle")
-        left = self.solve_weighted_sum(instance, lo)
-        right = self.solve_weighted_sum(instance, hi)
-        records = [left, right]
-        pending = [(left, right)]
-        while pending:
-            a, b = pending.pop()
-            if a.image == b.image:
-                continue
-            # Exact answers at weights lo <= hi give a.f1 < b.f1 and a.f2 > b.f2.
-            gamma = Fraction(*crossing(a.image, b.image))
-            middle = self.solve_weighted_sum(instance, gamma)
-            records.append(middle)
-            if middle.image.weighted(gamma) < a.image.weighted(gamma):
-                pending += [(a, middle), (middle, b)]
-        return records
+        ends = [self.solve_weighted_sum(instance, lo), self.solve_weighted_sum(instance, hi)]
+        probes, _ = envelope_walk(partial(self.solve_weighted_sum, instance), crossing_split, ends)
+        return ends + probes
 
 
 class ParametricAdapter(ProblemAdapter):
@@ -376,12 +424,13 @@ class ParametricAdapter(ProblemAdapter):
     differences of ``scaled.first`` and ``scaled.second``, and Dijkstra adds
     up ``LinearValue`` distances.  An exact oracle's run drives Megiddo's
     simulation, the safeguard that ``parametric_search`` falls back on
-    when its envelope walk runs out of steps; an approximate one's, the
-    symbolic grid walk of ``sweep.solve_grid``.  Both comparators read
-    signs from ``sign_at``, and both searches take the run's record as the
-    oracle's answer at every weight where the comparator's answers hold,
-    so neither calls ``evaluate``: that stays the checker of tokens from
-    outside.
+    when its ``envelope_walk`` runs out of steps before ``crossing_split``
+    ends it; an approximate one's, the symbolic grid walk of
+    ``sweep.solve_grid``, which has no bracket to narrow.  Both comparators
+    read signs from ``sign_at``, and both searches take the run's record as
+    the oracle's answer at every weight where the comparator's answers
+    hold, so neither calls ``evaluate``: that stays the checker of tokens
+    from outside.
     """
 
     @abstractmethod

@@ -1,12 +1,13 @@
 """Accelerated budget-constrained search for exact weighted-sum oracles.
 
 Parametric search walks the lower envelope of the weighted-sum lines
-inward from the two ends of the weight range [eps*B/UB(2), eps*B/LB(2)],
-one oracle call per crossing of two lines, to the weight where the
-optimal records' f1 passes the limit (1+eps)*B.  After a logarithmic
-number of steps it hands the narrowed range to Megiddo's simulation,
-which runs the oracle symbolically over the weight and resolves each
-weight-dependent comparison with one concrete oracle run.
+(``core.envelope_walk``) inward from the two ends of the weight range
+[eps*B/UB(2), eps*B/LB(2)], one oracle call per crossing of two lines, to
+the weight where the optimal records' f1 passes the limit (1+eps)*B.
+After a logarithmic number of steps it hands the narrowed range to
+Megiddo's simulation, which runs the oracle symbolically over the weight
+and resolves each weight-dependent comparison with one concrete oracle
+run.
 ``solve_budget_binary`` is the grid's search under another name: with an
 exact oracle the sweep already brackets its budget boundary in a
 logarithmic number of calls.  Both are sound only for exact (alpha = 1)
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Optional
 
 from .core import (
@@ -25,7 +27,8 @@ from .core import (
     ParametricAdapter,
     ProblemAdapter,
     SolutionRecord,
-    crossing,
+    crossing_split,
+    envelope_walk,
     ratio_of,
     sign_at,
 )
@@ -59,12 +62,13 @@ class ParametricOutcome:
 
     ``walk`` holds the records the envelope walk solved, in call order: at
     eps*B/LB(2); at eps*B/UB(2), unless the first met the f1 limit or the
-    two weights are equal; then one per crossing step that is not already
-    a solved weight.  The simulation's transcript is filled in only when it
-    ran: ``interval`` is its final (lo, hi), ``comparisons`` counts the
-    master run's comparisons, ``probes`` are the concrete oracle's records
-    at the critical weights, and ``midpoint_record`` is the master run's
-    token and image, produced at the midpoint of ``interval``.
+    two weights are equal; then one per probe of ``core.envelope_walk``,
+    each at a crossing that is not already a solved weight.  The
+    simulation's transcript is filled in only when it ran: ``interval`` is
+    its final (lo, hi), ``comparisons`` counts the master run's
+    comparisons, ``probes`` are the concrete oracle's records at the
+    critical weights, and ``midpoint_record`` is the master run's token
+    and image, produced at the midpoint of ``interval``.
     """
 
     record: SolutionRecord
@@ -103,25 +107,23 @@ def parametric_search(
     and it is the answer.  Otherwise it solves lo = eps*B/UB(2) <= gamma*,
     unless lo = hi: if that record misses the limit, no solution has
     f1 <= B, and the search ends in NoCertificate.  Else L = lo's record
-    meets the limit and R = hi's misses it.  Both are optimal, at lo < hi,
-    so f1(L) < f1(R), and f2(L) > f2(R), or R would not be optimal at hi.  Their lines
-    f1 + gamma*f2 cross at a weight c in [lo, hi] (``core.crossing``, the
-    dichotomic step of Aneja and Nair, 1979, as in ``solve_all_weights``),
-    and the walk solves c.  A record strictly below L's line at c is a new
-    envelope image; it replaces L when it meets the limit and R when it
-    does not.  Otherwise L and R are both optimal at c; R misses the limit,
-    so c > gamma*, and L is the answer, with f2(L) <= B/c + OPT(B) <
-    (1+1/eps)*OPT(B).  This is the hull walk of Handler and Zang (Networks
-    10(4), 1980).  When c is L's own weight, the weight L was solved at, L
-    is optimal at c and R's line meets L's there, so R's value at c is the
-    optimum too; when c is R's weight, the same holds with the two swapped.
-    Either way L and R are both optimal at c, and the walk stops with L as
-    above, without solving c again.
+    meets the limit and R = hi's misses it, and ``core.envelope_walk``
+    narrows the bracket (L, R) at ``crossing_split``, the crossing c of
+    their lines: a probe at c that meets the limit replaces L, and one that
+    misses it replaces R.  The walk ends when ``crossing_split`` gives None:
+    L and R are then both optimal at c.  R misses the limit, so c > gamma*,
+    and L's image is the answer, with f2(L) <= B/c + OPT(B) <
+    (1+1/eps)*OPT(B).  A probe on L's and R's lines at c rather than below
+    them ends the walk this way, as the new L or R, without another call.
+    The search returns the first walk record of L's image, so a probe that
+    ties with L's image is not preferred to L.  This is the hull walk of
+    Handler and Zang (Networks 10(4), 1980).
 
-    The walk may take super-polynomially many steps (Carstensen, 1983), so
-    after ``walk_step_budget`` of them Megiddo's simulation (JACM 30(4),
-    1983) finishes the search on [lo, hi] = [L's weight, R's weight], with L
-    as its witness.  The master run of the oracle asks for the sign of each
+    The walk may take super-polynomially many steps (Carstensen, 1983).
+    When ``walk_step_budget`` of them leave a bracket that
+    ``crossing_split`` does not end, Megiddo's simulation (JACM 30(4), 1983)
+    finishes the search on [lo, hi] = [L's weight, R's weight], with L as
+    its witness.  The master run of the oracle asks for the sign of each
     comparison's line c + s*gamma, two ints, and gets its sign at the
     interval's midpoint, all three held as int pairs for ``sign_at``.  A
     comparison whose line has opposite signs at lo and hi is first
@@ -151,28 +153,24 @@ def parametric_search(
     lo, hi = eps * budget / bounds.ub2, eps * budget / bounds.lb2
     factors = parametric_factors(eps)
     limit = factors[0] * budget
-    walk = [adapter.solve_weighted_sum(instance, hi)]
-    if walk[0].image.f1 > limit and lo != hi:
-        walk.append(adapter.solve_weighted_sum(instance, lo))
+    solve = partial(adapter.solve_weighted_sum, instance)
+
+    def meets(record) -> bool:
+        return record.image.f1 <= limit
+
+    walk = [solve(hi)]
+    if not meets(walk[0]) and lo != hi:
+        walk.append(solve(lo))
     left, right = walk[-1], walk[0]
     picked, simulation = None, {}
-    if right.image.f1 <= limit:
+    if meets(right):
         picked = right
-    elif left.image.f1 <= limit:
-        for _ in range(walk_step_budget(instance)):
-            gamma = Fraction(*crossing(left.image, right.image))
-            if gamma in (left.produced_at, right.produced_at):
-                picked = left
-                break
-            middle = adapter.solve_weighted_sum(instance, gamma)
-            walk.append(middle)
-            if middle.image.weighted(gamma) == left.image.weighted(gamma):
-                picked = left
-                break
-            if middle.image.f1 <= limit:
-                left = middle
-            else:
-                right = middle
+    elif meets(left):
+        steps = walk_step_budget(instance)
+        probes, (left, right) = envelope_walk(solve, crossing_split, [left, right], meets, steps)
+        walk += probes
+        if crossing_split(left, right) is None:
+            picked = next(record for record in walk if record.image == left.image)
         else:
             weights = left.produced_at, right.produced_at
             picked, simulation = _simulate(adapter, instance, *weights, left, limit)

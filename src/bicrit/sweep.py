@@ -7,13 +7,18 @@ best record inside the budget filter yields an
 to f1 <= B.  With eps = 1 the factors specialize to (3*alpha, 3*alpha).
 An exact oracle's records are monotone along the grid, so its sweep
 brackets the last grid index inside the budget filter, whose record has
-the least f2 there, and solves only O(log) weights around it.
+the least f2 there, and solves only O(log) weights around it.  Both the
+grid walk and that bracket search narrow brackets of grid indices with
+``core.envelope_walk``; the splits they give it are ``_crossing_split``
+and ``_midpoint``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from typing import Optional
 
 from .core import (
     Bounds,
@@ -23,6 +28,7 @@ from .core import (
     SolutionRecord,
     check_epsilon,
     crossing,
+    envelope_walk,
     grid_index,
     grid_index_between,
     pow_one_plus_eps,
@@ -89,39 +95,30 @@ def solve_grid(adapter: ProblemAdapter, instance, eps, grid: range) -> list:
     ``grid`` is a nonempty range of consecutive indices; an empty one
     raises ValueError.
 
-    The walk solves both ends of the grid and splits each index interval
-    (left, j) inside until its ends are neighbours, but skips the inside of
-    an interval whose ends returned the same image when the oracle is
-    exact.  An approximate one (alpha != 1) is called at every index, so
-    its intervals are split at their midpoints.  Skipping is sound because
-    the envelope g(gamma) = min_x f1(x) + gamma*f2(x) is concave.  If one
-    image A is optimal at weights gamma_a < gamma_b, A's line meets g at
-    both ends, and a concave g lies on or above that chord between them
-    while never exceeding A's line, so A is optimal on all of
-    [gamma_a, gamma_b].  Any other optimal image B there has a line that
-    stays >= g = A's line and touches it at an interior point, so B's line
-    is A's: an exact oracle returns image A at every skipped index.  The
-    full sweep's images thus come in runs of neighbouring indices, and the
-    walk narrows every change of image down to two neighbouring solved
-    indices, so every image is solved at the lowest index of its run.
-    Nothing in this uses where an interval is split, so any index inside
-    it gives the same first record of every run.
+    The walk solves both ends of the grid and ``core.envelope_walk`` splits
+    every index interval inside until its ends are neighbours, or, when the
+    oracle is exact, until they returned the same image: by the walker's
+    concavity argument an exact oracle returns that image at every skipped
+    index.  An approximate one (alpha != 1) is called at every index, so
+    its intervals are split at their midpoints (``_midpoint``).  The full
+    sweep's images thus come in runs of neighbouring indices, and the walk
+    narrows every change of image down to two neighbouring solved indices,
+    so every image is solved at the lowest index of its run.  Nothing in
+    this uses where an interval is split, so any index inside it gives the
+    same first record of every run.
 
-    An exact oracle's interval with end images A != B is split where
-    their lines f1 + gamma*f2 cross (the dichotomic step of Aneja and
-    Nair, Management Science 25(1), 1979).  Both ends are optimal, at
-    w_left < w_j, so A.f2 > B.f2, A.f1 < B.f1, and the crossing
-    c = (B.f1 - A.f1)/(A.f2 - B.f2) lies in [w_left, w_j].  Below c
-    A's line is below B's, so the oracle never returns B there; above c
-    it never returns A.  The split (``_crossing_split``) is the floor
-    index of c, the largest with weight <= c, clamped into [left+1, j-1].
-    Between two images adjacent on the envelope a change costs at most two
-    calls: the floor index returns A (or B, when c is that weight), and its
-    neighbour across c returns the other one; any other answer is a new
-    envelope image, whose runs the walk narrows the same way.  Every split
-    lies strictly inside its interval, so the walk still makes at most one
-    call per grid weight.  ``core.grid_index_between`` finds the floor
-    index on ints, climbing from w_left's int pair.
+    An exact oracle's interval with end images A != B is split where their
+    lines f1 + gamma*f2 cross, at a weight c the oracle never returns B
+    below and never A above (``envelope_walk``).  The split
+    (``_crossing_split``) is the floor index of c, the largest with weight
+    <= c, clamped into [left+1, j-1].  Between two images adjacent on the
+    envelope a change costs at most two calls: the floor index returns A
+    (or B, when c is that weight), and its neighbour across c returns the
+    other one; any other answer is a new envelope image, whose runs the
+    walk narrows the same way.  Every split lies strictly inside its
+    interval, so the walk still makes at most one call per grid weight.
+    ``core.grid_index_between`` finds the floor index on ints, climbing
+    from w_left's int pair.
 
     An approximate oracle that is a ``ParametricAdapter`` is walked by
     ``solve_grid_symbolic`` instead: one run per range of grid indices on
@@ -144,26 +141,10 @@ def solve_grid(adapter: ProblemAdapter, instance, eps, grid: range) -> list:
     if not exact and isinstance(adapter, ParametricAdapter):
         return solve_grid_symbolic(adapter, instance, eps, grid)
 
-    def solve(i):
-        return _solve_at(adapter, instance, eps, i)
-
-    # ``done`` is the last (index, weight's int pair, record) in ``records``;
-    # ``pending`` holds the solved ones right of it, nearest on top.  No
-    # recursive closure: its reference cycle would hold the records until a
-    # gc run.
-    done = solve(grid[0])
-    records = [done[2]]
-    pending = [solve(grid[-1])] if len(grid) > 1 else []
-    while pending:
-        (left, _, a), (j, _, b) = done, pending[-1]
-        if j - left < 2 or (exact and a.image == b.image):
-            records.append(b)
-            done = pending.pop()
-        elif exact:
-            pending.append(solve(_crossing_split(eps, done, pending[-1])))
-        else:
-            pending.append(solve((left + j) // 2))
-    return records
+    solve = partial(_solve_at, adapter, instance, eps)
+    ends = [solve(i) for i in sorted({grid[0], grid[-1]})]
+    _, solved = envelope_walk(solve, partial(_crossing_split, eps) if exact else _midpoint, ends)
+    return [record for _, _, record in solved]
 
 
 def _solve_at(adapter: ProblemAdapter, instance, eps, i: int) -> tuple:
@@ -172,20 +153,28 @@ def _solve_at(adapter: ProblemAdapter, instance, eps, i: int) -> tuple:
     return i, ratio_of(weight), adapter.solve_weighted_sum(instance, weight)
 
 
-def _crossing_split(eps, left: tuple, right: tuple) -> int:
-    """The index where an exact walk splits the bracket between two solved grid indices.
+def _crossing_split(eps, left: tuple, right: tuple) -> Optional[int]:
+    """An exact walk's split of the bracket between two ``_solve_at`` triples on ``eps``'s grid.
 
-    ``left`` and ``right`` are ``_solve_at`` triples at indices i < j - 1
-    whose images A != B are both optimal, so A.f1 < B.f1, A.f2 > B.f2 and
-    their lines cross at a weight c in [(1+eps)**i, (1+eps)**j].  The split
-    is the floor grid index of c, clamped into [i+1, j-1], or i+1 when that
-    is the only index inside.
+    For triples at indices i < j whose images A and B are both optimal it
+    returns None when the two are neighbours or A = B.  Otherwise A.f1 <
+    B.f1, A.f2 > B.f2 and their lines cross at a weight c in
+    [(1+eps)**i, (1+eps)**j]; the split is the floor grid index of c,
+    clamped into [i+1, j-1], or i+1 when that is the only index inside.
     """
     (i, start, a), (j, _, b) = left, right
+    if j - i < 2 or a.image == b.image:
+        return None
     if j - i == 2:
         return i + 1
     m, _ = grid_index_between(eps, crossing(a.image, b.image), i, start, j)
     return min(max(m, i + 1), j - 1)
+
+
+def _midpoint(left: tuple, right: tuple) -> Optional[int]:
+    """The midpoint index between two ``_solve_at`` triples, or None when they are neighbours."""
+    i, j = left[0], right[0]
+    return None if j - i < 2 else (i + j) // 2
 
 
 def solve_grid_boundary(adapter: ProblemAdapter, instance, eps, grid: range, limit) -> tuple:
@@ -195,10 +184,8 @@ def solve_grid_boundary(adapter: ProblemAdapter, instance, eps, grid: range, lim
     the oracle's record at i*, the last index of ``grid`` whose record
     meets the limit, or None when no grid record meets it.
 
-    An exact oracle's records are monotone along the grid.  If x is optimal
-    at weight w and y at w' > w, adding f1(x) + w*f2(x) <= f1(y) + w*f2(y)
-    to f1(y) + w'*f2(y) <= f1(x) + w'*f2(x) gives (w' - w)(f2(y) - f2(x))
-    <= 0, so f2(y) <= f2(x), and then f1(y) >= f1(x).  So the indices whose
+    An exact oracle's records are monotone along the grid: f2 never rises
+    and f1 never falls (``core.envelope_walk``).  So the indices whose
     records meet the limit form a prefix of the grid, ending at i*; if
     ``grid[0]`` misses it, every record does, and the search stops after
     that one call.  Within the prefix f2 never rises, so i*'s record has
@@ -210,16 +197,17 @@ def solve_grid_boundary(adapter: ProblemAdapter, instance, eps, grid: range, lim
     the first index of that image's run.
 
     The search solves ``grid[0]`` and ``grid[-1]``; if the last meets the
-    limit, it is i*.  Otherwise it keeps a bracket (below, above) of solved
-    indices, below meeting the limit and above missing it, and splits it
-    until the two are neighbours; then below is i*.  The two images differ
-    in f1, so ``_crossing_split`` applies, and as in ``solve_grid`` a change
-    between two images adjacent on the lower envelope costs at most two
-    calls.  A crossing split need not halve the bracket, though: many
-    envelope images between the ends can make it creep forward one image
-    per call.  So after k = ceil(log2(grid[-1] - grid[0])) crossing splits
-    the bracket is split at its midpoint instead (a budgeted form of the
-    safeguarded secant step of Dekker, 1969, and Brent, 1973, ch. 4).
+    limit, it is i*.  Otherwise ``envelope_walk`` narrows the bracket
+    (below, above) of solved indices, below meeting the limit and above
+    missing it, until the two are neighbours; then below is i*.  The two
+    images differ in f1, so ``_crossing_split`` applies, and as in
+    ``solve_grid`` a change between two images adjacent on the lower
+    envelope costs at most two calls.  A crossing split need not halve the
+    bracket, though: many envelope images between the ends can make it
+    creep forward one image per call.  So the first walk stops after
+    k = ceil(log2(grid[-1] - grid[0])) crossing splits, and a second one
+    splits the bracket at its midpoint (a budgeted form of the safeguarded
+    secant step of Dekker, 1969, and Brent, 1973, ch. 4).
 
     The bound: for n = len(grid) >= 2 weights the bracket starts with width
     d = n - 1, and every split lies strictly inside it, so its width never
@@ -236,23 +224,18 @@ def solve_grid_boundary(adapter: ProblemAdapter, instance, eps, grid: range, lim
         records.append(solved[2])
         return solved
 
+    def meets(solved) -> bool:
+        return solved[2].image.f1 <= limit
+
     below = solve(grid[0])
-    if below[2].image.f1 > limit:
+    if not meets(below):
         return records, None
     above = solve(grid[-1]) if len(grid) > 1 else below
-    if above[2].image.f1 <= limit:
+    if meets(above):
         return records, above[2]
-    crossings = (grid[-1] - grid[0] - 1).bit_length()
-    while above[0] - below[0] > 1:
-        crossings -= 1
-        if crossings >= 0:
-            probe = solve(_crossing_split(eps, below, above))
-        else:
-            probe = solve((below[0] + above[0]) // 2)
-        if probe[2].image.f1 <= limit:
-            below = probe
-        else:
-            above = probe
+    k = (grid[-1] - grid[0] - 1).bit_length()
+    _, bracket = envelope_walk(solve, partial(_crossing_split, eps), [below, above], meets, k)
+    _, (below, _) = envelope_walk(solve, _midpoint, bracket, meets)
     return records, below[2]
 
 

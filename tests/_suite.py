@@ -7,16 +7,21 @@ import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
+from bicrit import exact_search
 from bicrit.core import (
     Bounds,
     CostPair,
     ParametricAdapter,
     ProblemAdapter,
     SolutionRecord,
+    crossing,
     grid_index,
+    grid_index_between,
     pow_one_plus_eps,
+    ratio_of,
 )
 from bicrit.errors import ExactOracleRequired, NoCertificate, ValidationError
+from bicrit.exact_search import ParametricOutcome
 from bicrit.oracle import enumerate_all
 from bicrit.pareto import ParetoSet, filter_dominated
 from bicrit.problems import (
@@ -28,7 +33,7 @@ from bicrit.problems import (
     VertexWeightedGraph,
 )
 from bicrit.problems.mst import kruskal_run
-from bicrit.sweep import certify, index_range
+from bicrit.sweep import certify, index_range, parametric_factors
 
 
 def grid_guarantee(alpha, eps) -> tuple:
@@ -292,6 +297,133 @@ def reference_binary(adapter, instance, query):
             best = record
             lo = mid + 1
     return certify(adapter, instance, probes, best, limit, factors, budget)
+
+
+# The four hand-written bracket loops that ``core.envelope_walk`` replaced,
+# kept as the references of tests/test_envelope_walk.py.
+
+
+def _reference_solve_at(adapter, instance, eps, i) -> tuple:
+    weight = pow_one_plus_eps(eps, i)
+    return i, ratio_of(weight), adapter.solve_weighted_sum(instance, weight)
+
+
+def _reference_crossing_split(eps, left, right) -> int:
+    (i, start, a), (j, _, b) = left, right
+    if j - i == 2:
+        return i + 1
+    m, _ = grid_index_between(eps, crossing(a.image, b.image), i, start, j)
+    return min(max(m, i + 1), j - 1)
+
+
+def reference_solve_grid(adapter, instance, eps, grid) -> list:
+    """``sweep.solve_grid``'s own loop, exact and midpoint branches: records in index order."""
+    exact = adapter.alpha() == 1
+
+    def solve(i):
+        return _reference_solve_at(adapter, instance, eps, i)
+
+    done = solve(grid[0])
+    records = [done[2]]
+    pending = [solve(grid[-1])] if len(grid) > 1 else []
+    while pending:
+        (left, _, a), (j, _, b) = done, pending[-1]
+        if j - left < 2 or (exact and a.image == b.image):
+            records.append(b)
+            done = pending.pop()
+        elif exact:
+            pending.append(solve(_reference_crossing_split(eps, done, pending[-1])))
+        else:
+            pending.append(solve((left + j) // 2))
+    return records
+
+
+def reference_solve_grid_boundary(adapter, instance, eps, grid, limit) -> tuple:
+    """``sweep.solve_grid_boundary``'s own loop: (records in call order, the record at i*)."""
+    records = []
+
+    def solve(i):
+        solved = _reference_solve_at(adapter, instance, eps, i)
+        records.append(solved[2])
+        return solved
+
+    below = solve(grid[0])
+    if below[2].image.f1 > limit:
+        return records, None
+    above = solve(grid[-1]) if len(grid) > 1 else below
+    if above[2].image.f1 <= limit:
+        return records, above[2]
+    crossings = (grid[-1] - grid[0] - 1).bit_length()
+    while above[0] - below[0] > 1:
+        crossings -= 1
+        if crossings >= 0:
+            probe = solve(_reference_crossing_split(eps, below, above))
+        else:
+            probe = solve((below[0] + above[0]) // 2)
+        if probe[2].image.f1 <= limit:
+            below = probe
+        else:
+            above = probe
+    return records, below[2]
+
+
+def reference_solve_all_weights(adapter, instance, lo, hi) -> list:
+    """``ProblemAdapter.solve_all_weights``'s own loop: every record solved, in call order."""
+    left = adapter.solve_weighted_sum(instance, lo)
+    right = adapter.solve_weighted_sum(instance, hi)
+    records = [left, right]
+    pending = [(left, right)]
+    while pending:
+        a, b = pending.pop()
+        if a.image == b.image:
+            continue
+        gamma = Fraction(*crossing(a.image, b.image))
+        middle = adapter.solve_weighted_sum(instance, gamma)
+        records.append(middle)
+        if middle.image.weighted(gamma) < a.image.weighted(gamma):
+            pending += [(a, middle), (middle, b)]
+    return records
+
+
+def reference_walk_search(adapter, instance, query) -> ParametricOutcome:
+    """``exact_search.parametric_search`` with its own envelope walk and "not strictly below" stop.
+
+    It reads ``exact_search.walk_step_budget`` at call time, so a test that
+    patches the step budget patches it here too.
+    """
+    eps, budget = query.eps, query.budget
+    bounds = adapter.bounds(instance)
+    lo, hi = eps * budget / bounds.ub2, eps * budget / bounds.lb2
+    factors = parametric_factors(eps)
+    limit = factors[0] * budget
+    walk = [adapter.solve_weighted_sum(instance, hi)]
+    if walk[0].image.f1 > limit and lo != hi:
+        walk.append(adapter.solve_weighted_sum(instance, lo))
+    left, right = walk[-1], walk[0]
+    picked, simulation = None, {}
+    if right.image.f1 <= limit:
+        picked = right
+    elif left.image.f1 <= limit:
+        for _ in range(exact_search.walk_step_budget(instance)):
+            gamma = Fraction(*crossing(left.image, right.image))
+            if gamma in (left.produced_at, right.produced_at):
+                picked = left
+                break
+            middle = adapter.solve_weighted_sum(instance, gamma)
+            walk.append(middle)
+            if middle.image.weighted(gamma) == left.image.weighted(gamma):
+                picked = left
+                break
+            if middle.image.f1 <= limit:
+                left = middle
+            else:
+                right = middle
+        else:
+            weights = left.produced_at, right.produced_at
+            picked, simulation = exact_search._simulate(adapter, instance, *weights, left, limit)
+    solved = [*walk, *simulation["probes"], simulation["midpoint_record"]] if simulation else walk
+    record, certificate = certify(adapter, instance, solved, picked, limit, factors, budget)
+    return ParametricOutcome(record, certificate, tuple(walk), **simulation)
 
 
 def search_outcome(search, adapter, instance, query):
