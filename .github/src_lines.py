@@ -2,13 +2,19 @@
 
 Code-only leaves out blank lines, comment lines and docstring lines: a
 line counts when it holds a token other than a comment or a string that
-stands alone as a statement.  Counted with ``tokenize``.
+stands alone as a statement.  Counted with ``tokenize``.  Each module's
+size in bytes and its number of syntax-tree nodes are printed too, and
+the largest module by each is named last.  A run's peak resident memory
+follows the largest compile of a module, and compiling holds the whole
+syntax tree at once, so the node count tracks it better than the bytes,
+of which docstrings make up much.
 
 Usage: python .github/src_lines.py
 """
 
 from __future__ import annotations
 
+import ast
 import tokenize
 from pathlib import Path
 
@@ -45,12 +51,17 @@ def main():
     rows = []
     for path in sorted(SOURCE.rglob("*.py")):
         name = path.relative_to(SOURCE).as_posix()
-        rows.append((name, len(path.read_bytes().splitlines()), len(code_lines(path))))
-    total = sum(lines for _, lines, _ in rows)
-    code = sum(code for _, _, code in rows)
+        source = path.read_bytes()
+        nodes = sum(1 for _ in ast.walk(ast.parse(source)))
+        rows.append((name, len(source.splitlines()), len(code_lines(path)), len(source), nodes))
+    total = sum(row[1] for row in rows)
+    code = sum(row[2] for row in rows)
     print(f"src/bicrit: {total} lines, {code} code-only")
-    for name, lines, module_code in rows:
-        print(f"  {name}: {lines} lines, {module_code} code-only")
+    for name, lines, module_code, size, nodes in rows:
+        print(f"  {name}: {lines} lines, {module_code} code-only, {size} bytes, {nodes} nodes")
+    for column, unit in ((3, "bytes"), (4, "nodes")):
+        row = max(rows, key=lambda row: row[column])
+        print(f"largest module by {unit}: {row[0]}, {row[column]} {unit}")
 
 
 if __name__ == "__main__":

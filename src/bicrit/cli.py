@@ -97,7 +97,7 @@ def _record_dict(record) -> dict:
 def _budget_verification(instance, record, budget, factors):
     opt = exact_opt_budget(instance, budget)
     return {
-        "verdict": verify_budget(record, budget, opt, factors),
+        "verdict": verify_budget(instance, record, budget, opt, factors),
         "opt_budget": opt,
         "budget_factor": factors[0],
         "cost_factor": factors[1],

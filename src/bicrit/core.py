@@ -381,10 +381,6 @@ class ProblemAdapter(ABC):
         """Approximation factor of the weighted-sum oracle (>= 1, constant)."""
 
     @abstractmethod
-    def evaluate(self, instance, token) -> CostPair:
-        """Exact image of a feasible token; raises InfeasibleToken otherwise."""
-
-    @abstractmethod
     def solve_weighted_sum(self, instance, gamma) -> SolutionRecord:
         """Solution whose value f1 + gamma*f2 is within alpha() of the minimum."""
 
@@ -429,8 +425,8 @@ class ParametricAdapter(ProblemAdapter):
     ``sweep.solve_grid``, which has no bracket to narrow.  Both comparators
     read signs from ``sign_at``, and both searches take the run's record as
     the oracle's answer at every weight where the comparator's answers
-    hold, so neither calls ``evaluate``: that stays the checker of tokens
-    from outside.
+    hold, so neither checks a run's token: ``--verify`` checks the printed
+    tokens with the ground truth's own ``oracle.token_image``.
     """
 
     @abstractmethod

@@ -16,7 +16,10 @@ class ValidationError(BicritError):
 
 
 class InfeasibleToken(BicritError):
-    """A solution token does not encode a feasible solution of its instance."""
+    """A solution token does not encode a feasible solution of its instance.
+
+    Raised by the ground truth's token check, ``oracle.token_image``.
+    """
 
 
 class NoFeasibleSolution(BicritError):

@@ -1,33 +1,30 @@
 """Brute-force ground truth for small instances.
 
-Full solution enumeration, exact budget optima, and guarantee
-verification.  The module imports nothing from the package but ``core``
-and ``errors``, so it shares no code with the algorithms it checks: each
-check takes the factors and the records it checks from its caller, and
-the instance's ``kind`` picks the enumerator.  Images are computed here
-by direct weight summation, independent of the solver plugins: each call
-scales the instance's weight ratios to ints over D, the lcm of their
-denominators, with its own code, never the plugins' ``ScaledWeights``,
-and sums every solution's members as ints.  One private core yields
-those int sums.  ``enumerate_all`` builds a record from each.  The
-verification paths build no records: ``exact_opt_budget`` folds the sums
-into the least f2 within the budget, and ``verify_pareto_by_enumeration``
-looks each solution up in one sorted front of the curve, scaled to the
-same ints.  The ``solutions_checked`` of a ``--verify`` report counts the
-solutions enumerated.  ``adversarial_wrap`` builds on ``enumerate_all`` a
+Full solution enumeration, token checks, exact budget optima and
+guarantee verification.  The module imports nothing from the package but
+``core`` and ``errors``, so it shares no code with the algorithms it
+checks: each check takes the factors and the records it checks from its
+caller, and the instance's ``kind`` picks the enumerator and the token
+check.  ``_scaled_weights`` scales the weight ratios to ints over D, the
+lcm of their denominators, never reading the plugins' ``ScaledWeights``,
+and every image is summed from those ints.  ``enumerate_all`` builds a
+record per solution; ``exact_opt_budget`` and
+``verify_pareto_by_enumeration`` fold the sums and build none.
+``token_image`` checks by this module's own definitions that a token is
+a solution and re-derives its image, in linear time at any size; both
+verdicts run it on every record they check.  ``adversarial_wrap`` builds on ``enumerate_all`` a
 worst-case legal approximate oracle, for reproducing documented failures
 of approximation-oracle-driven search and for negative tests.
 
-Everything is capped: a truncated oracle is worse than none, so exceeding
-a cap raises instead of truncating.  The node cap is checked before any
-work starts, by ``check_node_cap``, which the CLI also calls right after
-ingest, before any oracle call.  ``MAX_SOLUTIONS`` bounds the work for
-every kind, because the enumerators extend only partial solutions that
-lead to a solution: spanning trees, simple paths and covers are found by
-backtracking that prunes dead branches before it enters them, and every
-side of a cut is a solution.  The enumerators keep explicit stacks
-rather than recursing, so no edge count reaches the recursion limit and
-no call leaves a reference cycle behind.
+Everything is capped, and a truncated oracle is worse than none, so
+exceeding a cap raises.  ``check_node_cap`` runs before any work starts;
+the CLI also calls it right after ingest, before any oracle call.
+``MAX_SOLUTIONS`` bounds the work for every kind, because the enumerators
+extend only partial solutions that lead to a solution (backtracking that
+prunes dead branches before it enters them; every side of a cut is a
+solution).  They keep explicit stacks rather than recursing, so no edge
+count reaches the recursion limit and no call leaves a reference cycle
+behind.
 """
 
 from __future__ import annotations
@@ -39,7 +36,7 @@ from math import ceil, lcm
 from typing import Optional
 
 from .core import CostPair, ProblemAdapter, SolutionRecord, check_weight, rational
-from .errors import CapExceeded
+from .errors import CapExceeded, InfeasibleToken
 
 # Hard limits on brute-force enumeration, read at each call.
 MAX_NODES = 12
@@ -154,7 +151,6 @@ def _simple_paths(graph):
 def _cuts(graph):
     """Yield (source-side node frozenset, crossing edge indices) per cut, in subset-mask order."""
     others = [v for v in range(graph.node_count) if v not in (graph.source, graph.sink)]
-    edges = graph.edges
     for mask in range(1 << len(others)):
         # A frozenset copied from a set gets a compact table; one grown from an iterable may not.
         side = {graph.source}
@@ -163,8 +159,12 @@ def _cuts(graph):
             if mask >> bit & 1:
                 side.add(node)
                 bits |= 1 << node
-        crossing = [i for i, (u, v) in enumerate(edges) if (bits >> u ^ bits >> v) & 1]
-        yield frozenset(side), crossing
+        yield frozenset(side), _crossing(graph.edges, bits)
+
+
+def _crossing(edges, side) -> list:
+    """Indices of the edges with one end in the node mask ``side``."""
+    return [i for i, (u, v) in enumerate(edges) if (side >> u ^ side >> v) & 1]
 
 
 def _covers(graph):
@@ -195,6 +195,63 @@ def _covers(graph):
 _ENUMERATORS = {"mst": _spanning_trees, "path": _simple_paths, "cut": _cuts, "vc": _covers}
 
 
+def _indices(token, count):
+    """``token``, once each member is an int in range(count); raises InfeasibleToken if not."""
+    if not all(isinstance(i, int) and 0 <= i < count for i in token):
+        raise InfeasibleToken(f"{token!r} holds an index outside range({count})")
+    return token
+
+
+def _node_mask(graph, token) -> int:
+    return sum(1 << v for v in set(_indices(token, graph.node_count)))
+
+
+def _tree_edges(graph, token) -> list:
+    """A spanning tree's edges: n-1 of them that reach every node."""
+    n, chosen = graph.node_count, _indices(token, len(graph.edges))
+    neighbours = [0] * n
+    for u, v in map(graph.edges.__getitem__, chosen):
+        neighbours[u] |= 1 << v
+        neighbours[v] |= 1 << u
+    if len(chosen) != n - 1 or _reach(neighbours, 0) != (1 << n) - 1:
+        raise InfeasibleToken(f"{token!r} is not a spanning tree")
+    return chosen
+
+
+def _path_edges(graph, token) -> list:
+    """A simple source-sink path's edges, in walk order."""
+    path, node = _indices(token, len(graph.edges)), graph.source
+    visited = 1 << node
+    for idx in path:
+        u, v = graph.edges[idx]
+        other = u + v - node  # the edge's other end, when node is one of its ends
+        if node not in (u, v) or visited >> other & 1:
+            raise InfeasibleToken(f"edge {idx} does not extend a simple path")
+        node, visited = other, visited | 1 << other
+    if node != graph.sink:
+        raise InfeasibleToken(f"the path ends at node {node}, not at the sink")
+    return path
+
+
+def _cut_edges(graph, token) -> list:
+    """The edges crossing a cut, given by its source side."""
+    side = _node_mask(graph, token)
+    if not side >> graph.source & 1 or side >> graph.sink & 1:
+        raise InfeasibleToken("a cut side holds the source and not the sink")
+    return _crossing(graph.edges, side)
+
+
+def _cover_nodes(graph, token) -> list:
+    """A vertex cover's nodes: every edge has an end among them."""
+    cover = _node_mask(graph, token)
+    if any(not (cover >> u | cover >> v) & 1 for u, v in graph.edges):
+        raise InfeasibleToken("an edge has no end in the cover")
+    return [v for v in range(graph.node_count) if cover >> v & 1]
+
+
+_TOKEN_CHECKS = {"mst": _tree_edges, "path": _path_edges, "cut": _cut_edges, "vc": _cover_nodes}
+
+
 def check_node_cap(instance) -> None:
     """Raise ``CapExceeded`` if the instance has more than ``MAX_NODES`` nodes."""
     if instance.node_count > MAX_NODES:
@@ -202,31 +259,32 @@ def check_node_cap(instance) -> None:
 
 
 def _scaled_images(instance):
-    """(D, solutions): D the lcm of every weight denominator, solutions an iterator.
+    """(D, solutions): D as in ``_scaled_weights``; solutions yields (token, D*f1, D*f2).
 
-    The iterator yields (token, D*f1, D*f2) per feasible solution, as ints,
-    in enumeration order.  The node cap is checked before anything is
-    enumerated; ``MAX_SOLUTIONS`` is checked as the solutions come.
+    One triple of ints per feasible solution, in enumeration order.  The
+    node cap is checked before anything is enumerated; ``MAX_SOLUTIONS``
+    as the solutions come.
     """
     check_node_cap(instance)
-    enumerator = _ENUMERATORS.get(instance.kind)
-    if enumerator is None:
-        raise TypeError(f"cannot enumerate {type(instance).__name__}")
+    scale, first, second = _scaled_weights(instance)
+    return scale, _summed(_ENUMERATORS[instance.kind](instance), first, second, MAX_SOLUTIONS)
+
+
+def _scaled_weights(instance):
+    """(D, first, second): D the lcm of every weight denominator, the weights times D as ints."""
     ratios = instance.ratios  # ((p1, q1), (p2, q2)) per edge or vertex weight
     # A list, not a generator: a tuple built from a generator grows by resizing, and
     # the freed tuples of each size wait in CPython's free lists for a full collection.
     scale = lcm(*[q for pair in ratios for _, q in pair])
     first = [p * (scale // q) for (p, q), _ in ratios]
     second = [p * (scale // q) for _, (p, q) in ratios]
-    return scale, _summed(enumerator(instance), first, second, MAX_SOLUTIONS)
+    return scale, first, second
 
 
 def _summed(solutions, first, second, limit):
-    count = 0
-    for token, members in solutions:
+    for count, (token, members) in enumerate(solutions):
         if count == limit:
             raise CapExceeded("enumeration exceeded max_solutions")
-        count += 1
         yield token, sum(map(first.__getitem__, members)), sum(map(second.__getitem__, members))
 
 
@@ -237,6 +295,26 @@ def enumerate_all(instance):
         SolutionRecord(token, CostPair(Fraction(s1, scale), Fraction(s2, scale)))
         for token, s1, s2 in solutions
     ]
+
+
+def token_image(instance, token):
+    """(D, D*f1, D*f2): a solution token's image as ints over D; raises InfeasibleToken if not."""
+    members = _TOKEN_CHECKS[instance.kind](instance, token)
+    scale, first, second = _scaled_weights(instance)
+    return scale, sum(map(first.__getitem__, members)), sum(map(second.__getitem__, members))
+
+
+def _tokens_hold(instance, records) -> bool:
+    """True iff each record's token is a solution with the record's image, compared on ints."""
+    for record in records:
+        try:
+            d, s1, s2 = token_image(instance, record.token)
+        except InfeasibleToken:
+            return False
+        f1, f2 = record.image.f1, record.image.f2
+        if s1 * f1.denominator != f1.numerator * d or s2 * f2.denominator != f2.numerator * d:
+            return False
+    return True
 
 
 def adversarial_wrap(inner: ProblemAdapter, alpha, instance, script=None) -> ProblemAdapter:
@@ -265,9 +343,6 @@ class _AdversarialAdapter(ProblemAdapter):
 
     def alpha(self) -> Fraction:
         return self._alpha
-
-    def evaluate(self, instance, token):
-        return self._inner.evaluate(instance, token)
 
     def bounds(self, instance):
         return self._inner.bounds(instance)
@@ -303,8 +378,8 @@ def exact_opt_budget(instance, budget) -> Optional[Fraction]:
     return None if best is None else Fraction(best, scale)
 
 
-def verify_budget(record: SolutionRecord, budget, opt, factors) -> bool:
-    """True iff f1 <= budget_factor*B and f2 <= cost_factor*OPT(B), exactly.
+def verify_budget(instance, record: SolutionRecord, budget, opt, factors) -> bool:
+    """True iff the token has the record's image, f1 <= budget_factor*B, f2 <= cost_factor*OPT(B).
 
     ``factors`` is (budget_factor, cost_factor), the guarantee to check.
     ``opt`` is OPT(B), or None when no solution meets B; then only the f1
@@ -312,7 +387,8 @@ def verify_budget(record: SolutionRecord, budget, opt, factors) -> bool:
     """
     budget_factor, cost_factor = map(rational, factors)
     within = record.image.f1 <= budget_factor * rational(budget)
-    return within and (opt is None or record.image.f2 <= cost_factor * rational(opt))
+    meets = within and (opt is None or record.image.f2 <= cost_factor * rational(opt))
+    return meets and _tokens_hold(instance, (record,))
 
 
 def _positive(a, b):
@@ -361,14 +437,14 @@ def verify_pareto_by_enumeration(instance, approx, a, b):
 
     The same check on ints, with no record built: with s1 = D*f1 and
     s2 = D*f2 a solution's int sums, r covers it iff ceil(D*r.f1/a) <= s1
-    and ceil(D*r.f2/b) <= s2.  Every solution is enumerated and counted,
-    also after the first uncovered one, so the caps apply as in
-    ``enumerate_all``.
+    and ceil(D*r.f2/b) <= s2, and each token must have its record's image.
+    Every solution is enumerated and counted, also after the first
+    uncovered one, so the caps apply as in ``enumerate_all``.
     """
     a, b = _positive(a, b)
     scale, solutions = _scaled_images(instance)
     front = _front((ceil(r.image.f1 * scale / a), ceil(r.image.f2 * scale / b)) for r in approx)
-    verdict, checked = True, 0
+    verdict, checked = _tokens_hold(instance, approx), 0
     for _, s1, s2 in solutions:
         checked += 1
         verdict = verdict and _reaches(front, s1, s2)

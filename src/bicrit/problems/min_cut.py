@@ -12,8 +12,7 @@ from __future__ import annotations
 from collections import deque
 from fractions import Fraction
 
-from ..core import Bounds, CostPair, ProblemAdapter, SolutionRecord, check_weight
-from ..errors import InfeasibleToken
+from ..core import Bounds, ProblemAdapter, SolutionRecord, check_weight
 from .graphs import BiweightedGraph, cost_bounds
 
 
@@ -56,18 +55,13 @@ def edmonds_karp_cut(neighbours, endpoints, capacities, source, sink) -> frozens
     return frozenset(reach(None))
 
 
-def cut_image(graph: BiweightedGraph, token) -> CostPair:
-    """Image of the cut with source side ``token``: the edges crossing it."""
-    crossing = [i for i, (u, v) in enumerate(graph.edges) if (u in token) != (v in token)]
-    return graph.scaled.image(crossing)
-
-
 def cut_oracle(graph: BiweightedGraph, gamma) -> SolutionRecord:
     """Exact minimum ``graph.source``-``graph.sink`` cut under edge capacity w1 + gamma*w2."""
     gamma = check_weight(gamma)
     capacities = graph.scaled.combined(gamma)
     token = edmonds_karp_cut(graph.neighbours, graph.edges, capacities, graph.source, graph.sink)
-    return SolutionRecord(token=token, image=cut_image(graph, token), produced_at=gamma)
+    crossing = [i for i, (u, v) in enumerate(graph.edges) if (u in token) != (v in token)]
+    return SolutionRecord(token=token, image=graph.scaled.image(crossing), produced_at=gamma)
 
 
 class MinCutAdapter(ProblemAdapter):
@@ -75,14 +69,6 @@ class MinCutAdapter(ProblemAdapter):
 
     def alpha(self) -> Fraction:
         return Fraction(1)
-
-    def evaluate(self, instance: BiweightedGraph, token) -> CostPair:
-        token = frozenset(token)
-        if not all(isinstance(i, int) and 0 <= i < instance.node_count for i in token):
-            raise InfeasibleToken(f"unknown node in {token}")
-        if instance.source not in token or instance.sink in token:
-            raise InfeasibleToken("a cut keeps the source and excludes the sink")
-        return cut_image(instance, token)
 
     def solve_weighted_sum(self, instance, gamma) -> SolutionRecord:
         return cut_oracle(instance, gamma)

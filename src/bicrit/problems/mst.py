@@ -12,9 +12,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cmp_to_key
 
-from ..core import Bounds, CostPair, ParametricAdapter, SolutionRecord, check_weight
-from ..errors import DisconnectedGraph, InfeasibleToken
-from .graphs import BiweightedGraph, connected_components, cost_bounds, union
+from ..core import Bounds, ParametricAdapter, SolutionRecord, check_weight
+from ..errors import DisconnectedGraph
+from .graphs import BiweightedGraph, cost_bounds, union
 
 
 def kruskal_run(node_count, endpoints, key) -> frozenset:
@@ -50,17 +50,6 @@ class MstAdapter(ParametricAdapter):
 
     def alpha(self) -> Fraction:
         return Fraction(1)
-
-    def evaluate(self, instance: BiweightedGraph, token) -> CostPair:
-        token = frozenset(token)
-        edges = instance.edges
-        if not all(isinstance(i, int) and 0 <= i < len(edges) for i in token):
-            raise InfeasibleToken(f"unknown edge index in {token}")
-        if len(token) != instance.node_count - 1:
-            raise InfeasibleToken("wrong edge count for a spanning tree")
-        if connected_components(instance.node_count, [edges[i] for i in token]) != 1:
-            raise InfeasibleToken("edge set does not span the graph")
-        return instance.scaled.image(token)
 
     def solve_weighted_sum(self, instance, gamma) -> SolutionRecord:
         return mst_oracle(instance, gamma)

@@ -15,8 +15,8 @@ from __future__ import annotations
 from bisect import insort
 from fractions import Fraction
 
-from ..core import Bounds, CostPair, ParametricAdapter, SolutionRecord, check_weight
-from ..errors import InfeasibleToken, Unreachable
+from ..core import Bounds, ParametricAdapter, SolutionRecord, check_weight
+from ..errors import Unreachable
 from .graphs import BiweightedGraph, cost_bounds, keyed_by
 
 
@@ -80,27 +80,6 @@ class ShortestPathAdapter(ParametricAdapter):
 
     def alpha(self) -> Fraction:
         return Fraction(1)
-
-    def evaluate(self, instance: BiweightedGraph, token) -> CostPair:
-        edges = instance.edges
-        node = instance.source
-        seen = {node}
-        for idx in token:
-            if not (isinstance(idx, int) and 0 <= idx < len(edges)):
-                raise InfeasibleToken(f"unknown edge index {idx}")
-            u, v = edges[idx]
-            if node == u:
-                node = v
-            elif node == v:
-                node = u
-            else:
-                raise InfeasibleToken("edges do not form a walk from the source")
-            if node in seen:
-                raise InfeasibleToken("path revisits a node")
-            seen.add(node)
-        if node != instance.sink:
-            raise InfeasibleToken("walk does not end at the sink")
-        return instance.scaled.image(token)
 
     def solve_weighted_sum(self, instance, gamma) -> SolutionRecord:
         return sp_oracle(instance, gamma)

@@ -24,14 +24,12 @@ from fractions import Fraction
 
 from ..core import (
     Bounds,
-    CostPair,
     ParametricAdapter,
     SolutionRecord,
     check_weight,
     ratio_of,
     sign_at,
 )
-from ..errors import InfeasibleToken
 from .graphs import VertexWeightedGraph, cost_bounds
 
 
@@ -67,15 +65,6 @@ class VertexCoverAdapter(ParametricAdapter):
 
     def alpha(self) -> Fraction:
         return Fraction(2)
-
-    def evaluate(self, instance: VertexWeightedGraph, token) -> CostPair:
-        token = frozenset(token)
-        if not all(isinstance(v, int) and 0 <= v < instance.node_count for v in token):
-            raise InfeasibleToken(f"unknown vertex in {token}")
-        for u, v in instance.edges:
-            if u not in token and v not in token:
-                raise InfeasibleToken(f"edge ({u},{v}) is uncovered")
-        return instance.scaled.image(token)
 
     def solve_weighted_sum(self, instance, gamma) -> SolutionRecord:
         return vc_oracle(instance, gamma)

@@ -22,7 +22,7 @@ from bicrit.core import (
 )
 from bicrit.errors import ExactOracleRequired, NoCertificate, ValidationError
 from bicrit.exact_search import ParametricOutcome
-from bicrit.oracle import enumerate_all
+from bicrit.oracle import enumerate_all, token_image
 from bicrit.pareto import ParetoSet, filter_dominated
 from bicrit.problems import (
     BiweightedGraph,
@@ -49,6 +49,12 @@ def parametric_guarantee(eps) -> tuple:
 def dominates(a: CostPair, b: CostPair) -> bool:
     """True iff image a dominates image b: a <= b componentwise and a != b."""
     return a.f1 <= b.f1 and a.f2 <= b.f2 and a != b
+
+
+def image_of(instance, token) -> CostPair:
+    """The ground truth's image of ``token``; raises InfeasibleToken when it is no solution."""
+    scale, s1, s2 = token_image(instance, token)
+    return CostPair(Fraction(s1, scale), Fraction(s2, scale))
 
 
 def exact_pareto(instance) -> ParetoSet:
@@ -222,9 +228,6 @@ class CachingAdapter(ProblemAdapter):
     def alpha(self):
         return self._inner.alpha()
 
-    def evaluate(self, instance, token):
-        return self._inner.evaluate(instance, token)
-
     def bounds(self, instance):
         return self._inner.bounds(instance)
 
@@ -258,9 +261,6 @@ class OncePerWeight(ProblemAdapter):
 
     def alpha(self):
         return self._inner.alpha()
-
-    def evaluate(self, instance, token):
-        return self._inner.evaluate(instance, token)
 
     def bounds(self, instance):
         return self._inner.bounds(instance)

@@ -81,7 +81,8 @@ def test_c01_sweep_budget_guarantee(suite, opt_cache):
                 )
                 opt = opt_cache[(idx, budget)]
                 assert opt is not None
-                assert verify_budget(record, budget, opt, grid_guarantee(case.alpha, eps))
+                factors = grid_guarantee(case.alpha, eps)
+                assert verify_budget(case.instance, record, budget, opt, factors)
                 trials += 1
     _report(1, f"sweep met (a(1+2e), a(1+2/e)) in {trials}/{trials} feasible cases "
                f"over {len(suite)} instances")
@@ -99,7 +100,7 @@ def test_c02_binary_search_parity_and_call_bound(suite, opt_cache):
                     case.adapter, case.instance, BudgetQuery(budget, eps)
                 )
                 opt = opt_cache[(idx, budget)]
-                assert verify_budget(record, budget, opt, grid_guarantee(1, eps))
+                assert verify_budget(case.instance, record, budget, opt, grid_guarantee(1, eps))
                 grid = len(index_range(eps, budget, bounds))
                 assert cert.oracle_calls <= boundary_call_bound(grid)
                 trials += 1
@@ -138,7 +139,8 @@ def test_c04_parametric_tightening(suite, opt_cache):
                     case.adapter, case.instance, BudgetQuery(budget, eps)
                 )
                 opt = opt_cache[(idx, budget)]
-                assert verify_budget(outcome.record, budget, opt, parametric_guarantee(eps))
+                factors = parametric_guarantee(eps)
+                assert verify_budget(case.instance, outcome.record, budget, opt, factors)
                 bound = parametric_call_bound(case.instance, outcome.comparisons)
                 assert outcome.certificate.oracle_calls <= bound
                 trials += 1
@@ -199,11 +201,11 @@ def test_c07_missed_feasible_reproduction():
     assert opt == 3
     adapter = MstAdapter()
     rec, _ = solve_budget_sweep(adapter, graph, BudgetQuery(budget, eps))
-    assert verify_budget(rec, budget, opt, grid_guarantee(1, eps))
+    assert verify_budget(graph, rec, budget, opt, grid_guarantee(1, eps))
     rec, _ = solve_budget_binary(adapter, graph, BudgetQuery(budget, eps))
-    assert verify_budget(rec, budget, opt, grid_guarantee(1, eps))
+    assert verify_budget(graph, rec, budget, opt, grid_guarantee(1, eps))
     outcome = parametric_search(adapter, graph, BudgetQuery(budget, eps))
-    assert verify_budget(outcome.record, budget, opt, parametric_guarantee(eps))
+    assert verify_budget(graph, outcome.record, budget, opt, parametric_guarantee(eps))
     _report(7, "prior search returns no solution at B=3 while all three solvers certify one")
 
 
@@ -238,7 +240,7 @@ def test_c09_vertex_cover_composite_factor(suite, opt_cache):
                 assert cert.budget_factor == 2 + 4 * eps
                 assert cert.cost_factor == 2 + 4 / eps
                 opt = opt_cache[(idx, budget)]
-                assert verify_budget(record, budget, opt, (2 + 4 * eps, 2 + 4 / eps))
+                assert verify_budget(case.instance, record, budget, opt, (2 + 4 * eps, 2 + 4 / eps))
                 trials += 1
     _report(9, f"vertex-cover sweep met (2+4e, 2+4/e) in {trials}/{trials} cases")
 

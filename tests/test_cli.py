@@ -8,6 +8,7 @@ import resource
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,11 +16,19 @@ import pytest
 
 from bicrit import cli
 from bicrit.cli import _budget_verification, build_parser, ingest, main
-from bicrit.core import CostPair, SolutionRecord, parse_rational
+from bicrit.core import CostPair, parse_rational
 from bicrit.errors import ParseError, ValidationError
 from bicrit.formats import instance_digest, report_json, serialize_instance
 from bicrit.marathe import example1_graph
-from bicrit.problems import BiweightedGraph, ShortestPathAdapter, VertexWeightedGraph, mst
+from bicrit.oracle import enumerate_all
+from bicrit.problems import (
+    BiweightedGraph,
+    MinCutAdapter,
+    MstAdapter,
+    ShortestPathAdapter,
+    VertexWeightedGraph,
+    mst,
+)
 
 REPO = Path(__file__).resolve().parent.parent
 INSTANCE_DIR = REPO / "instances"
@@ -520,12 +529,14 @@ class TestReports:
     def test_budget_verification_checks_f1_without_an_optimum(self, capsys):
         # No tree of demo_mst_b meets B = 3/2 (the least f1 is 3), so there is
         # no OPT(B) to check f2 against; f1 must still meet budget_factor*B.
+        # The tree of image (4, 2) is a true record, but 4 > 2 * 3/2.
         instance = ingest(demo("demo_mst_b.json"))
-        forged = SolutionRecord((0, 1), CostPair(10**6, 2))
-        factors = (Fraction(3), Fraction(3))
-        verification = _budget_verification(instance, forged, Fraction(3, 2), factors)
-        assert verification["opt_budget"] is None
-        assert verification["verdict"] is False
+        tree = next(r for r in enumerate_all(instance) if r.image == CostPair(4, 2))
+        for factor, verdict in ((2, False), (3, True)):
+            factors = (Fraction(factor), Fraction(factor))
+            verification = _budget_verification(instance, tree, Fraction(3, 2), factors)
+            assert verification["opt_budget"] is None
+            assert verification["verdict"] is verdict
         # A certified record meets its own f1 limit, so a real run still verifies.
         code, report = run_json(capsys, [
             "solve-budget", "--problem", "mst", "--budget", "1", "--epsilon", "1",
@@ -534,6 +545,60 @@ class TestReports:
         assert code == 0
         assert report["verification"]["opt_budget"] is None
         assert report["verification"]["verdict"] is True
+
+
+def _printed(report):
+    """The images and the tokens of a report's budget record or curve points."""
+    records = [report["record"]] if "record" in report else report["pareto"]["records"]
+    return [r["image"] for r in records], [r["token"] for r in records]
+
+
+def _another_tree(instance, record):
+    """Another spanning tree's token, printed under ``record``'s image."""
+    other = next(r for r in enumerate_all(instance) if r.image != record.image)
+    return replace(record, token=other.token)
+
+
+def _path_back_and_forth(instance, record):
+    """The path, then its last edge back and forth: it revisits a node."""
+    return replace(record, token=record.token + record.token[-1:] * 2)
+
+
+def _cut_without_its_source(instance, record):
+    return replace(record, token=record.token - {instance.source})
+
+
+class TestVerifyChecksTheTokens:
+    # An oracle that answers with the right image but a wrong token turns both verdicts false.
+    @pytest.mark.parametrize("adapter, name, forge", [
+        (MstAdapter, "demo_mst_b.json", _another_tree),
+        (ShortestPathAdapter, "demo_path.json", _path_back_and_forth),
+        (MinCutAdapter, "demo_cut.json", _cut_without_its_source),
+    ])
+    def test_a_forged_token_fails_verification(self, capsys, monkeypatch, adapter, name, forge):
+        kind = ingest(demo(name)).kind
+        argvs = [
+            ["solve-budget", "--problem", kind, "--budget", "3", "--epsilon", "1/2"],
+            ["pareto", "--problem", kind, "--epsilon", "1/2"],
+        ]
+        argvs = [[*argv, "--input", demo(name), "--verify"] for argv in argvs]
+        honest = [run_json(capsys, argv) for argv in argvs]
+        assert [(code, report["verification"]["verdict"]) for code, report in honest] == [
+            (0, True),
+            (0, True),
+        ]
+
+        def forged(self, instance, gamma, _solve=adapter.solve_weighted_sum):
+            return forge(instance, _solve(self, instance, gamma))
+
+        monkeypatch.setattr(adapter, "solve_weighted_sum", forged)
+        for argv, (_, expected) in zip(argvs, honest):
+            code, report = run_json(capsys, argv)
+            assert code == 0
+            assert report["verification"]["verdict"] is False
+            # The same images as the honest run's, under other tokens.
+            images, tokens = _printed(report)
+            assert images == _printed(expected)[0] and tokens != _printed(expected)[1]
 
 
 class TestRepro:

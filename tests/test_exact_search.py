@@ -284,7 +284,7 @@ class TestBinarySearch:
                             adapter, inst, BudgetQuery(budget, eps)
                         )
                         opt = exact_opt_budget(inst, budget)
-                        assert verify_budget(record, budget, opt, grid_guarantee(1, eps))
+                        assert verify_budget(inst, record, budget, opt, grid_guarantee(1, eps))
                         grid = len(index_range(eps, budget, adapter.bounds(inst)))
                         assert cert.oracle_calls <= boundary_call_bound(grid)
 
@@ -402,14 +402,14 @@ class TestParametric:
         walked = parametric_search(MstAdapter(), graph, query)
         assert [record.produced_at for record in walked.walk] == [Fraction(9, 8), Fraction(3, 8), 1]
         assert walked.interval is None and walked.record == walked.walk[1]
-        assert verify_budget(walked.record, query.budget, opt, (2, 2))
+        assert verify_budget(graph, walked.record, query.budget, opt, (2, 2))
         monkeypatch.setattr(exact_search, "walk_step_budget", lambda instance: 0)
         outcome = parametric_search(MstAdapter(), graph, query)
         assert outcome.interval == (1, Fraction(9, 8))
         assert outcome.midpoint_record.image.f1 > (1 + query.eps) * query.budget
         assert outcome.record.image == CostPair(2, 5)
         assert outcome.record.produced_at == 1
-        assert verify_budget(outcome.record, query.budget, opt, (2, 2))
+        assert verify_budget(graph, outcome.record, query.budget, opt, (2, 2))
 
     def test_rejects_non_parametric_and_approximate(self, ex1):
         query = BudgetQuery(Fraction(2), Fraction(1))
@@ -438,7 +438,11 @@ class TestParametric:
                 points = {lo, hi} | {lo + (hi - lo) * Fraction(k, 99) for k in range(100)}
                 assert any(
                     verify_budget(
-                        adapter.solve_weighted_sum(inst, g), budget, opt, parametric_guarantee(eps)
+                        inst,
+                        adapter.solve_weighted_sum(inst, g),
+                        budget,
+                        opt,
+                        parametric_guarantee(eps),
                     )
                     for g in sorted(points)
                 )
@@ -459,7 +463,7 @@ class TestParametric:
                         )
                         opt = exact_opt_budget(inst, budget)
                         assert verify_budget(
-                            outcome.record, budget, opt, parametric_guarantee(eps)
+                            inst, outcome.record, budget, opt, parametric_guarantee(eps)
                         )
 
 
@@ -484,7 +488,7 @@ def check_against_megiddo(case, query, opt) -> tuple:
         return len(outcome[1]), len(expected[1]), False
     assert isinstance(outcome, ParametricOutcome)
     eps, budget = query.eps, query.budget
-    assert verify_budget(outcome.record, budget, opt, parametric_guarantee(eps))
+    assert verify_budget(instance, outcome.record, budget, opt, parametric_guarantee(eps))
     calls = outcome.certificate.oracle_calls
     simulated = outcome.midpoint_record is not None
     solved = len(outcome.walk) + len(outcome.probes) + simulated
@@ -595,7 +599,8 @@ class TestEnvelopeWalk:
         outcome = parametric_search(adapter, graph, query)
         assert walk_step_budget(graph) == 5 and len(outcome.walk) == 2 + 5
         assert outcome.interval is not None
-        assert verify_budget(outcome.record, query.budget, opt, parametric_guarantee(query.eps))
+        factors = parametric_guarantee(query.eps)
+        assert verify_budget(graph, outcome.record, query.budget, opt, factors)
         assert outcome.certificate.oracle_calls <= parametric_call_bound(graph, outcome.comparisons)
         monkeypatch.setattr(exact_search, "walk_step_budget", lambda instance: len(instance.ratios))
         unbounded = parametric_search(adapter, graph, query)
@@ -622,7 +627,8 @@ class TestEnvelopeWalk:
         assert outcome.midpoint_record.image == CostPair(3, 4)
         assert outcome.record == outcome.walk[-1]
         assert (outcome.record.image, outcome.record.produced_at) == (CostPair(2, 5), 1)
-        assert verify_budget(outcome.record, query.budget, opt, parametric_guarantee(query.eps))
+        factors = parametric_guarantee(query.eps)
+        assert verify_budget(graph, outcome.record, query.budget, opt, factors)
 
     @staticmethod
     def _four_trees():
@@ -654,7 +660,8 @@ class TestEnvelopeWalk:
         assert outcome.record is outcome.walk[2]
         assert (outcome.record.image, outcome.record.produced_at) == (CostPair(2, 5), 1)
         opt = exact_opt_budget(graph, query.budget)
-        assert verify_budget(outcome.record, query.budget, opt, parametric_guarantee(query.eps))
+        factors = parametric_guarantee(query.eps)
+        assert verify_budget(graph, outcome.record, query.budget, opt, factors)
 
     @pytest.mark.parametrize(
         ("name", "adapter"),
@@ -675,4 +682,4 @@ class TestEnvelopeWalk:
         assert simulation["comparisons"] > 0
         assert picked == reference_parametric_search(adapter, instance, query).record
         opt = exact_opt_budget(instance, budget)
-        assert verify_budget(picked, budget, opt, parametric_guarantee(eps))
+        assert verify_budget(instance, picked, budget, opt, parametric_guarantee(eps))

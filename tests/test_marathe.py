@@ -117,11 +117,11 @@ class TestReproductions:
         budget, eps = Fraction(3), Fraction(2, 3)
         opt = exact_opt_budget(ex2, budget)
         rec, _ = solve_budget_sweep(adapter, ex2, BudgetQuery(budget, eps))
-        assert verify_budget(rec, budget, opt, grid_guarantee(1, eps))
+        assert verify_budget(ex2, rec, budget, opt, grid_guarantee(1, eps))
         rec, _ = solve_budget_binary(adapter, ex2, BudgetQuery(budget, eps))
-        assert verify_budget(rec, budget, opt, grid_guarantee(1, eps))
+        assert verify_budget(ex2, rec, budget, opt, grid_guarantee(1, eps))
         rec, _ = solve_budget_parametric(adapter, ex2, BudgetQuery(budget, eps))
-        assert verify_budget(rec, budget, opt, parametric_guarantee(eps))
+        assert verify_budget(ex2, rec, budget, opt, parametric_guarantee(eps))
 
     def test_trace_invariant_h_matches_token_value(self):
         for trace, graph in (

@@ -2,16 +2,23 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from _suite import exact_pareto, grid_guarantee, random_mst_instance
+from _suite import exact_pareto, grid_guarantee, image_of, random_mst_instance
 from bicrit import oracle
 from bicrit.core import CostPair, SolutionRecord
 from bicrit.errors import CapExceeded
-from bicrit.oracle import enumerate_all, exact_opt_budget, verify_budget, verify_pareto_coverage
-from bicrit.problems import BiweightedGraph, VertexWeightedGraph, adapter_for
+from bicrit.oracle import (
+    enumerate_all,
+    exact_opt_budget,
+    verify_budget,
+    verify_pareto_by_enumeration,
+    verify_pareto_coverage,
+)
+from bicrit.problems import BiweightedGraph, VertexWeightedGraph
 
 
 def images_of(records):
@@ -53,9 +60,8 @@ class TestEnumerate:
         records = enumerate_all(inst)
         tokens = [r.token for r in records]
         assert len(tokens) == len(set(tokens))
-        adapter = adapter_for(inst)
         for rec in records:
-            assert adapter.evaluate(inst, rec.token) == rec.image
+            assert image_of(inst, rec.token) == rec.image
             assert rec.produced_at is None
 
     def test_caps(self, ex1, monkeypatch):
@@ -98,24 +104,46 @@ def _record(f1, f2):
     return SolutionRecord(token=(f1, f2), image=CostPair(f1, f2))
 
 
+def _tree(f1, f2):
+    """A one-edge spanning-tree instance, and the record of its one tree, of image (f1, f2)."""
+    instance = BiweightedGraph(2, [(0, 1, (f1, f2))], kind="mst")
+    return instance, SolutionRecord(frozenset({0}), CostPair(f1, f2))
+
+
 class TestVerifyBudget:
     def test_examples(self):
         factors = grid_guarantee(1, Fraction(1))
-        assert verify_budget(_record(4, 2), 4, 2, factors)
-        assert not verify_budget(_record(4, 2), 1, 2, factors)
-        assert verify_budget(_record(3, 3), 3, 3, factors)
+        assert verify_budget(*_tree(4, 2), 4, 2, factors)
+        assert not verify_budget(*_tree(4, 2), 1, 2, factors)
+        assert verify_budget(*_tree(3, 3), 3, 3, factors)
 
     def test_variant_factors(self):
-        rec = _record(4, 2)
-        assert verify_budget(rec, 4, 2, (1, 1))
-        assert not verify_budget(rec, 4, 2, (Fraction(1, 2), 1))
-        assert not verify_budget(rec, 4, 1, (1, 1))
+        tree = _tree(4, 2)
+        assert verify_budget(*tree, 4, 2, (1, 1))
+        assert not verify_budget(*tree, 4, 2, (Fraction(1, 2), 1))
+        assert not verify_budget(*tree, 4, 1, (1, 1))
 
     def test_without_an_optimum_only_f1_is_checked(self):
         # opt None: no solution meets B, so f2 has no bound; f1 <= budget_factor*B still holds.
         factors = (Fraction(3), Fraction(3))
-        assert verify_budget(_record(6, 10**6), 2, None, factors)
-        assert not verify_budget(_record(6 + Fraction(1, 10**9), 1), 2, None, factors)
+        assert verify_budget(*_tree(6, 10**6), 2, None, factors)
+        assert not verify_budget(*_tree(6 + Fraction(1, 10**9), 1), 2, None, factors)
+
+    def test_the_token_must_be_a_solution_of_the_printed_image(self, ex1):
+        # ex1's trees have images (4, 2), (2, 4) and (4, 4); (4, 2) meets B = 4 exactly.
+        records = {r.image: r for r in enumerate_all(ex1)}
+        best = records[CostPair(4, 2)]
+        assert verify_budget(ex1, best, 4, 2, (1, 1))
+        other = records[CostPair(2, 4)]
+        assert verify_pareto_by_enumeration(ex1, [other, best], 1, 1) == (True, 3)
+        for forged in [
+            replace(best, token=records[CostPair(4, 4)].token),
+            replace(best, token=frozenset({0})),
+            replace(best, token=(0, 2, "x")),
+            replace(best, image=CostPair(4, 1)),
+        ]:
+            assert not verify_budget(ex1, forged, 4, 2, (1, 1))
+            assert verify_pareto_by_enumeration(ex1, [other, forged], 1, 1) == (False, 3)
 
 
 class TestVerifyCoverage:

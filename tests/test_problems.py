@@ -11,6 +11,7 @@ import pytest
 
 from _suite import (
     build_suite,
+    image_of,
     random_cut_instance,
     random_mst_instance,
     random_path_instance,
@@ -19,7 +20,7 @@ from _suite import (
     weighted_minimum,
 )
 from bicrit import exact_search, oracle, pareto, problems, sweep
-from bicrit.core import CostPair
+from bicrit.core import CostPair, ParametricAdapter
 from bicrit.errors import (
     DisconnectedGraph,
     ExactOracleRequired,
@@ -29,8 +30,8 @@ from bicrit.errors import (
 )
 from bicrit.exact_search import parametric_search
 from bicrit.formats import instance_digest, instance_from_dict, serialize_instance
-from bicrit.oracle import adversarial_wrap, enumerate_all
-from bicrit.pareto import pareto_index_range
+from bicrit.oracle import adversarial_wrap, enumerate_all, token_image
+from bicrit.pareto import approximate_pareto, pareto_from_parametric, pareto_index_range
 from bicrit.problems import (
     BiweightedGraph,
     MinCutAdapter,
@@ -338,29 +339,34 @@ class TestExactness:
 
 
 class TestEvaluate:
+    # Tokens are checked and summed by the ground truth, ``oracle.token_image``.
     def test_tree_examples(self, ex1, ex2, single_edge):
-        adapter = MstAdapter()
-        assert adapter.evaluate(ex1, frozenset({0, 2})) == CostPair(4, 2)
-        assert adapter.evaluate(ex2, frozenset({0, 1})) == CostPair(4, 2)
-        assert adapter.evaluate(single_edge, frozenset({0})) == CostPair(3, 7)
+        assert image_of(ex1, frozenset({0, 2})) == CostPair(4, 2)
+        assert image_of(ex2, frozenset({0, 1})) == CostPair(4, 2)
+        assert image_of(single_edge, frozenset({0})) == CostPair(3, 7)
+        assert token_image(single_edge, frozenset({0})) == (1, 3, 7)
 
     def test_infeasible_tokens_raise(self, ex1):
-        adapter = MstAdapter()
-        with pytest.raises(InfeasibleToken):
-            adapter.evaluate(ex1, frozenset({0}))
-        with pytest.raises(InfeasibleToken):
-            adapter.evaluate(ex1, frozenset({0, 9}))
+        for token in [frozenset({0}), frozenset({0, 9}), (0, 0), (0, "1"), (-1, 0)]:
+            with pytest.raises(InfeasibleToken):
+                token_image(ex1, token)
         path = BiweightedGraph(
-            3, [(0, 1, (1, 1)), (1, 2, (1, 1))], kind="path", source=0, sink=2
+            3, [(0, 1, (1, 1)), (1, 2, (1, 1)), (0, 2, (1, 1))], kind="path", source=0, sink=2
         )
-        with pytest.raises(InfeasibleToken):
-            ShortestPathAdapter().evaluate(path, (0,))
-        cut = BiweightedGraph(2, [(0, 1, (1, 1))], kind="cut", source=0, sink=1)
-        with pytest.raises(InfeasibleToken):
-            MinCutAdapter().evaluate(cut, frozenset({0, 1}))
-        cover = VertexWeightedGraph(2, ((0, 1),), ((1, 1), (1, 1)))
-        with pytest.raises(InfeasibleToken):
-            VertexCoverAdapter().evaluate(cover, frozenset())
+        assert image_of(path, (0, 1)) == CostPair(2, 2)
+        for token in [(0,), (1, 0), (0, 1, 2), (0, 0, 2), (2, 2, 2), (3,)]:
+            with pytest.raises(InfeasibleToken):
+                token_image(path, token)
+        cut = BiweightedGraph(3, [(0, 1, (1, 1)), (1, 2, (1, 1))], kind="cut", source=0, sink=2)
+        assert image_of(cut, frozenset({0, 1})) == CostPair(1, 1)
+        for token in [frozenset({0, 2}), frozenset({1}), frozenset(), frozenset({0, 3})]:
+            with pytest.raises(InfeasibleToken):
+                token_image(cut, token)
+        cover = VertexWeightedGraph(3, ((0, 1), (1, 2)), ((1, 1), (1, 2), (1, 1)))
+        assert image_of(cover, frozenset({1})) == CostPair(1, 2)
+        for token in [frozenset(), frozenset({0}), frozenset({0, 2, 3})]:
+            with pytest.raises(InfeasibleToken):
+                token_image(cover, token)
 
     def test_enumerated_tokens_evaluate_within_bounds(self):
         rng = random.Random(23)
@@ -371,10 +377,9 @@ class TestEvaluate:
             random_vc_instance(rng, 5),
         ]
         for inst in instances:
-            adapter = adapter_for(inst)
-            bounds = adapter.bounds(inst)
+            bounds = adapter_for(inst).bounds(inst)
             for rec in enumerate_all(inst):
-                image = adapter.evaluate(inst, rec.token)
+                image = image_of(inst, rec.token)
                 assert image == rec.image
                 if image.f1 > 0:
                     assert bounds.lb1 <= image.f1 <= bounds.ub1
@@ -513,20 +518,15 @@ def test_oracle_imports_only_core_and_errors():
     assert imported & package == {"core", "errors"}
 
 
-def test_searches_never_call_evaluate():
-    # ``evaluate`` checks tokens from outside; the searches read the images their oracles return.
+def test_searches_import_nothing_from_oracle():
+    # The searches read the images their oracles return; only ``--verify`` reads the ground truth.
     for module in (sweep, exact_search, pareto):
-        tree = ast.parse(Path(module.__file__).read_text())
-        called = {
-            node.func.attr
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-        }
-        assert "evaluate" not in called, module.__name__
+        for parts in _imports(ast.parse(Path(module.__file__).read_text())):
+            assert "oracle" not in parts, (module.__name__, ".".join(parts))
 
 
 def test_every_symbolic_run_returns_its_evaluated_record(monkeypatch):
-    # The searches take a run's image as it comes; ``evaluate`` must agree with it.
+    # The searches take a run's image as it comes; the ground truth must agree with it.
     # With no walk steps allowed, parametric search runs mst and path symbolically
     # whenever the ends of its weight range straddle the f1 limit.
     monkeypatch.setattr(exact_search, "walk_step_budget", lambda instance: 0)
@@ -550,4 +550,37 @@ def test_every_symbolic_run_returns_its_evaluated_record(monkeypatch):
     assert {instance.kind for _, instance, _ in runs} == {"mst", "path", "vc"}
     for adapter, instance, record in runs:
         assert record.produced_at is None
-        assert record.image == adapter.evaluate(instance, record.token)
+        assert record.image == image_of(instance, record.token)
+
+
+def test_ground_truth_images_every_token_the_searches_return(monkeypatch):
+    # Every answer of a plugin's oracle, concrete or symbolic, on the suite: the
+    # ground truth accepts its token and sums it to the image the plugin computed.
+    answers = []
+    for adapter in (MstAdapter, ShortestPathAdapter, MinCutAdapter, VertexCoverAdapter):
+        methods = ["solve_weighted_sum"]
+        if issubclass(adapter, ParametricAdapter):
+            methods.append("run_parametric")
+        for name in methods:
+
+            def recorded(self, instance, arg, _method=getattr(adapter, name)):
+                record = _method(self, instance, arg)
+                answers.append((instance, record))
+                return record
+
+            monkeypatch.setattr(adapter, name, recorded)
+    for case in build_suite():
+        for eps in (Fraction(1), Fraction(1, 4)):
+            approximate_pareto(case.raw_adapter, case.instance, eps)
+            if case.alpha == 1:
+                pareto_from_parametric(case.raw_adapter, case.instance, eps)
+            budget = case.budgets[len(case.budgets) // 2]
+            sweep.solve_budget_sweep(case.raw_adapter, case.instance, BudgetQuery(budget, eps))
+            if case.kind in ("mst", "path"):
+                parametric_search(case.raw_adapter, case.instance, BudgetQuery(budget, eps))
+    assert {instance.kind for instance, _ in answers} == {"mst", "path", "cut", "vc"}
+    for instance, record in answers:
+        image = image_of(instance, record.token)
+        assert image == record.image
+        if instance.kind != "cut":  # a cut's token is its source side, not the edges it sums
+            assert image == instance.scaled.image(record.token)

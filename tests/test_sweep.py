@@ -161,7 +161,7 @@ class TestSweepProperties:
                     )
                     opt = exact_opt_budget(inst, budget)
                     assert opt is not None
-                    assert verify_budget(record, budget, opt, grid_guarantee(case.alpha, eps))
+                    assert verify_budget(inst, record, budget, opt, grid_guarantee(case.alpha, eps))
                     assert cert.oracle_calls <= sweep_call_bound(eps, bounds)
 
     def test_weight_coverage(self):
@@ -291,7 +291,7 @@ class TestRelaxedBudget:
                                 factors = parametric_guarantee(eps)
                             else:  # the grid's: fixed runs at eps 1, binary at alpha 1
                                 factors = grid_guarantee(case.alpha, eps)
-                            assert verify_budget(record, budget, opt, factors)
+                            assert verify_budget(case.instance, record, budget, opt, factors)
                             assert cert.oracle_calls == case.adapter.invocations - before
 
     def test_zero_f2_record_is_taken(self, boundary_fixture):

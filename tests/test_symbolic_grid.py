@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -75,9 +76,8 @@ def reference_solve_grid_symbolic(adapter, instance, eps, grid):
             pending.extend((x, y) for x, y, _ in reversed(rest))
             return answer
 
-        token = adapter.run_parametric(instance, compare).token
-        image = adapter.evaluate(instance, token)
-        records.append(SolutionRecord(token, image, pow_one_plus_eps(eps, a)))
+        record = adapter.run_parametric(instance, compare)
+        records.append(replace(record, produced_at=pow_one_plus_eps(eps, a)))
     return records
 
 
@@ -139,22 +139,6 @@ class TestGridRecords:
             inst = random_relaxed_instance(rng, "vc", rng.randint(2, 7))
             for eps in (Fraction(1), Fraction(1, 4)):
                 _check_grid(inst, eps, pareto_index_range(eps, VertexCoverAdapter().bounds(inst)))
-
-    def test_runs_are_never_evaluated(self, monkeypatch):
-        # A run's record carries its image, so the walk never checks its cover again.
-        relaxed = random_relaxed_instance(random.Random(79), "vc", 6)
-        walks = [
-            (inst, eps, pareto_index_range(eps, VertexCoverAdapter().bounds(inst)))
-            for inst in [*(case.instance for case in _vc_suite()), relaxed]
-            for eps in (Fraction(1), Fraction(1, 4))
-        ]
-        expected = [solve_grid(VertexCoverAdapter(), *walk) for walk in walks]
-
-        def refuse(adapter, instance, token):
-            raise AssertionError(f"evaluated {token}")
-
-        monkeypatch.setattr(VertexCoverAdapter, "evaluate", refuse)
-        assert [solve_grid(VertexCoverAdapter(), *walk) for walk in walks] == expected
 
     @pytest.mark.parametrize(
         "eps, edges, weights, tie",
@@ -256,9 +240,6 @@ class LineSigns(ParametricAdapter):
 
     def alpha(self):
         return Fraction(2)
-
-    def evaluate(self, instance, token):
-        return CostPair(1, 1)
 
     def solve_weighted_sum(self, instance, gamma):
         token = tuple((c + s * gamma > 0) - (c + s * gamma < 0) for c, s in self.lines)
