@@ -10,7 +10,6 @@ from .core import (
     Bounds,
     CostPair,
     GuaranteeCertificate,
-    LinearValue,
     ParametricAdapter,
     ProblemAdapter,
     SolutionRecord,
@@ -39,8 +38,8 @@ from .exact_search import (
     solve_budget_binary,
     solve_budget_parametric,
 )
+from .marathe import adversarial_wrap
 from .oracle import (
-    adversarial_wrap,
     check_node_cap,
     enumerate_all,
     exact_opt_budget,

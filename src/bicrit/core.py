@@ -243,48 +243,6 @@ class GuaranteeCertificate:
             raise ValueError("a successful run makes at least one oracle call")
 
 
-@dataclass(frozen=True, slots=True)
-class LinearValue:
-    """A quantity constant + slope * gamma, linear in the symbolic weight.
-
-    Both fields are ints, and ``+`` and ``-`` keep them ints: a plugin
-    scales its weights to integers and runs on integer arithmetic.  Any
-    other type, a bool or a Fraction included, raises TypeError, and so
-    does adding or subtracting anything but a ``LinearValue``.
-    """
-
-    constant: int
-    slope: int
-
-    def __post_init__(self):
-        if type(self.constant) is not int or type(self.slope) is not int:
-            raise TypeError(f"LinearValue needs int fields, got {self}")
-
-    def __add__(self, other: "LinearValue") -> "LinearValue":
-        if not isinstance(other, LinearValue):
-            return NotImplemented
-        return _linear(self.constant + other.constant, self.slope + other.slope)
-
-    def __sub__(self, other: "LinearValue") -> "LinearValue":
-        if not isinstance(other, LinearValue):
-            return NotImplemented
-        return _linear(self.constant - other.constant, self.slope - other.slope)
-
-
-# The sums and differences of int fields are ints, so ``+`` and ``-`` build
-# their results unchecked: the slots' own setters skip the dataclass
-# ``__init__``, its check and the frozen ``__setattr__``.  Dijkstra's symbolic
-# run makes one per label it builds.
-_set_constant, _set_slope = LinearValue.constant.__set__, LinearValue.slope.__set__
-
-
-def _linear(constant: int, slope: int) -> LinearValue:
-    value = object.__new__(LinearValue)
-    _set_constant(value, constant)
-    _set_slope(value, slope)
-    return value
-
-
 def sign_at(constant: int, slope: int, ratio: tuple) -> int:
     """The sign (-1, 0, 1) of constant + slope*gamma at gamma = n/d, ``ratio`` = (n, d), d > 0.
 
@@ -417,16 +375,17 @@ class ParametricAdapter(ProblemAdapter):
     The returned solution must depend on gamma only through those
     outcomes.  How a plugin holds its quantities is its own affair: local
     ratio keeps int lists of constants and slopes, Kruskal compares
-    differences of ``scaled.first`` and ``scaled.second``, and Dijkstra adds
-    up ``LinearValue`` distances.  An exact oracle's run drives Megiddo's
-    simulation, the safeguard that ``parametric_search`` falls back on
-    when its ``envelope_walk`` runs out of steps before ``crossing_split``
-    ends it; an approximate one's, the symbolic grid walk of
-    ``sweep.solve_grid``, which has no bracket to narrow.  Both comparators
-    read signs from ``sign_at``, and both searches take the run's record as
-    the oracle's answer at every weight where the comparator's answers
-    hold, so neither checks a run's token: ``--verify`` checks the printed
-    tokens with the ground truth's own ``oracle.token_image``.
+    differences of ``scaled.first`` and ``scaled.second``, and Dijkstra
+    adds up ints that each pack a constant and a slope.  An exact oracle's
+    run drives Megiddo's simulation, the safeguard that
+    ``parametric_search`` falls back on when its ``envelope_walk`` runs out
+    of steps before ``crossing_split`` ends it; an approximate one's, the
+    symbolic grid walk of ``sweep.solve_grid``, which has no bracket to
+    narrow.  Both comparators read signs from ``sign_at``, and both
+    searches take the run's record as the oracle's answer at every weight
+    where the comparator's answers hold, so neither checks a run's token:
+    ``--verify`` checks the printed tokens with the ground truth's own
+    ``oracle.token_image``.
     """
 
     @abstractmethod

@@ -7,19 +7,21 @@ failure modes: the ratio is not monotone once the oracle is approximate
 (so the binary search is ill-defined), and even with an exact oracle the
 search interval can exclude every valid threshold on a feasible instance,
 making the algorithm report "no solution" incorrectly.  The module makes
-no attempt to repair the algorithm.
+no attempt to repair the algorithm.  ``adversarial_wrap`` builds on the
+ground truth's ``enumerate_all`` the worst-case legal approximate oracle
+that reproduces the first failure, and that negative tests use too.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Any, Optional
 
-from .core import ProblemAdapter, SolutionRecord, rational
+from .core import ProblemAdapter, SolutionRecord, check_weight, rational
 from .errors import BicritError
-from .oracle import adversarial_wrap, exact_opt_budget
+from .oracle import enumerate_all, exact_opt_budget
 from .problems import BiweightedGraph, MstAdapter
 from .sweep import zero_f2_weight
 
@@ -103,6 +105,52 @@ def marathe_search(adapter: ProblemAdapter, instance, budget, eps, ub2) -> Marat
             hi = mid - 1
     outcome = None if found is None else cache[found + 1][1]
     return MaratheTrace(tested=tuple(tested), outcome=outcome, params=(budget, eps, ub2))
+
+
+def adversarial_wrap(inner: ProblemAdapter, alpha, instance, script=None) -> ProblemAdapter:
+    """Wrap ``inner`` as an alpha-approximate adversary bound to ``instance``.
+
+    The default policy returns, among all feasible solutions whose
+    weighted value is within alpha of the optimum, the one maximizing f1
+    (ties by maximal f2, then enumeration order).  ``script`` maps a
+    weight gamma to a forced token; scripted answers are validated to be
+    alpha-legal.  The instance must be small enough to enumerate.
+    """
+    alpha = rational(alpha)
+    if alpha < 1:
+        raise ValueError("adversary factor must be >= 1")
+    candidates = enumerate_all(instance)
+    return _AdversarialAdapter(inner, alpha, instance, candidates, dict(script or {}))
+
+
+class _AdversarialAdapter(ProblemAdapter):
+    def __init__(self, inner, alpha, instance, candidates, script):
+        self._inner = inner
+        self._alpha = alpha
+        self._instance = instance
+        self._candidates = candidates
+        self._script = {rational(g): token for g, token in script.items()}
+
+    def alpha(self) -> Fraction:
+        return self._alpha
+
+    def bounds(self, instance):
+        return self._inner.bounds(instance)
+
+    def solve_weighted_sum(self, instance, gamma) -> SolutionRecord:
+        if instance != self._instance:
+            raise ValueError("adversary is bound to the instance it was built for")
+        gamma = check_weight(gamma)
+        best = min(r.image.weighted(gamma) for r in self._candidates)
+        legal = [r for r in self._candidates if r.image.weighted(gamma) <= self._alpha * best]
+        forced = self._script.get(gamma)
+        if forced is not None:
+            chosen = next((r for r in legal if r.token == forced), None)
+            if chosen is None:
+                raise ValueError(f"scripted answer at gamma={gamma} is not alpha-legal")
+        else:
+            chosen = max(legal, key=lambda r: (r.image.f1, r.image.f2))
+        return replace(chosen, produced_at=gamma)
 
 
 def example1_graph() -> BiweightedGraph:

@@ -12,13 +12,15 @@ record per solution; ``exact_opt_budget`` and
 ``verify_pareto_by_enumeration`` fold the sums and build none.
 ``token_image`` checks by this module's own definitions that a token is
 a solution and re-derives its image, in linear time at any size; both
-verdicts run it on every record they check.  ``adversarial_wrap`` builds on ``enumerate_all`` a
-worst-case legal approximate oracle, for reproducing documented failures
-of approximation-oracle-driven search and for negative tests.
+verdicts run its check on every record they check, under one scaling per
+verdict.  The module holds only what a verdict trusts: the worst-case
+adversary of the reproductions and negative tests is
+``marathe.adversarial_wrap``.
 
 Everything is capped, and a truncated oracle is worse than none, so
-exceeding a cap raises.  ``check_node_cap`` runs before any work starts;
-the CLI also calls it right after ingest, before any oracle call.
+exceeding a cap raises.  ``check_node_cap`` runs before anything is
+enumerated; the CLI also calls it right after ingest, before any oracle
+call.
 ``MAX_SOLUTIONS`` bounds the work for every kind, because the enumerators
 extend only partial solutions that lead to a solution (backtracking that
 prunes dead branches before it enters them; every side of a cut is a
@@ -30,12 +32,11 @@ behind.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import replace
 from fractions import Fraction
 from math import ceil, lcm
 from typing import Optional
 
-from .core import CostPair, ProblemAdapter, SolutionRecord, check_weight, rational
+from .core import CostPair, SolutionRecord, rational
 from .errors import CapExceeded, InfeasibleToken
 
 # Hard limits on brute-force enumeration, read at each call.
@@ -258,18 +259,6 @@ def check_node_cap(instance) -> None:
         raise CapExceeded(f"{instance.node_count} nodes exceeds the enumeration cap {MAX_NODES}")
 
 
-def _scaled_images(instance):
-    """(D, solutions): D as in ``_scaled_weights``; solutions yields (token, D*f1, D*f2).
-
-    One triple of ints per feasible solution, in enumeration order.  The
-    node cap is checked before anything is enumerated; ``MAX_SOLUTIONS``
-    as the solutions come.
-    """
-    check_node_cap(instance)
-    scale, first, second = _scaled_weights(instance)
-    return scale, _summed(_ENUMERATORS[instance.kind](instance), first, second, MAX_SOLUTIONS)
-
-
 def _scaled_weights(instance):
     """(D, first, second): D the lcm of every weight denominator, the weights times D as ints."""
     ratios = instance.ratios  # ((p1, q1), (p2, q2)) per edge or vertex weight
@@ -281,34 +270,49 @@ def _scaled_weights(instance):
     return scale, first, second
 
 
-def _summed(solutions, first, second, limit):
-    for count, (token, members) in enumerate(solutions):
-        if count == limit:
+def _solutions(instance, first, second):
+    """Yield (token, D*f1, D*f2) per feasible solution, in enumeration order.
+
+    ``first`` and ``second`` are the weights of ``_scaled_weights``.  The
+    node cap is checked before anything is enumerated; ``MAX_SOLUTIONS``
+    as the solutions come.
+    """
+    check_node_cap(instance)
+    for count, (token, members) in enumerate(_ENUMERATORS[instance.kind](instance)):
+        if count == MAX_SOLUTIONS:
             raise CapExceeded("enumeration exceeded max_solutions")
         yield token, sum(map(first.__getitem__, members)), sum(map(second.__getitem__, members))
 
 
 def enumerate_all(instance):
     """Every feasible solution of the instance, exactly once, with its image."""
-    scale, solutions = _scaled_images(instance)
+    scale, first, second = _scaled_weights(instance)
     return [
         SolutionRecord(token, CostPair(Fraction(s1, scale), Fraction(s2, scale)))
-        for token, s1, s2 in solutions
+        for token, s1, s2 in _solutions(instance, first, second)
     ]
 
 
 def token_image(instance, token):
     """(D, D*f1, D*f2): a solution token's image as ints over D; raises InfeasibleToken if not."""
+    return _token_image(instance, token, _scaled_weights(instance))
+
+
+def _token_image(instance, token, scaling) -> tuple:
+    """``token_image`` under ``scaling``, ``_scaled_weights``'s (D, first, second)."""
+    scale, first, second = scaling
     members = _TOKEN_CHECKS[instance.kind](instance, token)
-    scale, first, second = _scaled_weights(instance)
     return scale, sum(map(first.__getitem__, members)), sum(map(second.__getitem__, members))
 
 
-def _tokens_hold(instance, records) -> bool:
-    """True iff each record's token is a solution with the record's image, compared on ints."""
+def _tokens_hold(instance, records, scaling) -> bool:
+    """True iff each record's token is a solution with the record's image, compared on ints.
+
+    ``scaling`` is the verdict's one ``_scaled_weights``, (D, first, second).
+    """
     for record in records:
         try:
-            d, s1, s2 = token_image(instance, record.token)
+            d, s1, s2 = _token_image(instance, record.token, scaling)
         except InfeasibleToken:
             return False
         f1, f2 = record.image.f1, record.image.f2
@@ -317,62 +321,16 @@ def _tokens_hold(instance, records) -> bool:
     return True
 
 
-def adversarial_wrap(inner: ProblemAdapter, alpha, instance, script=None) -> ProblemAdapter:
-    """Wrap ``inner`` as an alpha-approximate adversary bound to ``instance``.
-
-    The default policy returns, among all feasible solutions whose
-    weighted value is within alpha of the optimum, the one maximizing f1
-    (ties by maximal f2, then enumeration order).  ``script`` maps a
-    weight gamma to a forced token; scripted answers are validated to be
-    alpha-legal.  The instance must be small enough to enumerate.
-    """
-    alpha = rational(alpha)
-    if alpha < 1:
-        raise ValueError("adversary factor must be >= 1")
-    candidates = enumerate_all(instance)
-    return _AdversarialAdapter(inner, alpha, instance, candidates, dict(script or {}))
-
-
-class _AdversarialAdapter(ProblemAdapter):
-    def __init__(self, inner, alpha, instance, candidates, script):
-        self._inner = inner
-        self._alpha = alpha
-        self._instance = instance
-        self._candidates = candidates
-        self._script = {rational(g): token for g, token in script.items()}
-
-    def alpha(self) -> Fraction:
-        return self._alpha
-
-    def bounds(self, instance):
-        return self._inner.bounds(instance)
-
-    def solve_weighted_sum(self, instance, gamma) -> SolutionRecord:
-        if instance != self._instance:
-            raise ValueError("adversary is bound to the instance it was built for")
-        gamma = check_weight(gamma)
-        best = min(r.image.weighted(gamma) for r in self._candidates)
-        legal = [r for r in self._candidates if r.image.weighted(gamma) <= self._alpha * best]
-        forced = self._script.get(gamma)
-        if forced is not None:
-            chosen = next((r for r in legal if r.token == forced), None)
-            if chosen is None:
-                raise ValueError(f"scripted answer at gamma={gamma} is not alpha-legal")
-        else:
-            chosen = max(legal, key=lambda r: (r.image.f1, r.image.f2))
-        return replace(chosen, produced_at=gamma)
-
-
 def exact_opt_budget(instance, budget) -> Optional[Fraction]:
     """Minimum f2 over solutions with f1 <= budget; None when none qualifies.
 
     D*f1 is an int, so f1 <= budget exactly when D*f1 <= floor(D*budget).
     """
     budget = rational(budget)
-    scale, solutions = _scaled_images(instance)
+    scale, first, second = _scaled_weights(instance)
     limit = budget.numerator * scale // budget.denominator
     best = None
-    for _, s1, s2 in solutions:
+    for _, s1, s2 in _solutions(instance, first, second):
         if s1 <= limit and (best is None or s2 < best):
             best = s2
     return None if best is None else Fraction(best, scale)
@@ -388,7 +346,7 @@ def verify_budget(instance, record: SolutionRecord, budget, opt, factors) -> boo
     budget_factor, cost_factor = map(rational, factors)
     within = record.image.f1 <= budget_factor * rational(budget)
     meets = within and (opt is None or record.image.f2 <= cost_factor * rational(opt))
-    return meets and _tokens_hold(instance, (record,))
+    return meets and _tokens_hold(instance, (record,), _scaled_weights(instance))
 
 
 def _positive(a, b):
@@ -442,10 +400,10 @@ def verify_pareto_by_enumeration(instance, approx, a, b):
     uncovered one, so the caps apply as in ``enumerate_all``.
     """
     a, b = _positive(a, b)
-    scale, solutions = _scaled_images(instance)
+    scaling = scale, first, second = _scaled_weights(instance)
     front = _front((ceil(r.image.f1 * scale / a), ceil(r.image.f2 * scale / b)) for r in approx)
-    verdict, checked = _tokens_hold(instance, approx), 0
-    for _, s1, s2 in solutions:
+    verdict, checked = _tokens_hold(instance, approx, scaling), 0
+    for _, s1, s2 in _solutions(instance, first, second):
         checked += 1
         verdict = verdict and _reaches(front, s1, s2)
     return verdict, checked

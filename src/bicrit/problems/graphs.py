@@ -28,7 +28,7 @@ from itertools import chain
 from math import lcm
 from typing import Optional
 
-from ..core import Bounds, CostPair, LinearValue, rational
+from ..core import Bounds, CostPair, rational
 from ..errors import ValidationError
 
 GRAPH_KINDS = ("mst", "path", "cut")
@@ -238,11 +238,6 @@ class ScaledWeights:
         p, q = gamma.numerator, gamma.denominator
         return [q * a + p * b for a, b in zip(self.first, self.second)]
 
-    @cached_property
-    def linear(self) -> tuple:
-        """``LinearValue(W1, W2)`` per pair, D times the combined weight: built once, shared."""
-        return tuple([LinearValue(a, b) for a, b in zip(self.first, self.second)])
-
     def image(self, indices) -> CostPair:
         """Exact image of the solution made of the pairs at ``indices``."""
         return CostPair(
@@ -252,27 +247,39 @@ class ScaledWeights:
 
 
 class Keyed(tuple):
-    """Tuple ordered by its first item, a ``LinearValue``, then by the items after it.
+    """A label (form, ..., (c, s, compare)), ordered by its form c + s*gamma, then by the rest.
 
     A symbolic run's stand-in for a plain tuple such as (distance, node).
-    The first items compare by the comparator's sign of their difference,
-    given as its constant and slope.  The comparator rides along as the
-    last item, so one type serves every run and no class is built per run.
-    It makes one comparator call per comparison, where a tuple of
-    ``cmp_to_key`` objects makes two (``==``, then ``<``).
+    The first item is the form packed into one int, which the run adds up;
+    ``keyed_by`` unpacks it once per label into its constant c and its
+    slope s.  Two labels compare by ``compare``'s sign of the difference of
+    their forms, given as its constant and its slope.  The comparator rides
+    along in the last item, so one type serves every run and no class is
+    built per run.  It makes one comparator call per comparison, where a
+    tuple of ``cmp_to_key`` objects makes two (``==``, then ``<``).
     """
 
     __slots__ = ()
 
     def __lt__(self, other):
-        p, q = self[0], other[0]
-        order = self[-1](p.constant - q.constant, p.slope - q.slope)
+        (c, s, compare), (d, t, _) = self[-1], other[-1]
+        order = compare(c - d, s - t)
         return order < 0 or (order == 0 and self[1:-1] < other[1:-1])
 
 
-def keyed_by(compare):
-    """A symbolic run's label maker: ``item`` becomes ``Keyed(item + (compare,))``."""
-    return lambda item: Keyed(item + (compare,))
+def keyed_by(compare, k):
+    """A symbolic run's label maker: ``item`` becomes ``Keyed(item + ((c, s, compare),))``.
+
+    ``item[0]`` is a form c + s*gamma packed as the int ``c << k | s``,
+    with c >= 0 and 0 <= s < 2**k, so ``divmod`` by 2**k recovers c and s.
+    """
+    base = 1 << k
+
+    def label(item):
+        c, s = divmod(item[0], base)
+        return Keyed(item + ((c, s, compare),))
+
+    return label
 
 
 def cost_bounds(scaled: ScaledWeights, relaxed: bool, multiplicity: int = 1) -> Bounds:

@@ -6,8 +6,8 @@ exact and parametric-capable.  Each step takes the least (distance, node)
 label among the reached, unvisited nodes with one ``min`` over them in
 index order, so the concrete run compares int tuples only.  All tie breaks
 are by node or edge index, so runs are reproducible and the symbolic run,
-the same Dijkstra over ``LinearValue``s built from the same ints, follows
-the concrete one exactly.
+the same Dijkstra over ints that pack the same weights' constants and
+slopes, follows the concrete one exactly.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ def dijkstra_run(adjacency, source, sink, values, label=tuple):
     ``adjacency`` lists each node's (edge index, other endpoint) pairs in
     edge order.  A node's label is ``label((distance, node))``, ordered by
     distance, then node: a plain tuple in the concrete oracle, a
-    ``keyed_by(compare)`` tuple in the symbolic run.  A label is replaced
+    ``keyed_by(compare, k)`` tuple in the symbolic run.  A label is replaced
     only on strict improvement.  Each step scans the frontier, the reached
     and unvisited nodes, in index order and keeps the least label, so it
     compares each node's distance with the least one before it.  A binary
@@ -89,12 +89,24 @@ class ShortestPathAdapter(ParametricAdapter):
         return cost_bounds(instance.scaled, instance.relaxed)
 
     def run_parametric(self, instance, compare):
-        """Dijkstra with every label comparison routed through ``compare``."""
+        """Dijkstra with every label comparison routed through ``compare``.
+
+        Edge i's value is the int ``W1[i] << k | W2[i]``, the linear form
+        W1[i] + W2[i]*gamma packed, with k the bit length of the sum of
+        every W2.  A label is the sum of the values along a path, and each
+        path the run labels is simple: a node is labelled from a settled
+        one, whose path holds settled nodes only, so never the unsettled
+        node it reaches.  A simple path uses each edge at most once, and
+        every W1 and W2 is >= 0, so its W2 part s stays within
+        0 <= s < 2**k and never carries into its W1 part c >= 0: the label
+        is exactly ``c << k | s``.  ``keyed_by(compare, k)`` unpacks each
+        label into its (c, s), so ``compare`` is asked the same forms in
+        the same order as by a run over (c, s) pairs.
+        """
+        scaled = instance.scaled
+        k = sum(scaled.second).bit_length()
+        values = [a << k | b for a, b in zip(scaled.first, scaled.second)]
         token = dijkstra_run(
-            instance.adjacency,
-            instance.source,
-            instance.sink,
-            instance.scaled.linear,
-            keyed_by(compare),
+            instance.adjacency, instance.source, instance.sink, values, keyed_by(compare, k)
         )
-        return SolutionRecord(token, instance.scaled.image(token))
+        return SolutionRecord(token, scaled.image(token))

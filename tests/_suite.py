@@ -33,6 +33,7 @@ from bicrit.problems import (
     VertexWeightedGraph,
 )
 from bicrit.problems.mst import kruskal_run
+from bicrit.problems.shortest_path import dijkstra_run
 from bicrit.sweep import certify, index_range, parametric_factors
 
 
@@ -169,6 +170,41 @@ def random_vc_instance(rng, n) -> VertexWeightedGraph:
     return VertexWeightedGraph(n, tuple(edges), weights)
 
 
+@dataclass(frozen=True, slots=True)
+class LinearValue:
+    """A quantity constant + slope * gamma, linear in the symbolic weight.
+
+    The value type of the symbolic runs before they decided plain int
+    forms, kept as the references' values.  Both fields are ints, and
+    ``+`` and ``-`` keep them ints.  Any other type, a bool or a Fraction
+    included, raises TypeError, and so does adding or subtracting
+    anything but a ``LinearValue``.
+    """
+
+    constant: int
+    slope: int
+
+    def __post_init__(self):
+        if type(self.constant) is not int or type(self.slope) is not int:
+            raise TypeError(f"LinearValue needs int fields, got {self}")
+
+    def __add__(self, other: "LinearValue") -> "LinearValue":
+        if not isinstance(other, LinearValue):
+            return NotImplemented
+        return LinearValue(self.constant + other.constant, self.slope + other.slope)
+
+    def __sub__(self, other: "LinearValue") -> "LinearValue":
+        if not isinstance(other, LinearValue):
+            return NotImplemented
+        return LinearValue(self.constant - other.constant, self.slope - other.slope)
+
+
+def linear_values(instance) -> tuple:
+    """``LinearValue(W1, W2)`` per weight pair, D times the combined weight, from ``scaled``."""
+    scaled = instance.scaled
+    return tuple([LinearValue(a, b) for a, b in zip(scaled.first, scaled.second)])
+
+
 def reference_local_ratio_run(graph: VertexWeightedGraph, values, compare) -> frozenset:
     """Local ratio over arbitrary vertex values, the form it had before it kept int forms.
 
@@ -198,7 +234,8 @@ class ReferenceVertexCover(VertexCoverAdapter):
     """Vertex cover whose symbolic run is local ratio over ``LinearValue`` residuals."""
 
     def run_parametric(self, instance, compare):
-        token = reference_local_ratio_run(instance, instance.scaled.linear, on_differences(compare))
+        values = linear_values(instance)
+        token = reference_local_ratio_run(instance, values, on_differences(compare))
         return SolutionRecord(token, instance.scaled.image(token))
 
 
@@ -206,9 +243,34 @@ class ReferenceMst(MstAdapter):
     """Spanning trees whose symbolic run sorts the edges' ``LinearValue``s."""
 
     def run_parametric(self, instance, compare):
-        values = instance.scaled.linear
+        values = linear_values(instance)
         key = functools.cmp_to_key(on_differences(compare))
         token = kruskal_run(instance.node_count, instance.edges, lambda i: key(values[i]))
+        return SolutionRecord(token, instance.scaled.image(token))
+
+
+class ReferenceLabel(tuple):
+    """(distance, node, compare) with a ``LinearValue`` distance, ordered by distance, then node."""
+
+    __slots__ = ()
+
+    def __lt__(self, other):
+        d = self[0] - other[0]
+        order = self[-1](d.constant, d.slope)
+        return order < 0 or (order == 0 and self[1:-1] < other[1:-1])
+
+
+class ReferenceShortestPath(ShortestPathAdapter):
+    """Shortest paths whose symbolic run is Dijkstra over ``LinearValue`` distances."""
+
+    def run_parametric(self, instance, compare):
+        token = dijkstra_run(
+            instance.adjacency,
+            instance.source,
+            instance.sink,
+            linear_values(instance),
+            lambda item: ReferenceLabel(item + (compare,)),
+        )
         return SolutionRecord(token, instance.scaled.image(token))
 
 

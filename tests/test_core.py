@@ -10,7 +10,6 @@ from bicrit.core import (
     Bounds,
     CostPair,
     GuaranteeCertificate,
-    LinearValue,
     check_epsilon,
     check_weight,
     format_rational,
@@ -153,21 +152,21 @@ class TestSignAt:
 
     def test_zero_at_both_ends(self):
         # Only the zero line, the difference of equal values, is 0 at two weights.
-        d = LinearValue(1, 2) - LinearValue(1, 2)
-        assert [sign_at(d.constant, d.slope, end) for end in ((1, 4), (3, 1))] == [0, 0]
+        c, s = 1 - 1, 2 - 2
+        assert [sign_at(c, s, end) for end in ((1, 4), (3, 1))] == [0, 0]
 
     def test_opposite_signs_at_the_ends(self):
         # 2 + 3*gamma against 3 + gamma: the difference -1 + 2*gamma crosses 0 inside [1/4, 1].
-        d = LinearValue(2, 3) - LinearValue(3, 1)
-        assert [sign_at(d.constant, d.slope, end) for end in ((1, 4), (1, 1))] == [-1, 1]
-        crit = Fraction(-d.constant, d.slope)  # the critical weight, exact on int fields
+        c, s = 2 - 3, 3 - 1
+        assert [sign_at(c, s, end) for end in ((1, 4), (1, 1))] == [-1, 1]
+        crit = Fraction(-c, s)  # the critical weight, exact on ints
         assert crit == Fraction(1, 2) and type(crit) is Fraction
-        assert sign_at(d.constant, d.slope, ratio_of(crit)) == 0
+        assert sign_at(c, s, ratio_of(crit)) == 0
 
     def test_parallel_lines_keep_their_sign(self):
-        d = LinearValue(1, 2) - LinearValue(5, 2)
-        assert d.slope == 0
-        assert {sign_at(d.constant, d.slope, end) for end in ((1, 1000), (1, 1), (1000, 1))} == {-1}
+        # 1 + 2*gamma against 5 + 2*gamma: equal slopes, so the difference is the constant -4.
+        c, s = 1 - 5, 2 - 2
+        assert {sign_at(c, s, end) for end in ((1, 1000), (1, 1), (1000, 1))} == {-1}
 
     def test_negative_slope(self):
         # 3 - 2*gamma is 0 at 3/2, an unreduced pair included

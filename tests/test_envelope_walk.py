@@ -30,7 +30,7 @@ from _suite import (
 from bicrit import exact_search
 from bicrit.core import CostPair, ParametricAdapter, SolutionRecord, crossing_split, envelope_walk
 from bicrit.exact_search import parametric_search
-from bicrit.oracle import adversarial_wrap
+from bicrit.marathe import adversarial_wrap
 from bicrit.pareto import ParetoSet, filter_dominated, pareto_from_parametric, pareto_index_range
 from bicrit.sweep import (
     BudgetQuery,

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from _suite import (
+    LinearValue,
     boundary_call_bound,
     build_suite,
     check_exact_search,
@@ -31,7 +32,6 @@ from bicrit.cli import ingest
 from bicrit.core import (
     CostPair,
     GuaranteeCertificate,
-    LinearValue,
     ParametricAdapter,
     pow_one_plus_eps,
     rational,
@@ -46,7 +46,8 @@ from bicrit.exact_search import (
     solve_budget_parametric,
     walk_step_budget,
 )
-from bicrit.oracle import adversarial_wrap, enumerate_all, exact_opt_budget, verify_budget
+from bicrit.marathe import adversarial_wrap
+from bicrit.oracle import enumerate_all, exact_opt_budget, verify_budget
 from bicrit.problems import (
     BiweightedGraph,
     MinCutAdapter,
@@ -178,6 +179,8 @@ def reference_sweep(adapter, instance, query):
 
 
 class TestLinearValue:
+    """``_suite.LinearValue``, the references' value type, is exact: int fields, int sums."""
+
     def test_critical_gamma_examples(self):
         # Two lines cross where their difference c + s*gamma is 0, at -c/s; equal slopes never cross.
         d = LinearValue(2, 3) - LinearValue(3, 1)

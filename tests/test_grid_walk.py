@@ -15,7 +15,7 @@ from bicrit.core import (
     pow_one_plus_eps,
     ratio_of,
 )
-from bicrit.oracle import adversarial_wrap
+from bicrit.marathe import adversarial_wrap
 from bicrit.pareto import approximate_pareto, pareto_index_range
 from bicrit.problems import BiweightedGraph, MstAdapter
 from bicrit.sweep import index_range, solve_grid

@@ -26,7 +26,7 @@ from _suite import (
     random_relaxed_instance,
     random_vc_instance,
 )
-from bicrit.core import CostPair, LinearValue, SolutionRecord, pow_one_plus_eps, sign_at
+from bicrit.core import CostPair, SolutionRecord, pow_one_plus_eps, sign_at
 from bicrit.pareto import pareto_index_range
 from bicrit.problems import (
     BiweightedGraph,
@@ -184,46 +184,31 @@ class _CountingTuple(tuple):
 
 
 @pytest.mark.parametrize("kind", ["mst", "path", "vc"])
-def test_symbolic_runs_read_the_instances_one_linear_tuple(kind, monkeypatch):
-    """Kruskal, Dijkstra and local ratio read the instance's scaled weights and leave them as built.
+def test_symbolic_runs_read_the_instances_int_tuples(kind):
+    """Kruskal, Dijkstra and local ratio read the instance's scaled ints and leave them as built.
 
-    Dijkstra reads ``scaled.linear``, a tuple built once per instance.
-    Kruskal and local ratio read the int tuples ``first`` and ``second``
-    and never build ``linear``.  A run that built its own values would make
-    checked ``LinearValue``s, which this test refuses, and local ratio,
-    which subtracts, has to copy its two int lists first.
+    Each reads the int tuples ``first`` and ``second`` and asks its
+    comparator forms of two ints.  Local ratio, which subtracts, has to
+    copy its two int lists first, and Dijkstra packs them into values of
+    its own.
     """
     graph = _random_instance(random.Random(157), kind)
     adapter = adapter_for(graph)
     scaled = graph.scaled
     first, second = scaled.first, scaled.second
-    if kind == "path":
-        fresh = tuple([LinearValue(a, b) for a, b in zip(first, second)])
-        assert type(scaled.linear) is tuple and scaled.linear == fresh
-        assert graph.scaled.linear is scaled.linear
-        spies = [_CountingTuple(scaled.linear)]
-        scaled.__dict__["linear"] = spies[0]
-    else:
-        spies = [_CountingTuple(first), _CountingTuple(second)]
-        object.__setattr__(scaled, "first", spies[0])
-        object.__setattr__(scaled, "second", spies[1])
-
-    def refuse(value):
-        raise AssertionError(f"a symbolic run built {value}")
+    spies = [_CountingTuple(first), _CountingTuple(second)]
+    object.__setattr__(scaled, "first", spies[0])
+    object.__setattr__(scaled, "second", spies[1])
+    forms = set()
 
     def compare(c, s):
+        forms.add((type(c), type(s)))
         return sign_at(c, s, (3, 2))
 
-    monkeypatch.setattr(LinearValue, "__post_init__", refuse)
     tokens = [adapter.run_parametric(graph, compare).token for _ in range(2)]
-    monkeypatch.undo()
-    if kind == "path":
-        assert graph.scaled.linear is spies[0] and spies[0].reads >= 2
-        assert spies[0] == fresh
-    else:
-        assert (scaled.first, scaled.second) == tuple(spies) == (first, second)
-        assert all(spy.reads >= 2 for spy in spies)
-        assert "linear" not in scaled.__dict__
+    assert (scaled.first, scaled.second) == tuple(spies) == (first, second)
+    assert all(spy.reads >= 2 for spy in spies)
+    assert forms == {(int, int)}
     assert tokens == [adapter.solve_weighted_sum(graph, Fraction(3, 2)).token] * 2
 
 

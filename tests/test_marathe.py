@@ -10,6 +10,7 @@ from _suite import cost_pairs, grid_guarantee, parametric_guarantee, random_mst_
 from bicrit.core import CostPair
 from bicrit.marathe import (
     EXAMPLE1_SCRIPT,
+    adversarial_wrap,
     example1_graph,
     example2_graph,
     h_value,
@@ -17,7 +18,7 @@ from bicrit.marathe import (
     reproduce_example1,
     reproduce_example2,
 )
-from bicrit.oracle import adversarial_wrap, exact_opt_budget, verify_budget
+from bicrit.oracle import exact_opt_budget, verify_budget
 from bicrit.problems import BiweightedGraph, MstAdapter
 from bicrit.sweep import BudgetQuery, solve_budget_sweep
 from bicrit.exact_search import solve_budget_binary, solve_budget_parametric

@@ -153,3 +153,20 @@ class TestVerifyCoverage:
         assert verify_pareto_coverage(exact.records, records, 1, 1)
         assert not verify_pareto_coverage((_record(4, 2),), records, 1, 1)
         assert verify_pareto_coverage(records, records, 1, 1)
+
+    def test_one_scaling_per_verdict(self, monkeypatch):
+        # A verdict derives the lcm scaling once and checks every token under it.
+        instance = random_mst_instance(random.Random(6), 6, 3)
+        curve = exact_pareto(instance).records
+        assert len(curve) >= 3
+        calls = []
+        scaled_weights = oracle._scaled_weights
+        monkeypatch.setattr(
+            oracle, "_scaled_weights", lambda graph: calls.append(graph) or scaled_weights(graph)
+        )
+        verdict, checked = verify_pareto_by_enumeration(instance, curve, 1, 1)
+        assert verdict and checked > len(curve)
+        assert calls == [instance]
+        budget = curve[0].image.f1
+        assert verify_budget(instance, curve[0], budget, exact_opt_budget(instance, budget), (1, 1))
+        assert calls == [instance] * 3  # exact_opt_budget's enumeration, then the verdict's

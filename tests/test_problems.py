@@ -30,7 +30,8 @@ from bicrit.errors import (
 )
 from bicrit.exact_search import parametric_search
 from bicrit.formats import instance_digest, instance_from_dict, serialize_instance
-from bicrit.oracle import adversarial_wrap, enumerate_all, token_image
+from bicrit.marathe import adversarial_wrap
+from bicrit.oracle import enumerate_all, token_image
 from bicrit.pareto import approximate_pareto, pareto_from_parametric, pareto_index_range
 from bicrit.problems import (
     BiweightedGraph,

@@ -25,7 +25,8 @@ from bicrit.core import (
     pow_one_plus_eps,
 )
 from bicrit.errors import NoCertificate
-from bicrit.oracle import adversarial_wrap, enumerate_all
+from bicrit.marathe import adversarial_wrap
+from bicrit.oracle import enumerate_all
 from bicrit.pareto import approximate_pareto, pareto_index_range
 from bicrit.problems import VertexCoverAdapter, VertexWeightedGraph, vc_oracle
 from bicrit.sweep import (
