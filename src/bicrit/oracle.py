@@ -2,41 +2,43 @@
 
 Full solution enumeration, token checks, exact budget optima and
 guarantee verification.  The module imports nothing from the package but
-``core`` and ``errors``, so it shares no code with the algorithms it
-checks: each check takes the factors and the records it checks from its
-caller, and the instance's ``kind`` picks the enumerator and the token
-check.  ``_scaled_weights`` scales the weight ratios to ints over D, the
-lcm of their denominators, never reading the plugins' ``ScaledWeights``,
-and every image is summed from those ints.  ``enumerate_all`` builds a
-record per solution; ``exact_opt_budget`` and
-``verify_pareto_by_enumeration`` fold the sums and build none.
-``token_image`` checks by this module's own definitions that a token is
-a solution and re-derives its image, in linear time at any size; both
-verdicts run its check on every record they check, under one scaling per
-verdict.  The module holds only what a verdict trusts: the worst-case
-adversary of the reproductions and negative tests is
-``marathe.adversarial_wrap``.
+``core``, ``errors`` and its enumerators, ``enumeration``, which imports
+nothing, so it shares no code with the algorithms it checks: each check
+takes the factors and the records it checks from its caller, and the
+instance's ``kind`` picks the enumerator and the token check.
+``_scaled_weights`` scales the weight ratios to ints over D, the lcm of
+their denominators, never reading the plugins' ``ScaledWeights``, and
+every image is summed from those ints.  The sums ride along on each
+enumerator's walk, and a cut side's are updated from the previous
+side's, so a solution costs its step of the walk and no more.  Only
+``enumerate_all`` turns the walk's keys into tokens and builds a record
+per solution; ``exact_opt_budget`` and ``verify_pareto_by_enumeration``
+fold the sums and build neither.  ``token_image`` checks by this
+module's own definitions that a token is a solution and re-derives its
+image, in linear time at any size; both verdicts run its check on every
+record they check, under one scaling per verdict.  The module holds only
+what a verdict trusts: the worst-case adversary of the reproductions and
+negative tests is ``marathe.adversarial_wrap``.
 
 Everything is capped, and a truncated oracle is worse than none, so
 exceeding a cap raises.  ``check_node_cap`` runs before anything is
 enumerated; the CLI also calls it right after ingest, before any oracle
 call.
 ``MAX_SOLUTIONS`` bounds the work for every kind, because the enumerators
-extend only partial solutions that lead to a solution (backtracking that
-prunes dead branches before it enters them; every side of a cut is a
-solution).  They keep explicit stacks rather than recursing, so no edge
-count reaches the recursion limit and no call leaves a reference cycle
-behind.
+extend only partial solutions that lead to a solution (see
+``enumeration``).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
+from itertools import islice
 from math import ceil, lcm
 from typing import Optional
 
 from .core import CostPair, SolutionRecord, rational
+from .enumeration import _covers, _cuts, _reach, _simple_paths, _spanning_trees
 from .errors import CapExceeded, InfeasibleToken
 
 # Hard limits on brute-force enumeration, read at each call.
@@ -44,156 +46,21 @@ MAX_NODES = 12
 MAX_SOLUTIONS = 100_000
 
 
-def _reach(neighbours, start, blocked=0) -> int:
-    """Bitmask of the nodes reachable from ``start`` avoiding the ``blocked`` mask."""
-    seen = frontier = 1 << start
-    while frontier:
-        grown = 0
-        while frontier:
-            low = frontier & -frontier
-            grown |= neighbours[low.bit_length() - 1]
-            frontier ^= low
-        frontier = grown & ~(seen | blocked)
-        seen |= frontier
-    return seen
-
-
-def _spans(neighbours, forest, full) -> bool:
-    """True iff the forest's components joined by ``neighbours`` reach every node."""
-    return _reach([a | c for a, c in zip(neighbours, forest)], 0) == full
-
-
-def _spanning_trees(graph):
-    """Yield (edge-index frozenset, edge indices) per spanning tree, include-first DFS order.
-
-    A state is (next edge, forest, chosen edges); the forest is the list
-    of per-node component bitmasks.  Every state on the stack extends to a
-    spanning tree: the forest plus the edges from the next one on spans the
-    graph, and enough of them are left.  Taking the next edge keeps that
-    true, so only skipping it needs a check, and only when the edge would
-    join two components.
-
-    Forests and suffix rows are lists, not tuples: freed length-n tuples
-    pile up in CPython's tuple free lists, which only a full collection
-    empties, and on the verify-small benchmark they read as resident memory.
-    """
-    n = graph.node_count
-    edges = graph.edges
-    m = len(edges)
-    need = n - 1
-    full = (1 << n) - 1
-    # suffix[idx][v]: the neighbours of v over edges idx..m-1.
-    suffix = [None] * m
-    masks = [0] * n
-    for idx in range(m - 1, -1, -1):
-        u, v = edges[idx]
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-        suffix[idx] = masks.copy()
-    forest = [1 << v for v in range(n)]
-    if m < need or not _spans(suffix[0], forest, full):
-        return
-    stack = [(0, forest, ())]
-    while stack:
-        idx, forest, chosen = stack.pop()
-        u, v = edges[idx]
-        joins = not forest[u] >> v & 1
-        if m - idx > need - len(chosen) and (
-            not joins or _spans(suffix[idx + 1], forest, full)
-        ):
-            stack.append((idx + 1, forest, chosen))
-        if joins:
-            chosen += (idx,)
-            if len(chosen) == need:
-                yield frozenset(chosen), chosen
-            else:
-                merged = forest[u] | forest[v]
-                taken = [merged if c & merged else c for c in forest]
-                stack.append((idx + 1, taken, chosen))
-
-
-def _simple_paths(graph):
-    """Yield (edge-index tuple, same tuple) per simple source-sink path, adjacency DFS order.
-
-    The walk steps to a neighbour only if the sink is reachable from it
-    without revisiting a node, so every partial path it holds ends in a
-    solution.
-    """
-    adjacency = graph.adjacency
-    neighbours = [sum(1 << w for w in ws) for ws in graph.neighbours]
-    sink = graph.sink
-    path = []
-    visited = 1 << graph.source
-
-    def frame(node):
-        return iter(adjacency[node]), neighbours[node] & _reach(neighbours, sink, visited), node
-
-    stack = [frame(graph.source)]
-    while stack:
-        edges, live, node = stack[-1]
-        for idx, other in edges:
-            if live >> other & 1:
-                break
-        else:
-            stack.pop()
-            visited ^= 1 << node
-            if path:
-                path.pop()
-            continue
-        if other == sink:
-            token = (*path, idx)
-            yield token, token
-            continue
-        path.append(idx)
-        visited |= 1 << other
-        stack.append(frame(other))
-
-
-def _cuts(graph):
-    """Yield (source-side node frozenset, crossing edge indices) per cut, in subset-mask order."""
-    others = [v for v in range(graph.node_count) if v not in (graph.source, graph.sink)]
-    for mask in range(1 << len(others)):
-        # A frozenset copied from a set gets a compact table; one grown from an iterable may not.
-        side = {graph.source}
-        bits = 1 << graph.source
-        for bit, node in enumerate(others):
-            if mask >> bit & 1:
-                side.add(node)
-                bits |= 1 << node
-        yield frozenset(side), _crossing(graph.edges, bits)
-
-
 def _crossing(edges, side) -> list:
     """Indices of the edges with one end in the node mask ``side``."""
     return [i for i, (u, v) in enumerate(edges) if (side >> u ^ side >> v) & 1]
 
 
-def _covers(graph):
-    """Yield (node frozenset, nodes) per vertex cover, in subset-mask order.
-
-    Nodes are decided from the highest index down, out before in, so the
-    masks come in increasing order.  A node is left out only if all of its
-    neighbours decided before it are in; then no edge has both ends out,
-    and taking every node still undecided completes a cover.
-    """
-    n = graph.node_count
-    above = [0] * n  # above[v]: v's neighbours with a higher index
-    for u, v in graph.edges:
-        above[min(u, v)] |= 1 << max(u, v)
-    stack = [(n, 0)]  # (nodes decided: those >= v, the ones taken in)
-    while stack:
-        v, mask = stack.pop()
-        if v == 0:
-            nodes = [u for u in range(n) if mask >> u & 1]
-            yield frozenset(nodes), nodes
-            continue
-        v -= 1
-        stack.append((v, mask | 1 << v))
-        if not above[v] & ~mask:
-            stack.append((v, mask))
-
-
 _ENUMERATORS = {"mst": _spanning_trees, "path": _simple_paths, "cut": _cuts, "vc": _covers}
+
+
+def _mask_nodes(mask) -> frozenset:
+    # A frozenset copied from a set gets a compact table; one grown from an iterable may not.
+    return frozenset({v for v in range(mask.bit_length()) if mask >> v & 1})
+
+
+# The token of each enumerator's key: a path's edge tuple is its own token.
+_TOKENS = {"mst": frozenset, "path": tuple, "cut": _mask_nodes, "vc": _mask_nodes}
 
 
 def _indices(token, count):
@@ -271,25 +138,26 @@ def _scaled_weights(instance):
 
 
 def _solutions(instance, first, second):
-    """Yield (token, D*f1, D*f2) per feasible solution, in enumeration order.
+    """Yield (key, D*f1, D*f2) per feasible solution, in enumeration order.
 
-    ``first`` and ``second`` are the weights of ``_scaled_weights``.  The
-    node cap is checked before anything is enumerated; ``MAX_SOLUTIONS``
-    as the solutions come.
+    ``first`` and ``second`` are the weights of ``_scaled_weights``; the
+    key is the enumerator's (see ``enumeration``).  The node cap is checked
+    before anything is enumerated; ``MAX_SOLUTIONS`` as the solutions come.
     """
     check_node_cap(instance)
-    for count, (token, members) in enumerate(_ENUMERATORS[instance.kind](instance)):
-        if count == MAX_SOLUTIONS:
-            raise CapExceeded("enumeration exceeded max_solutions")
-        yield token, sum(map(first.__getitem__, members)), sum(map(second.__getitem__, members))
+    solutions = _ENUMERATORS[instance.kind](instance, first, second)
+    yield from islice(solutions, MAX_SOLUTIONS)
+    for _ in solutions:
+        raise CapExceeded("enumeration exceeded max_solutions")
 
 
 def enumerate_all(instance):
     """Every feasible solution of the instance, exactly once, with its image."""
     scale, first, second = _scaled_weights(instance)
+    token = _TOKENS[instance.kind]
     return [
-        SolutionRecord(token, CostPair(Fraction(s1, scale), Fraction(s2, scale)))
-        for token, s1, s2 in _solutions(instance, first, second)
+        SolutionRecord(token(key), CostPair(Fraction(s1, scale), Fraction(s2, scale)))
+        for key, s1, s2 in _solutions(instance, first, second)
     ]
 
 

@@ -4,8 +4,10 @@ The reference below is the earlier ``oracle`` enumeration, kept verbatim in
 behaviour: recursive backtracking for spanning trees and simple paths, set
 membership for cut sides and covers, one ``Fraction`` addition per member.
 ``enumerate_all`` must return the same records in the same order, with equal
-tokens (of the same type) and equal images.  The verification folds, which
-build no records, must agree with the record-based checks and keep the caps.
+tokens (of the same type) and equal images, and ``oracle._solutions``, which
+yields each enumerator's key and int sums, the same solutions in the same
+order with the images times D.  The verification folds, which build no
+records, must agree with the record-based checks and keep the caps.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from _suite import (
     build_suite,
     cost_pairs,
     exact_pareto,
+    rand_pair,
     random_cut_instance,
     random_mst_instance,
     random_path_instance,
@@ -32,8 +35,8 @@ from bicrit import oracle
 from bicrit.cli import ALGORITHMS, main
 from bicrit.core import CostPair, SolutionRecord
 from bicrit.errors import CapExceeded
+from bicrit.enumeration import _covers, _cuts
 from bicrit.oracle import (
-    _covers,
     enumerate_all,
     exact_opt_budget,
     verify_pareto_by_enumeration,
@@ -210,11 +213,30 @@ def _fingerprint(records):
     ]
 
 
+def _key_token(kind, key):
+    """The token that a key of ``oracle._solutions`` stands for, by the enumerators' contract."""
+    if kind in ("cut", "vc"):
+        assert type(key) is int
+        return frozenset(v for v in range(key.bit_length()) if key >> v & 1)
+    assert type(key) is tuple
+    return frozenset(key) if kind == "mst" else key
+
+
+def assert_same_solutions(instance, expected):
+    """``_solutions`` yields the reference's solutions in its order, with its images times D."""
+    scale, first, second = oracle._scaled_weights(instance)
+    solutions = oracle._solutions(instance, first, second)
+    got = [(_key_token(instance.kind, key), s1, s2) for key, s1, s2 in solutions]
+    assert all(type(s1) is int and type(s2) is int for _, s1, s2 in got)
+    assert got == [(r.token, r.image.f1 * scale, r.image.f2 * scale) for r in expected]
+
+
 def assert_same_enumeration(instance):
     expected = reference_enumerate_all(instance)
     got = enumerate_all(instance)
     assert _fingerprint(got) == _fingerprint(expected)
     assert got == expected
+    assert_same_solutions(instance, expected)
     return got
 
 
@@ -294,14 +316,14 @@ def test_awkward_denominators_match(style):
         assert_same_enumeration(instance)
 
 
-def _scan_covers(graph):
+def _scan_covers(graph, first, second):
     """The cover enumeration the backtracking one replaced: every one of the 2**n masks."""
     n = graph.node_count
     edge_masks = [1 << u | 1 << v for u, v in graph.edges]
     for mask in range(1 << n):
         if all(mask & e for e in edge_masks):
             nodes = [v for v in range(n) if mask >> v & 1]
-            yield frozenset(nodes), nodes
+            yield mask, sum(first[v] for v in nodes), sum(second[v] for v in nodes)
 
 
 def test_covers_match_the_subset_scan(suite):
@@ -314,9 +336,61 @@ def test_covers_match_the_subset_scan(suite):
     graphs.append(VertexWeightedGraph(5, (), [(1, 2)] * 5))  # edgeless: every subset is a cover
     assert len(graphs) > 60
     for graph in graphs:
-        expected = list(_scan_covers(graph))
-        assert list(_covers(graph)) == expected
+        _, first, second = oracle._scaled_weights(graph)
+        expected = list(_scan_covers(graph, first, second))
+        assert list(_covers(graph, first, second)) == expected
     assert len(expected) == 2**5
+
+
+def _parallel_instances(rng):
+    """Instances of every kind whose edges come in parallel bundles, source-sink edges too."""
+    instances = []
+    for i in range(40):
+        kind = KINDS[i % 4]
+        n = rng.randint(3, 7)
+        ends = [(rng.randrange(v), v) for v in range(1, n)]
+        ends += [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 3))]
+        if kind in ("path", "cut"):
+            ends += [(0, n - 1), (n - 1, 0)] * rng.randint(0, 2)
+        ends = [end for end in ends for _ in range(rng.randint(1, 3))]
+        if kind == "vc":
+            instances.append(VertexWeightedGraph(n, ends, [rand_pair(rng) for _ in range(n)]))
+            continue
+        edges = [(u, v, rand_pair(rng)) for u, v in ends]
+        terminals = {} if kind == "mst" else {"source": 0, "sink": n - 1}
+        instances.append(BiweightedGraph(n, edges, kind=kind, **terminals))
+    return instances
+
+
+def test_solutions_match_with_parallel_edges_and_at_the_node_cap():
+    rng = random.Random(4110)
+    instances = _parallel_instances(rng)
+    assert sum(i.kind == "cut" and i.edges.count((0, i.node_count - 1)) > 1 for i in instances)
+    cap = oracle.MAX_NODES
+    instances += [random_cut_instance(rng, cap, extra) for extra in (0, 6, 20)]
+    instances += [random_vc_instance(rng, cap) for _ in range(3)]
+    for instance in instances:
+        assert_same_enumeration(instance)
+
+
+def test_every_side_of_a_cut_at_the_node_cap_sums_its_crossing_edges():
+    rng = random.Random(4111)
+    n = oracle.MAX_NODES
+    for source, sink in ((0, n - 1), (5, 2)):
+        ends = [(rng.randrange(v), v) for v in range(1, n)]
+        ends += [tuple(rng.sample(range(n), 2)) for _ in range(14)]
+        ends += [(source, sink), (sink, source), (source, sink)]
+        edges = [(u, v, rand_pair(rng)) for u, v in ends]
+        graph = BiweightedGraph(n, edges, kind="cut", source=source, sink=sink)
+        others = [v for v in range(n) if v not in (source, sink)]
+        _, first, second = oracle._scaled_weights(graph)
+        sides = list(_cuts(graph, first, second))
+        assert len(sides) == 2 ** (n - 2) == 1024
+        for mask, (side, s1, s2) in enumerate(sides):
+            members = [v for bit, v in enumerate(others) if mask >> bit & 1]
+            assert side == sum(1 << v for v in members) | 1 << source
+            crossing = oracle._crossing(graph.edges, side)
+            assert (s1, s2) == (sum(first[i] for i in crossing), sum(second[i] for i in crossing))
 
 
 def test_cap_semantics_match(monkeypatch):

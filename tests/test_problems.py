@@ -19,7 +19,7 @@ from _suite import (
     random_vc_instance,
     weighted_minimum,
 )
-from bicrit import exact_search, oracle, pareto, problems, sweep
+from bicrit import enumeration, exact_search, oracle, pareto, problems, sweep
 from bicrit.core import CostPair, ParametricAdapter
 from bicrit.errors import (
     DisconnectedGraph,
@@ -503,7 +503,7 @@ def _imports(tree):
 
 
 def test_problem_modules_do_not_import_the_algorithm_layer():
-    algorithms = {"sweep", "exact_search", "pareto", "oracle"}
+    algorithms = {"sweep", "exact_search", "pareto", "oracle", "enumeration"}
     modules = sorted(Path(problems.__file__).parent.glob("*.py"))
     assert {m.name for m in modules} >= {"graphs.py", "vertex_cover.py"}
     for module in modules:
@@ -512,18 +512,22 @@ def test_problem_modules_do_not_import_the_algorithm_layer():
 
 
 def test_oracle_imports_only_core_and_errors():
-    # The ground truth shares no code with the algorithms and plugins it checks.
-    source = Path(oracle.__file__)
-    package = {m.stem for m in source.parent.glob("*.py")} | {"problems"}
-    imported = {part for parts in _imports(ast.parse(source.read_text())) for part in parts}
-    assert imported & package == {"core", "errors"}
+    # The ground truth, ``oracle`` and its enumerators, shares no code with the
+    # algorithms and plugins it checks: it imports only core, errors and itself.
+    ground_truth = {"oracle", "enumeration"}
+    package = {m.stem for m in Path(oracle.__file__).parent.glob("*.py")} | {"problems"}
+    assert ground_truth <= package
+    for module in (oracle, enumeration):
+        source = Path(module.__file__)
+        imported = {part for parts in _imports(ast.parse(source.read_text())) for part in parts}
+        assert imported & package <= {"core", "errors"} | ground_truth - {source.stem}, source.name
 
 
 def test_searches_import_nothing_from_oracle():
     # The searches read the images their oracles return; only ``--verify`` reads the ground truth.
     for module in (sweep, exact_search, pareto):
         for parts in _imports(ast.parse(Path(module.__file__).read_text())):
-            assert "oracle" not in parts, (module.__name__, ".".join(parts))
+            assert not {"oracle", "enumeration"} & set(parts), (module.__name__, ".".join(parts))
 
 
 def test_every_symbolic_run_returns_its_evaluated_record(monkeypatch):
