@@ -4,12 +4,13 @@ Code-only leaves out blank lines, comment lines and docstring lines: a
 line counts when it holds a token other than a comment or a string that
 stands alone as a statement.  Counted with ``tokenize``.  Each module's
 size in bytes, its number of syntax-tree nodes and its compile peak are
-printed too, and the largest module by each is named last.  A run's peak
-resident memory follows the largest compile of a module, and compiling
-holds the whole syntax tree at once, so the node count tracks it better
-than the bytes, of which docstrings make up much.  The compile peak is
-that memory itself: the most that ``tracemalloc`` sees allocated while
-``compile`` turns the module's source into code.
+printed too, and the largest module by each is named last.  Compiling
+holds the whole syntax tree at once, so the node count tracks a module's
+compile peak better than the bytes, of which docstrings make up much.
+The compile peak is the most that ``tracemalloc`` sees allocated while
+``compile`` turns the module's source into code.  What a run keeps
+resident afterwards is not monotone in the largest peak, so a split of
+a module is measured, not read off these figures.
 
 Usage: python .github/src_lines.py
 """

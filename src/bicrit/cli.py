@@ -28,7 +28,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .core import check_epsilon, parse_rational
+from .core import Grid, parse_rational
 from .errors import (
     CapExceeded,
     ExactOracleRequired,
@@ -186,16 +186,16 @@ def _cmd_pareto(args, parser) -> int:
     eps = _flag_rational(parser, "--epsilon", args.epsilon)
     instance = _ingest_for(args)
     try:
-        check_epsilon(eps)
+        weights = Grid(eps)
     except ValueError as exc:
         parser.error(str(exc))
     adapter = adapter_for(instance)
     started = time.perf_counter()
     try:
         if args.parametric:
-            curve = pareto_from_parametric(adapter, instance, eps)
+            curve = pareto_from_parametric(adapter, instance, weights)
         else:
-            curve = approximate_pareto(adapter, instance, eps)
+            curve = approximate_pareto(adapter, instance, weights)
     except ExactOracleRequired as exc:
         parser.error(str(exc))
     if args.format == "csv":

@@ -103,68 +103,111 @@ def check_weight(gamma) -> Fraction:
 ratio_of = attrgetter("numerator", "denominator")  # a Fraction as its int pair (n, d)
 
 
+class Grid:
+    """The weights (1+eps)**i, i any integer, of one query's accuracy parameter eps.
+
+    A query builds one and hands it to every grid helper, so eps is
+    checked once, here.  The base 1 + p/q is held as the reduced int pair
+    (q + p, q), and its squares base**(2**k) are built on the first search
+    that needs them and kept: every index search of the query multiplies
+    the same table (the powers of one base, Knuth, TAOCP vol. 2, 4.6.3).
+    Powers of a reduced base are reduced already, so no gcd of the long
+    powers is ever taken.
+    """
+
+    __slots__ = ("eps", "_base", "_squares")
+
+    def __init__(self, eps):
+        self.eps = check_epsilon(eps)
+        p, q = ratio_of(self.eps)
+        self._base = Fraction(q + p, q)
+        self._squares = [(q + p, q)]  # base**(2**k) as (num, den), k = 0, 1, ...
+
+    def weight(self, i: int) -> Fraction:
+        """(1+eps)**i; a Fraction's int power raises the reduced pair with no gcd."""
+        return self._base**i
+
+    def index(self, ratio: tuple) -> tuple[int, bool]:
+        """The largest i with (1+eps)**i <= n/d, ``ratio`` = (n, d) positive, and whether equal.
+
+        The grid's ceiling, the smallest i with (1+eps)**i >= n/d, is then
+        ``i + (not exact)``.  For n/d < 1 it finds the largest j with
+        base**j <= d/n instead: the answer is -j when the two are equal,
+        else -(j+1).
+        """
+        n, d = ratio
+        if n >= d:
+            return self._climb((1, 1), ratio, None)
+        j, exact = self._climb((1, 1), (d, n), None)
+        return -j - (not exact), exact
+
+    def index_between(self, ratio: tuple, i: int, start: tuple, j: int) -> tuple[int, bool]:
+        """``index`` of n/d, ``ratio`` = (n, d) positive ints, known to lie in a bracket [i, j].
+
+        Requires (1+eps)**i <= n/d <= (1+eps)**j; ``start`` is (1+eps)**i as
+        an int pair, and n/d need not be reduced.  It climbs from index i,
+        so no square beyond (1+eps)**(j-i) is built.
+        """
+        t, exact = self._climb(start, ratio, j - i)
+        return i + t, exact
+
+    def _climb(self, start: tuple, target: tuple, most) -> tuple[int, bool]:
+        """The largest t >= 0 with start * base**t <= target, and whether the two are equal.
+
+        Both are int pairs (n, d), d > 0, with start <= target; ``most``,
+        unless None, is a bound on t that no square beyond it is built for.
+        Galloping search: try the squares while start times the square
+        stays within the target, then multiply the squares back in from the
+        largest down, keeping each that stays within it: O(log t) steps.
+        With start = num/den and target = a/b, start * P/Q <= target is
+        num*b*P <= a*den*Q, so the climb carries the two products num*b and
+        a*den and pays two long multiplications per step; the last
+        comparison decides equality.
+        """
+        (num, den), (a, b) = start, target
+        low, high = num * b, a * den
+        squares = self._squares
+        k, kept = 0, None
+        while most is None or 1 << k <= most:
+            if k == len(squares):
+                p, q = squares[-1]
+                squares.append((p * p, q * q))
+            p, q = squares[k]
+            low_p, high_q = low * p, high * q
+            if low_p > high_q:
+                break
+            kept = low_p, high_q
+            k += 1
+        if kept is None:
+            return 0, low == high
+        (low, high), t = kept, 1 << (k - 1)
+        for k in reversed(range(k - 1)):
+            p, q = squares[k]
+            low_p, high_q = low * p, high * q
+            if low_p <= high_q:
+                low, high = low_p, high_q
+                t += 1 << k
+        return t, low == high
+
+
+def as_grid(eps) -> Grid:
+    """``eps``'s ``Grid``: a Grid is passed on as it is, so its query's squares stay shared."""
+    return eps if isinstance(eps, Grid) else Grid(eps)
+
+
 def pow_one_plus_eps(eps, i: int) -> Fraction:
-    """Exact (1 + eps)**i for a signed integer exponent."""
-    return (1 + rational(eps)) ** i
+    """Exact (1 + eps)**i for a signed integer exponent; requires 0 < eps <= 1."""
+    return Grid(eps).weight(i)
 
 
 def grid_index(eps, value) -> tuple[int, bool]:
-    """The largest integer i with (1+eps)**i <= value, and whether the two are equal.
-
-    The grid's ceiling, the smallest i with (1+eps)**i >= value, is then
-    ``i + (not exact)``.  It climbs from index 0 with ``_climb``, exact
-    integer comparisons and no logarithms.  Requires 0 < eps <= 1 and
-    value > 0.
-    """
-    base = 1 + check_epsilon(eps)
-    value = rational(value)
-    if value <= 0:
-        raise ValueError(f"grid_index requires value > 0, got {value}")
-    # For value < 1 find the largest j with base**j <= 1/value instead;
-    # the answer is -j when base**j hits 1/value exactly, else -(j+1).
-    target = value if value >= 1 else 1 / value
-    i, exact = _climb(ratio_of(base), (1, 1), ratio_of(target), None)
-    return (i if value >= 1 else -i - (not exact)), exact
+    """``Grid.index`` of value > 0: the largest i with (1+eps)**i <= value, and whether equal."""
+    return Grid(eps).index(ratio_of(check_weight(value)))
 
 
 def grid_index_between(eps, ratio: tuple, i: int, start: tuple, j: int) -> tuple[int, bool]:
-    """``grid_index`` of n/d, ``ratio`` = (n, d) positive ints, known to lie in a bracket [i, j].
-
-    Requires a validated eps and (1+eps)**i <= n/d <= (1+eps)**j;
-    ``start`` is (1+eps)**i as an int pair, and n/d need not be reduced.
-    It climbs from index i, so no power beyond (1+eps)**(j-i) is built.
-    The base 1 + p/q is the reduced pair (q + p, q), built on ints.
-    """
-    p, q = ratio_of(eps)
-    k, exact = _climb((q + p, q), start, ratio, j - i)
-    return i + k, exact
-
-
-def _climb(base: tuple, start: tuple, target: tuple, most) -> tuple[int, bool]:
-    """The largest t >= 0 with start * base**t <= target, and whether the two are equal.
-
-    All three are int pairs (n, d), d > 0, with start <= target; ``most``,
-    unless None, is a bound on t that no square beyond it is built for.
-    Galloping search: square the base while start times the square stays
-    within the target, then multiply the squares back in from the largest
-    down, keeping each that stays within it.  That is O(log t)
-    multiplications instead of t, and the last cross-multiplication decides
-    equality.  Powers of a reduced base p/q are kept as integer pairs
-    (p**n, q**n), which are reduced already, so no gcd of the long powers
-    is ever taken.
-    """
-    (p, q), (a, b), (num, den) = base, target, start
-    squares = []  # base**(2**k) as (num, den), each within the target after start
-    while (most is None or 1 << len(squares) <= most) and num * p * b <= a * den * q:
-        squares.append((p, q))
-        p, q = p * p, q * q
-    t = 0
-    for k in reversed(range(len(squares))):
-        p, q = squares[k]
-        if num * p * b <= a * den * q:
-            num, den = num * p, den * q
-            t += 1 << k
-    return t, num * b == a * den
+    """``Grid.index_between``: ``grid_index`` of n/d, ``ratio`` = (n, d), in a bracket [i, j]."""
+    return Grid(eps).index_between(ratio, i, start, j)
 
 
 @dataclass(frozen=True)

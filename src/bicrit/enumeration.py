@@ -44,9 +44,25 @@ def _reach(neighbours, start, blocked=0) -> int:
     return seen
 
 
-def _spans(neighbours, forest, full) -> bool:
-    """True iff the forest's components joined by ``neighbours`` reach every node."""
-    return _reach([a | c for a, c in zip(neighbours, forest)], 0) == full
+def _links(later, forest, u, v) -> bool:
+    """True iff u's component reaches v over the ``later`` neighbour masks and the forest.
+
+    A breadth-first search from u's component that stops at the first
+    layer holding v; every node it reaches brings its whole component.
+    """
+    seen = frontier = forest[u]
+    while frontier:
+        grown = 0
+        while frontier:
+            low = frontier & -frontier
+            w = low.bit_length() - 1
+            grown |= later[w] | forest[w]
+            frontier ^= low
+        if grown >> v & 1:
+            return True
+        frontier = grown & ~seen
+        seen |= frontier
+    return False
 
 
 def _spanning_trees(graph, first, second):
@@ -57,7 +73,15 @@ def _spanning_trees(graph, first, second):
     stack extends to a spanning tree: the forest plus the edges from the
     next one on spans the graph, and enough of them are left.  Taking the
     next edge keeps that true, so only skipping it needs a check, and only
-    when the edge would join two components.
+    when the edge (u, v) would join two components.  The state's forest
+    and edges span, so skipping the edge keeps them spanning iff u's
+    component still reaches v without it: ``_links`` searches from there
+    over the forest and the later edges, and stops when it reaches v.
+
+    A state one edge short of a tree has a forest of two components, and
+    each later edge that crosses them completes a tree, so one scan of
+    the later edges yields those trees, in the order the walk's include
+    and skip steps would.
 
     Forests and suffix rows are lists, not tuples: freed length-n tuples
     pile up in CPython's tuple free lists, which only a full collection
@@ -67,7 +91,6 @@ def _spanning_trees(graph, first, second):
     edges = graph.edges
     m = len(edges)
     need = n - 1
-    full = (1 << n) - 1
     # suffix[idx][v]: the neighbours of v over edges idx..m-1.
     suffix = [None] * m
     masks = [0] * n
@@ -76,28 +99,27 @@ def _spanning_trees(graph, first, second):
         masks[u] |= 1 << v
         masks[v] |= 1 << u
         suffix[idx] = masks.copy()
-    forest = [1 << v for v in range(n)]
-    if m < need or not _spans(suffix[0], forest, full):
+    if m < need or _reach(suffix[0], 0) != (1 << n) - 1:
         return
-    stack = [(0, forest, (), 0, 0)]
+    stack = [(0, [1 << v for v in range(n)], (), 0, 0)]
     while stack:
         idx, forest, chosen, s1, s2 = stack.pop()
+        if len(chosen) == need - 1:
+            for last in range(idx, m):
+                u, v = edges[last]
+                if not forest[u] >> v & 1:
+                    yield (*chosen, last), s1 + first[last], s2 + second[last]
+            continue
         u, v = edges[idx]
         joins = not forest[u] >> v & 1
         if m - idx > need - len(chosen) and (
-            not joins or _spans(suffix[idx + 1], forest, full)
+            not joins or _links(suffix[idx + 1], forest, u, v)
         ):
             stack.append((idx + 1, forest, chosen, s1, s2))
         if joins:
-            chosen += (idx,)
-            s1 += first[idx]
-            s2 += second[idx]
-            if len(chosen) == need:
-                yield chosen, s1, s2
-            else:
-                merged = forest[u] | forest[v]
-                taken = [merged if c & merged else c for c in forest]
-                stack.append((idx + 1, taken, chosen, s1, s2))
+            merged = forest[u] | forest[v]
+            taken = [merged if c & merged else c for c in forest]
+            stack.append((idx + 1, taken, (*chosen, idx), s1 + first[idx], s2 + second[idx]))
 
 
 def _simple_paths(graph, first, second):

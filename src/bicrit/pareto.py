@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Bounds, ProblemAdapter, check_epsilon, rational
+from .core import Bounds, ProblemAdapter, as_grid, rational
 from .core import pow_one_plus_eps  # noqa: F401  unused; perfbench's tracer wraps this name
 from .sweep import covering_range, grid_factors, parametric_factors, solve_grid, zero_f2_weight
 
@@ -74,9 +74,8 @@ def filter_dominated(records) -> list:
 
 
 def pareto_index_range(eps, bounds: Bounds) -> range:
-    """Exponent range bracketing [eps*LB(1)/UB(2), eps*UB(1)/LB(2)] exactly."""
-    eps = check_epsilon(eps)
-    return covering_range(eps, eps * bounds.lb1 / bounds.ub2, eps * bounds.ub1 / bounds.lb2)
+    """Exponent range bracketing [eps*LB(1)/UB(2), eps*UB(1)/LB(2)]; ``eps`` may be its ``Grid``."""
+    return covering_range(as_grid(eps), bounds.lb1, bounds.ub2, bounds.ub1, bounds.lb2)
 
 
 def approximate_pareto(adapter: ProblemAdapter, instance, eps) -> ParetoSet:
@@ -86,16 +85,18 @@ def approximate_pareto(adapter: ProblemAdapter, instance, eps) -> ParetoSet:
     On relaxed instances the two ``boundary_solutions`` calls add the
     zero-component points, which no grid weight need reach.  The union of
     returned records is filtered for dominance, which preserves the
-    guarantee.  ``oracle_calls`` counts the calls made.
+    guarantee.  ``oracle_calls`` counts the calls made.  ``eps`` may be its
+    ``core.Grid``; the range and the walk share one.
     """
-    eps = check_epsilon(eps)
+    weights = as_grid(eps)
     bounds = adapter.bounds(instance)
-    records = solve_grid(adapter, instance, eps, pareto_index_range(eps, bounds))
+    records = solve_grid(adapter, instance, weights, pareto_index_range(weights, bounds))
     calls = len(records)
     if instance.relaxed:
         records += [r for r in boundary_solutions(adapter, instance, bounds) if r is not None]
         calls += 2
-    return ParetoSet(tuple(filter_dominated(records)), *grid_factors(adapter.alpha(), eps), calls)
+    factors = grid_factors(adapter.alpha(), weights.eps)
+    return ParetoSet(tuple(filter_dominated(records)), *factors, calls)
 
 
 def pareto_from_parametric(adapter: ProblemAdapter, instance, eps) -> ParetoSet:
@@ -105,9 +106,10 @@ def pareto_from_parametric(adapter: ProblemAdapter, instance, eps) -> ParetoSet:
     every solution's ideal weight eps*f1/f2 and both ``boundary_solutions``
     weights.  Its records include an optimal one at each of those weights,
     which upgrades the guarantee to (1+eps, 1+1/eps), zero components
-    included.  Raises ExactOracleRequired for approximate oracles.
+    included.  Raises ExactOracleRequired for approximate oracles.  ``eps``
+    may be its ``core.Grid``, whose eps is then taken as checked.
     """
-    eps = check_epsilon(eps)
+    eps = as_grid(eps).eps
     bounds = adapter.bounds(instance)
     records = adapter.solve_all_weights(
         instance, eps * bounds.lb1 / (2 * bounds.ub2), 2 * bounds.ub1 / bounds.lb2

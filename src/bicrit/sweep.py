@@ -15,7 +15,7 @@ and ``_midpoint``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from typing import Optional
@@ -23,77 +23,94 @@ from typing import Optional
 from .core import (
     Bounds,
     GuaranteeCertificate,
+    Grid,
     ParametricAdapter,
     ProblemAdapter,
     SolutionRecord,
-    check_epsilon,
+    as_grid,
     crossing,
     envelope_walk,
-    grid_index,
-    grid_index_between,
-    pow_one_plus_eps,
     ratio_of,
     rational,
     sign_at,
 )
+from .core import pow_one_plus_eps  # noqa: F401  unused; perfbench's tracer wraps this name
 from .errors import NoCertificate
 
 
-def covering_range(eps, lo, hi) -> range:
-    """The exponents ``range(i_min, i_max + 1)`` of the narrowest grid covering [lo, hi].
+def covering_range(weights: Grid, a, b, c, d) -> range:
+    """The exponents ``range(i_min, i_max + 1)`` of the narrowest grid over [eps*a/b, eps*c/d].
 
-    i_min is the largest integer with (1+eps)^i_min <= lo and i_max the
-    smallest with (1+eps)^i_max >= hi, both found exactly by ``grid_index``
-    climbing from index 0.  These two are the only grid searches on a
-    ``Fraction``: ``solve_grid`` places every crossing inside the range
-    with ``grid_index_between``, climbing from a weight it has solved.
+    ``a``, ``b``, ``c`` and ``d`` are positive rationals and ``weights``
+    is eps's ``core.Grid``.  i_min is the largest integer with (1+eps)^i_min <=
+    eps*a/b and i_max the smallest with (1+eps)^i_max >= eps*c/d.  Both
+    ends are int pairs built from the numerators and denominators, left
+    unreduced, and ``Grid.index`` places them exactly, climbing from index
+    0 over the query's shared squares.  These are the only searches that
+    climb from index 0: ``solve_grid`` places every crossing inside the
+    range with ``Grid.index_between``, climbing from a weight it has solved.
     """
-    i_max, exact = grid_index(eps, hi)
-    return range(grid_index(eps, lo)[0], i_max + (not exact) + 1)
+    (p, q), (an, ad), (bn, bd) = ratio_of(weights.eps), ratio_of(a), ratio_of(b)
+    (cn, cd), (dn, dd) = ratio_of(c), ratio_of(d)
+    i_max, exact = weights.index((p * cn * dd, q * cd * dn))
+    return range(weights.index((p * an * bd, q * ad * bn))[0], i_max + (not exact) + 1)
 
 
 @dataclass(frozen=True)
 class BudgetQuery:
-    """A budget B > 0 on f1 together with the accuracy parameter eps."""
+    """A budget B > 0 on f1 together with the accuracy parameter eps, and eps's ``Grid``."""
 
     budget: Fraction
     eps: Fraction
+    weights: Grid = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "budget", rational(self.budget))
-        object.__setattr__(self, "eps", check_epsilon(self.eps))
+        object.__setattr__(self, "weights", Grid(self.eps))
+        object.__setattr__(self, "eps", self.weights.eps)
         if self.budget <= 0:
             raise ValueError(f"budget must be positive, got {self.budget}")
 
 
 def index_range(eps, budget, bounds: Bounds) -> range:
-    """Exponent range bracketing the ideal weight eps*B/OPT(B).
+    """Exponent range bracketing the ideal weight eps*B/OPT(B); ``eps`` may be its ``Grid``.
 
     i_min is the largest integer with (1+eps)^i_min <= eps*B/UB(2) and
     i_max the smallest with (1+eps)^i_max >= eps*B/LB(2).
     """
-    eps = check_epsilon(eps)
-    budget = rational(budget)
+    weights, budget = as_grid(eps), rational(budget)
     if budget <= 0:
         raise ValueError("budget must be positive")
-    return covering_range(eps, eps * budget / bounds.ub2, eps * budget / bounds.lb2)
+    return covering_range(weights, budget, bounds.ub2, budget, bounds.lb2)
 
 
 def grid_factors(alpha, eps) -> tuple[Fraction, Fraction]:
-    """The grid's guarantee (alpha*(1+2*eps), alpha*(1+2/eps)) for an alpha-approximate oracle."""
-    return alpha * (1 + 2 * eps), alpha * (1 + Fraction(2) / eps)
+    """The grid's guarantee (alpha*(1+2*eps), alpha*(1+2/eps)) for an alpha-approximate oracle.
+
+    With alpha = a/b and eps = p/q these are a*(q+2p)/(b*q) and
+    a*(p+2q)/(b*p), built on ints.
+    """
+    (a, b), (p, q) = ratio_of(alpha), ratio_of(eps)
+    return Fraction(a * (q + 2 * p), b * q), Fraction(a * (p + 2 * q), b * p)
 
 
 def parametric_factors(eps) -> tuple[Fraction, Fraction]:
-    """The guarantee (1+eps, 1+1/eps) of an exact oracle's parametric and all-weights searches."""
-    return 1 + eps, 1 + 1 / eps
+    """The guarantee (1+eps, 1+1/eps) of an exact oracle's parametric and all-weights searches.
+
+    With eps = p/q these are (q+p)/q and (p+q)/p, built on ints.
+    """
+    p, q = ratio_of(eps)
+    return Fraction(q + p, q), Fraction(p + q, p)
 
 
 def solve_grid(adapter: ProblemAdapter, instance, eps, grid: range) -> list:
     """Oracle records on the weights (1+eps)**i, i in ``grid``: one per call, in index order.
 
-    ``grid`` is a nonempty range of consecutive indices; an empty one
-    raises ValueError.
+    ``eps`` is the accuracy parameter or its ``core.Grid``, whose weights
+    and index searches the walk uses, so a query that passes its own Grid
+    shares one table of squares between its range and its walk.  ``grid``
+    is a nonempty range of consecutive indices; an empty one raises
+    ValueError.
 
     The walk solves both ends of the grid and ``core.envelope_walk`` splits
     every index interval inside until its ends are neighbours, or, when the
@@ -117,8 +134,8 @@ def solve_grid(adapter: ProblemAdapter, instance, eps, grid: range) -> list:
     other one; any other answer is a new envelope image, whose runs the
     walk narrows the same way.  Every split lies strictly inside its
     interval, so the walk still makes at most one call per grid weight.
-    ``core.grid_index_between`` finds the floor index on ints, climbing
-    from w_left's int pair.
+    ``Grid.index_between`` finds the floor index on ints, climbing from
+    w_left's int pair over the grid's shared squares.
 
     An approximate oracle that is a ``ParametricAdapter`` is walked by
     ``solve_grid_symbolic`` instead: one run per range of grid indices on
@@ -137,24 +154,26 @@ def solve_grid(adapter: ProblemAdapter, instance, eps, grid: range) -> list:
     """
     if not grid:
         raise ValueError(f"empty index range {grid}")
+    weights = as_grid(eps)
     exact = adapter.alpha() == 1
     if not exact and isinstance(adapter, ParametricAdapter):
-        return solve_grid_symbolic(adapter, instance, eps, grid)
+        return solve_grid_symbolic(adapter, instance, weights, grid)
 
-    solve = partial(_solve_at, adapter, instance, eps)
+    solve = partial(_solve_at, adapter, instance, weights)
     ends = [solve(i) for i in sorted({grid[0], grid[-1]})]
-    _, solved = envelope_walk(solve, partial(_crossing_split, eps) if exact else _midpoint, ends)
+    split = partial(_crossing_split, weights) if exact else _midpoint
+    _, solved = envelope_walk(solve, split, ends)
     return [record for _, _, record in solved]
 
 
-def _solve_at(adapter: ProblemAdapter, instance, eps, i: int) -> tuple:
+def _solve_at(adapter: ProblemAdapter, instance, weights: Grid, i: int) -> tuple:
     """(i, (1+eps)**i as an int pair, the oracle's record at that weight)."""
-    weight = pow_one_plus_eps(eps, i)
+    weight = weights.weight(i)
     return i, ratio_of(weight), adapter.solve_weighted_sum(instance, weight)
 
 
-def _crossing_split(eps, left: tuple, right: tuple) -> Optional[int]:
-    """An exact walk's split of the bracket between two ``_solve_at`` triples on ``eps``'s grid.
+def _crossing_split(weights: Grid, left: tuple, right: tuple) -> Optional[int]:
+    """An exact walk's split of the bracket between two ``_solve_at`` triples on ``weights``.
 
     For triples at indices i < j whose images A and B are both optimal it
     returns None when the two are neighbours or A = B.  Otherwise A.f1 <
@@ -167,7 +186,7 @@ def _crossing_split(eps, left: tuple, right: tuple) -> Optional[int]:
         return None
     if j - i == 2:
         return i + 1
-    m, _ = grid_index_between(eps, crossing(a.image, b.image), i, start, j)
+    m, _ = weights.index_between(crossing(a.image, b.image), i, start, j)
     return min(max(m, i + 1), j - 1)
 
 
@@ -180,9 +199,10 @@ def _midpoint(left: tuple, right: tuple) -> Optional[int]:
 def solve_grid_boundary(adapter: ProblemAdapter, instance, eps, grid: range, limit) -> tuple:
     """``(records, picked)``: an exact oracle's search of ``grid`` for its f1 ``limit``.
 
-    ``records`` are the records solved, in call order, and ``picked`` is
-    the oracle's record at i*, the last index of ``grid`` whose record
-    meets the limit, or None when no grid record meets it.
+    ``eps`` is the accuracy parameter or its ``core.Grid``.  ``records``
+    are the records solved, in call order, and ``picked`` is the oracle's
+    record at i*, the last index of ``grid`` whose record meets the limit,
+    or None when no grid record meets it.
 
     An exact oracle's records are monotone along the grid: f2 never rises
     and f1 never falls (``core.envelope_walk``).  So the indices whose
@@ -217,10 +237,10 @@ def solve_grid_boundary(adapter: ProblemAdapter, instance, eps, grid: range, lim
     lies strictly between two neighbouring solved indices, no grid weight
     is solved twice: never more than one call per grid weight either.
     """
-    records = []
+    weights, records = as_grid(eps), []
 
     def solve(i):
-        solved = _solve_at(adapter, instance, eps, i)
+        solved = _solve_at(adapter, instance, weights, i)
         records.append(solved[2])
         return solved
 
@@ -234,7 +254,7 @@ def solve_grid_boundary(adapter: ProblemAdapter, instance, eps, grid: range, lim
     if meets(above):
         return records, above[2]
     k = (grid[-1] - grid[0] - 1).bit_length()
-    _, bracket = envelope_walk(solve, partial(_crossing_split, eps), [below, above], meets, k)
+    _, bracket = envelope_walk(solve, partial(_crossing_split, weights), [below, above], meets, k)
     _, (below, _) = envelope_walk(solve, _midpoint, bracket, meets)
     return records, below[2]
 
@@ -250,27 +270,28 @@ def solve_grid_symbolic(adapter: ParametricAdapter, instance, eps, grid: range) 
     (``sign_at`` on their int pairs; 0 at both included) it has it on the
     whole range, and that sign is the answer.  Otherwise d is 0 at one end
     or crosses 0 inside, at the critical weight -c/s, which
-    ``grid_index_between`` places between two grid indices of [a, b] or on
-    one, climbing from a's int pair.  That splits [a, b]: the run keeps the lowest piece, pushes the
-    rest for later runs and answers for it; earlier answers still hold on
-    it, so every run ends with one token that is the oracle's answer at
-    every index of its final range.  A grid weight equal to the critical
-    weight gets a piece of its own, where the answer is 0.  The ranges
-    partition the grid, so there are never more runs than indices.  Each
-    run counts as one oracle call; its record is the run's token and image
-    with ``produced_at`` the range's first weight: the oracle's record
-    there.  A change of answer always falls between two ranges, so the
-    first record of each run of equal answers is returned, which is all
-    that ``solve_grid``'s consumers read.  The run refreshes b's int pair
-    whenever it narrows b.
+    ``Grid.index_between`` places between two grid indices of [a, b] or on
+    one, climbing from a's int pair over the squares that every placement
+    of the walk, and the query's range, share.  That splits [a, b]: the run
+    keeps the lowest piece, pushes the rest for later runs and answers for
+    it; earlier answers still hold on it, so every run ends with one token
+    that is the oracle's answer at every index of its final range.  A grid
+    weight equal to the critical weight gets a piece of its own, where the
+    answer is 0.  The ranges partition the grid, so there are never more
+    runs than indices.  Each run counts as one oracle call; its record is
+    the run's token and image with ``produced_at`` the range's first
+    weight: the oracle's record there.  A change of answer always falls
+    between two ranges, so the first record of each run of equal answers
+    is returned, which is all that ``solve_grid``'s consumers read.  The
+    run refreshes b's int pair whenever it narrows b.  ``eps`` is the
+    accuracy parameter or its ``core.Grid``.
     """
-    pending = [(grid[0], grid[-1])]
-    records = []
+    weights, pending, records = as_grid(eps), [(grid[0], grid[-1])], []
     while pending:
         a, b = pending.pop()
-        first = pow_one_plus_eps(eps, a)
+        first = weights.weight(a)
         a_end = ratio_of(first)
-        b_end = a_end if b == a else ratio_of(pow_one_plus_eps(eps, b))
+        b_end = a_end if b == a else ratio_of(weights.weight(b))
 
         def compare(c, s) -> int:
             nonlocal b, b_end
@@ -278,7 +299,7 @@ def solve_grid_symbolic(adapter: ParametricAdapter, instance, eps, grid: range) 
             if at_a == sign_at(c, s, b_end):  # so d has that sign on all of [a, b]
                 return at_a
             # Here s != 0 and -c/s lies in [(1+eps)**a, (1+eps)**b], so a <= lo, hi <= b.
-            hi, exact = grid_index_between(eps, (-c, s) if s > 0 else (c, -s), a, a_end, b)
+            hi, exact = weights.index_between((-c, s) if s > 0 else (c, -s), a, a_end, b)
             lo = hi + (not exact)  # weights below index lo are below -c/s, above hi above
             sign = 1 if s > 0 else -1
             pieces = ((a, lo - 1, -sign), (lo, hi, 0), (hi + 1, b, sign))
@@ -286,7 +307,7 @@ def solve_grid_symbolic(adapter: ParametricAdapter, instance, eps, grid: range) 
             pending.extend((x, y) for x, y, _ in reversed(rest))
             if end != b:
                 b = end
-                b_end = a_end if b == a else ratio_of(pow_one_plus_eps(eps, b))
+                b_end = a_end if b == a else ratio_of(weights.weight(b))
             return answer
 
         run = adapter.run_parametric(instance, compare)
@@ -354,14 +375,14 @@ def solve_budget_sweep(
     way ``certify`` adds its call on a relaxed instance, and the
     NoCertificate carries the f1 limit and is no proof of infeasibility.
     """
-    eps, budget = query.eps, query.budget
-    grid = index_range(eps, budget, adapter.bounds(instance))
-    factors = grid_factors(adapter.alpha(), eps)
+    weights, budget = query.weights, query.budget
+    grid = index_range(weights, budget, adapter.bounds(instance))
+    factors = grid_factors(adapter.alpha(), weights.eps)
     limit = factors[0] * budget
     if adapter.alpha() == 1:
-        records, best = solve_grid_boundary(adapter, instance, eps, grid, limit)
+        records, best = solve_grid_boundary(adapter, instance, weights, grid, limit)
     else:
-        records = solve_grid(adapter, instance, eps, grid)
+        records = solve_grid(adapter, instance, weights, grid)
         qualifying = [r for r in records if r.image.f1 <= limit]
         best = min(qualifying, key=lambda r: (r.image.f2, r.image.f1), default=None)
     return certify(adapter, instance, records, best, limit, factors, budget)

@@ -14,11 +14,10 @@ from bicrit.core import (
     ParametricAdapter,
     ProblemAdapter,
     SolutionRecord,
+    check_epsilon,
     crossing,
-    grid_index,
-    grid_index_between,
-    pow_one_plus_eps,
     ratio_of,
+    rational,
 )
 from bicrit.errors import ExactOracleRequired, NoCertificate, ValidationError
 from bicrit.exact_search import ParametricOutcome
@@ -63,9 +62,67 @@ def exact_pareto(instance) -> ParetoSet:
     return ParetoSet(tuple(filter_dominated(enumerate_all(instance))), 1, 1)
 
 
+# The grid code that ``core.Grid`` replaced, kept as the reference of
+# tests/test_grid.py and of the reference searches below.
+
+
+def reference_pow_one_plus_eps(eps, i: int) -> Fraction:
+    """Exact (1 + eps)**i for a signed integer exponent."""
+    return (1 + rational(eps)) ** i
+
+
+def reference_grid_index(eps, value) -> tuple:
+    """The largest integer i with (1+eps)**i <= value, and whether the two are equal.
+
+    It climbs from index 0 with ``reference_climb`` on 1/value when
+    value < 1: the answer is -j when base**j hits 1/value exactly, else
+    -(j+1).
+    """
+    base = 1 + check_epsilon(eps)
+    value = rational(value)
+    if value <= 0:
+        raise ValueError(f"grid_index requires value > 0, got {value}")
+    target = value if value >= 1 else 1 / value
+    i, exact = reference_climb(ratio_of(base), (1, 1), ratio_of(target), None)
+    return (i if value >= 1 else -i - (not exact)), exact
+
+
+def reference_grid_index_between(eps, ratio: tuple, i: int, start: tuple, j: int) -> tuple:
+    """``reference_grid_index`` of n/d, ``ratio`` = (n, d), climbing from i's pair ``start``."""
+    p, q = ratio_of(eps)
+    k, exact = reference_climb((q + p, q), start, ratio, j - i)
+    return i + k, exact
+
+
+def reference_climb(base: tuple, start: tuple, target: tuple, most) -> tuple:
+    """The largest t >= 0 with start * base**t <= target, and whether the two are equal.
+
+    Galloping search that squares the base afresh on every call and pays
+    up to six long multiplications per step.
+    """
+    (p, q), (a, b), (num, den) = base, target, start
+    squares = []
+    while (most is None or 1 << len(squares) <= most) and num * p * b <= a * den * q:
+        squares.append((p, q))
+        p, q = p * p, q * q
+    t = 0
+    for k in reversed(range(len(squares))):
+        p, q = squares[k]
+        if num * p * b <= a * den * q:
+            num, den = num * p, den * q
+            t += 1 << k
+    return t, num * b == a * den
+
+
+def reference_covering_range(eps, lo, hi) -> range:
+    """The exponents of the narrowest grid covering [lo, hi], placed by ``reference_grid_index``."""
+    i_max, exact = reference_grid_index(eps, hi)
+    return range(reference_grid_index(eps, lo)[0], i_max + (not exact) + 1)
+
+
 def _ceil_log(eps, value) -> int:
     """ceil(log_{1+eps}(value)), the grid's ceiling index of ``value``."""
-    i, exact = grid_index(eps, value)
+    i, exact = reference_grid_index(eps, value)
     return i + (not exact)
 
 
@@ -351,7 +408,7 @@ def reference_binary(adapter, instance, query):
     probes = []
     while lo <= hi:
         mid = (lo + hi) // 2
-        record = adapter.solve_weighted_sum(instance, pow_one_plus_eps(eps, mid))
+        record = adapter.solve_weighted_sum(instance, reference_pow_one_plus_eps(eps, mid))
         probes.append(record)
         if record.image.f1 > limit:
             hi = mid - 1
@@ -366,7 +423,7 @@ def reference_binary(adapter, instance, query):
 
 
 def _reference_solve_at(adapter, instance, eps, i) -> tuple:
-    weight = pow_one_plus_eps(eps, i)
+    weight = reference_pow_one_plus_eps(eps, i)
     return i, ratio_of(weight), adapter.solve_weighted_sum(instance, weight)
 
 
@@ -374,7 +431,7 @@ def _reference_crossing_split(eps, left, right) -> int:
     (i, start, a), (j, _, b) = left, right
     if j - i == 2:
         return i + 1
-    m, _ = grid_index_between(eps, crossing(a.image, b.image), i, start, j)
+    m, _ = reference_grid_index_between(eps, crossing(a.image, b.image), i, start, j)
     return min(max(m, i + 1), j - 1)
 
 
@@ -511,7 +568,7 @@ def check_exact_search(search, adapter, instance, query, walked) -> int:
     grid = index_range(eps, budget, adapter.bounds(instance))
     got = search_outcome(search, OncePerWeight(adapter), instance, query)
     if walked[0] == "no certificate":
-        first = adapter.solve_weighted_sum(instance, pow_one_plus_eps(eps, grid[0]))
+        first = adapter.solve_weighted_sum(instance, reference_pow_one_plus_eps(eps, grid[0]))
         relaxed_call = walked[1][-1:] if instance.relaxed else ()
         assert got == ("no certificate", (first, *relaxed_call), walked[2])
         return len(got[1])

@@ -14,14 +14,13 @@ from _suite import (
     random_relaxed_instance,
     random_vc_instance,
 )
-from bicrit import sweep
 from bicrit.core import (
     Bounds,
     CostPair,
+    Grid,
     ParametricAdapter,
     SolutionRecord,
     grid_index,
-    grid_index_between,
     pow_one_plus_eps,
 )
 from bicrit.errors import NoCertificate
@@ -167,15 +166,16 @@ class TestGridRecords:
     def test_line_zero_at_an_end_weight(self, monkeypatch, grid):
         # The first comparison's line 2 - gamma is 0 at gamma = 2 = 2**1, the
         # first weight of range(1, 4) and the last of range(-1, 2): neither
-        # sign test decides it, so its critical weight is placed.
+        # sign test decides it, so the grid places its critical weight.
         graph = VertexWeightedGraph(2, ((0, 1),), ((1, 2), (3, 1)))
         placed = []
+        index_between = Grid.index_between
 
-        def place(eps, ratio, *bracket):
+        def place(weights, ratio, *bracket):
             placed.append(Fraction(*ratio))
-            return grid_index_between(eps, ratio, *bracket)
+            return index_between(weights, ratio, *bracket)
 
-        monkeypatch.setattr(sweep, "grid_index_between", place)
+        monkeypatch.setattr(Grid, "index_between", place)
         records = _check_grid(graph, Fraction(1), grid)
         assert placed[0] == 2
         assert Fraction(2) in [r.produced_at for r in records]
