@@ -26,7 +26,6 @@ from .errors import (
     InfeasibleToken,
     NoCertificate,
     NoFeasibleSolution,
-    NotParametricCapable,
     ParseError,
     ProblemMismatch,
     Unreachable,

@@ -34,7 +34,6 @@ from .errors import (
     ExactOracleRequired,
     NoCertificate,
     NoFeasibleSolution,
-    NotParametricCapable,
     ParseError,
     ProblemMismatch,
     ValidationError,
@@ -306,7 +305,7 @@ def main(argv=None) -> int:
     except (ParseError, ValidationError, CapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (ExactOracleRequired, NotParametricCapable, ProblemMismatch) as exc:
+    except (ExactOracleRequired, ProblemMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NoFeasibleSolution as exc:

@@ -416,19 +416,14 @@ class ParametricAdapter(ProblemAdapter):
     ``compare(c, s)`` returns the sign (-1, 0 or 1) of the one linear form
     c + s*gamma, the difference of the two quantities, given as two ints.
     The returned solution must depend on gamma only through those
-    outcomes.  How a plugin holds its quantities is its own affair: local
-    ratio keeps int lists of constants and slopes, Kruskal compares
-    differences of ``scaled.first`` and ``scaled.second``, and Dijkstra
-    adds up ints that each pack a constant and a slope.  An exact oracle's
-    run drives Megiddo's simulation, the safeguard that
-    ``parametric_search`` falls back on when its ``envelope_walk`` runs out
-    of steps before ``crossing_split`` ends it; an approximate one's, the
-    symbolic grid walk of ``sweep.solve_grid``, which has no bracket to
-    narrow.  Both comparators read signs from ``sign_at``, and both
-    searches take the run's record as the oracle's answer at every weight
-    where the comparator's answers hold, so neither checks a run's token:
-    ``--verify`` checks the printed tokens with the ground truth's own
-    ``oracle.token_image``.
+    outcomes.  Local ratio keeps int lists of constants and slopes.  An
+    approximate oracle's run drives the symbolic grid walk of
+    ``sweep.solve_grid``, which reads the signs from ``sign_at`` on grid
+    weights and takes the run's record as the oracle's answer at every
+    weight where the comparator's answers hold, so it checks no run's
+    token: ``--verify`` checks the printed tokens with the ground truth's
+    own ``oracle.token_image``.  An exact oracle needs no symbolic run:
+    ``exact_search.parametric_search`` calls the concrete one only.
     """
 
     @abstractmethod

@@ -42,10 +42,6 @@ class ExactOracleRequired(BicritError):
     """The requested method is only sound for exact (alpha = 1) oracles."""
 
 
-class NotParametricCapable(BicritError):
-    """The adapter does not expose the parametric interface the method needs."""
-
-
 class CapExceeded(BicritError):
     """A brute-force enumeration would exceed its configured cap."""
 

@@ -4,10 +4,11 @@ Parametric search walks the lower envelope of the weighted-sum lines
 (``core.envelope_walk``) inward from the two ends of the weight range
 [eps*B/UB(2), eps*B/LB(2)], one oracle call per crossing of two lines, to
 the weight where the optimal records' f1 passes the limit (1+eps)*B.
-After a logarithmic number of steps it hands the narrowed range to
-Megiddo's simulation, which runs the oracle symbolically over the weight
-and resolves each weight-dependent comparison with one concrete oracle
-run.
+After a logarithmic number of crossing steps it goes on with
+``rational_split``, which alternates the crossings with midpoints until
+the bracket is too short to hold two breakpoints of the envelope: a
+search for a rational of bounded denominator that needs only the
+concrete oracle, so every exact adapter runs it.
 ``solve_budget_binary`` is the grid's search under another name: with an
 exact oracle the sweep already brackets its budget boundary in a
 logarithmic number of calls.  Both are sound only for exact (alpha = 1)
@@ -20,20 +21,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Optional
 
 from .core import (
     GuaranteeCertificate,
-    ParametricAdapter,
     ProblemAdapter,
     SolutionRecord,
     crossing_split,
     envelope_walk,
     ratio_of,
-    sign_at,
 )
 from .core import pow_one_plus_eps  # noqa: F401  unused; perfbench's tracer wraps this name
-from .errors import ExactOracleRequired, NotParametricCapable
+from .errors import ExactOracleRequired
 from .sweep import BudgetQuery, certify, parametric_factors, solve_budget_sweep
 from .sweep import index_range  # noqa: F401  unused; perfbench's tracer wraps this name
 
@@ -58,32 +56,17 @@ def solve_budget_binary(
 
 @dataclass(frozen=True)
 class ParametricOutcome:
-    """Full transcript of one parametric search run.
+    """One parametric search run: its answer, its certificate and its walk.
 
     ``walk`` holds the records the envelope walk solved, in call order: at
     eps*B/LB(2); at eps*B/UB(2), unless the first met the f1 limit or the
     two weights are equal; then one per probe of ``core.envelope_walk``,
-    each at a crossing that is not already a solved weight.  The
-    simulation's transcript is filled in only when it ran: ``interval`` is
-    its final (lo, hi), ``comparisons`` counts the master run's
-    comparisons, ``probes`` are the concrete oracle's records at the
-    critical weights, and ``midpoint_record`` is the master run's token
-    and image, produced at the midpoint of ``interval``.
+    crossing steps first and ``rational_split``'s probes after them.
     """
 
     record: SolutionRecord
     certificate: GuaranteeCertificate
     walk: tuple
-    interval: Optional[tuple] = None
-    comparisons: int = 0
-    probes: tuple = ()
-    midpoint_record: Optional[SolutionRecord] = None
-
-
-def _midpoint(lo, hi) -> tuple:
-    """The midpoint of the int pairs lo = (a, b) and hi = (c, d), unreduced: (a*d + c*b, 2*b*d)."""
-    (a, b), (c, d) = lo, hi
-    return a * d + c * b, 2 * b * d
 
 
 def walk_step_budget(instance) -> int:
@@ -91,10 +74,100 @@ def walk_step_budget(instance) -> int:
     return len(instance.ratios).bit_length()
 
 
-def parametric_search(
-    adapter: ParametricAdapter, instance, query: BudgetQuery
-) -> ParametricOutcome:
-    """A walk along the lower envelope, safeguarded by Megiddo's simulation.
+def parametric_call_bound(adapter: ProblemAdapter, instance, query: BudgetQuery) -> int:
+    """The most oracle calls ``parametric_search`` makes, known before it runs.
+
+    2 + ceil(log2(m+1)) + 2*(G + A + 1), plus ``certify``'s call on a
+    relaxed instance, where G = ceil(log2 log2(UB(2)/LB(2))), A =
+    ceil(log2(3*hi*S**2)), each taken as 0 when it is not positive,
+    hi = eps*B/LB(2) and S = sum(instance.scaled.second).  The proof is in
+    ``rational_split``.
+    """
+    bounds = adapter.bounds(instance)
+    (n, d), geometric = ratio_of(bounds.ub2 / bounds.lb2), 0
+    while n > d << (1 << geometric):  # UB(2)/LB(2) > 2**(2**G)
+        geometric += 1
+    top = query.eps * query.budget / bounds.lb2 * 3 * sum(instance.scaled.second) ** 2
+    arithmetic = max(0, _ceil_log2(*ratio_of(top)))
+    return 2 + walk_step_budget(instance) + 2 * (geometric + arithmetic + 1) + instance.relaxed
+
+
+def _ceil_log2(n: int, d: int) -> int:
+    """The least integer j with n/d <= 2**j, for positive ints n and d."""
+    j = n.bit_length() - d.bit_length()  # so 2**(j-1) < n/d < 2**(j+1)
+    return j + (n > d << j if j >= 0 else n << -j > d)
+
+
+def _halving_weight(a: Fraction, b: Fraction) -> Fraction:
+    """A weight strictly inside (a, b), 0 < a < b: a power of two while b > 4a, else (a+b)/2.
+
+    The power is 2**k with k the upper middle of [k_lo, k_hi], the
+    exponents of the powers of two strictly inside (a, b); b > 4a puts at
+    least two there.
+    """
+    if b <= 4 * a:
+        return (a + b) / 2
+    k_lo = 1 - _ceil_log2(a.denominator, a.numerator)  # least k with 2**k > a
+    k_hi = _ceil_log2(b.numerator, b.denominator) - 1  # greatest k with 2**k < b
+    return Fraction(2) ** ((k_lo + k_hi + 1) // 2)
+
+
+def rational_split(instance):
+    """The parametric walk's safeguard: a split for ``core.envelope_walk`` that always ends.
+
+    Let S = sum(instance.scaled.second).  The split is None when
+    ``crossing_split`` is; otherwise, for a bracket solved at weights
+    a < b with (b - a)*S**2 >= 1, its calls alternate the crossing with
+    ``_halving_weight``, crossing first, and once (b - a)*S**2 < 1 it is
+    the crossing alone.  This is the search for a rational of bounded
+    denominator (Papadimitriou, IPL 8(1), 1979; Kwek and Mehlhorn, IPL
+    86(1), 2003), which needs only the concrete oracle.
+
+    Why it ends.  A breakpoint of the lower envelope is a weight where two
+    optimal lines of different slopes meet: (F1_Y - F1_X)/(F2_X - F2_Y)
+    for the scaled int sums F of two solutions, whose f2 sums lie in
+    [0, S].  So its denominator is at most S, and two breakpoints differ
+    by at least 1/S**2.  Take a bracket (L, R), L optimal at a, R at b,
+    b - a < 1/S**2, and a probe P at their crossing c, a < c < b.  If P
+    lay strictly below L's and R's lines at c, L's line would leave the
+    envelope at a breakpoint in [a, c), and R's at one in (c, b]: two
+    breakpoints closer than 1/S**2.  So P lies on both lines at c, and the
+    new bracket, (L, P) or (P, R), has equal images or lines that cross at
+    P's own weight: ``crossing_split`` ends the walk after that one probe.
+
+    The bound.  Every probe lies strictly inside its bracket, so the
+    brackets stay inside [lo, hi] = [eps*B/UB(2), eps*B/LB(2)] and never
+    widen.  While b > 4a, let k_lo and k_hi be as in ``_halving_weight``
+    and n = k_hi - k_lo + 2, so that a >= 2**(k_lo - 1), b <= 2**(k_hi+1)
+    and n < log2(b/a) + 2.  A split at 2**k leaves a bracket inside
+    [2**(k_lo-1), 2**k] or [2**k, 2**(k_hi+1)], whose exponents differ by
+    at most ceil(n/2), and any bracket inside [2**x, 2**y] has n <= y - x.
+    A power-of-two split needs b > 4a, so n >= 3; after t of them n <=
+    ceil(n_0/2**t), so there are T splits with 2**T < n_0 < L + 2 <= 2L
+    for L = log2(hi/lo) > 2, and T <= ceil(log2 L) = G.  Past that b <= 4a
+    stays so, and the width b - a <= 3a < 3*hi halves with every midpoint;
+    after A = ceil(log2(3*hi*S**2)) of them it is below 1/S**2.  So at
+    most G + A midpoints are probed, at most one crossing before each and
+    one after the last, and then one crossing of a short bracket: at most
+    2*(G + A + 1) probes in all (``parametric_call_bound``).
+    """
+    square = sum(instance.scaled.second) ** 2
+    crossing_turn = False
+
+    def split(left: SolutionRecord, right: SolutionRecord):
+        nonlocal crossing_turn
+        c = crossing_split(left, right)
+        a, b = left.produced_at, right.produced_at
+        crossing_turn = not crossing_turn
+        if c is None or crossing_turn or (b - a) * square < 1:
+            return c
+        return _halving_weight(a, b)
+
+    return split
+
+
+def parametric_search(adapter: ProblemAdapter, instance, query: BudgetQuery) -> ParametricOutcome:
+    """A walk along the lower envelope, safeguarded by ``rational_split``.
 
     Let x* have f1(x*) <= B and f2(x*) = OPT(B) > 0, and gamma* =
     eps*B/OPT(B).  A record y optimal at a weight g has f1(y) + g*f2(y) <=
@@ -121,33 +194,19 @@ def parametric_search(
 
     The walk may take super-polynomially many steps (Carstensen, 1983).
     When ``walk_step_budget`` of them leave a bracket that
-    ``crossing_split`` does not end, Megiddo's simulation (JACM 30(4), 1983)
-    finishes the search on [lo, hi] = [L's weight, R's weight], with L as
-    its witness.  The master run of the oracle asks for the sign of each
-    comparison's line c + s*gamma, two ints, and gets its sign at the
-    interval's midpoint, all three held as int pairs for ``sign_at``.  A
-    comparison whose line has opposite signs at lo and hi is first
-    resolved by one concrete oracle run at its critical weight -c/s: a
-    record missing the limit moves hi there; otherwise lo moves there and
-    the record becomes the witness.  So hi stays a solved weight whose
-    record misses the limit, and lo one whose record, the witness, meets
-    it.  No critical weight lies inside the final (lo, hi), so the master
-    run's record is the oracle's answer on all of it, and by continuity it
-    is optimal at both ends; the oracle is not called at the midpoint.  If
-    that record meets the limit, it is optimal at hi > gamma* and is the
-    answer.  If not, lo > gamma*, and the witness, optimal at lo, is.
+    ``crossing_split`` does not end, the walk goes on with
+    ``rational_split``.  Its midpoints are probed and kept like its
+    crossings, every record is optimal at its own weight, and it ends
+    only where ``crossing_split`` does, so the argument above holds as it
+    stands.
 
     ``certify`` gets the answer and, on a relaxed instance, where OPT(B)
     may be 0, makes its zero-f2 call.  The result satisfies
-    f1 <= (1+eps)*B and f2 <= (1+1/eps)*OPT(B).  Oracle calls are at most
-    2 + ``walk_step_budget``, plus, when the simulation runs, one per probe
-    (at most one per comparison) and one for the master run, plus
-    ``certify``'s call.
+    f1 <= (1+eps)*B and f2 <= (1+1/eps)*OPT(B), and the oracle calls stay
+    within ``parametric_call_bound``.  Any exact adapter runs it.
     """
     if adapter.alpha() != 1:
         raise ExactOracleRequired("parametric search needs an exact oracle")
-    if not isinstance(adapter, ParametricAdapter):
-        raise NotParametricCapable(f"{type(adapter).__name__} has no parametric run")
     eps, budget = query.eps, query.budget
     bounds = adapter.bounds(instance)
     lo, hi = eps * budget / bounds.ub2, eps * budget / bounds.lb2
@@ -162,62 +221,21 @@ def parametric_search(
     if not meets(walk[0]) and lo != hi:
         walk.append(solve(lo))
     left, right = walk[-1], walk[0]
-    picked, simulation = None, {}
+    picked = None
     if meets(right):
         picked = right
     elif meets(left):
         steps = walk_step_budget(instance)
-        probes, (left, right) = envelope_walk(solve, crossing_split, [left, right], meets, steps)
-        walk += probes
-        if crossing_split(left, right) is None:
-            picked = next(record for record in walk if record.image == left.image)
-        else:
-            weights = left.produced_at, right.produced_at
-            picked, simulation = _simulate(adapter, instance, *weights, left, limit)
-    solved = [*walk, *simulation["probes"], simulation["midpoint_record"]] if simulation else walk
-    record, certificate = certify(adapter, instance, solved, picked, limit, factors, budget)
-    return ParametricOutcome(record, certificate, tuple(walk), **simulation)
-
-
-def _simulate(adapter: ParametricAdapter, instance, lo, hi, witness, limit) -> tuple:
-    """Megiddo's simulation over the weights [lo, hi]: (its pick, its transcript's fields).
-
-    ``witness`` is a record optimal at lo within the f1 ``limit``, or None.
-    The pick is the master run's record when it meets the limit, else the
-    last witness, which is None only if no probe met the limit either.
-    """
-    lo, hi = ratio_of(lo), ratio_of(hi)
-    mid = _midpoint(lo, hi)
-    comparisons, probes = 0, []
-
-    def compare(c, s) -> int:
-        nonlocal lo, hi, mid, witness, comparisons
-        comparisons += 1
-        # c + s*gamma crosses 0 strictly inside (lo, hi) exactly when its
-        # signs at lo and at hi are opposite.
-        if sign_at(c, s, lo) * sign_at(c, s, hi) < 0:
-            crit = Fraction(-c, s)
-            probes.append(adapter.solve_weighted_sum(instance, crit))
-            if probes[-1].image.f1 > limit:
-                hi = ratio_of(crit)
-            else:
-                lo, witness = ratio_of(crit), probes[-1]
-            mid = _midpoint(lo, hi)
-        return sign_at(c, s, mid)
-
-    master = adapter.run_parametric(instance, compare)
-    midpoint_record = SolutionRecord(master.token, master.image, Fraction(*mid))
-    picked = midpoint_record if midpoint_record.image.f1 <= limit else witness
-    return picked, {
-        "interval": (Fraction(*lo), Fraction(*hi)),
-        "comparisons": comparisons,
-        "probes": tuple(probes),
-        "midpoint_record": midpoint_record,
-    }
+        probes, ends = envelope_walk(solve, crossing_split, [left, right], meets, steps)
+        more, (left, _) = envelope_walk(solve, rational_split(instance), ends, meets)
+        walk += probes + more
+        picked = next(record for record in walk if record.image == left.image)
+    record, certificate = certify(adapter, instance, walk, picked, limit, factors, budget)
+    return ParametricOutcome(record, certificate, tuple(walk))
 
 
 def solve_budget_parametric(
-    adapter: ParametricAdapter, instance, query: BudgetQuery
+    adapter: ProblemAdapter, instance, query: BudgetQuery
 ) -> tuple[SolutionRecord, GuaranteeCertificate]:
     """Parametric search, returning just the record and its certificate."""
     outcome = parametric_search(adapter, instance, query)

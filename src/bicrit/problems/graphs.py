@@ -246,42 +246,6 @@ class ScaledWeights:
         )
 
 
-class Keyed(tuple):
-    """A label (form, ..., (c, s, compare)), ordered by its form c + s*gamma, then by the rest.
-
-    A symbolic run's stand-in for a plain tuple such as (distance, node).
-    The first item is the form packed into one int, which the run adds up;
-    ``keyed_by`` unpacks it once per label into its constant c and its
-    slope s.  Two labels compare by ``compare``'s sign of the difference of
-    their forms, given as its constant and its slope.  The comparator rides
-    along in the last item, so one type serves every run and no class is
-    built per run.  It makes one comparator call per comparison, where a
-    tuple of ``cmp_to_key`` objects makes two (``==``, then ``<``).
-    """
-
-    __slots__ = ()
-
-    def __lt__(self, other):
-        (c, s, compare), (d, t, _) = self[-1], other[-1]
-        order = compare(c - d, s - t)
-        return order < 0 or (order == 0 and self[1:-1] < other[1:-1])
-
-
-def keyed_by(compare, k):
-    """A symbolic run's label maker: ``item`` becomes ``Keyed(item + ((c, s, compare),))``.
-
-    ``item[0]`` is a form c + s*gamma packed as the int ``c << k | s``,
-    with c >= 0 and 0 <= s < 2**k, so ``divmod`` by 2**k recovers c and s.
-    """
-    base = 1 << k
-
-    def label(item):
-        c, s = divmod(item[0], base)
-        return Keyed(item + ((c, s, compare),))
-
-    return label
-
-
 def cost_bounds(scaled: ScaledWeights, relaxed: bool, multiplicity: int = 1) -> Bounds:
     """Bounds for solutions that use each weight pair at most once.
 

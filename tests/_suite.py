@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import math
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -31,8 +32,6 @@ from bicrit.problems import (
     VertexCoverAdapter,
     VertexWeightedGraph,
 )
-from bicrit.problems.mst import kruskal_run
-from bicrit.problems.shortest_path import dijkstra_run
 from bicrit.sweep import certify, index_range, parametric_factors
 
 
@@ -139,15 +138,34 @@ def boundary_call_bound(n) -> int:
     return 2 * (n - 2).bit_length() + 2 if n > 1 else 1
 
 
-def parametric_call_bound(instance, comparisons) -> int:
-    """2 + ceil(log2(m + 1)) + comparisons + 1, the parametric search's calls on m weight pairs.
+def _least_power(x) -> int:
+    """The least j >= 0 with x <= 2**j."""
+    j = 0
+    while x > Fraction(2) ** j:
+        j += 1
+    return j
 
-    The walk solves both ends of the weight range and takes at most
-    ceil(log2(m + 1)) crossing steps; the simulation, when it runs, makes
-    at most one probe per comparison of its master run, which counts one
-    more.  ``certify`` may add one on a relaxed instance.
+
+def parametric_call_bound(instance, bounds: Bounds, query) -> int:
+    """The parametric search's calls on m weight pairs, known before it runs.
+
+    2 + ceil(log2(m + 1)) + 2*(G + A + 1): the walk solves both ends of the
+    weight range and takes at most ceil(log2(m + 1)) crossing steps; the
+    safeguard probes at most G = ceil(log2 log2(UB(2)/LB(2))) powers of
+    two and A = ceil(log2(3*hi*S**2)) arithmetic midpoints, each taken as
+    0 when not positive, one crossing before each and one after the last,
+    and one crossing of a short bracket; hi = eps*B/LB(2) and S is the sum
+    of the scaled w2.  ``certify`` adds one on a relaxed instance.
     """
-    return 2 + len(instance.ratios).bit_length() + comparisons + 1
+    scale = math.lcm(*(q for pair in instance.ratios for _, q in pair))
+    total = sum(pair.f2 for pair in cost_pairs(instance)) * scale
+    hi = query.eps * query.budget / bounds.lb2
+    geometric = 0
+    while bounds.ub2 / bounds.lb2 > Fraction(2) ** (2**geometric):
+        geometric += 1
+    arithmetic = _least_power(3 * hi * total**2)
+    steps = _least_power(len(instance.ratios) + 1)
+    return 2 + steps + 2 * (geometric + arithmetic + 1) + instance.relaxed
 
 
 def pareto_call_bound(eps, bounds: Bounds) -> int:
@@ -296,41 +314,6 @@ class ReferenceVertexCover(VertexCoverAdapter):
         return SolutionRecord(token, instance.scaled.image(token))
 
 
-class ReferenceMst(MstAdapter):
-    """Spanning trees whose symbolic run sorts the edges' ``LinearValue``s."""
-
-    def run_parametric(self, instance, compare):
-        values = linear_values(instance)
-        key = functools.cmp_to_key(on_differences(compare))
-        token = kruskal_run(instance.node_count, instance.edges, lambda i: key(values[i]))
-        return SolutionRecord(token, instance.scaled.image(token))
-
-
-class ReferenceLabel(tuple):
-    """(distance, node, compare) with a ``LinearValue`` distance, ordered by distance, then node."""
-
-    __slots__ = ()
-
-    def __lt__(self, other):
-        d = self[0] - other[0]
-        order = self[-1](d.constant, d.slope)
-        return order < 0 or (order == 0 and self[1:-1] < other[1:-1])
-
-
-class ReferenceShortestPath(ShortestPathAdapter):
-    """Shortest paths whose symbolic run is Dijkstra over ``LinearValue`` distances."""
-
-    def run_parametric(self, instance, compare):
-        token = dijkstra_run(
-            instance.adjacency,
-            instance.source,
-            instance.sink,
-            linear_values(instance),
-            lambda item: ReferenceLabel(item + (compare,)),
-        )
-        return SolutionRecord(token, instance.scaled.image(token))
-
-
 class CachingAdapter(ProblemAdapter):
     """Memoizes solve_weighted_sum per weight; counts every invocation.
 
@@ -362,8 +345,7 @@ class CachingParametricAdapter(CachingAdapter, ParametricAdapter):
     """Also counts the symbolic runs, each of which is one oracle call.
 
     ``solve_grid`` runs an approximate oracle (alpha != 1) symbolically,
-    one run per grid range, and ``parametric_search`` takes its master
-    run's record as the oracle's answer at the final midpoint.
+    one run per grid range.
     """
 
     def run_parametric(self, instance, compare):
@@ -504,11 +486,14 @@ def reference_solve_all_weights(adapter, instance, lo, hi) -> list:
     return records
 
 
-def reference_walk_search(adapter, instance, query) -> ParametricOutcome:
+def reference_walk_search(adapter, instance, query):
     """``exact_search.parametric_search`` with its own envelope walk and "not strictly below" stop.
 
-    It reads ``exact_search.walk_step_budget`` at call time, so a test that
-    patches the step budget patches it here too.
+    The reference for walks that end within their steps: it returns None
+    when ``exact_search.walk_step_budget`` steps leave a bracket that no
+    stop rule ends, where the search goes on with its safeguard.  It reads
+    the step budget at call time, so a test that patches the step budget
+    patches it here too.
     """
     eps, budget = query.eps, query.budget
     bounds = adapter.bounds(instance)
@@ -519,30 +504,29 @@ def reference_walk_search(adapter, instance, query) -> ParametricOutcome:
     if walk[0].image.f1 > limit and lo != hi:
         walk.append(adapter.solve_weighted_sum(instance, lo))
     left, right = walk[-1], walk[0]
-    picked, simulation = None, {}
+    picked = None
     if right.image.f1 <= limit:
         picked = right
     elif left.image.f1 <= limit:
-        for _ in range(exact_search.walk_step_budget(instance)):
+        steps = exact_search.walk_step_budget(instance)
+        while picked is None:
             gamma = Fraction(*crossing(left.image, right.image))
             if gamma in (left.produced_at, right.produced_at):
                 picked = left
                 break
+            if steps == 0:
+                return None
+            steps -= 1
             middle = adapter.solve_weighted_sum(instance, gamma)
             walk.append(middle)
             if middle.image.weighted(gamma) == left.image.weighted(gamma):
                 picked = left
-                break
-            if middle.image.f1 <= limit:
+            elif middle.image.f1 <= limit:
                 left = middle
             else:
                 right = middle
-        else:
-            weights = left.produced_at, right.produced_at
-            picked, simulation = exact_search._simulate(adapter, instance, *weights, left, limit)
-    solved = [*walk, *simulation["probes"], simulation["midpoint_record"]] if simulation else walk
-    record, certificate = certify(adapter, instance, solved, picked, limit, factors, budget)
-    return ParametricOutcome(record, certificate, tuple(walk), **simulation)
+    record, certificate = certify(adapter, instance, walk, picked, limit, factors, budget)
+    return ParametricOutcome(record, certificate, tuple(walk))
 
 
 def search_outcome(search, adapter, instance, query):

@@ -205,11 +205,6 @@ class TestExitCodes:
         calls = []
         oracle = mst.mst_oracle
         monkeypatch.setattr(mst, "mst_oracle", lambda *args: calls.append(1) or oracle(*args))
-        # Parametric search's master run is one oracle call too.
-        run = mst.MstAdapter.run_parametric
-        monkeypatch.setattr(
-            mst.MstAdapter, "run_parametric", lambda *args: calls.append(1) or run(*args)
-        )
         # Each search's own f1 limit at B = 1/10, eps = 1: the grid filters
         # at (1+2*eps)*B, the parametric search at (1+eps)*B.
         for algorithm, limit in (("fixed", "3/10"), ("binary", "3/10"), ("parametric", "1/5")):
@@ -261,7 +256,7 @@ class TestExitCodes:
             raise AssertionError("an oracle ran before the enumeration cap was checked")
 
         # The cap is checked right after ingest, so no algorithm gets to run.
-        for method in ("bounds", "solve_weighted_sum", "solve_all_weights", "run_parametric"):
+        for method in ("bounds", "solve_weighted_sum", "solve_all_weights"):
             monkeypatch.setattr(ShortestPathAdapter, method, refuse)
         for run in (argv, ["pareto", "--problem", "path", "--input", path, "--verify"]):
             assert main(run) == 4

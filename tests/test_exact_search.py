@@ -1,16 +1,16 @@
 from __future__ import annotations
 
 import functools
-import itertools
 import random
-from dataclasses import FrozenInstanceError, dataclass
+from collections import Counter
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
 from _suite import (
     LinearValue,
+    OncePerWeight,
     boundary_call_bound,
     build_suite,
     check_exact_search,
@@ -23,24 +23,22 @@ from _suite import (
     parametric_call_bound,
     parametric_guarantee,
     positive_budgets,
+    random_cut_instance,
     random_mst_instance,
     random_path_instance,
+    reference_walk_search,
     search_outcome,
 )
 from bicrit import exact_search
-from bicrit.cli import ingest
 from bicrit.core import (
     CostPair,
     GuaranteeCertificate,
-    ParametricAdapter,
+    SolutionRecord,
     pow_one_plus_eps,
-    rational,
     sign_at,
 )
-from bicrit.errors import ExactOracleRequired, NoCertificate, NotParametricCapable
+from bicrit.errors import ExactOracleRequired, NoCertificate
 from bicrit.exact_search import (
-    ParametricOutcome,
-    _simulate,
     parametric_search,
     solve_budget_binary,
     solve_budget_parametric,
@@ -63,99 +61,8 @@ from bicrit.sweep import (
 )
 
 
-# The search code that ``sweep.certify`` and the closure-only parametric
-# search replaced, kept as the reference for the differential tests below.
-
-
-@dataclass(frozen=True)
-class GammaInterval:
-    """A closed positive weight interval [lo, hi]."""
-
-    lo: Fraction
-    hi: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "lo", rational(self.lo))
-        object.__setattr__(self, "hi", rational(self.hi))
-        if not 0 < self.lo <= self.hi:
-            raise ValueError(f"interval must satisfy 0 < lo <= hi, got {self}")
-
-    @property
-    def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
-
-def resolve_comparison(adapter, instance, interval, gamma_crit, budget, eps, probes=None):
-    if adapter.alpha() != 1:
-        raise ExactOracleRequired("parametric resolution needs an exact oracle")
-    gamma_crit = rational(gamma_crit)
-    if gamma_crit <= interval.lo:
-        return "right", interval
-    if gamma_crit >= interval.hi:
-        return "left", interval
-    record = adapter.solve_weighted_sum(instance, gamma_crit)
-    if probes is not None:
-        probes.append(record)
-    if record.image.f1 > (1 + rational(eps)) * rational(budget):
-        return "left", GammaInterval(interval.lo, gamma_crit)
-    return "right", GammaInterval(gamma_crit, interval.hi)
-
-
-def reference_parametric_search(adapter, instance, query):
-    if adapter.alpha() != 1:
-        raise ExactOracleRequired("parametric search needs an exact oracle")
-    if not isinstance(adapter, ParametricAdapter):
-        raise NotParametricCapable(f"{type(adapter).__name__} has no parametric run")
-    eps, budget = query.eps, query.budget
-    bounds = adapter.bounds(instance)
-    state = {
-        "interval": GammaInterval(eps * budget / bounds.ub2, eps * budget / bounds.lb2),
-        "witness": None,
-        "comparisons": 0,
-    }
-    probes: list = []
-
-    def compare(c, s):
-        state["comparisons"] += 1
-        crit = Fraction(-c, s) if s else None  # where the line c + s*gamma crosses 0
-        if crit is not None and state["interval"].lo < crit < state["interval"].hi:
-            before = len(probes)
-            side, state["interval"] = resolve_comparison(
-                adapter, instance, state["interval"], crit, budget, eps, probes
-            )
-            if side == "right" and len(probes) > before:
-                state["witness"] = probes[-1]
-        gamma = state["interval"].midpoint
-        value = c + gamma * s
-        return -1 if value < 0 else (1 if value > 0 else 0)
-
-    adapter.run_parametric(instance, compare)
-    interval = state["interval"]
-    midpoint_record = adapter.solve_weighted_sum(instance, interval.midpoint)
-    calls = len(probes) + 1
-    limit = (1 + eps) * budget
-    if midpoint_record.image.f1 <= limit:
-        chosen = midpoint_record
-    elif state["witness"] is not None:
-        chosen = state["witness"]
-    else:
-        raise NoCertificate([*probes, midpoint_record], limit)
-    certificate = GuaranteeCertificate(
-        alpha=Fraction(1),
-        budget_factor=1 + eps,
-        cost_factor=1 + 1 / eps,
-        budget=budget,
-        oracle_calls=calls,
-    )
-    return ParametricOutcome(
-        record=chosen,
-        certificate=certificate,
-        walk=(),
-        interval=interval,
-        comparisons=state["comparisons"],
-        probes=tuple(probes),
-        midpoint_record=midpoint_record,
-    )
+# The search code that ``sweep.certify`` replaced, kept as the reference for
+# the differential tests below.
 
 
 def reference_sweep(adapter, instance, query):
@@ -333,23 +240,24 @@ class TestGridMonotonicity:
 
 class TestParametric:
     def test_example_instance_budget_three(self, ex2):
-        outcome = parametric_search(MstAdapter(), ex2, BudgetQuery(Fraction(3), Fraction(1)))
+        query = BudgetQuery(Fraction(3), Fraction(1))
+        outcome = parametric_search(MstAdapter(), ex2, query)
         assert outcome.record.image.f1 <= 6
         assert outcome.record.image.f2 <= 2 * exact_opt_budget(ex2, Fraction(3))
-        assert outcome.certificate.oracle_calls <= outcome.comparisons + 1
+        bound = exact_search.parametric_call_bound(MstAdapter(), ex2, query)
+        assert outcome.certificate.oracle_calls <= bound
 
-    def test_oracle_runs_only_at_the_probes(self, monkeypatch):
-        # The concrete oracle runs at the walk's weights, then at the
-        # simulation's probes; the master run's record is the concrete
-        # oracle's at the final midpoint.  With no walk steps allowed, the
-        # simulation runs whenever eps*B/LB(2) misses the f1 limit and
-        # eps*B/UB(2) meets it.
-        simulated = 0
+    def test_oracle_runs_only_at_the_walks_weights(self, monkeypatch):
+        # The concrete oracle runs at the walk's weights and nowhere else, in
+        # call order, its safeguard's probes included.  With no walk steps
+        # allowed, the safeguard runs whenever eps*B/LB(2) misses the f1 limit,
+        # eps*B/UB(2) meets it, and their records' lines cross inside.
+        safeguarded = 0
         for no_steps in (False, True):
             if no_steps:
                 monkeypatch.setattr(exact_search, "walk_step_budget", lambda instance: 0)
             for case in build_suite():
-                if case.kind not in ("mst", "path"):
+                if case.alpha != 1:
                     continue
                 adapter, weights = type(case.raw_adapter)(), []
                 solve = adapter.solve_weighted_sum
@@ -361,14 +269,20 @@ class TestParametric:
                         weights.clear()
                         query = BudgetQuery(budget, eps)
                         outcome = parametric_search(adapter, case.instance, query)
-                        solved = (*outcome.walk, *outcome.probes)
-                        assert weights == [record.produced_at for record in solved]
-                        if outcome.midpoint_record is None:
-                            continue
-                        simulated += 1
-                        lo, hi = outcome.interval
-                        assert outcome.midpoint_record == solve(case.instance, (lo + hi) / 2)
-        assert simulated > 0
+                        assert weights == [record.produced_at for record in outcome.walk]
+                        safeguarded += no_steps and len(outcome.walk) > 2
+        assert safeguarded > 0
+
+    def test_call_bound_matches_the_suites(self):
+        for case in exact_cases():
+            bounds = case.raw_adapter.bounds(case.instance)
+            for eps in (Fraction(1), Fraction(1, 4), Fraction(1, 100)):
+                for budget in positive_budgets(case):
+                    query = BudgetQuery(budget, eps)
+                    want = parametric_call_bound(case.instance, bounds, query)
+                    assert exact_search.parametric_call_bound(
+                        case.raw_adapter, case.instance, query
+                    ) == want
 
     def test_example_instance_budget_four(self, ex1):
         record, cert = solve_budget_parametric(
@@ -383,20 +297,17 @@ class TestParametric:
             3, [(0, 1, (2, 3)), (1, 2, (2, 3)), (0, 2, (2, 3))], kind="mst"
         )
         outcome = parametric_search(MstAdapter(), graph, BudgetQuery(Fraction(4), Fraction(1)))
-        assert outcome.probes == ()
+        assert len(outcome.walk) == 1
         assert outcome.certificate.oracle_calls == 1
 
-    def test_endpoint_tie_falls_back_to_probe_record(self, monkeypatch):
+    def test_endpoint_tie_ends_the_safeguard_too(self, monkeypatch):
         # Parallel edges crossing at gamma=1 with an f1 jump straddling the
         # budget filter f1 <= (1+eps)*B = 9/2.  hi = eps*B/LB(2) = 9/8 returns
         # the (5,2) tree, which misses it, and lo = 3/8 the (2,5) tree.  The
         # walk solves their crossing, 1, where the concrete oracle breaks the
         # tie toward (2,5): nothing lies below the two lines there, so the walk
-        # stops with lo's record.  With no walk steps allowed, the simulation
-        # runs on [3/8, 9/8]: its probe at 1 accepts (2,5), but the master run
-        # continues on [1, 9/8] where the (5,2) tree is optimal.  The final
-        # midpoint record then misses the filter, so the search must return
-        # the in-budget probe record instead.
+        # stops with lo's record.  With no walk steps allowed, the safeguard's
+        # first probe is the same crossing, and it stops the same way.
         graph = BiweightedGraph(
             3, [(0, 1, (1, 4)), (0, 1, (4, 1)), (1, 2, (1, 1))], kind="mst"
         )
@@ -404,58 +315,31 @@ class TestParametric:
         opt = exact_opt_budget(graph, query.budget)
         walked = parametric_search(MstAdapter(), graph, query)
         assert [record.produced_at for record in walked.walk] == [Fraction(9, 8), Fraction(3, 8), 1]
-        assert walked.interval is None and walked.record == walked.walk[1]
+        assert walked.record == walked.walk[1]
         assert verify_budget(graph, walked.record, query.budget, opt, (2, 2))
         monkeypatch.setattr(exact_search, "walk_step_budget", lambda instance: 0)
-        outcome = parametric_search(MstAdapter(), graph, query)
-        assert outcome.interval == (1, Fraction(9, 8))
-        assert outcome.midpoint_record.image.f1 > (1 + query.eps) * query.budget
-        assert outcome.record.image == CostPair(2, 5)
-        assert outcome.record.produced_at == 1
-        assert verify_budget(graph, outcome.record, query.budget, opt, (2, 2))
+        assert parametric_search(MstAdapter(), graph, query) == walked
 
-    def test_rejects_non_parametric_and_approximate(self, ex1):
+    def test_accepts_every_exact_adapter_and_rejects_approximate(self, ex1):
         query = BudgetQuery(Fraction(2), Fraction(1))
-        with pytest.raises(NotParametricCapable):
-            parametric_search(MinCutAdapter(), None, query)
+        edges = [(0, 1, (1, 3)), (1, 2, (3, 1)), (0, 2, (2, 2))]
+        cut = BiweightedGraph(3, edges, kind="cut", source=0, sink=2)
+        record, _ = solve_budget_parametric(MinCutAdapter(), cut, BudgetQuery(Fraction(4), 1))
+        assert record.image.f1 <= 8
         with pytest.raises(ExactOracleRequired):
             parametric_search(adversarial_wrap(MstAdapter(), Fraction(5, 4), ex1), ex1, query)
-
-    def test_final_interval_contains_a_good_weight(self, monkeypatch):
-        # With no walk steps allowed, the simulation runs on [eps*B/UB(2), eps*B/LB(2)]
-        # whenever its ends' records straddle the f1 limit.
-        monkeypatch.setattr(exact_search, "walk_step_budget", lambda instance: 0)
-        rng = random.Random(59)
-        adapter = MstAdapter()
-        simulated = 0
-        for _ in range(5):
-            inst = random_mst_instance(rng, rng.randint(3, 4), extra=2)
-            budgets = sorted({r.image.f1 for r in enumerate_all(inst)})
-            for eps, budget in itertools.product((Fraction(1), Fraction(1, 2)), budgets):
-                outcome = parametric_search(adapter, inst, BudgetQuery(budget, eps))
-                if outcome.interval is None:
-                    continue
-                simulated += 1
-                opt = exact_opt_budget(inst, budget)
-                lo, hi = outcome.interval
-                points = {lo, hi} | {lo + (hi - lo) * Fraction(k, 99) for k in range(100)}
-                assert any(
-                    verify_budget(
-                        inst,
-                        adapter.solve_weighted_sum(inst, g),
-                        budget,
-                        opt,
-                        parametric_guarantee(eps),
-                    )
-                    for g in sorted(points)
-                )
-        assert simulated > 0
+        with pytest.raises(ExactOracleRequired):
+            parametric_search(VertexCoverAdapter(), None, query)
 
     def test_consistency_and_guarantee_on_random_instances(self):
         rng = random.Random(61)
-        adapters = {"mst": MstAdapter(), "path": ShortestPathAdapter()}
-        makers = {"mst": random_mst_instance, "path": random_path_instance}
-        for kind in ("mst", "path"):
+        adapters = {"mst": MstAdapter(), "path": ShortestPathAdapter(), "cut": MinCutAdapter()}
+        makers = {
+            "mst": random_mst_instance,
+            "path": random_path_instance,
+            "cut": random_cut_instance,
+        }
+        for kind in ("mst", "path", "cut"):
             for _ in range(5):
                 inst = makers[kind](rng, rng.randint(3, 5))
                 budgets = sorted({r.image.f1 for r in enumerate_all(inst)})
@@ -470,45 +354,137 @@ class TestParametric:
                         )
 
 
-def check_against_megiddo(case, query, opt) -> tuple:
-    """Check the parametric search against Megiddo's on one query.
+class TestRationalSplit:
+    """``_ceil_log2`` and ``_halving_weight``, the safeguard's arithmetic, against plain loops."""
 
-    Returns (its calls, Megiddo's, whether its simulation ran).
+    @staticmethod
+    def _least_power(x) -> int:
+        j = 0
+        while x > Fraction(2) ** j:
+            j += 1
+        while x <= Fraction(2) ** (j - 1):
+            j -= 1
+        return j
 
-    Both must end alike: in a record, or in NoCertificate with the same f1
-    limit, which the search reaches from its first two records (plus
-    ``certify``'s call on a relaxed instance).  Its record must meet
-    (1+eps, 1+1/eps) against ``opt``, OPT(B) by enumeration.  Its calls are
-    one per walk record and per probe, one for the master run when the
-    simulation ran, and ``certify``'s, within ``parametric_call_bound``.
+    def test_ceil_log2_matches_a_loop(self):
+        rng = random.Random(71)
+        values = [(1, 1), (2, 1), (1, 2), (3, 4), (4, 3), (2**64, 1), (1, 2**64), (2**64 + 1, 1)]
+        values += [(rng.randint(1, 10**30), rng.randint(1, 10**30)) for _ in range(200)]
+        for n, d in values:
+            assert exact_search._ceil_log2(n, d) == self._least_power(Fraction(n, d)), (n, d)
+
+    def test_halving_weight_lies_strictly_inside(self):
+        rng = random.Random(73)
+        for _ in range(300):
+            scale = Fraction(2) ** rng.randint(-40, 40)
+            a = Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6)) * scale
+            b = a * (1 + Fraction(rng.randint(1, 10**6), rng.randint(1, 10**3)))
+            w = exact_search._halving_weight(a, b)
+            assert a < w < b
+            if b <= 4 * a:
+                assert w == (a + b) / 2
+                continue
+            k = self._least_power(w)
+            assert w == Fraction(2) ** k
+            # The upper middle of the powers of two strictly inside (a, b).
+            inside = [j for j in range(k - 200, k + 200) if a < Fraction(2) ** j < b]
+            assert k == inside[len(inside) // 2]
+
+    @staticmethod
+    def _bracket(left, a, right, b):
+        """Records of the images ``left`` at weight ``a`` and ``right`` at ``b``."""
+        return SolutionRecord(None, CostPair(*left), a), SolutionRecord(None, CostPair(*right), b)
+
+    def test_split_is_none_where_the_crossing_is(self):
+        # Equal images, and lines that cross at an end's own weight, end the
+        # walk on either turn of the alternation.
+        graph, _ = TestEnvelopeWalk._four_trees()
+        split = exact_search.rational_split(graph)
+        brackets = [
+            self._bracket((2, 5), Fraction(1, 2), (2, 5), Fraction(9)),
+            self._bracket((2, 5), Fraction(1), (3, 4), Fraction(9)),
+            self._bracket((2, 5), Fraction(1, 9), (3, 4), Fraction(1)),
+        ]
+        for left, right in brackets * 2:
+            assert split(left, right) is None
+
+    def test_wide_bracket_alternates_the_crossing_with_a_midpoint(self):
+        # S = 1802 for ``_four_trees``, so every bracket below is wide.  L = (2, 5)
+        # at 1 and R = (10, 1/100) at 100 cross at 800/499, and 100 > 4, so the
+        # midpoint is 16, the middle power of two inside.  At 1/2 and 3/2,
+        # within a factor of 4, it is the mean, 1.
+        graph, _ = TestEnvelopeWalk._four_trees()
+        split = exact_search.rational_split(graph)
+        wide = self._bracket((2, 5), Fraction(1), (10, Fraction(1, 100)), Fraction(100))
+        near = self._bracket((2, 5), Fraction(1, 2), (10, Fraction(1, 100)), Fraction(3, 2))
+        got = [split(*wide), split(*wide), split(*near), split(*near), split(*wide)]
+        assert got == [Fraction(800, 499), 16, Fraction(800, 499), 1, Fraction(800, 499)]
+
+    def test_short_bracket_probes_the_crossing_alone(self):
+        # Once (b - a)*S**2 < 1 every call gives the crossing, 1 here.  At
+        # exactly 1/S**2 apart the midpoint still takes its turn.
+        graph, _ = TestEnvelopeWalk._four_trees()
+        square = sum(graph.scaled.second) ** 2
+        assert square == 1802**2
+        a = 1 - Fraction(1, 4 * square)
+        split = exact_search.rational_split(graph)
+        short = self._bracket((2, 5), a, (3, 4), a + Fraction(1, 2 * square))
+        assert [split(*short) for _ in range(4)] == [1] * 4
+        split = exact_search.rational_split(graph)
+        edge = self._bracket((2, 5), a, (3, 4), a + Fraction(1, square))
+        assert [split(*edge), split(*edge)] == [1, a + Fraction(1, 2 * square)]
+
+    def test_no_steps_probes_the_crossing_a_power_of_two_and_the_crossing(self, monkeypatch):
+        # ``_four_trees`` with no walk steps: R at 100 misses the limit, A at
+        # 50/901 meets it.  The safeguard solves their crossing 1, where L =
+        # (2, 5) meets the limit; then, since 100 > 4, the power of two 16, the
+        # middle of 2, 4, ..., 64, where R misses it; then L's and R's crossing
+        # 800/499, where M = (3, 4) misses it.  L's and M's lines cross at L's
+        # own weight, 1, which ends the walk with L.
+        graph, query = TestEnvelopeWalk._four_trees()
+        monkeypatch.setattr(exact_search, "walk_step_budget", lambda instance: 0)
+        outcome = parametric_search(MstAdapter(), graph, query)
+        weights = [record.produced_at for record in outcome.walk]
+        assert weights == [100, Fraction(50, 901), 1, 16, Fraction(800, 499)]
+        assert (outcome.record.image, outcome.record.produced_at) == (CostPair(2, 5), 1)
+        assert outcome.certificate.oracle_calls == 5
+        assert 5 <= exact_search.parametric_call_bound(MstAdapter(), graph, query)
+
+
+def check_parametric(case, query, opt) -> tuple:
+    """Check the parametric search on one query; return (its calls, whether its safeguard ran).
+
+    Run with a ``OncePerWeight`` adapter, it solves no weight twice.
+    Where ``reference_walk_search`` decides within the walk's steps, the
+    outcome is the reference's; where it does not, the safeguard ran.  A
+    NoCertificate needs no solution with f1 <= B (``opt`` is None) and
+    comes from the first two records, plus ``certify``'s call on a relaxed
+    instance.  Otherwise the record meets (1+eps, 1+1/eps) against
+    ``opt``, OPT(B) by enumeration, and the calls, one per walk record
+    plus ``certify``'s, stay within the library's pre-run bound.  That
+    bound counts ``walk_step_budget``'s steps as they are, patched or not,
+    so it never exceeds ``_suite.parametric_call_bound``.
     """
     adapter, instance = case.raw_adapter, case.instance
-    expected = search_outcome(reference_parametric_search, adapter, instance, query)
-    outcome = search_outcome(parametric_search, adapter, instance, query)
-    if isinstance(expected, tuple):  # a NoCertificate's records and f1 limit
-        assert outcome[0] == "no certificate" and outcome[2] == expected[2]
-        assert len(outcome[1]) <= 2 + instance.relaxed
-        return len(outcome[1]), len(expected[1]), False
-    assert isinstance(outcome, ParametricOutcome)
+    bound = exact_search.parametric_call_bound(adapter, instance, query)
+    assert bound <= parametric_call_bound(instance, adapter.bounds(instance), query)
+    outcome = search_outcome(parametric_search, OncePerWeight(adapter), instance, query)
+    expected = search_outcome(reference_walk_search, adapter, instance, query)
+    if expected is not None:
+        assert outcome == expected
+    if isinstance(outcome, tuple):  # a NoCertificate's records and f1 limit
+        assert opt is None and len(outcome[1]) <= 2 + instance.relaxed
+        return len(outcome[1]), False
     eps, budget = query.eps, query.budget
     assert verify_budget(instance, outcome.record, budget, opt, parametric_guarantee(eps))
     calls = outcome.certificate.oracle_calls
-    simulated = outcome.midpoint_record is not None
-    solved = len(outcome.walk) + len(outcome.probes) + simulated
-    assert calls - solved in ((0, 1) if instance.relaxed else (0,))
-    assert calls <= parametric_call_bound(instance, outcome.comparisons) + instance.relaxed
-    if simulated:
-        # The interval only ever narrows from [eps*B/UB(2), eps*B/LB(2)].
-        bounds = adapter.bounds(instance)
-        lo, hi = outcome.interval
-        assert eps * budget / bounds.ub2 <= lo <= hi <= eps * budget / bounds.lb2
-    else:
-        assert (outcome.interval, outcome.comparisons, outcome.probes) == (None, 0, ())
-    return calls, expected.certificate.oracle_calls, simulated
+    assert calls - len(outcome.walk) in ((0, 1) if instance.relaxed else (0,))
+    assert calls <= bound
+    return calls, expected is None
 
 
 class TestMatchesReferenceSearch:
-    """Parametric search ends as Megiddo's does; ``certify`` changes no strict sweep's result."""
+    """Parametric search ends as the walk does; ``certify`` changes no strict sweep's result."""
 
     EPSILONS = (Fraction(1), Fraction(1, 4), Fraction(1, 20))
 
@@ -517,11 +493,11 @@ class TestMatchesReferenceSearch:
         return [*case.budgets, case.budgets[0] / 4]
 
     def _check_parametric(self, case, query):
-        check_against_megiddo(case, query, exact_opt_budget(case.instance, query.budget))
+        check_parametric(case, query, exact_opt_budget(case.instance, query.budget))
 
     def test_parametric_on_acceptance_suite(self):
         for case in build_suite():
-            if case.kind not in ("mst", "path"):
+            if case.alpha != 1:
                 continue
             for eps in self.EPSILONS:
                 for budget in self._budgets(case):
@@ -530,7 +506,7 @@ class TestMatchesReferenceSearch:
     def test_parametric_on_random_instances(self):
         rng = random.Random(67)
         for _ in range(20):
-            for make in (random_mst_instance, random_path_instance):
+            for make in (random_mst_instance, random_path_instance, random_cut_instance):
                 inst = make(rng, rng.randint(4, 6))
                 case = make_case(inst.kind, inst)
                 for eps in self.EPSILONS:
@@ -558,84 +534,96 @@ class TestMatchesReferenceSearch:
 
 @functools.cache
 def _walk_queries() -> tuple:
-    """(case, budget, OPT(B)) on the exact mst/path cases and fronts of the boundary tests."""
+    """(case, budget, OPT(B)) on the exact and relaxed cases and the boundary tests' fronts."""
     return tuple(
         (case, budget, exact_opt_budget(case.instance, budget))
         for cases, budgets in ((exact_cases(), positive_budgets), (front_cases(), front_budgets))
         for case in cases
-        if case.kind in ("mst", "path")
         for budget in budgets(case)
     )
 
 
 class TestEnvelopeWalk:
-    """The envelope walk and its safeguard against Megiddo's simulation, and its step budget."""
+    """The envelope walk and its safeguard, ``rational_split``, and its step budget."""
 
     @pytest.mark.parametrize("eps", [Fraction(1), Fraction(1, 4), Fraction(1, 100)], ids=str)
     @pytest.mark.parametrize("steps", [None, 0], ids=["walk", "no_steps"])
-    def test_matches_megiddo_with_the_guarantee_and_call_bound(self, eps, steps, monkeypatch):
-        # The suite's and the relaxed mst/path cases, then the 16 mst/path
-        # fronts.  With no walk steps allowed, every query whose range ends
-        # straddle the f1 limit runs the simulation on that range, with lo's
-        # record as its first witness.
+    def test_guarantee_and_call_bound_with_and_without_walk_steps(self, eps, steps, monkeypatch):
+        # Every exact kind: the suite's and the relaxed cases, then the 24
+        # fronts.  With no walk steps allowed, the safeguard alone searches
+        # every query whose range ends straddle the f1 limit and whose lines
+        # cross inside, from lo's and hi's records.
         if steps is not None:
             monkeypatch.setattr(exact_search, "walk_step_budget", lambda instance: steps)
-        totals = [0, 0, 0]  # calls, Megiddo's calls, simulations
+        safeguarded = Counter()
         for case, budget, opt in _walk_queries():
-            checked = check_against_megiddo(case, BudgetQuery(budget, eps), opt)
-            totals = [total + count for total, count in zip(totals, checked)]
-        if steps is None:
-            assert totals[0] < totals[1]
-        else:
-            assert totals[2] > 0
+            _, ran = check_parametric(case, BudgetQuery(budget, eps), opt)
+            safeguarded[case.kind] += ran
+        if steps == 0:
+            assert set(+safeguarded) == {"mst", "path", "cut"}
 
     @pytest.mark.parametrize("kind", ["mst", "path"])
     def test_creeping_front_trips_the_step_budget(self, kind, monkeypatch):
         # All 31 images of ``creeping_front`` lie on the lower envelope.  At
         # B = 3 and eps 1 the walk finds one new image per step, so it uses
-        # all ceil(log2(32)) = 5 of its steps, and the simulation finishes
-        # the search.  Unbounded, the walk would take 19 steps.
+        # all ceil(log2(32)) = 5 of its steps, and the safeguard finishes the
+        # search.  Unbounded, the walk would take 19 steps.
         graph = creeping_front(kind, 30)
         adapter = MstAdapter() if kind == "mst" else ShortestPathAdapter()
         query = BudgetQuery(Fraction(3), Fraction(1))
         opt = exact_opt_budget(graph, query.budget)
-        outcome = parametric_search(adapter, graph, query)
-        assert walk_step_budget(graph) == 5 and len(outcome.walk) == 2 + 5
-        assert outcome.interval is not None
+        outcome = parametric_search(OncePerWeight(adapter), graph, query)
+        assert walk_step_budget(graph) == 5 and len(outcome.walk) > 2 + 5
         factors = parametric_guarantee(query.eps)
         assert verify_budget(graph, outcome.record, query.budget, opt, factors)
-        assert outcome.certificate.oracle_calls <= parametric_call_bound(graph, outcome.comparisons)
+        bound = parametric_call_bound(graph, adapter.bounds(graph), query)
+        assert outcome.certificate.oracle_calls == len(outcome.walk) <= bound
         monkeypatch.setattr(exact_search, "walk_step_budget", lambda instance: len(instance.ratios))
         unbounded = parametric_search(adapter, graph, query)
-        assert unbounded.interval is None and len(unbounded.walk) == 2 + 19
+        assert len(unbounded.walk) == 2 + 19
         assert unbounded.record.image == outcome.record.image
 
-    def test_simulation_starts_with_the_walks_witness(self, monkeypatch):
+    @pytest.mark.parametrize("kind", ["mst", "path"])
+    def test_creeping_front_without_walk_steps_stays_within_the_bound(self, kind, monkeypatch):
+        # With no walk steps, the safeguard alone searches ``creeping_front``,
+        # whose 31 images all lie on the lower envelope and whose breakpoints
+        # 4**(j-29) span 58 octaves: at every front f1 as the budget, each
+        # answer meets the factors against enumeration within the pre-run bound.
+        monkeypatch.setattr(exact_search, "walk_step_budget", lambda instance: 0)
+        case = make_case(kind, creeping_front(kind, 30))
+        safeguarded = 0
+        for eps in (Fraction(1), Fraction(1, 4), Fraction(1, 100)):
+            for budget in case.budgets:
+                opt = exact_opt_budget(case.instance, budget)
+                _, ran = check_parametric(case, BudgetQuery(budget, eps), opt)
+                safeguarded += ran
+        assert safeguarded > 0
+
+    def test_safeguard_goes_on_from_the_walks_bracket(self, monkeypatch):
         # Four parallel edges, each its own tree: A = (1, 901/100) meets the f1
         # limit (1+eps)*B = 2 at B = 1, eps 1, as does L = (2, 5); M = (3, 4) and
         # R = (10, 1/100) miss it.  L's and M's lines cross at 1, where A's and
-        # R's do too, and both lie below them there.  The walk solves
-        # R at 100, A at 50/901, then their crossing 1, where Kruskal breaks the
-        # L-M tie toward L by edge order.  With one step allowed, the simulation
-        # then runs on [1, 100].  L's and M's comparison turns at its end 1, so
-        # no probe is made for it; both probes return M, and so does the master
-        # run.  M misses the limit, so only the witness the walk handed over, L,
-        # can answer: without it the search would end in NoCertificate.
+        # R's do too, and both lie below them there.  The walk solves R at 100,
+        # A at 50/901, then their crossing 1, where Kruskal breaks the L-M tie
+        # toward L by edge order.  With one step allowed, the safeguard goes on
+        # from the bracket (L, R) with their crossing 800/499, where M misses
+        # the limit.  L's and M's lines cross at L's own weight, so the search
+        # ends with L, as the unbounded walk does.
         graph, query = self._four_trees()
         opt = exact_opt_budget(graph, query.budget)
         monkeypatch.setattr(exact_search, "walk_step_budget", lambda instance: 1)
         outcome = parametric_search(MstAdapter(), graph, query)
-        assert outcome.interval == (1, Fraction(800, 499))
-        assert [probe.image for probe in outcome.probes] == [CostPair(3, 4)] * 2
-        assert outcome.midpoint_record.image == CostPair(3, 4)
-        assert outcome.record == outcome.walk[-1]
+        weights = [record.produced_at for record in outcome.walk]
+        assert weights == [100, Fraction(50, 901), 1, Fraction(800, 499)]
+        assert outcome.walk[-1].image == CostPair(3, 4)
+        assert outcome.record == outcome.walk[2]
         assert (outcome.record.image, outcome.record.produced_at) == (CostPair(2, 5), 1)
         factors = parametric_guarantee(query.eps)
         assert verify_budget(graph, outcome.record, query.budget, opt, factors)
 
     @staticmethod
     def _four_trees():
-        """The instance of ``test_simulation_starts_with_the_walks_witness``: B = 1, eps 1."""
+        """The instance of ``test_safeguard_goes_on_from_the_walks_bracket``: B = 1, eps 1."""
         images = [(1, Fraction(901, 100)), (2, 5), (3, 4), (10, Fraction(1, 100))]
         graph = BiweightedGraph(2, [(0, 1, pair) for pair in images], kind="mst")
         return graph, BudgetQuery(Fraction(1), Fraction(1))
@@ -659,30 +647,25 @@ class TestEnvelopeWalk:
         assert solved == [100, Fraction(50, 901), 1, Fraction(800, 499)]
         assert [record.produced_at for record in outcome.walk] == solved
         assert outcome.certificate.oracle_calls == 4
-        assert (outcome.interval, outcome.comparisons, outcome.probes) == (None, 0, ())
         assert outcome.record is outcome.walk[2]
         assert (outcome.record.image, outcome.record.produced_at) == (CostPair(2, 5), 1)
         opt = exact_opt_budget(graph, query.budget)
         factors = parametric_guarantee(query.eps)
         assert verify_budget(graph, outcome.record, query.budget, opt, factors)
 
-    @pytest.mark.parametrize(
-        ("name", "adapter"),
-        [("demo_mst_b.json", MstAdapter()), ("demo_path.json", ShortestPathAdapter())],
-        ids=["mst", "path"],
-    )
-    def test_simulation_at_eps_one_thousandth_verifies(self, name, adapter):
-        # At B = 3 and eps 1/1000 the search answers both demos from
-        # eps*B/LB(2) alone, so the simulation is forced here: over the whole
-        # range [eps*B/UB(2), eps*B/LB(2)] with no witness, as Megiddo's
-        # search runs it, deciding each comparison on its ends' int pairs.
-        instance = ingest(str(Path(__file__).resolve().parent.parent / "instances" / name))
-        query = BudgetQuery(Fraction(3), Fraction(1, 1000))
-        eps, budget = query.eps, query.budget
-        bounds = adapter.bounds(instance)
-        lo, hi = eps * budget / bounds.ub2, eps * budget / bounds.lb2
-        picked, simulation = _simulate(adapter, instance, lo, hi, None, (1 + eps) * budget)
-        assert simulation["comparisons"] > 0
-        assert picked == reference_parametric_search(adapter, instance, query).record
-        opt = exact_opt_budget(instance, budget)
-        assert verify_budget(instance, picked, budget, opt, parametric_guarantee(eps))
+    @pytest.mark.parametrize("kind", ["mst", "path", "cut"])
+    def test_safeguard_at_eps_one_thousandth_verifies(self, kind, monkeypatch):
+        # With no walk steps allowed, the safeguard searches the fronts of
+        # ``kind`` at eps 1/1000, whose weights and midpoints are long, and
+        # every answer verifies.
+        monkeypatch.setattr(exact_search, "walk_step_budget", lambda instance: 0)
+        query_eps = Fraction(1, 1000)
+        safeguarded = 0
+        for case in front_cases():
+            if case.kind != kind:
+                continue
+            for budget in front_budgets(case):
+                opt = exact_opt_budget(case.instance, budget)
+                _, ran = check_parametric(case, BudgetQuery(budget, query_eps), opt)
+                safeguarded += ran
+        assert safeguarded > 0

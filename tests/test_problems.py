@@ -224,23 +224,6 @@ class TestMstOracle:
     def test_produced_at_recorded(self, ex1):
         assert mst_oracle(ex1, Fraction(7, 3)).produced_at == Fraction(7, 3)
 
-    def test_parametric_run_matches_concrete_oracle(self, ex1, ex2, single_edge):
-        def counting_comparator_at(gamma, counter):
-            def compare(c, s):
-                counter.append(1)
-                d = c + gamma * s
-                return -1 if d < 0 else (1 if d > 0 else 0)
-
-            return compare
-
-        for graph in (ex1, ex2):
-            counter = []
-            run = MstAdapter().run_parametric(graph, counting_comparator_at(Fraction(2), counter))
-            assert run.token == mst_oracle(graph, Fraction(2)).token
-        counter = []
-        MstAdapter().run_parametric(single_edge, counting_comparator_at(Fraction(1), counter))
-        assert counter == []
-
 
 class TestShortestPathOracle:
     def test_parallel_edge_tiebreak_and_flip(self):
@@ -532,27 +515,21 @@ def test_searches_import_nothing_from_oracle():
 
 def test_every_symbolic_run_returns_its_evaluated_record(monkeypatch):
     # The searches take a run's image as it comes; the ground truth must agree with it.
-    # With no walk steps allowed, parametric search runs mst and path symbolically
-    # whenever the ends of its weight range straddle the f1 limit.
-    monkeypatch.setattr(exact_search, "walk_step_budget", lambda instance: 0)
+    # Vertex cover is the one plugin with a symbolic run, which its grid walk drives.
     runs = []
-    for adapter in (MstAdapter, ShortestPathAdapter, VertexCoverAdapter):
 
-        def recorded(self, instance, compare, _run=adapter.run_parametric):
-            record = _run(self, instance, compare)
-            runs.append((self, instance, record))
-            return record
+    def recorded(self, instance, compare, _run=VertexCoverAdapter.run_parametric):
+        record = _run(self, instance, compare)
+        runs.append((self, instance, record))
+        return record
 
-        monkeypatch.setattr(adapter, "run_parametric", recorded)
+    monkeypatch.setattr(VertexCoverAdapter, "run_parametric", recorded)
     for case in build_suite():
         bounds = case.raw_adapter.bounds(case.instance)
         for eps in (Fraction(1), Fraction(1, 4)):
             if case.kind == "vc":
                 solve_grid(case.raw_adapter, case.instance, eps, pareto_index_range(eps, bounds))
-            elif case.kind != "cut":
-                for budget in case.budgets:
-                    parametric_search(case.raw_adapter, case.instance, BudgetQuery(budget, eps))
-    assert {instance.kind for _, instance, _ in runs} == {"mst", "path", "vc"}
+    assert {instance.kind for _, instance, _ in runs} == {"vc"}
     for adapter, instance, record in runs:
         assert record.produced_at is None
         assert record.image == image_of(instance, record.token)
@@ -581,7 +558,7 @@ def test_ground_truth_images_every_token_the_searches_return(monkeypatch):
                 pareto_from_parametric(case.raw_adapter, case.instance, eps)
             budget = case.budgets[len(case.budgets) // 2]
             sweep.solve_budget_sweep(case.raw_adapter, case.instance, BudgetQuery(budget, eps))
-            if case.kind in ("mst", "path"):
+            if case.alpha == 1:
                 parametric_search(case.raw_adapter, case.instance, BudgetQuery(budget, eps))
     assert {instance.kind for instance, _ in answers} == {"mst", "path", "cut", "vc"}
     for instance, record in answers:
